@@ -150,6 +150,12 @@ def _bump_state(grid, width=0.5):
 def cmd_freewave(args):
     from scipy.interpolate import CubicSpline
 
+    # the weighted norms resolve the order k = (d - 1) / 2 only from N >= 8k
+    n_min = max(8, 8 * ((args.d - 1) // 2))
+    if args.N < n_min:
+        raise ConfigError(f"freewave at d={args.d} needs N >= {n_min}, got N={args.N}")
+    if not args.s_end > 0.0:
+        raise ConfigError(f"s_end must be positive, got {args.s_end}")
     grid = make_grid(args.R, args.N)
     s_values = np.linspace(0.0, args.s_end, max(int(2 * args.s_end) + 1, 6))
     if args.d == 1:

@@ -7,7 +7,7 @@ composite descent lands on the odd module of the 1-d machinery.
 """
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from scipy import sparse
 from scipy.interpolate import CubicSpline
 
 from . import coeffs
@@ -102,17 +102,11 @@ def descent_step(d, state: StateVector) -> StateVector:
     return StateVector(GridFunction(grid, out1, "even"), GridFunction(grid, out2, "even"))
 
 
-def _scaled_integral(grid: Grid, g_full, weight, power, quad_order=None):
+def _scaled_integral(grid: Grid, g_full, weight, power):
     """At each positive node eta: integral_0^1 weight(t*eta) t^power g(t*eta) dt."""
-    if quad_order is None:
-        quad_order = grid.N + 16
-    tq, wq = leggauss(quad_order)
-    tq = 0.5 * (tq + 1.0)
-    wq = 0.5 * wq
-    pts = np.outer(grid.eta, tq)
-    flat = pts.ravel()
-    gv = grid.interpolate(np.asarray(g_full), flat).reshape(pts.shape)
-    wv = weight(flat).reshape(pts.shape) if weight is not None else 1.0
+    tq, wq, pts, interp = grid.dilation_quadrature
+    gv = (interp @ np.asarray(g_full)).reshape(pts.shape)
+    wv = weight(pts.ravel()).reshape(pts.shape) if weight is not None else 1.0
     return (gv * wv * tq**power) @ wq
 
 
@@ -138,8 +132,8 @@ def descent_step_inverse(d, state: StateVector) -> StateVector:
     h = HEIGHT.h(eta)
     g1_full = state.f1.full()
     g2_full = state.f2.full()
-    J11 = _scaled_integral(grid, g1_full, lambda x: t11w(d, x), d - 3)
-    J12 = _scaled_integral(grid, g1_full, lambda x: t12w(d, x), d - 3)
+    J11 = _scaled_integral(grid, g1_full, lambda x: coeffs.t11_fn(d, x), d - 3)
+    J12 = _scaled_integral(grid, g1_full, lambda x: coeffs.t12_fn(d, x), d - 3)
     J21 = _scaled_integral(grid, g2_full, coeffs.t21_fn, d - 3)
     J22 = _scaled_integral(grid, g2_full, coeffs.t22_fn, d - 3)
     S = np.sqrt(2.0 + eta * eta)
@@ -147,14 +141,6 @@ def descent_step_inverse(d, state: StateVector) -> StateVector:
     f1 = -h * J11 + J12 - h * J21 + J22
     f2 = -(d - 3.0) * h * J11 + (d - 2.0) * J12 + local - (d - 3.0) * h * J21 + (d - 2.0) * J22
     return StateVector(GridFunction(grid, f1, "even"), GridFunction(grid, f2, "even"))
-
-
-def t11w(d, x):
-    return coeffs.t11_fn(d, x)
-
-
-def t12w(d, x):
-    return coeffs.t12_fn(d, x)
 
 
 def descent_full(d, state: StateVector) -> StateVector:
@@ -297,21 +283,67 @@ class FDWaveResult:
         return self._s1(eta), self._s2(eta)
 
 
-def _upwind_deriv(f, dr, speed, ghost):
-    """Second-order upwind-biased derivative on a staggered uniform grid.
+_UPWIND_WIDTH = 3  # cells spanned by the second-order upwind stencil
 
-    `ghost` supplies two mirror values below the origin.  Rightward speeds
+
+def _upwind_entries(coef, speed, row0, own0, ghost0):
+    """COO entries of coef * (second-order upwind derivative) on a staggered
+    uniform grid, for the field stored from column `own0` on.
+
+    Cells -1 and -2 below the origin are mirror ghosts read from cells 0 and
+    1 of the partner field stored from column `ghost0` on.  Rightward speeds
     use backward stencils (the outflow side at eta = R needs no closure);
-    leftward speeds occur only away from the right boundary.
+    leftward speeds occur only away from the right boundary, so the phantom
+    cells above eta = R carry no entries.
     """
-    ext = np.concatenate([ghost, f, [0.0, 0.0]])
-    m = f.size
-    j = np.arange(2, m + 2)
-    backward = (3.0 * ext[j] - 4.0 * ext[j - 1] + ext[j - 2]) / (2 * dr)
-    forward = (-3.0 * ext[j] + 4.0 * ext[j + 1] - ext[j + 2]) / (2 * dr)
-    # the two phantom cells above eta = R are never selected: speeds at the
-    # top of the grid are positive (outflow), which picks `backward` there
-    return np.where(speed >= 0.0, backward, forward)
+    m = coef.size
+    i = np.arange(m)
+    step = np.where(speed >= 0.0, -1, 1)  # backward or forward stencil
+    rows, cols, vals = [], [], []
+    for k, weight in ((0, 3.0), (1, -4.0), (2, 1.0)):
+        j = i + k * step
+        keep = j < m
+        rows.append(row0 + i[keep])
+        cols.append(np.where(j >= 0, own0 + j, ghost0 - 1 - j)[keep])
+        vals.append((-step * weight * coef)[keep])
+    return rows, cols, vals
+
+
+def _fd_operator(dr, r, h, hp, hm, hpd, hmd, couple):
+    """The FD right-hand side as one sparse 3m x 3m matrix on the stacked
+    state (v, W1, W2); it is linear and does not depend on time.
+
+        v'  = -((h + r) W1 + (h - r) W2) / 2
+        W1' = (-h_+ dW1 + c (W1 - W2)) / h_+' - W1
+        W2' = (-h_- dW2 + c (W1 - W2)) / h_-' - W2
+
+    where dW is the upwind derivative along the speed h_pm / h_pm', each
+    field mirrors into the other's ghost cells, and c is the dimensional
+    coupling.
+    """
+    m = r.size
+    i = np.arange(m)
+    V, W1, W2 = i, m + i, 2 * m + i  # row and column indices of each block
+    rows = [V, V, W1, W1, W2, W2]
+    cols = [W1, W2, W1, W2, W1, W2]
+    vals = [
+        -(h + r) / 2.0,
+        -(h - r) / 2.0,
+        couple / hpd - 1.0,
+        -couple / hpd,
+        couple / hmd,
+        -couple / hmd - 1.0,
+    ]
+    for coef, speed, row0, own0, ghost0 in (
+        (-hp / (hpd * 2 * dr), hp / hpd, m, m, 2 * m),
+        (-hm / (hmd * 2 * dr), hm / hmd, 2 * m, 2 * m, m),
+    ):
+        more = _upwind_entries(coef, speed, row0, own0, ghost0)
+        for acc, new in zip((rows, cols, vals), more):
+            acc.extend(new)
+    entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    # coincident entries (stencil centre and diagonal, ghost and coupling) are summed
+    return sparse.coo_array(entries, shape=(3 * m, 3 * m)).tocsr()
 
 
 def _fd_run(d, f1, f2, s_end, R, m, cfl, record=None):
@@ -323,6 +355,12 @@ def _fd_run(d, f1, f2, s_end, R, m, cfl, record=None):
     h_pm/h_pm' and a dimensional coupling; v itself integrates alongside.
     `record` requests (v, d_s v) snapshots at the given times.
     """
+    if m < _UPWIND_WIDTH:
+        raise ValueError(f"m must be at least {_UPWIND_WIDTH} (the upwind stencil width), got m={m}")
+    if not cfl > 0.0:
+        raise ValueError(f"cfl must be positive, got cfl={cfl}")
+    if not s_end > 0.0:
+        raise ValueError(f"s_end must be positive, got s_end={s_end}")
     dr = R / m
     r = (np.arange(m) + 0.5) * dr
     h = HEIGHT.h(r)
@@ -348,41 +386,25 @@ def _fd_run(d, f1, f2, s_end, R, m, cfl, record=None):
     W1 = (hmd * vs0 + hm * dv0) / u_scale
     W2 = (hpd * vs0 + hp * dv0) / u_scale
 
-    def rhs(state):
-        v, w1, w2 = state
-        dw1 = _upwind_deriv(w1, dr, lam1, ghost=w2[1::-1])
-        dw2 = _upwind_deriv(w2, dr, lam2, ghost=w1[1::-1])
-        src = couple * (w1 - w2)
-        return (
-            -(h * (w1 + w2) + r * (w1 - w2)) / 2.0,
-            (-hp * dw1 + src) / hpd - w1,
-            (-hm * dw2 + src) / hmd - w2,
-        )
+    A = _fd_operator(dr, r, h, hp, hm, hpd, hmd, couple)
 
-    def snapshot(state):
-        v, w1, w2 = state
-        return v.copy(), -(h * (w1 + w2) + r * (w1 - w2)) / 2.0
+    def snapshot(x):
+        return x[:m].copy(), (A @ x)[:m]
 
-    state = (v0, W1, W2)
+    x = np.concatenate([v0, W1, W2])
     targets = sorted(set(np.round(np.asarray(record) / dt).astype(int))) if record is not None else []
     shots = {}
     if record is not None and 0 in targets:
-        shots[0] = snapshot(state)
+        shots[0] = snapshot(x)
     for step in range(1, nsteps + 1):
-        k1 = rhs(state)
-        s2 = tuple(u + 0.5 * dt * k for u, k in zip(state, k1))
-        k2 = rhs(s2)
-        s3 = tuple(u + 0.5 * dt * k for u, k in zip(state, k2))
-        k3 = rhs(s3)
-        s4 = tuple(u + dt * k for u, k in zip(state, k3))
-        k4 = rhs(s4)
-        state = tuple(
-            u + (dt / 6.0) * (a + 2 * b + 2 * c + e)
-            for u, a, b, c, e in zip(state, k1, k2, k3, k4)
-        )
+        k1 = A @ x
+        k2 = A @ (x + 0.5 * dt * k1)
+        k3 = A @ (x + 0.5 * dt * k2)
+        k4 = A @ (x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if record is not None and step in targets:
-            shots[step] = snapshot(state)
-    v, vs = snapshot(state)
+            shots[step] = snapshot(x)
+    v, vs = snapshot(x)
     if record is not None:
         series = [shots[k] for k in sorted(shots)]
         return r, v, vs, series

@@ -9,6 +9,8 @@ then be evaluated directly.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import dct
@@ -55,6 +57,13 @@ def _chebdif(M):
     np.fill_diagonal(D, 0.0)
     np.fill_diagonal(D, -np.sum(D, axis=1))
     return x, D
+
+
+class DilationQuadrature(NamedTuple):
+    t: np.ndarray
+    w: np.ndarray
+    pts: np.ndarray
+    interp: np.ndarray
 
 
 def _clencurt(M):
@@ -166,6 +175,22 @@ class Grid:
 
     def interpolate(self, full_values, pts):
         return self.interp_matrix(pts) @ np.asarray(full_values)
+
+    @cached_property
+    def dilation_quadrature(self):
+        """Gauss-Legendre nodes `t` and weights `w` on [0, 1] (order N + 16),
+        the points outer(eta, t) and the interpolation matrix onto them, for
+        the integrals int_0^1 weight(t eta) t^p g(t eta) dt of the descent
+        inverses.  Built once per grid; all arrays are read-only, so threads
+        that race on the first access only build identical copies."""
+        t, w = leggauss(self.N + 16)
+        t = 0.5 * (t + 1.0)
+        w = 0.5 * w
+        pts = np.outer(self.eta, t)
+        interp = self.interp_matrix(pts.ravel())
+        for a in (t, w, pts, interp):
+            a.setflags(write=False)
+        return DilationQuadrature(t, w, pts, interp)
 
     def cheb_coeffs(self, full_values):
         v_desc = np.asarray(full_values)[::-1]

@@ -32,6 +32,15 @@ class TestConfigGates:
     def test_blowup_needs_d7(self, tmp_path):
         assert run(["blowup", "--d", "5", "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize(
+        "flags", [["--N", "4"], ["--d", "7", "--N", "16"], ["--s-end", "-1"], ["--s-end", "0"]]
+    )
+    def test_freewave_bad_config_exit_2(self, tmp_path, capsys, flags):
+        assert run(["freewave", *flags, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
     def test_config_supplies_values(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"dims": "3,5", "R": 1.5}))
@@ -71,6 +80,18 @@ class TestCommands:
         assert doc["exponent_fit"] <= -0.45
         csv = out.with_suffix(".csv").read_text().splitlines()
         assert csv[0] == "s,norm"
+
+    def test_freewave_d7_deterministic(self, tmp_path):
+        a = tmp_path / "a"
+        b = tmp_path / "b"
+        argv = ["freewave", "--d", "7", "--N", "64", "--s-end", "5"]
+        assert run([*argv, "--out", str(a)]) == 0
+        assert run([*argv, "--out", str(b)]) == 0
+        doc = json.loads(a.with_suffix(".json").read_text())
+        assert doc["cross_check_error"] < 1e-4
+        assert a.with_suffix(".csv").read_text().splitlines()[0] == "s,norm,fd_norm"
+        for suffix in (".csv", ".json"):
+            assert a.with_suffix(suffix).read_bytes() == b.with_suffix(suffix).read_bytes()
 
     def test_norms_deterministic_with_seed(self, tmp_path):
         a = tmp_path / "na"

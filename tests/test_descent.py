@@ -11,13 +11,16 @@ from hyperwave.descent import (
     descent_step_inverse,
     direct_fd_oracle,
     evolve_free_wave,
+    fd_oracle_series,
     intertwining_residual,
     stepwise_intertwining_residual,
     t22_bound_ratio,
+    _fd_operator,
     _fd_run,
 )
 from hyperwave.grids import GridFunction, StateVector, make_grid, weighted_state_norm
 from hyperwave.jets import jexp
+from hyperwave.model import HEIGHT
 from hyperwave.nonlinear import smooth_bump
 
 from conftest import even_state
@@ -201,8 +204,71 @@ class TestFDOracle:
         assert np.all(np.isfinite(v))
 
     def test_cfl_guard(self):
-        with pytest.raises(ValueError):
-            direct_fd_oracle(5, lambda r: np.exp(-(r**2)), lambda r: 0 * r, 1.0, 2.0, m=-3)
+        f1, f2 = lambda r: np.exp(-(r**2)), lambda r: 0 * r
+        with pytest.raises(ValueError, match="m must be at least 3"):
+            direct_fd_oracle(5, f1, f2, 1.0, 2.0, m=-3)
+        with pytest.raises(ValueError, match="m must be at least 3"):
+            _fd_run(5, f1, f2, 1.0, 2.0, 2, 0.4)
+        with pytest.raises(ValueError, match="cfl must be positive"):
+            direct_fd_oracle(5, f1, f2, 1.0, 2.0, cfl=0.0)
+
+    @pytest.mark.parametrize("s_end", [0.0, -1.0])
+    def test_end_time_guard(self, s_end):
+        with pytest.raises(ValueError, match="s_end must be positive"):
+            _fd_run(5, lambda r: np.exp(-(r**2)), lambda r: 0 * r, s_end, 2.0, 200, 0.4)
+
+    def test_operator_matches_stencil_loop(self):
+        m, R, d = 40, 2.0, 7
+        dr = R / m
+        r = (np.arange(m) + 0.5) * dr
+        h, dh = HEIGHT.h(r), HEIGHT.dh(r)
+        hp, hm, hpd, hmd = r + h, r - h, 1.0 + dh, 1.0 - dh
+        couple = (r * dh - h) * (d - 1.0) / (2.0 * r)
+        A = _fd_operator(dr, r, h, hp, hm, hpd, hmd, couple)
+        assert A.nnz <= 10 * m
+
+        x = np.random.default_rng(3).standard_normal(3 * m)
+        w1, w2 = x[m : 2 * m], x[2 * m :]
+
+        def cell(f, ghost, j):
+            # mirror ghosts below the origin, zero phantoms above eta = R
+            return ghost[-1 - j] if j < 0 else (f[j] if j < m else 0.0)
+
+        def upwind(f, ghost, speed, i):
+            if speed >= 0.0:
+                return (3 * cell(f, ghost, i) - 4 * cell(f, ghost, i - 1) + cell(f, ghost, i - 2)) / (2 * dr)
+            return (-3 * cell(f, ghost, i) + 4 * cell(f, ghost, i + 1) - cell(f, ghost, i + 2)) / (2 * dr)
+
+        want = np.empty(3 * m)
+        for i in range(m):
+            src = couple[i] * (w1[i] - w2[i])
+            want[i] = -(h[i] * (w1[i] + w2[i]) + r[i] * (w1[i] - w2[i])) / 2.0
+            want[m + i] = (-hp[i] * upwind(w1, w2, hp[i] / hpd[i], i) + src) / hpd[i] - w1[i]
+            want[2 * m + i] = (-hm[i] * upwind(w2, w1, hm[i] / hmd[i], i) + src) / hmd[i] - w2[i]
+        assert np.max(np.abs(A @ x - want)) < 1e-12 * np.max(np.abs(want))
+
+    def test_regression_pin(self):
+        # values of the stencil-by-stencil upwind solver this operator replaced
+        r, v, vs = _fd_run(5, lambda r: np.exp(-2 * r * r), lambda r: 0 * r, 1.0, 2.0, 200, 0.4)
+        idx = [0, 1, 37, 100, 199]
+        assert v[idx] == pytest.approx(
+            [0.07410089909774671, 0.07402609232994271, 0.024621339800224476,
+             -0.17579014519837458, -0.3001638663943673], rel=1e-12)
+        assert vs[idx] == pytest.approx(
+            [-0.716189235911018, -0.7160713995601833, -0.6401242385222106,
+             -0.3869622825676523, -0.38546114240154483], rel=1e-12)
+        _, shots = fd_oracle_series(
+            7, lambda r: np.exp(-2 * r * r), lambda r: -0.3 * np.exp(-r * r), [0.0, 0.5, 1.0], 2.0, m=100
+        )
+        assert len(shots) == 3
+        v1, vs1 = shots[-1]
+        idx = [0, 10, 50, 99]
+        assert v1[idx] == pytest.approx(
+            [-0.10727352967469479, -0.12031757968103643, -0.28921598820640526,
+             -0.2911023765629335], rel=1e-12)
+        assert vs1[idx] == pytest.approx(
+            [-0.6585034488615441, -0.6342439786722399, -0.3532701062661948,
+             -0.3439355526783216], rel=1e-12)
 
     def test_convergence_order(self):
         f1 = lambda r: np.exp(-2 * r * r)

@@ -61,6 +61,20 @@ class TestGridBasics:
         got = grid64.interpolate(np.sin(grid64.y), pts)
         assert got == pytest.approx(np.sin(pts), abs=1e-13)
 
+    def test_dilation_quadrature_cached_read_only(self):
+        grid = make_grid(2.0, 24)
+        quad = grid.dilation_quadrature
+        assert grid.dilation_quadrature is quad
+        t, w = np.polynomial.legendre.leggauss(grid.N + 16)
+        assert np.array_equal(quad.t, 0.5 * (t + 1.0))
+        assert np.array_equal(quad.w, 0.5 * w)
+        assert np.array_equal(quad.pts, np.outer(grid.eta, quad.t))
+        assert np.array_equal(quad.interp, grid.interp_matrix(quad.pts.ravel()))
+        for a in quad:
+            assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            quad.interp[0, 0] = 1.0
+
     def test_antiderivative(self, grid64):
         F = grid64.antiderivative(np.cos(grid64.y))
         assert np.max(np.abs(F - np.sin(grid64.y))) < 1e-13
