@@ -26,9 +26,16 @@ from .grids import (
     weighted_state_norm,
 )
 from .halfwave import evolve_S1
-from .linstab import assemble_L, mode_angle, riesz_projection, spectrum, ssc_scan_roots
+from .linstab import (
+    SPECTRAL_MIN_N,
+    assemble_L,
+    mode_angle,
+    riesz_projection,
+    spectrum,
+    ssc_scan_roots,
+)
 from .model import make_params, symmetry_mode
-from .nonlinear import PerturbationSpec, adjust_blowup_time, smooth_bump
+from .nonlinear import DEFAULT_STEP, PerturbationSpec, adjust_blowup_time, smooth_bump
 from .output import format_float, write_csv, write_json
 
 _CONFIG_KEYS = {
@@ -222,7 +229,13 @@ def cmd_freewave(args):
     return 0 if ok else 1
 
 
+def _require_spectral_resolution(args):
+    if args.N < SPECTRAL_MIN_N:
+        raise ConfigError(f"{args.command} needs N >= {SPECTRAL_MIN_N}, got N={args.N}")
+
+
 def cmd_spectrum(args):
+    _require_spectral_resolution(args)
     params = make_params(args.d)
     grid = make_grid(args.R, args.N)
     op = assemble_L(params, grid)
@@ -256,6 +269,11 @@ def cmd_spectrum(args):
 
 
 def cmd_blowup(args):
+    _require_spectral_resolution(args)
+    if not args.eps > 0.0:
+        raise ConfigError(f"eps must be positive, got {args.eps}")
+    if args.dt is not None and not args.dt > 0.0:
+        raise ConfigError(f"dt must be positive, got {args.dt}")
     params = make_params(args.d)
     grid = make_grid(args.R, args.N)
     op = assemble_L(params, grid)
@@ -310,6 +328,8 @@ def cmd_blowup(args):
 
 
 def cmd_norms(args):
+    if args.N < 8:
+        raise ConfigError(f"norms needs N >= 8, got N={args.N}")
     dims = _dims_list(args)
     rng = np.random.default_rng(args.seed)
     centers = rng.uniform(0.2, 0.8, size=3)
@@ -385,7 +405,12 @@ def build_parser():
         p.add_argument("--eps", type=float, default=0.05, help="perturbation support radius")
         p.add_argument("--amp", type=float, default=1e-3, help="perturbation amplitude")
         p.add_argument("--s-end", dest="s_end", type=float, default=5.0)
-        p.add_argument("--dt", type=float, default=None, help="override evolution step")
+        p.add_argument(
+            "--dt",
+            type=float,
+            default=None,
+            help=f"blowup: fixed integrating-factor RK4 step (default {DEFAULT_STEP})",
+        )
         p.add_argument("--out", type=str, default=out_default, help="output path prefix")
         p.add_argument("--config", type=str, default=None, help="flat JSON config file")
         p.add_argument("--dims", type=str, default=None, help="comma list of dimensions")

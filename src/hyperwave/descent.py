@@ -15,6 +15,7 @@ from .grids import Grid, GridFunction, StateVector, odd_state_norm, weighted_sta
 from .halfwave import evolve_S1
 from .jets import Taylor, jet_seed
 from .model import HEIGHT
+from .stepping import rk4
 
 __all__ = [
     "apply_Ld",
@@ -393,20 +394,16 @@ def _fd_run(d, f1, f2, s_end, R, m, cfl, record=None):
 
     x = np.concatenate([v0, W1, W2])
     targets = sorted(set(np.round(np.asarray(record) / dt).astype(int))) if record is not None else []
-    shots = {}
-    if record is not None and 0 in targets:
-        shots[0] = snapshot(x)
-    for step in range(1, nsteps + 1):
-        k1 = A @ x
-        k2 = A @ (x + 0.5 * dt * k1)
-        k3 = A @ (x + 0.5 * dt * k2)
-        k4 = A @ (x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if record is not None and step in targets:
-            shots[step] = snapshot(x)
+    series = []
+    step = 0
+    for target in targets:
+        if 0 <= target <= nsteps:
+            x = rk4(A.__matmul__, x, dt, target - step)
+            step = target
+            series.append(snapshot(x))
+    x = rk4(A.__matmul__, x, dt, nsteps - step)
     v, vs = snapshot(x)
     if record is not None:
-        series = [shots[k] for k in sorted(shots)]
         return r, v, vs, series
     return r, v, vs
 

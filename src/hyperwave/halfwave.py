@@ -14,6 +14,7 @@ import numpy as np
 
 from .grids import Grid, GridFunction, StateVector, hpm_inner, sobolev_norm_full
 from .model import HEIGHT, HeightFunction
+from .stepping import rk4
 
 __all__ = [
     "HalfWaveState",
@@ -140,21 +141,16 @@ def evolve_halfwave_mol(w: HalfWaveState, ds, dt=1e-3, height: HeightFunction = 
     if ds < 0:
         raise ValueError("the half-wave evolution is a forward semigroup (ds >= 0)")
     grid = w.grid
+    n = 2 * grid.N
     nsteps = max(int(np.ceil(ds / dt)), 1)
-    h = ds / nsteps
-    vm, vp = w.vm.copy(), w.vp.copy()
 
-    def rhs(m, p):
-        return apply_L_pm(grid, m, -1, height), apply_L_pm(grid, p, +1, height)
+    def rhs(x):
+        return np.concatenate(
+            [apply_L_pm(grid, x[:n], -1, height), apply_L_pm(grid, x[n:], +1, height)]
+        )
 
-    for _ in range(nsteps):
-        k1m, k1p = rhs(vm, vp)
-        k2m, k2p = rhs(vm + 0.5 * h * k1m, vp + 0.5 * h * k1p)
-        k3m, k3p = rhs(vm + 0.5 * h * k2m, vp + 0.5 * h * k2p)
-        k4m, k4p = rhs(vm + h * k3m, vp + h * k3p)
-        vm = vm + (h / 6.0) * (k1m + 2 * k2m + 2 * k3m + k4m)
-        vp = vp + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-    return HalfWaveState(grid, vm, vp)
+    x = rk4(rhs, np.concatenate([w.vm, w.vp]), ds / nsteps, nsteps)
+    return HalfWaveState(grid, x[:n], x[n:])
 
 
 def halfwave_flow(fm, fp, ds, height: HeightFunction = HEIGHT):

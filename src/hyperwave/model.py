@@ -23,6 +23,7 @@ __all__ = [
     "blowup_profile_hsc",
     "potential",
     "potential_ssc",
+    "nonlinearity_coeffs",
     "nonlinearity_scalar",
     "nonlinearity_quadratic_coeff",
     "symmetry_mode",
@@ -250,32 +251,32 @@ def potential_ssc(params: DimensionParams, rho):
     return -3.0 * (d - 4) * a * ((a - 2.0) * rho2 - 2.0 * b) / np.square(b + rho2)
 
 
-def nonlinearity_scalar(params: DimensionParams, y, alpha, height: HeightFunction = HEIGHT):
-    """Pointwise nonlinearity N(y, alpha) of the autonomous first-order system."""
+def nonlinearity_coeffs(params: DimensionParams, y, height: HeightFunction = HEIGHT):
+    """Coefficients (c2, c3) of the pointwise nonlinearity of the autonomous
+    first-order system, N(y, alpha) = alpha^2 (c2(y) + c3(y) alpha)."""
     a, b = _require_constants(params)
     d = params.d
     y = np.asarray(y, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
     h = height.h(y)
     dh = height.dh(y)
     u = y * dh - h
     w = 1.0 - dh * dh
     y2 = np.square(y)
+    scale = -(d - 4) * (u * u / w)
     quad = 3.0 * ((1.0 - a) * y2 + b * h * h) / (b * h * h + y2)
-    return -(d - 4) * (u * u / w) * (quad * alpha * alpha + y2 * alpha**3)
+    return scale * quad, scale * y2
+
+
+def nonlinearity_scalar(params: DimensionParams, y, alpha, height: HeightFunction = HEIGHT):
+    """Pointwise nonlinearity N(y, alpha) of the autonomous first-order system."""
+    c2, c3 = nonlinearity_coeffs(params, y, height)
+    alpha = np.asarray(alpha, dtype=float)
+    return alpha * alpha * (c2 + c3 * alpha)
 
 
 def nonlinearity_quadratic_coeff(params: DimensionParams, y, height: HeightFunction = HEIGHT):
     """Half of d^2 N / d alpha^2 at alpha = 0, i.e. the alpha^2 coefficient."""
-    a, b = _require_constants(params)
-    d = params.d
-    y = np.asarray(y, dtype=float)
-    h = height.h(y)
-    dh = height.dh(y)
-    u = y * dh - h
-    w = 1.0 - dh * dh
-    y2 = np.square(y)
-    return -(d - 4) * (u * u / w) * 3.0 * ((1.0 - a) * y2 + b * h * h) / (b * h * h + y2)
+    return nonlinearity_coeffs(params, y, height)[0]
 
 
 def symmetry_mode(params: DimensionParams, y, height: HeightFunction = HEIGHT):

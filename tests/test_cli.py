@@ -41,6 +41,23 @@ class TestConfigGates:
         assert err.startswith("configuration error:") and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["blowup", "--dt", "-1"],
+            ["blowup", "--dt", "0"],
+            ["blowup", "--eps", "0"],
+            ["blowup", "--N", "40"],
+            ["spectrum", "--N", "40"],
+            ["norms", "--N", "4"],
+        ],
+    )
+    def test_bad_value_exit_2(self, tmp_path, capsys, argv):
+        assert run([*argv, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
     def test_config_supplies_values(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"dims": "3,5", "R": 1.5}))
@@ -90,6 +107,19 @@ class TestCommands:
         doc = json.loads(a.with_suffix(".json").read_text())
         assert doc["cross_check_error"] < 1e-4
         assert a.with_suffix(".csv").read_text().splitlines()[0] == "s,norm,fd_norm"
+        for suffix in (".csv", ".json"):
+            assert a.with_suffix(suffix).read_bytes() == b.with_suffix(suffix).read_bytes()
+
+    def test_blowup_d7_deterministic(self, tmp_path):
+        a = tmp_path / "a"
+        b = tmp_path / "b"
+        argv = ["blowup", "--d", "7", "--amp", "1e-3", "--eps", "0.05"]
+        assert run([*argv, "--out", str(a)]) == 0
+        assert run([*argv, "--out", str(b)]) == 0
+        doc = json.loads(a.with_suffix(".json").read_text())
+        # reference values of the explicit-RK4 solver (ROADMAP baseline)
+        assert doc["T_star"] == pytest.approx(0.99999998641799659, rel=1e-6)
+        assert doc["omega0_fit"] == pytest.approx(0.58570981465673055, rel=1e-6)
         for suffix in (".csv", ".json"):
             assert a.with_suffix(suffix).read_bytes() == b.with_suffix(suffix).read_bytes()
 

@@ -10,6 +10,7 @@ from hyperwave.model import (
     hsc_map,
     initial_time_s0,
     make_params,
+    nonlinearity_coeffs,
     nonlinearity_quadratic_coeff,
     nonlinearity_scalar,
     potential,
@@ -181,6 +182,19 @@ class TestPotentialNonlinearity:
     def test_quadratic_coefficient_origin(self, params7):
         val = nonlinearity_quadratic_coeff(params7, 1e-9)
         assert val == pytest.approx(-3.0 * (7 - 4) * HEIGHT.h(0.0) ** 2, rel=1e-8)
+
+    def test_factored_nonlinearity_matches_closed_form(self, params7):
+        a, b, d = params7.a, params7.b, params7.d
+        y, al = np.meshgrid(np.linspace(0.0, 2.0, 41), np.linspace(-0.5, 0.5, 41))
+        h, dh = HEIGHT.h(y), HEIGHT.dh(y)
+        u, w, y2 = y * dh - h, 1.0 - dh * dh, y * y
+        quad = 3.0 * ((1.0 - a) * y2 + b * h * h) / (b * h * h + y2)
+        terms = -(d - 4) * (u * u / w) * np.stack([quad * al * al, y2 * al**3])
+        c2, c3 = nonlinearity_coeffs(params7, y)
+        factored = al * al * (c2 + c3 * al)
+        assert np.all(np.abs(factored - terms.sum(axis=0)) <= 1e-14 * np.abs(terms).sum(axis=0))
+        assert np.array_equal(nonlinearity_scalar(params7, y, al), factored)
+        assert np.array_equal(nonlinearity_quadratic_coeff(params7, y), c2)
 
     def test_lipschitz_factorization(self, params7, rng):
         y = rng.uniform(0, 2, 32)

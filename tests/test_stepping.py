@@ -1,0 +1,59 @@
+import numpy as np
+from scipy.linalg import expm
+
+from hyperwave.stepping import rk4
+
+A = np.array([[-3.0, 1.0, 0.0], [0.5, -20.0, 2.0], [0.0, 1.0, -0.5]])
+
+
+def nonlinear(x):
+    return 0.3 * x * x - 0.1 * np.roll(x, 1) ** 3
+
+
+def classical_loop(rhs, x, h, nsteps):
+    for _ in range(nsteps):
+        k1 = rhs(x)
+        k2 = rhs(x + 0.5 * h * k1)
+        k3 = rhs(x + 0.5 * h * k2)
+        k4 = rhs(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return x
+
+
+def lawson(x, h, nsteps):
+    return rk4(nonlinear, x, h, nsteps, (expm(h * A), expm(0.5 * h * A)))
+
+
+X0 = np.array([0.4, -0.2, 0.7])
+
+
+def test_classical_form_matches_reference_loop_exactly():
+    rhs = lambda x: A @ x + nonlinear(x)
+    assert np.array_equal(rk4(rhs, X0, 0.01, 50), classical_loop(rhs, X0, 0.01, 50))
+
+
+def test_lawson_linear_part_exact():
+    h, n = 0.25, 8
+    out = rk4(lambda x: np.zeros_like(x), X0, h, n, (expm(h * A), expm(0.5 * h * A)))
+    assert np.allclose(out, expm(n * h * A) @ X0, rtol=1e-13, atol=1e-15)
+
+
+def test_lawson_fourth_order():
+    ref = lawson(X0, 0.4 / 1024, 1024)
+    err = [np.max(np.abs(lawson(X0, 0.4 / n, n) - ref)) for n in (8, 16, 32)]
+    orders = np.log2(np.array(err[:-1]) / np.array(err[1:]))
+    assert np.all((orders > 3.5) & (orders < 4.5))
+
+
+def test_lawson_stable_past_classical_bound():
+    # h * rho(A) = 4 exceeds the classical RK4 stability bound of about 2.8
+    h, n = 0.2, 10
+    assert h * np.max(np.abs(np.linalg.eigvals(A))) > 4.0
+    ref = lawson(X0, 2.0 / 1024, 1024)
+    assert np.max(np.abs(lawson(X0, h, n) - ref)) < 1e-3
+    # classical RK4 at this step amplifies the stiff linear mode fivefold per step
+    assert np.max(np.abs(classical_loop(lambda x: A @ x, X0, h, n))) > 1e3
+
+
+def test_zero_steps_return_input():
+    assert rk4(nonlinear, X0, 0.1, 0) is X0
