@@ -27,7 +27,6 @@ from .grids import (
 )
 from .halfwave import evolve_S1
 from .linstab import (
-    SPECTRAL_MIN_N,
     assemble_L,
     mode_angle,
     riesz_projection,
@@ -38,18 +37,20 @@ from .model import make_params, symmetry_mode
 from .nonlinear import DEFAULT_STEP, PerturbationSpec, adjust_blowup_time, smooth_bump
 from .output import format_float, write_csv, write_json
 
-_CONFIG_KEYS = {
-    "d": int,
-    "R": float,
-    "N": int,
-    "eps": float,
-    "amp": float,
-    "s_end": float,
-    "dt": float,
-    "out": str,
-    "dims": str,
-    "seed": int,
-    "scan_ssc": bool,
+# options a config file may set: key -> (type, built-in default); `out`
+# defaults to the subcommand name
+_OPTIONS = {
+    "d": (int, 7),
+    "R": (float, 2.0),
+    "N": (int, 64),
+    "eps": (float, 0.05),
+    "amp": (float, 1e-3),
+    "s_end": (float, 5.0),
+    "dt": (float, None),
+    "out": (str, None),
+    "dims": (str, None),
+    "seed": (int, 0),
+    "scan_ssc": (bool, False),
 }
 
 
@@ -66,9 +67,9 @@ def _load_config(path):
     if not isinstance(raw, dict):
         raise ConfigError("config must be a flat JSON object")
     for key, value in raw.items():
-        if key not in _CONFIG_KEYS:
+        if key not in _OPTIONS:
             raise ConfigError(f"unknown config key {key!r}")
-        want = _CONFIG_KEYS[key]
+        want = _OPTIONS[key][0]
         if want is float and isinstance(value, int):
             continue
         if not isinstance(value, want):
@@ -77,10 +78,14 @@ def _load_config(path):
 
 
 def _merge(args):
-    """Config file values fill in; explicit CLI flags win."""
+    """Explicit CLI flags win, config file values come next, then the
+    built-in defaults.  The options parse with SUPPRESS defaults, so only
+    the flags given on the command line are set on `args`."""
     cfg = _load_config(args.config) if args.config else {}
-    for key, value in cfg.items():
-        if getattr(args, key, None) is None or getattr(args, key) == PARSER_DEFAULTS.get(key):
+    given = set(vars(args))
+    defaults = {key: default for key, (_, default) in _OPTIONS.items()}
+    for key, value in {**defaults, "out": args.command, **cfg}.items():
+        if key not in given:
             setattr(args, key, value)
     return args
 
@@ -229,16 +234,23 @@ def cmd_freewave(args):
     return 0 if ok else 1
 
 
-def _require_spectral_resolution(args):
-    if args.N < SPECTRAL_MIN_N:
-        raise ConfigError(f"{args.command} needs N >= {SPECTRAL_MIN_N}, got N={args.N}")
+def _spectral_operator(args):
+    """Parameters, grid and linearized generator for `spectrum` and `blowup`.
+
+    `assemble_L` rejects a grid too coarse for spectral work (N below the
+    spectral minimum, or a symmetry-mode residual showing under-resolution);
+    that is a configuration error, not a tolerance breach.
+    """
+    params = make_params(args.d)
+    try:
+        grid = make_grid(args.R, args.N)
+        return params, grid, assemble_L(params, grid)
+    except ValueError as exc:
+        raise ConfigError(f"{args.command}: {exc}") from exc
 
 
 def cmd_spectrum(args):
-    _require_spectral_resolution(args)
-    params = make_params(args.d)
-    grid = make_grid(args.R, args.N)
-    op = assemble_L(params, grid)
+    params, grid, op = _spectral_operator(args)
     spec = spectrum(op)
     doc = spec.to_json_dict()
     proj = riesz_projection(op)
@@ -269,14 +281,11 @@ def cmd_spectrum(args):
 
 
 def cmd_blowup(args):
-    _require_spectral_resolution(args)
     if not args.eps > 0.0:
         raise ConfigError(f"eps must be positive, got {args.eps}")
     if args.dt is not None and not args.dt > 0.0:
         raise ConfigError(f"dt must be positive, got {args.dt}")
-    params = make_params(args.d)
-    grid = make_grid(args.R, args.N)
-    op = assemble_L(params, grid)
+    params, grid, op = _spectral_operator(args)
     spec = spectrum(op)
     pert = PerturbationSpec(args.amp, eps=args.eps)
     try:
@@ -376,9 +385,6 @@ def cmd_norms(args):
     return 0 if ok else 1
 
 
-PARSER_DEFAULTS = {}
-
-
 _CSV_DOCS = {
     "identities": "columns: d, check, max_residual",
     "freewave": "columns: s, norm[, fd_norm] (fd series measured in the k=1 norm)",
@@ -398,23 +404,22 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, out_default):
-        p.add_argument("--d", type=int, default=7, help="odd space dimension")
-        p.add_argument("--R", type=float, default=2.0, help="domain radius (>= 1/2)")
-        p.add_argument("--N", type=int, default=64, help="radial node count")
-        p.add_argument("--eps", type=float, default=0.05, help="perturbation support radius")
-        p.add_argument("--amp", type=float, default=1e-3, help="perturbation amplitude")
-        p.add_argument("--s-end", dest="s_end", type=float, default=5.0)
+    def add_common(p):
+        p.add_argument("--d", type=int, help="odd space dimension")
+        p.add_argument("--R", type=float, help="domain radius (>= 1/2)")
+        p.add_argument("--N", type=int, help="radial node count")
+        p.add_argument("--eps", type=float, help="perturbation support radius")
+        p.add_argument("--amp", type=float, help="perturbation amplitude")
+        p.add_argument("--s-end", dest="s_end", type=float)
         p.add_argument(
             "--dt",
             type=float,
-            default=None,
             help=f"blowup: fixed integrating-factor RK4 step (default {DEFAULT_STEP})",
         )
-        p.add_argument("--out", type=str, default=out_default, help="output path prefix")
+        p.add_argument("--out", type=str, help="output path prefix")
         p.add_argument("--config", type=str, default=None, help="flat JSON config file")
-        p.add_argument("--dims", type=str, default=None, help="comma list of dimensions")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--dims", type=str, help="comma list of dimensions")
+        p.add_argument("--seed", type=int)
         p.add_argument("--scan-ssc", dest="scan_ssc", action="store_true")
 
     for name, fn in (
@@ -424,8 +429,10 @@ def build_parser():
         ("blowup", cmd_blowup),
         ("norms", cmd_norms),
     ):
-        p = sub.add_parser(name, epilog=_CSV_DOCS[name])
-        add_common(p, name)
+        # SUPPRESS leaves every flag not given unset, so `_merge` can tell
+        # explicit flags from config values and defaults
+        p = sub.add_parser(name, epilog=_CSV_DOCS[name], argument_default=argparse.SUPPRESS)
+        add_common(p)
         p.set_defaults(func=fn)
     return parser
 
@@ -433,11 +440,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    global PARSER_DEFAULTS
-    PARSER_DEFAULTS = {
-        key: parser.get_default(key)
-        for key in ("d", "R", "N", "eps", "amp", "s_end", "dt", "out", "dims", "seed", "scan_ssc")
-    }
     try:
         args = _merge(args)
         if args.d % 2 == 0 or args.d < 1:

@@ -145,7 +145,6 @@ class WaveCoefficients:
 
 def wave_coeffs(d, eta) -> WaveCoefficients:
     """Evaluate all coefficient functions for dimension d at points eta != 0."""
-    d = int(getattr(d, "d", d))
     eta = np.asarray(eta, dtype=float)
     return WaveCoefficients(
         d=d,
@@ -173,7 +172,6 @@ def identity_residuals(d, eta) -> np.ndarray:
 
         c11^1 = eta + eta*c20^1 + c21 .
     """
-    d = int(getattr(d, "d", d))
     eta = np.asarray(eta, dtype=float)
     if np.any(eta == 0.0):
         raise ValueError("identities are evaluated away from eta = 0")

@@ -8,24 +8,29 @@ composite descent lands on the odd module of the 1-d machinery.
 
 import numpy as np
 from scipy import sparse
-from scipy.interpolate import CubicSpline
 
 from . import coeffs
-from .grids import Grid, GridFunction, StateVector, odd_state_norm, weighted_state_norm
+from .grids import (
+    Grid,
+    GridFunction,
+    StateVector,
+    odd_state_norm,
+    weighted_sobolev_norm,
+    weighted_state_norm,
+)
 from .halfwave import evolve_S1
-from .jets import Taylor, jet_seed
+from .jets import jet_seed
 from .model import HEIGHT
 from .stepping import rk4
 
 __all__ = [
     "apply_Ld",
-    "apply_L1",
     "descent_step",
     "descent_step_inverse",
     "descent_full",
     "descent_full_inverse",
     "apply_Ld_series",
-    "apply_L1_series",
+    "descent_step_series",
     "descent_full_series",
     "intertwining_residual",
     "stepwise_intertwining_residual",
@@ -38,69 +43,59 @@ __all__ = [
 ]
 
 
-def _dim(d):
-    return int(getattr(d, "d", d))
+def _generator_row(d, x, F1, F2, deriv):
+    """Second row c11 F1' + c12 F1'' + c20 F2 + c21 F2' of the free radial
+    wave generator L_d, whose first row is F2.
+
+    Shared by the collocation path (x = eta, `deriv` = `Grid.deriv_half`)
+    and the Taylor-series path (x a jet seed, `deriv` = `Taylor.deriv`);
+    `deriv(F, parity)` differentiates F, which has the given parity.
+    """
+    F1p = deriv(F1, "even")
+    return (
+        coeffs.c11_fn(d, x) * F1p
+        + coeffs.c12_fn(x) * deriv(F1p, "odd")
+        + coeffs.c20_fn(d, x) * F2
+        + coeffs.c21_fn(x) * deriv(F2, "even")
+    )
+
+
+def _descent_pair(d, x, F1, F2, deriv):
+    """One descent step D_d on the pair (F1, F2): (d - 2) F + c1 F' + c2 (L_d F)
+    per component, or the multiplication x F1, x (F2 - F1) for d = 3.  Same
+    calling convention as `_generator_row`."""
+    if d == 3:
+        return x * F1, x * (F2 - F1)
+    c1 = coeffs.c1_fn(x)
+    c2 = coeffs.c2_fn(x)
+    LF = (F2, _generator_row(d, x, F1, F2, deriv))
+    return tuple((d - 2.0) * F + c1 * deriv(F, "even") + c2 * L for F, L in zip((F1, F2), LF))
+
+
+def _series_deriv(F, parity):
+    return F.deriv()
 
 
 def apply_Ld(d, state: StateVector) -> StateVector:
     """Free radial wave generator in d dimensions on even half-grid states."""
-    d = _dim(d)
     grid = state.grid
-    eta = grid.eta
-    c = coeffs.wave_coeffs(d, eta)
     f1, f2 = state.f1.values, state.f2.values
-    f1p = grid.deriv_half(f1, "even")
-    f1pp = grid.deriv_half(f1p, "odd")
-    f2p = grid.deriv_half(f2, "even")
-    row2 = c.c11 * f1p + c.c12 * f1pp + c.c20 * f2 + c.c21 * f2p
+    row2 = _generator_row(d, grid.eta, f1, f2, grid.deriv_half)
     return StateVector(
         GridFunction(grid, f2.copy(), "even"), GridFunction(grid, row2, "even")
     )
 
 
-def apply_L1(state: StateVector) -> StateVector:
-    """1-d wave generator on odd full-grid states.
-
-    Repeated collocation derivatives carry boundary roundoff, so the output
-    parity is enforced structurally rather than asserted.
-    """
-    grid = state.grid
-    y = grid.y
-    c11 = coeffs.c11_fn(1, y)
-    c12 = coeffs.c12_fn(y)
-    c20 = coeffs.c20_fn(1, y)
-    c21 = coeffs.c21_fn(y)
-    f1 = state.f1.full()
-    f2 = state.f2.full()
-    f1p = grid.D @ f1
-    row2 = c11 * f1p + c12 * (grid.D @ f1p) + c20 * f2 + c21 * (grid.D @ f2)
-    return StateVector(
-        GridFunction(grid, grid.restrict(f2), "odd"),
-        GridFunction(grid, grid.restrict(row2), "odd"),
-    )
-
-
 def descent_step(d, state: StateVector) -> StateVector:
     """One descent step d -> d-2 (or the terminal 3 -> 1 multiplication)."""
-    d = _dim(d)
     if d < 3 or d % 2 == 0:
         raise ValueError(f"descent steps need odd d >= 3, got d={d}")
     grid = state.grid
     if state.f1.parity != "even":
         raise ValueError("descent input must be an even radial state")
-    if d == 3:
-        eta = grid.eta
-        return StateVector(
-            GridFunction(grid, eta * state.f1.values, "odd"),
-            GridFunction(grid, eta * (state.f2.values - state.f1.values), "odd"),
-        )
-    eta = grid.eta
-    c1 = coeffs.c1_fn(eta)
-    c2 = coeffs.c2_fn(eta)
-    ld = apply_Ld(d, state)
-    out1 = (d - 2.0) * state.f1.values + c1 * grid.deriv_half(state.f1.values, "even") + c2 * ld.f1.values
-    out2 = (d - 2.0) * state.f2.values + c1 * grid.deriv_half(state.f2.values, "even") + c2 * ld.f2.values
-    return StateVector(GridFunction(grid, out1, "even"), GridFunction(grid, out2, "even"))
+    out1, out2 = _descent_pair(d, grid.eta, state.f1.values, state.f2.values, grid.deriv_half)
+    parity = "odd" if d == 3 else "even"
+    return StateVector(GridFunction(grid, out1, parity), GridFunction(grid, out2, parity))
 
 
 def _scaled_integral(grid: Grid, g_full, weight, power):
@@ -117,7 +112,6 @@ def descent_step_inverse(d, state: StateVector) -> StateVector:
     The homogeneous-solution coefficients vanish for smooth targets, so the
     particular solution built from the kernel weights is the inverse.
     """
-    d = _dim(d)
     grid = state.grid
     eta = grid.eta
     if d == 3:
@@ -146,7 +140,6 @@ def descent_step_inverse(d, state: StateVector) -> StateVector:
 
 def descent_full(d, state: StateVector) -> StateVector:
     """Composite descent D_3 o D_5 o ... o D_d onto the odd 1-d module."""
-    d = _dim(d)
     out = state
     for dd in range(d, 1, -2):
         out = descent_step(dd, out)
@@ -154,7 +147,6 @@ def descent_full(d, state: StateVector) -> StateVector:
 
 
 def descent_full_inverse(d, state: StateVector) -> StateVector:
-    d = _dim(d)
     out = state
     for dd in range(3, d + 1, 2):
         out = descent_step_inverse(dd, out)
@@ -167,32 +159,17 @@ def descent_full_inverse(d, state: StateVector) -> StateVector:
 # The intertwining identities stack up to d - 1 derivatives; evaluating them
 # through collocation matrices amplifies roundoff by ~N^2 per derivative and
 # drowns the residual.  Carrying truncated Taylor expansions of the data
-# through the same operator formulas keeps every derivative exact, so the
-# residuals below are meaningful at the 1e-10 level.
+# through the same formula functions the grid path runs (`_generator_row`,
+# `_descent_pair`) keeps every derivative exact, so the residuals below are
+# meaningful at the 1e-10 level and certify the code that runs.
 
 
 def apply_Ld_series(d, F1, F2, x):
-    c11 = coeffs.c11_fn(d, x)
-    c12 = coeffs.c12_fn(x)
-    c20 = coeffs.c20_fn(d, x)
-    c21 = coeffs.c21_fn(x)
-    F1p = F1.deriv()
-    return F2, c11 * F1p + c12 * F1p.deriv() + c20 * F2 + c21 * F2.deriv()
-
-
-def apply_L1_series(F1, F2, x):
-    return apply_Ld_series(1, F1, F2, x)
+    return F2, _generator_row(d, x, F1, F2, _series_deriv)
 
 
 def descent_step_series(d, F1, F2, x):
-    if d == 3:
-        return x * F1, x * (F2 - F1)
-    c1 = coeffs.c1_fn(x)
-    c2 = coeffs.c2_fn(x)
-    L1c, L2c = apply_Ld_series(d, F1, F2, x)
-    out1 = (d - 2.0) * F1 + c1 * F1.deriv() + c2 * L1c
-    out2 = (d - 2.0) * F2 + c1 * F2.deriv() + c2 * L2c
-    return out1, out2
+    return _descent_pair(d, x, F1, F2, _series_deriv)
 
 
 def descent_full_series(d, F1, F2, x):
@@ -218,14 +195,13 @@ def intertwining_residual(d, f1, f2, grid: Grid, k=1):
     in the odd-module H^k x H^(k-1) norm, relative to the d-dimensional norm
     of the data.
     """
-    d = _dim(d)
     order = d + k + 1
     x = jet_seed(grid.y, order)
     F1, F2 = f1(x), f2(x)
     L1c, L2c = apply_Ld_series(d, F1, F2, x)
     lhs1, lhs2 = descent_full_series(d, L1c, L2c, x)
     dv1, dv2 = descent_full_series(d, F1, F2, x)
-    rhs1, rhs2 = apply_L1_series(dv1, dv2, x)
+    rhs1, rhs2 = apply_Ld_series(1, dv1, dv2, x)
     R1 = lhs1 - dv1 - rhs1
     R2 = lhs2 - dv2 - rhs2
     m = (d - 1) // 2
@@ -242,7 +218,6 @@ def intertwining_residual(d, f1, f2, grid: Grid, k=1):
 def stepwise_intertwining_residual(d, f1, f2, grid: Grid, k=1):
     """Relative residual of the single-step identity D_d L_d = L_{d-2} D_d
     (with the extra lower-order term at d = 3)."""
-    d = _dim(d)
     order = k + 5
     x = jet_seed(grid.y, order)
     F1, F2 = f1(x), f2(x)
@@ -260,7 +235,6 @@ def stepwise_intertwining_residual(d, f1, f2, grid: Grid, k=1):
 
 def evolve_free_wave(d, state: StateVector, ds) -> StateVector:
     """Free radial wave propagator e^{ds} D_d^{-1} S_1(ds) D_d."""
-    d = _dim(d)
     down = descent_full(d, state)
     evolved = evolve_S1(down, ds)
     up = descent_full_inverse(d, evolved)
@@ -277,6 +251,8 @@ class FDWaveResult:
         self.r = r
         self.v1 = v1
         self.v2 = v2
+        from scipy.interpolate import CubicSpline
+
         self._s1 = CubicSpline(r, v1)
         self._s2 = CubicSpline(r, v2)
 
@@ -412,11 +388,12 @@ def direct_fd_oracle(d, f1, f2, s_end, R, m=400, cfl=0.4, richardson=True) -> FD
     """Upwinded method-of-lines reference for the radial wave evolution in
     similarity coordinates, from callable initial data (v, d_s v); optionally
     Richardson-extrapolated for the leading O(dr^2) error."""
-    d = _dim(d)
     r, v1, v2 = _fd_run(d, f1, f2, s_end, R, m, cfl)
     if not richardson:
         return FDWaveResult(r, v1, v2)
     r2, w1, w2 = _fd_run(d, f1, f2, s_end, R, 2 * m, cfl)
+    from scipy.interpolate import CubicSpline
+
     fine1 = CubicSpline(r2, w1)(r)
     fine2 = CubicSpline(r2, w2)(r)
     return FDWaveResult(r, (4 * fine1 - v1) / 3.0, (4 * fine2 - v2) / 3.0)
@@ -425,7 +402,6 @@ def direct_fd_oracle(d, f1, f2, s_end, R, m=400, cfl=0.4, richardson=True) -> FD
 def fd_oracle_series(d, f1, f2, s_values, R, m=300, cfl=0.4):
     """Snapshots (r, [(v, d_s v), ...]) of the reference solution at the
     requested times; no extrapolation."""
-    d = _dim(d)
     s_values = np.asarray(s_values, dtype=float)
     r, _, _, series = _fd_run(d, f1, f2, float(s_values[-1]), R, m, cfl, record=s_values)
     return r, series
@@ -433,14 +409,12 @@ def fd_oracle_series(d, f1, f2, s_values, R, m=300, cfl=0.4):
 
 def descent_norm_ratio(d, state: StateVector, k=1):
     """Ratio of the descended odd-module norm to the d-dimensional norm."""
-    d = _dim(d)
     down = descent_full(d, state)
     return odd_state_norm(down, k) / weighted_state_norm(state, k + (d - 3) // 2, d)
 
 
 def t22_bound_ratio(d, g2: GridFunction, k=2):
     """Empirical constant in the second-component kernel bound."""
-    d = _dim(d)
     grid = g2.grid
     eta = grid.eta
     h = HEIGHT.h(eta)
@@ -448,6 +422,4 @@ def t22_bound_ratio(d, g2: GridFunction, k=2):
     J21 = _scaled_integral(grid, g2_full, coeffs.t21_fn, d - 3)
     J22 = _scaled_integral(grid, g2_full, coeffs.t22_fn, d - 3)
     out = GridFunction(grid, -(d - 3.0) * h * J21 + (d - 2.0) * J22, "even")
-    from .grids import weighted_sobolev_norm
-
     return weighted_sobolev_norm(out, k, d) / weighted_sobolev_norm(g2, k - 1, d - 2)

@@ -9,7 +9,7 @@ Radial callers use `geometry_tables`, which places y on the first axis.
 
 import numpy as np
 
-from .model import HEIGHT, HeightFunction
+from .model import HEIGHT
 
 __all__ = [
     "hsc_jacobian",
@@ -27,48 +27,48 @@ _CD6_OFFSETS = np.array([-3, -2, -1, 1, 2, 3])
 _CD6_WEIGHTS = np.array([-1.0 / 60.0, 3.0 / 20.0, -3.0 / 4.0, 3.0 / 4.0, -3.0 / 20.0, 1.0 / 60.0])
 
 
-def _grad_h(y, height):
+def _grad_h(y):
     r = np.linalg.norm(y)
     if r == 0.0:
         return np.zeros_like(y)
-    return height.dh(r) * y / r
+    return HEIGHT.dh(r) * y / r
 
 
-def _hess_h(y, height):
+def _hess_h(y):
     d = y.size
     r = np.linalg.norm(y)
     if r == 0.0:
-        return height.d2h(0.0) * np.eye(d)
+        return HEIGHT.d2h(0.0) * np.eye(d)
     yhat = y / r
     proj = np.eye(d) - np.outer(yhat, yhat)
-    return height.d2h(r) * np.outer(yhat, yhat) + height.dh_over_y(r) * proj
+    return HEIGHT.d2h(r) * np.outer(yhat, yhat) + HEIGHT.dh_over_y(r) * proj
 
 
-def _scale(y, height):
+def _scale(y):
     """The positive scalar y.grad(h) - h entering every inverse formula."""
     r = np.linalg.norm(y)
-    return r * height.dh(r) - height.h(r)
+    return r * HEIGHT.dh(r) - HEIGHT.h(r)
 
 
-def hsc_jacobian(s, y, height: HeightFunction = HEIGHT):
+def hsc_jacobian(s, y):
     y = np.atleast_1d(np.asarray(y, dtype=float))
     d = y.size
     es = np.exp(-s)
     jac = np.zeros((d + 1, d + 1))
-    jac[0, 0] = -es * height.h(np.linalg.norm(y))
-    jac[0, 1:] = es * _grad_h(y, height)
+    jac[0, 0] = -es * HEIGHT.h(np.linalg.norm(y))
+    jac[0, 1:] = es * _grad_h(y)
     jac[1:, 0] = -es * y
     jac[1:, 1:] = es * np.eye(d)
     return jac
 
 
-def hsc_inverse_jacobian(s, y, height: HeightFunction = HEIGHT):
+def hsc_inverse_jacobian(s, y):
     """Jacobian of the inverse coordinate map, expressed at the point (s, y)."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     d = y.size
     es = np.exp(s)
-    D = _scale(y, height)
-    gh = _grad_h(y, height)
+    D = _scale(y)
+    gh = _grad_h(y)
     inv = np.zeros((d + 1, d + 1))
     inv[0, 0] = es / D
     inv[0, 1:] = -es * gh / D
@@ -77,12 +77,12 @@ def hsc_inverse_jacobian(s, y, height: HeightFunction = HEIGHT):
     return inv
 
 
-def metric(s, y, height: HeightFunction = HEIGHT):
+def metric(s, y):
     y = np.atleast_1d(np.asarray(y, dtype=float))
     d = y.size
     e2s = np.exp(-2.0 * s)
-    h = height.h(np.linalg.norm(y))
-    gh = _grad_h(y, height)
+    h = HEIGHT.h(np.linalg.norm(y))
+    gh = _grad_h(y)
     g = np.zeros((d + 1, d + 1))
     g[0, 0] = e2s * (-h * h + y @ y)
     g[0, 1:] = g[1:, 0] = e2s * (h * gh - y)
@@ -90,12 +90,12 @@ def metric(s, y, height: HeightFunction = HEIGHT):
     return g
 
 
-def inverse_metric(s, y, height: HeightFunction = HEIGHT):
+def inverse_metric(s, y):
     y = np.atleast_1d(np.asarray(y, dtype=float))
     d = y.size
     e2s = np.exp(2.0 * s)
-    gh = _grad_h(y, height)
-    D = _scale(y, height)
+    gh = _grad_h(y)
+    D = _scale(y)
     w = 1.0 - gh @ gh
     g = np.zeros((d + 1, d + 1))
     g[0, 0] = -e2s * w / D**2
@@ -106,13 +106,13 @@ def inverse_metric(s, y, height: HeightFunction = HEIGHT):
     return g
 
 
-def christoffel(s, y, height: HeightFunction = HEIGHT):
+def christoffel(s, y):
     """Christoffel symbols Gamma[lam, mu, nu]; independent of s."""
     del s
     y = np.atleast_1d(np.asarray(y, dtype=float))
     d = y.size
-    D = _scale(y, height)
-    hess = _hess_h(y, height)
+    D = _scale(y)
+    hess = _hess_h(y)
     gamma = np.zeros((d + 1, d + 1, d + 1))
     gamma[0, 0, 0] = -1.0
     gamma[0, 1:, 1:] = hess / D
@@ -122,14 +122,14 @@ def christoffel(s, y, height: HeightFunction = HEIGHT):
     return gamma
 
 
-def sqrt_det(s, y, d=None, height: HeightFunction = HEIGHT):
+def sqrt_det(s, y, d=None):
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if d is None:
         d = y.size
-    return np.exp(-(d + 1) * s) * _scale(y, height)
+    return np.exp(-(d + 1) * s) * _scale(y)
 
 
-def contracted_christoffel_residual(s, y, height: HeightFunction = HEIGHT, step=None):
+def contracted_christoffel_residual(s, y, step=None):
     """Residual of (1/sqrt|g|) d_mu(g^{mu nu} sqrt|g|) = -g^{kl} Gamma^nu_{kl},
     with the divergence taken by 6th-order central differences.
 
@@ -142,7 +142,7 @@ def contracted_christoffel_residual(s, y, height: HeightFunction = HEIGHT, step=
         step = 0.02 / max(2.0, d - 1.0)
 
     def flux(sv, yv):
-        return inverse_metric(sv, yv, height) * sqrt_det(sv, yv, d, height)
+        return inverse_metric(sv, yv) * sqrt_det(sv, yv, d)
 
     div = np.zeros(d + 1)
     for o, w in zip(_CD6_OFFSETS, _CD6_WEIGHTS):
@@ -154,24 +154,24 @@ def contracted_christoffel_residual(s, y, height: HeightFunction = HEIGHT, step=
             div += w * flux(s, y + o * e)[i + 1, :]
     div /= step
 
-    gamma = christoffel(s, y, height)
-    ginv = inverse_metric(s, y, height)
+    gamma = christoffel(s, y)
+    ginv = inverse_metric(s, y)
     contracted = np.einsum("kl,nkl->n", ginv, gamma)
-    return np.max(np.abs(div / sqrt_det(s, y, d, height) + contracted))
+    return np.max(np.abs(div / sqrt_det(s, y, d) + contracted))
 
 
-def geometry_tables(s, r, d, height: HeightFunction = HEIGHT):
+def geometry_tables(s, r, d):
     """All geometric data at the radial point y = r e_1 in d space dimensions."""
     y = np.zeros(d)
     y[0] = float(r)
-    jac = hsc_jacobian(s, y, height)
-    inv_jac = hsc_inverse_jacobian(s, y, height)
+    jac = hsc_jacobian(s, y)
+    inv_jac = hsc_inverse_jacobian(s, y)
     return {
         "jacobian": jac,
         "inverse_jacobian": inv_jac,
-        "metric": metric(s, y, height),
-        "inverse_metric": inverse_metric(s, y, height),
-        "christoffel": christoffel(s, y, height),
-        "sqrt_det": sqrt_det(s, y, d, height),
+        "metric": metric(s, y),
+        "inverse_metric": inverse_metric(s, y),
+        "christoffel": christoffel(s, y),
+        "sqrt_det": sqrt_det(s, y, d),
         "jacobian_identity_error": float(np.max(np.abs(jac @ inv_jac - np.eye(d + 1)))),
     }

@@ -14,10 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import dct
-from scipy.integrate import quad
 from numpy.polynomial.legendre import leggauss
 
-from .model import HEIGHT, HeightFunction
+from .model import HEIGHT
 
 __all__ = [
     "Grid",
@@ -372,7 +371,7 @@ def radial_sobolev_norm_oracle(fhat, k, d, R, derivs=None):
     import warnings
     from math import gamma, pi
 
-    from scipy.integrate import IntegrationWarning
+    from scipy.integrate import IntegrationWarning, quad
 
     area = 2.0 * pi ** (d / 2.0) / gamma(d / 2.0)
 
@@ -392,9 +391,9 @@ def radial_sobolev_norm_oracle(fhat, k, d, R, derivs=None):
     return float(total)
 
 
-def hpm_inner(grid, f_full, g_full, sign, height: HeightFunction = HEIGHT):
+def hpm_inner(grid, f_full, g_full, sign):
     """Inner product with the h_pm' weight 1 +- h' on [-R, R]."""
-    weight = 1.0 + float(sign) * height.dh(grid.y)
+    weight = 1.0 + float(sign) * HEIGHT.dh(grid.y)
     return grid.quad_full(np.asarray(f_full) * np.conj(g_full) * weight)
 
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, GridFunction, StateVector, hpm_inner, sobolev_norm_full
-from .model import HEIGHT, HeightFunction
+from .grids import Grid, GridFunction, StateVector, hpm_inner
+from .model import HEIGHT
 from .stepping import rk4
 
 __all__ = [
@@ -61,28 +61,28 @@ class HalfWaveState:
         return self
 
 
-def apply_L_pm(grid: Grid, f_full, sign, height: HeightFunction = HEIGHT):
+def apply_L_pm(grid: Grid, f_full, sign):
     """Transport vector field L_pm f = -(y pm h)/(1 pm h') f'."""
     f = np.asarray(f_full, dtype=float)
     y = grid.y
     s = float(sign)
-    return -(y + s * height.h(y)) / (1.0 + s * height.dh(y)) * (grid.D @ f)
+    return -(y + s * HEIGHT.h(y)) / (1.0 + s * HEIGHT.dh(y)) * (grid.D @ f)
 
 
-def apply_D_pm(grid: Grid, f_full, sign, height: HeightFunction = HEIGHT):
+def apply_D_pm(grid: Grid, f_full, sign):
     """Commuting vector field D_pm f = f'/(1 pm h')."""
     f = np.asarray(f_full, dtype=float)
-    return (grid.D @ f) / (1.0 + float(sign) * height.dh(grid.y))
+    return (grid.D @ f) / (1.0 + float(sign) * HEIGHT.dh(grid.y))
 
 
-def halfwave_decompose(state: StateVector, height: HeightFunction = HEIGHT) -> HalfWaveState:
+def halfwave_decompose(state: StateVector) -> HalfWaveState:
     """Form half-waves from an odd two-component state."""
     if state.f1.parity != "odd" or state.f2.parity != "odd":
         raise ValueError("half-wave decomposition acts on odd states")
     grid = state.grid
     y = grid.y
-    h = height.h(y)
-    dh = height.dh(y)
+    h = HEIGHT.h(y)
+    dh = HEIGHT.dh(y)
     den = y * dh - h
     f1p = grid.D @ state.f1.full()
     f2 = state.f2.full()
@@ -91,13 +91,13 @@ def halfwave_decompose(state: StateVector, height: HeightFunction = HEIGHT) -> H
     return HalfWaveState(grid, vm, vp).require_constraint()
 
 
-def halfwave_recompose(w: HalfWaveState, height: HeightFunction = HEIGHT) -> StateVector:
+def halfwave_recompose(w: HalfWaveState) -> StateVector:
     """Invert the half-wave map back to an odd state."""
     w.require_constraint()
     grid = w.grid
     y = grid.y
-    h = height.h(y)
-    dh = height.dh(y)
+    h = HEIGHT.h(y)
+    dh = HEIGHT.dh(y)
     integrand = -(1.0 - dh) * w.vm + (1.0 + dh) * w.vp
     f1_full = 0.5 * grid.antiderivative(integrand)
     f2_full = 0.5 * ((y - h) * w.vm - (y + h) * w.vp)
@@ -107,7 +107,7 @@ def halfwave_recompose(w: HalfWaveState, height: HeightFunction = HEIGHT) -> Sta
     )
 
 
-def _pullback(grid: Grid, ds, height: HeightFunction):
+def _pullback(grid: Grid, ds):
     """Characteristic feet z_pm at time s for data at time s - ds.
 
     Forward evolution only: backward feet leave the grid (characteristics
@@ -117,8 +117,8 @@ def _pullback(grid: Grid, ds, height: HeightFunction):
     if ds < 0:
         raise ValueError("the half-wave evolution is a forward semigroup (ds >= 0)")
     shrink = np.exp(-float(ds))
-    zp = height.hp_inverse(shrink * height.hp(grid.y))
-    zm = height.hm_inverse(shrink * height.hm(grid.y))
+    zp = HEIGHT.hp_inverse(shrink * HEIGHT.hp(grid.y))
+    zm = HEIGHT.hm_inverse(shrink * HEIGHT.hm(grid.y))
     pad = 1e-12 * grid.R
     if np.any(np.abs(zp) > grid.R + pad) or np.any(np.abs(zm) > grid.R + pad):
         raise AssertionError("characteristic foot left the grid; R >= 1/2 should prevent this")
@@ -126,13 +126,13 @@ def _pullback(grid: Grid, ds, height: HeightFunction):
     return np.clip(zm, -lim, lim), np.clip(zp, -lim, lim)
 
 
-def evolve_halfwave(w: HalfWaveState, ds, height: HeightFunction = HEIGHT) -> HalfWaveState:
+def evolve_halfwave(w: HalfWaveState, ds) -> HalfWaveState:
     """Exact transport of a half-wave state by ds (spectral off-grid reads)."""
-    zm, zp = _pullback(w.grid, ds, height)
+    zm, zp = _pullback(w.grid, ds)
     return HalfWaveState(w.grid, w.grid.interpolate(w.vm, zm), w.grid.interpolate(w.vp, zp))
 
 
-def evolve_halfwave_mol(w: HalfWaveState, ds, dt=1e-3, height: HeightFunction = HEIGHT):
+def evolve_halfwave_mol(w: HalfWaveState, ds, dt=1e-3):
     """Method-of-lines RK4 integration of the transport fields.
 
     Exists solely as an independent oracle for the exact characteristic
@@ -146,65 +146,65 @@ def evolve_halfwave_mol(w: HalfWaveState, ds, dt=1e-3, height: HeightFunction = 
 
     def rhs(x):
         return np.concatenate(
-            [apply_L_pm(grid, x[:n], -1, height), apply_L_pm(grid, x[n:], +1, height)]
+            [apply_L_pm(grid, x[:n], -1), apply_L_pm(grid, x[n:], +1)]
         )
 
     x = rk4(rhs, np.concatenate([w.vm, w.vp]), ds / nsteps, nsteps)
     return HalfWaveState(grid, x[:n], x[n:])
 
 
-def halfwave_flow(fm, fp, ds, height: HeightFunction = HEIGHT):
+def halfwave_flow(fm, fp, ds):
     """Exact transport acting on callables; returns evaluators at time ds."""
     shrink = np.exp(-float(ds))
 
     def vm(y):
-        return fm(height.hm_inverse(shrink * height.hm(np.asarray(y, dtype=float))))
+        return fm(HEIGHT.hm_inverse(shrink * HEIGHT.hm(np.asarray(y, dtype=float))))
 
     def vp(y):
-        return fp(height.hp_inverse(shrink * height.hp(np.asarray(y, dtype=float))))
+        return fp(HEIGHT.hp_inverse(shrink * HEIGHT.hp(np.asarray(y, dtype=float))))
 
     return vm, vp
 
 
-def evolve_S1(state: StateVector, ds, height: HeightFunction = HEIGHT) -> StateVector:
+def evolve_S1(state: StateVector, ds) -> StateVector:
     """Rescaled wave propagator on the odd module: e^{-ds} A^{-1} S(ds) A."""
-    w = evolve_halfwave(halfwave_decompose(state, height), ds, height)
-    out = halfwave_recompose(w, height)
+    w = evolve_halfwave(halfwave_decompose(state), ds)
+    out = halfwave_recompose(w)
     scale = np.exp(-float(ds))
     out.f1.values *= scale
     out.f2.values *= scale
     return out
 
 
-def halfwave_energy(w: HalfWaveState, sign, s=0.0, height: HeightFunction = HEIGHT):
+def halfwave_energy(w: HalfWaveState, sign, s=0.0):
     """Rescaled transport energy e^{-s} (v_pm | v_pm)_{h_pm'}."""
     v = w.vp if sign > 0 else w.vm
-    return float(np.exp(-s) * hpm_inner(w.grid, v, v, sign, height))
+    return float(np.exp(-s) * hpm_inner(w.grid, v, v, sign))
 
 
-def halfwave_norm(w: HalfWaveState, k, height: HeightFunction = HEIGHT):
+def halfwave_norm(w: HalfWaveState, k):
     """Sum over j <= k-1 of the weighted L^2 norms of D_pm^j v_pm."""
     total = 0.0
     gm, gp = w.vm.copy(), w.vp.copy()
     for _ in range(k):
-        total += np.sqrt(max(hpm_inner(w.grid, gm, gm, -1, height), 0.0))
-        total += np.sqrt(max(hpm_inner(w.grid, gp, gp, +1, height), 0.0))
-        gm = apply_D_pm(w.grid, gm, -1, height)
-        gp = apply_D_pm(w.grid, gp, +1, height)
+        total += np.sqrt(max(hpm_inner(w.grid, gm, gm, -1), 0.0))
+        total += np.sqrt(max(hpm_inner(w.grid, gp, gp, +1), 0.0))
+        gm = apply_D_pm(w.grid, gm, -1)
+        gp = apply_D_pm(w.grid, gp, +1)
     return float(total)
 
 
-def transport_pde_residual(w0: HalfWaveState, ds=0.5, step=1e-4, height: HeightFunction = HEIGHT):
+def transport_pde_residual(w0: HalfWaveState, ds=0.5, step=1e-4):
     """Residual of (1 pm h') d_s v + (y pm h) d_y v = 0 along the evolution,
     with the s-derivative taken by central differences.  Validates the sign
     and exponent convention of the characteristic pull-back."""
     grid = w0.grid
-    plus = evolve_halfwave(w0, ds + step, height)
-    minus = evolve_halfwave(w0, ds - step, height)
-    mid = evolve_halfwave(w0, ds, height)
+    plus = evolve_halfwave(w0, ds + step)
+    minus = evolve_halfwave(w0, ds - step)
+    mid = evolve_halfwave(w0, ds)
     y = grid.y
-    h = height.h(y)
-    dh = height.dh(y)
+    h = HEIGHT.h(y)
+    dh = HEIGHT.dh(y)
     res = 0.0
     for sign, vdot, v in (
         (-1.0, (plus.vm - minus.vm) / (2 * step), mid.vm),
@@ -215,14 +215,14 @@ def transport_pde_residual(w0: HalfWaveState, ds=0.5, step=1e-4, height: HeightF
     return res
 
 
-def mode_halfwave(lam, cminus=1.0, height: HeightFunction = HEIGHT):
+def mode_halfwave(lam, cminus=1.0):
     """Separated-solution data |h_pm|^(-lam) with the reflection constraint."""
 
     def fm(y):
-        return cminus * np.abs(height.hm(np.asarray(y, dtype=float))) ** (-lam)
+        return cminus * np.abs(HEIGHT.hm(np.asarray(y, dtype=float))) ** (-lam)
 
     def fp(y):
-        return -cminus * np.abs(height.hp(np.asarray(y, dtype=float))) ** (-lam)
+        return -cminus * np.abs(HEIGHT.hp(np.asarray(y, dtype=float))) ** (-lam)
 
     return fm, fp
 
@@ -245,27 +245,27 @@ def _default_primitive(gfun):
     return prim
 
 
-def dalembert_oracle(f, g, T, s, y, g_primitive=None, height: HeightFunction = HEIGHT):
+def dalembert_oracle(f, g, T, s, y, g_primitive=None):
     """Exact 1-d wave solution with odd data (f, g), evaluated along the
     similarity coordinates: u(t, x) with (t, x) = eta_T(s, y)."""
     y = np.asarray(y, dtype=float)
-    t = T + np.exp(-s) * height.h(y)
+    t = T + np.exp(-s) * HEIGHT.h(y)
     x = np.exp(-s) * y
     prim = g_primitive if g_primitive is not None else _default_primitive(g)
     return 0.5 * (f(x + t) + f(x - t)) + 0.5 * (prim(x + t) - prim(x - t))
 
 
-def dalembert_state(grid: Grid, f, df, g, T, s, g_primitive=None, height: HeightFunction = HEIGHT):
+def dalembert_state(grid: Grid, f, df, g, T, s, g_primitive=None):
     """Exact odd state (v, d_s v) of the 1-d wave at hyperboloidal time s."""
     y = grid.y
     es = np.exp(-s)
-    t = T + es * height.h(y)
+    t = T + es * HEIGHT.h(y)
     x = es * y
     prim = g_primitive if g_primitive is not None else _default_primitive(g)
     v = 0.5 * (f(x + t) + f(x - t)) + 0.5 * (prim(x + t) - prim(x - t))
     ut = 0.5 * (df(x + t) - df(x - t)) + 0.5 * (g(x + t) + g(x - t))
     ux = 0.5 * (df(x + t) + df(x - t)) + 0.5 * (g(x + t) - g(x - t))
-    vs = -es * (height.h(y) * ut + y * ux)
+    vs = -es * (HEIGHT.h(y) * ut + y * ux)
     return StateVector(
         GridFunction.from_full(grid, v, "odd", tol=1e-9),
         GridFunction.from_full(grid, vs, "odd", tol=1e-9),

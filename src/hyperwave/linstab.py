@@ -4,15 +4,14 @@ spectral projection onto the unstable mode, linear propagation with decay
 fits, and the mode-ODE machinery in both coordinate systems.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
 
 from . import coeffs
-from .grids import Grid, GridFunction, StateVector, make_grid, weighted_state_norm
-from .model import DimensionParams, make_params, potential, symmetry_mode
+from .grids import Grid, StateVector, make_grid, weighted_state_norm
+from .model import DimensionParams, potential, symmetry_mode
 
 __all__ = [
     "OperatorMatrix",
@@ -44,7 +43,6 @@ class OperatorMatrix:
     matrix: np.ndarray
     grid: Grid
     params: DimensionParams
-    label: str
     mode_residual: float | None = None
     _eigs: np.ndarray | None = field(default=None, repr=False)
     _propagators: dict = field(default_factory=dict, repr=False)
@@ -102,7 +100,7 @@ def assemble_L(params: DimensionParams, grid: Grid) -> OperatorMatrix:
             f"symmetry-mode eigen-identity residual {residual:.2e} at N={grid.N}; "
             "resolution too low"
         )
-    return OperatorMatrix(L, grid, params, "L", mode_residual=residual)
+    return OperatorMatrix(L, grid, params, mode_residual=residual)
 
 
 @dataclass
@@ -218,7 +216,7 @@ def riesz_projection(op: OperatorMatrix, center=1.0, radius=1.0, nodes=64) -> Op
     for t in theta:
         w = radius * np.exp(1j * t)
         acc += np.real(np.linalg.solve((center + w) * eye - Lc, w * eye))
-    return OperatorMatrix(acc / nodes, op.grid, op.params, "projection")
+    return OperatorMatrix(acc / nodes, op.grid, op.params)
 
 
 def evolve_linear(op: OperatorMatrix, state: StateVector, s_end, record=None):

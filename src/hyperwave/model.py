@@ -12,13 +12,11 @@ import numpy as np
 __all__ = [
     "DimensionParams",
     "make_params",
-    "HeightFunction",
     "StandardHeight",
     "HEIGHT",
     "hsc_map",
     "hsc_inverse",
     "similarity_time_scalar",
-    "transition_scalar",
     "blowup_profile",
     "blowup_profile_hsc",
     "potential",
@@ -63,71 +61,12 @@ def make_params(d: int) -> DimensionParams:
     return DimensionParams(d=d, n=n)
 
 
-class HeightFunction:
-    """Radial height profile shaping the hyperboloids.
+class StandardHeight:
+    """The height profile h(y) = sqrt(2 + y^2) - 2 shaping the hyperboloids.
 
-    Subclasses supply h and its first three radial derivatives.  The slope
-    must satisfy |h'| < 1 so the level sets stay spacelike.  h_pm(y) = y +- h
-    are strictly monotone; their inverses default to a safeguarded Newton
-    iteration and may be overridden with closed forms.
+    Its slope satisfies |h'| < 1, so the level sets stay spacelike, and
+    h_pm(y) = y +- h are strictly increasing.
     """
-
-    def h(self, y):
-        raise NotImplementedError
-
-    def dh(self, y):
-        raise NotImplementedError
-
-    def d2h(self, y):
-        raise NotImplementedError
-
-    def d3h(self, y):
-        raise NotImplementedError
-
-    def dh_over_y(self, y):
-        """h'(y)/y with the removable singularity at y = 0 filled in."""
-        y = np.asarray(y, dtype=float)
-        small = np.abs(y) < 1e-6
-        safe = np.where(small, 1.0, y)
-        return np.where(small, self.d2h(y), self.dh(safe) / safe)
-
-    def hp(self, y):
-        return y + self.h(y)
-
-    def hm(self, y):
-        return y - self.h(y)
-
-    def _invert(self, target, sign):
-        target = np.asarray(target, dtype=float)
-        func = self.hp if sign > 0 else self.hm
-        # h_pm' = 1 +- h' in (0, 2): Newton from z = target is safe, but keep
-        # a bisection fallback for exotic height profiles.
-        z = target.copy()
-        for _ in range(100):
-            f = func(z) - target
-            df = 1.0 + sign * self.dh(z)
-            step = f / df
-            z = z - step
-            if np.max(np.abs(step)) < 1e-14 * (1.0 + np.max(np.abs(z))):
-                return z
-        lo = np.minimum(z, target) - 10.0
-        hi = np.maximum(z, target) + 10.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            gm = func(mid) - target
-            lo = np.where(gm < 0, mid, lo)
-            hi = np.where(gm >= 0, mid, hi)
-        return 0.5 * (lo + hi)
-
-    def hp_inverse(self, target):
-        return self._invert(target, +1)
-
-    def hm_inverse(self, target):
-        return self._invert(target, -1)
-
-
-class StandardHeight(HeightFunction):
-    """The shipped height profile h(y) = sqrt(2 + y^2) - 2."""
 
     def h(self, y):
         return np.sqrt(2.0 + np.square(y)) - 2.0
@@ -142,7 +81,14 @@ class StandardHeight(HeightFunction):
         return -6.0 * y / np.power(2.0 + np.square(y), 2.5)
 
     def dh_over_y(self, y):
+        """h'(y)/y, regular at y = 0."""
         return 1.0 / np.sqrt(2.0 + np.square(y))
+
+    def hp(self, y):
+        return y + self.h(y)
+
+    def hm(self, y):
+        return y - self.h(y)
 
     # h_pm(z) = c reduces to a linear equation after isolating the square
     # root, so the inverses are rational in c.
@@ -158,11 +104,11 @@ class StandardHeight(HeightFunction):
 HEIGHT = StandardHeight()
 
 
-def hsc_map(T, s, y, height: HeightFunction = HEIGHT):
+def hsc_map(T, s, y):
     """Hyperboloidal similarity coordinates -> Cartesian: (s,y) -> (t,x)."""
     es = np.exp(-np.asarray(s, dtype=float))
     y = np.asarray(y, dtype=float)
-    return T + es * height.h(y), es * y
+    return T + es * HEIGHT.h(y), es * y
 
 
 def similarity_time_scalar(T, t, x):
@@ -186,15 +132,9 @@ def hsc_inverse(T, t, x):
     return np.log(g), g * x
 
 
-def transition_scalar(xi):
-    """Scalar profile of the diffeomorphism linking standard similarity
-    coordinates to the hyperboloidal ones."""
-    return 1.0 + 0.5 * np.sqrt(2.0 * (1.0 + np.square(xi)))
-
-
-def initial_time_s0(eps: float, height: HeightFunction = HEIGHT) -> float:
+def initial_time_s0(eps: float) -> float:
     """Hyperboloidal time of the initial slice whose tip sits at t = T - 1 - 2*eps."""
-    return float(np.log(-height.h(0.0) / (1.0 + 2.0 * eps)))
+    return float(np.log(-HEIGHT.h(0.0) / (1.0 + 2.0 * eps)))
 
 
 def _require_constants(params: DimensionParams):
@@ -214,7 +154,7 @@ def blowup_profile(params: DimensionParams, T, t, x):
     return -a / den
 
 
-def blowup_profile_hsc(params: DimensionParams, T, s, y, height: HeightFunction = HEIGHT):
+def blowup_profile_hsc(params: DimensionParams, T, s, y):
     """Blowup profile and its s-derivative along the similarity coordinates.
 
     The composition with the coordinate map depends on s only through e^{2s},
@@ -224,19 +164,19 @@ def blowup_profile_hsc(params: DimensionParams, T, s, y, height: HeightFunction 
     """
     a, b = _require_constants(params)
     del T
-    h = height.h(y)
+    h = HEIGHT.h(y)
     val = -np.exp(2.0 * np.asarray(s, dtype=float)) * a / (b * h * h + np.square(y))
     return val, 2.0 * val
 
 
-def potential(params: DimensionParams, y, height: HeightFunction = HEIGHT):
+def potential(params: DimensionParams, y):
     """Linearization potential V(y), the s-independent multiplier produced by
     linearizing around the blowup profile."""
     a, b = _require_constants(params)
     d = params.d
     y = np.asarray(y, dtype=float)
-    h = height.h(y)
-    dh = height.dh(y)
+    h = HEIGHT.h(y)
+    dh = HEIGHT.dh(y)
     u = y * dh - h
     w = 1.0 - dh * dh
     y2 = np.square(y)
@@ -251,14 +191,14 @@ def potential_ssc(params: DimensionParams, rho):
     return -3.0 * (d - 4) * a * ((a - 2.0) * rho2 - 2.0 * b) / np.square(b + rho2)
 
 
-def nonlinearity_coeffs(params: DimensionParams, y, height: HeightFunction = HEIGHT):
+def nonlinearity_coeffs(params: DimensionParams, y):
     """Coefficients (c2, c3) of the pointwise nonlinearity of the autonomous
     first-order system, N(y, alpha) = alpha^2 (c2(y) + c3(y) alpha)."""
     a, b = _require_constants(params)
     d = params.d
     y = np.asarray(y, dtype=float)
-    h = height.h(y)
-    dh = height.dh(y)
+    h = HEIGHT.h(y)
+    dh = HEIGHT.dh(y)
     u = y * dh - h
     w = 1.0 - dh * dh
     y2 = np.square(y)
@@ -267,23 +207,23 @@ def nonlinearity_coeffs(params: DimensionParams, y, height: HeightFunction = HEI
     return scale * quad, scale * y2
 
 
-def nonlinearity_scalar(params: DimensionParams, y, alpha, height: HeightFunction = HEIGHT):
+def nonlinearity_scalar(params: DimensionParams, y, alpha):
     """Pointwise nonlinearity N(y, alpha) of the autonomous first-order system."""
-    c2, c3 = nonlinearity_coeffs(params, y, height)
+    c2, c3 = nonlinearity_coeffs(params, y)
     alpha = np.asarray(alpha, dtype=float)
     return alpha * alpha * (c2 + c3 * alpha)
 
 
-def nonlinearity_quadratic_coeff(params: DimensionParams, y, height: HeightFunction = HEIGHT):
+def nonlinearity_quadratic_coeff(params: DimensionParams, y):
     """Half of d^2 N / d alpha^2 at alpha = 0, i.e. the alpha^2 coefficient."""
-    return nonlinearity_coeffs(params, y, height)[0]
+    return nonlinearity_coeffs(params, y)[0]
 
 
-def symmetry_mode(params: DimensionParams, y, height: HeightFunction = HEIGHT):
+def symmetry_mode(params: DimensionParams, y):
     """Two-component time-translation mode; second component is 3x the first."""
     a, b = _require_constants(params)
     del a
     y = np.asarray(y, dtype=float)
-    h = height.h(y)
+    h = HEIGHT.h(y)
     first = h / np.square(b * h * h + np.square(y))
     return np.stack([first, 3.0 * first])

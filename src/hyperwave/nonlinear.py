@@ -10,10 +10,9 @@ to solver tolerance.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .grids import Grid, GridFunction, StateVector, make_grid, weighted_sobolev_norm
 from .linstab import OperatorMatrix, assemble_L, riesz_projection
@@ -97,6 +96,8 @@ class CauchySolution:
         self.wt = wt
         dr = r[1] - r[0]
         wr = np.gradient(w, dr, axis=1, edge_order=2)
+        from scipy.interpolate import RegularGridInterpolator
+
         pts = (times, r)
         self._iw = RegularGridInterpolator(pts, w, method="cubic")
         self._iwt = RegularGridInterpolator(pts, wt, method="cubic")

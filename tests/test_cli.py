@@ -50,6 +50,9 @@ class TestConfigGates:
             ["blowup", "--N", "40"],
             ["spectrum", "--N", "40"],
             ["norms", "--N", "4"],
+            # under-resolved: assemble_L's symmetry-mode residual check
+            ["spectrum", "--d", "21", "--N", "48"],
+            ["blowup", "--d", "21", "--N", "48"],
         ],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, argv):
@@ -65,6 +68,27 @@ class TestConfigGates:
         assert run(["identities", "--config", str(cfg), "--out", str(out)]) == 0
         text = (out.with_suffix(".csv")).read_text()
         assert text.splitlines()[1].startswith("3,")
+        # R only moves the sample points, so compare against explicit flags
+        for R in ("1.5", "2.0"):
+            assert run(["identities", "--dims", "3,5", "--R", R, "--out", str(tmp_path / R)]) == 0
+        assert text == (tmp_path / "1.5.csv").read_text()
+        assert text != (tmp_path / "2.0.csv").read_text()
+
+    def test_config_supplies_d_N_R(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d": 9, "N": 56, "R": 1.5}))
+        out = tmp_path / "spec"
+        assert run(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+        doc = json.loads(out.with_suffix(".json").read_text())
+        assert (doc["d"], doc["N"], doc["R"]) == (9, 56, 1.5)
+
+    def test_explicit_default_flag_overrides_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"N": 80}))
+        out = tmp_path / "spec"
+        assert run(["spectrum", "--config", str(cfg), "--N", "64", "--out", str(out)]) == 0
+        doc = json.loads(out.with_suffix(".json").read_text())
+        assert (doc["d"], doc["N"], doc["R"]) == (7, 64, 2.0)
 
     def test_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"

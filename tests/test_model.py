@@ -80,19 +80,6 @@ class TestHeight:
         assert HEIGHT.hp_inverse(HEIGHT.hp(y)) == pytest.approx(y, abs=1e-12)
         assert HEIGHT.hm_inverse(HEIGHT.hm(y)) == pytest.approx(y, abs=1e-12)
 
-    def test_generic_inversion_fallback(self):
-        # the base-class Newton must agree with the closed form
-        from hyperwave.model import HeightFunction, StandardHeight
-
-        class Plain(StandardHeight):
-            hp_inverse = HeightFunction.hp_inverse
-            hm_inverse = HeightFunction.hm_inverse
-
-        plain = Plain()
-        y = np.linspace(-2, 2, 11)
-        assert plain.hp_inverse(HEIGHT.hp(y)) == pytest.approx(y, abs=1e-10)
-        assert plain.hm_inverse(HEIGHT.hm(y)) == pytest.approx(y, abs=1e-10)
-
 
 class TestCoordinates:
     def test_map_values(self):

@@ -1,0 +1,30 @@
+import os
+import pkgutil
+import subprocess
+import sys
+
+import pytest
+
+import hyperwave
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(hyperwave.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_star_import(name):
+    # a stale __all__ entry (a deleted or renamed name) fails here
+    exec(f"from hyperwave.{name} import *", {})
+
+
+def test_cli_import_leaves_scipy_interpolate_and_integrate_unloaded():
+    # both are slow to import; the functions that need them import them
+    code = (
+        "import sys, hyperwave.cli; "
+        "print(sorted(m for m in ('scipy.interpolate', 'scipy.integrate') if m in sys.modules))"
+    )
+    src = os.path.dirname(os.path.dirname(hyperwave.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "[]"
