@@ -9,7 +9,7 @@ Layers:
     grids       spectral collocation, quadrature, radial Sobolev norms
     halfwave    1-d transport fields and the exact half-wave evolution
     descent     dimension-lowering operators and the free wave propagator
-    linstab     linearized operator, spectrum, contour projection, mode ODE
+    linstab     linearized operator, spectrum, rank-one projection, mode ODE
     nonlinear   Cauchy data preparation and the blowup-stability experiment
     cli         command-line front end emitting CSV/JSON artifacts
 """

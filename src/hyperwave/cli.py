@@ -7,6 +7,7 @@ Exit codes: 0 ok, 1 tolerance breach, 2 configuration error.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -442,11 +443,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args = _merge(args)
+        for key, (kind, _) in _OPTIONS.items():
+            value = getattr(args, key)
+            if kind is float and value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         if args.d % 2 == 0 or args.d < 1:
             raise ConfigError(f"dimension must be odd and positive, got {args.d}")
         if args.command in ("spectrum", "blowup") and args.d < 7:
             raise ConfigError(f"the blowup profile needs d >= 7, got {args.d}")
-        if args.R < 0.5:
+        if not args.R >= 0.5:
             raise ConfigError(f"R must be >= 1/2, got {args.R}")
         return args.func(args)
     except ConfigError as exc:

@@ -92,7 +92,7 @@ class Grid:
     """
 
     def __init__(self, R: float, N: int, parity: str = "even"):
-        if R < 0.5:
+        if not R >= 0.5:
             raise ValueError(
                 f"R must be >= 1/2 so the energy flux at the boundary has a sign, got R={R}"
             )

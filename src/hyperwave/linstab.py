@@ -1,13 +1,13 @@
 """Assembly and spectral analysis of the linearized wave evolution: dense
-collocation matrices, cross-resolution eigenvalue filtering, the contour
-spectral projection onto the unstable mode, linear propagation with decay
-fits, and the mode-ODE machinery in both coordinate systems.
+collocation matrices with one cached eigen-decomposition each, filtered
+spectra, the rank-one spectral projection onto the unstable mode, linear
+propagation with decay fits, and the mode-ODE machinery in both coordinates.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
+from scipy import linalg
 
 from . import coeffs
 from .grids import Grid, StateVector, make_grid, weighted_state_norm
@@ -35,6 +35,10 @@ __all__ = [
 # spectral work
 SPECTRAL_MIN_N = 48
 
+SPECTRUM_WINDOW = -1.0
+MATCH_TOL = 1e-4
+REFINE_NODES = 16
+
 
 @dataclass
 class OperatorMatrix:
@@ -44,27 +48,23 @@ class OperatorMatrix:
     grid: Grid
     params: DimensionParams
     mode_residual: float | None = None
-    _eigs: np.ndarray | None = field(default=None, repr=False)
+    _eig: tuple | None = field(default=None, repr=False)
     _propagators: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def n(self):
-        return self.grid.N
-
-    def apply(self, state: StateVector) -> StateVector:
-        return StateVector.from_stacked(self.grid, self.matrix @ state.stacked())
-
-    def raw_eigenvalues(self):
-        if self._eigs is None:
-            self._eigs = np.linalg.eigvals(self.matrix)
-        return self._eigs
+    def eig(self):
+        """(eigenvalues, left eigenvectors, right eigenvectors), computed once.
+        Only single eigenpairs are read: the eigenvector matrix as a whole
+        (cond ~ 3e17 at N = 64) is useless for diagonalizing L."""
+        if self._eig is None:
+            self._eig = linalg.eig(self.matrix, left=True, right=True)
+        return self._eig
 
     def propagator(self, t):
         """exp(t A) for this matrix A, cached per exact t: repeated
         evolutions with the same step share one matrix exponential."""
         E = self._propagators.get(t)
         if E is None:
-            E = self._propagators[t] = expm(t * self.matrix)
+            E = self._propagators[t] = linalg.expm(t * self.matrix)
         return E
 
 
@@ -112,8 +112,6 @@ class SpectrumResult:
     N: int
     eigenvalues: list
     raw: np.ndarray
-    window: float
-    match_tol: float
 
     @property
     def unstable(self):
@@ -123,7 +121,7 @@ class SpectrumResult:
     def gap(self):
         rest = [z.real for z in self.eigenvalues if abs(z - 1.0) > 1e-6]
         if not rest:
-            return -self.window
+            return -SPECTRUM_WINDOW
         return float(-max(rest))
 
     def verdict(self, tol=1e-6):
@@ -140,30 +138,30 @@ class SpectrumResult:
                 for z in self.eigenvalues
             ],
             "gap": self.gap,
-            "window": self.window,
+            "window": SPECTRUM_WINDOW,
             "mode_stable": bool(self.verdict()),
         }
 
 
-def spectrum(op: OperatorMatrix, window=-1.0, match_tol=1e-4, refine=16) -> SpectrumResult:
+def spectrum(op: OperatorMatrix) -> SpectrumResult:
     """Eigenvalues of L filtered for discretization artifacts.
 
-    An eigenvalue in the half-plane Re z >= window counts as resolved when a
-    companion assembly at N + refine reproduces it within match_tol.
+    An eigenvalue in the half-plane Re z >= SPECTRUM_WINDOW counts as
+    resolved when a companion assembly at N + REFINE_NODES reproduces it
+    within MATCH_TOL.
     """
-    raw = op.raw_eigenvalues()
-    fine_grid = make_grid(op.grid.R, op.grid.N + refine, op.grid.parity)
-    fine = assemble_L(op.params, fine_grid)
-    raw_fine = fine.raw_eigenvalues()
+    raw = op.eig()[0]
+    fine_grid = make_grid(op.grid.R, op.grid.N + REFINE_NODES, op.grid.parity)
+    raw_fine = assemble_L(op.params, fine_grid).eig()[0]
     kept = []
-    for z in raw[raw.real >= window]:
-        if np.min(np.abs(raw_fine - z)) < match_tol:
+    for z in raw[raw.real >= SPECTRUM_WINDOW]:
+        if np.min(np.abs(raw_fine - z)) < MATCH_TOL:
             kept.append(complex(z))
     kept.sort(key=lambda z: (-z.real, abs(z.imag)))
     # collapse conjugate-pair duplicates within the matching tolerance
     out = []
     for z in kept:
-        if not any(abs(z - w) < match_tol for w in out):
+        if not any(abs(z - w) < MATCH_TOL for w in out):
             out.append(z)
     return SpectrumResult(
         d=op.params.d,
@@ -171,8 +169,6 @@ def spectrum(op: OperatorMatrix, window=-1.0, match_tol=1e-4, refine=16) -> Spec
         N=op.grid.N,
         eigenvalues=out,
         raw=raw,
-        window=window,
-        match_tol=match_tol,
     )
 
 
@@ -185,9 +181,8 @@ def _state_inner(grid: Grid, d, u, v):
 def mode_angle(op: OperatorMatrix):
     """Angle between the discrete eigenvector at eigenvalue 1 and the
     analytic symmetry mode, in the radially weighted inner product."""
-    eigvals, eigvecs = np.linalg.eig(op.matrix)
-    idx = np.argmin(np.abs(eigvals - 1.0))
-    vec = np.real(eigvecs[:, idx])
+    values, _, right = op.eig()
+    vec = np.real(right[:, np.argmin(np.abs(values - 1.0))])
     mode = symmetry_mode(op.params, op.grid.eta).ravel()
     d = op.params.d
     g = op.grid
@@ -197,26 +192,15 @@ def mode_angle(op: OperatorMatrix):
     return float(np.arccos(min(cosang, 1.0)))
 
 
-def riesz_projection(op: OperatorMatrix, center=1.0, radius=1.0, nodes=64) -> OperatorMatrix:
-    """Contour spectral projection (2 pi i)^-1 times the resolvent integral
-    over the circle |z - center| = radius, by the trapezoid rule.
-
-    The strongly non-normal resolvent peaks near z = 0, so 64 nodes are the
-    default; 32 leaves the idempotency defect around 1e-5.
-    """
-    raw = op.raw_eigenvalues()
-    dist = np.abs(np.abs(raw - center) - radius)
-    if np.min(dist) < 1e-6:
-        raise ValueError("contour passes through (discrete) spectrum")
-    n2 = op.matrix.shape[0]
-    Lc = op.matrix.astype(complex)
-    eye = np.eye(n2)
-    acc = np.zeros((n2, n2))
-    theta = 2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes
-    for t in theta:
-        w = radius * np.exp(1j * t)
-        acc += np.real(np.linalg.solve((center + w) * eye - Lc, w * eye))
-    return OperatorMatrix(acc / nodes, op.grid, op.params)
+def riesz_projection(op: OperatorMatrix) -> OperatorMatrix:
+    """Spectral projection P = v w^H / (w^H v) onto the eigenvalue 1, from
+    its right and left eigenvectors.  That eigenvalue (the symmetry mode) is
+    simple and isolated, so this rank-one form is exactly the Riesz
+    projector (Kato, Perturbation Theory, I.5)."""
+    values, left, right = op.eig()
+    i = np.argmin(np.abs(values - 1.0))
+    v, w = right[:, i], left[:, i].conj()
+    return OperatorMatrix(np.real(np.outer(v, w) / (w @ v)), op.grid, op.params)
 
 
 def evolve_linear(op: OperatorMatrix, state: StateVector, s_end, record=None):

@@ -268,6 +268,17 @@ class Trajectory:
 # fitted decay rate to 4e-9 relative; a step of 0.05 moves the rate by 6e-8.
 DEFAULT_STEP = 0.02
 
+# blowup-time adjustment, in s after s0: the shooting observable is read at
+# SHOOT_SPAN, the final run at T* ends at DECAY_SPAN, its rate fit starts at
+# FIT_SKIP.  A rate fit needs FIT_MIN_SAMPLES samples spanning FIT_MIN_SPAN
+# and warns at a log-norm rise above FIT_MONOTONE_TOL in its tail half.
+SHOOT_SPAN = 6.0
+DECAY_SPAN = 8.0
+FIT_SKIP = 4.0
+FIT_MIN_SPAN = 3.0
+FIT_MIN_SAMPLES = 10
+FIT_MONOTONE_TOL = 0.2
+
 
 def evolve_nonlinear(
     op: OperatorMatrix,
@@ -349,14 +360,14 @@ def evolve_nonlinear(
     )
 
 
-def decay_fit(s, norms, min_span=3.0, min_samples=10, monotone_tol=0.2):
+def decay_fit(s, norms):
     """Least-squares decay rate of a norm series: returns (omega, residual)
     with omega > 0 meaning decay.  Warns when the tail is not monotone."""
     s = np.asarray(s, dtype=float)
     norms = np.asarray(norms, dtype=float)
-    if s.size < min_samples or s[-1] - s[0] < min_span:
+    if s.size < FIT_MIN_SAMPLES or s[-1] - s[0] < FIT_MIN_SPAN:
         raise ValueError(
-            f"need at least {min_samples} samples spanning {min_span} in s for a rate fit"
+            f"need at least {FIT_MIN_SAMPLES} samples spanning {FIT_MIN_SPAN} in s for a rate fit"
         )
     if np.any(norms <= 0.0):
         raise ValueError("norm series must be positive for a log-linear fit")
@@ -365,7 +376,7 @@ def decay_fit(s, norms, min_span=3.0, min_samples=10, monotone_tol=0.2):
     resid = float(np.max(np.abs(slope * s + intercept - logn)))
     tail = logn[s >= s[0] + 0.5 * (s[-1] - s[0])]
     ups = np.diff(tail)
-    if ups.size and np.max(ups) > monotone_tol:
+    if ups.size and np.max(ups) > FIT_MONOTONE_TOL:
         warnings.warn("norm series tail is not monotone within tolerance", stacklevel=2)
     return float(-slope), resid
 
@@ -388,10 +399,6 @@ def adjust_blowup_time(
     pert: PerturbationSpec,
     grid: Grid | None = None,
     op: OperatorMatrix | None = None,
-    s_mid_offset=6.0,
-    s_end_offset=8.0,
-    k=2,
-    fit_skip=4.0,
     dt=None,
 ):
     """Find the blowup time T* that suppresses the unstable mode, then run
@@ -411,17 +418,17 @@ def adjust_blowup_time(
     proj = riesz_projection(op)
     cauchy = cauchy_tr_solver(params, pert)
     s0 = initial_time_s0(pert.eps)
-    s_mid = s0 + s_mid_offset
+    s_mid = s0 + SHOOT_SPAN
 
     def observable(T):
         ic = initial_data_operator(params, cauchy, T, grid)
-        traj = evolve_nonlinear(op, ic, s_mid, dt=dt, n_record=2, k=k, projector=proj)
+        traj = evolve_nonlinear(op, ic, s_mid, dt=dt, n_record=2, projector=proj)
         if traj.unstable:
             return None
         return traj.projection_coeff[-1]
 
     c_eps = 2.0 * params.a * params.b * np.exp(s0)
-    growth = np.exp(s_mid_offset)
+    growth = np.exp(SHOOT_SPAN)
     a0 = observable(1.0)
     if a0 is None:
         raise RuntimeError("shooting run exploded already at T = 1; reduce the amplitude")
@@ -457,10 +464,10 @@ def adjust_blowup_time(
             )
 
     ic = initial_data_operator(params, cauchy, t_star, grid)
-    traj = evolve_nonlinear(op, ic, s0 + s_end_offset, dt=dt, n_record=33, k=k, projector=proj)
+    traj = evolve_nonlinear(op, ic, s0 + DECAY_SPAN, dt=dt, n_record=33, projector=proj)
     total = traj.norm_k + traj.norm_km1
     floor = 1e-12 * max(float(np.max(total)), 1e-300)
-    sel = traj.s >= s0 + fit_skip
+    sel = traj.s >= s0 + FIT_SKIP
     if np.max(total) < 1e-14 or np.any(total[sel] <= floor):
         omega, resid, floored = None, None, True
     else:
@@ -475,6 +482,6 @@ def adjust_blowup_time(
         omega_fit=omega,
         fit_residual=resid,
         floor_limited=floored,
-        k=k,
+        k=traj.k,
     )
     return t_star, report

@@ -29,6 +29,13 @@ class TestConfigGates:
     def test_bad_dims_exit_2(self, tmp_path):
         assert run(["identities", "--dims", "3,four", "--out", str(tmp_path / "x")]) == 2
 
+    def test_non_finite_config_value_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"amp": NaN}')
+        assert run(["blowup", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert "amp must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x*"))
+
     def test_blowup_needs_d7(self, tmp_path):
         assert run(["blowup", "--d", "5", "--out", str(tmp_path / "x")]) == 2
 
@@ -53,6 +60,14 @@ class TestConfigGates:
             # under-resolved: assemble_L's symmetry-mode residual check
             ["spectrum", "--d", "21", "--N", "48"],
             ["blowup", "--d", "21", "--N", "48"],
+            # non-finite floats
+            ["blowup", "--amp", "nan"],
+            ["blowup", "--amp", "inf"],
+            ["spectrum", "--R", "nan"],
+            ["spectrum", "--R", "inf"],
+            ["freewave", "--s-end", "inf"],
+            ["blowup", "--eps", "inf"],
+            ["blowup", "--dt", "inf"],
         ],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, argv):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hyperwave.grids import GridFunction, StateVector, make_grid
 from hyperwave.jets import jet_seed, jsqrt
@@ -113,9 +114,40 @@ class TestRieszProjection:
         out = mode - proj96.matrix @ mode
         assert np.max(np.abs(out)) / np.max(np.abs(mode)) < 1e-6
 
-    def test_contour_through_spectrum_rejected(self, op96):
-        with pytest.raises(ValueError):
-            riesz_projection(op96, center=1.0, radius=abs(1.0 - (-0.5889048)))
+    def test_matches_contour_projector(self, op64):
+        # reference: (2 pi i)^-1 times the resolvent integral over
+        # |z - 1| = 1, by the 64-node trapezoid rule
+        n2 = op64.matrix.shape[0]
+        eye = np.eye(n2)
+        acc = np.zeros((n2, n2))
+        nodes = 64
+        for t in 2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes:
+            w = np.exp(1j * t)
+            acc += np.real(np.linalg.solve((1.0 + w) * eye - op64.matrix, w * eye))
+        P = riesz_projection(op64).matrix
+        assert np.max(np.abs(P - acc / nodes)) < 1e-9
+
+    def test_one_decomposition_per_operator(self, params7, grid64, monkeypatch):
+        sizes, solves = [], []
+
+        def counted(fn, log):
+            def wrapper(a, *args, **kwargs):
+                log.append(a.shape[0])
+                return fn(a, *args, **kwargs)
+
+            return wrapper
+
+        for module in (np.linalg, scipy.linalg):
+            for name in ("eig", "eigvals"):
+                monkeypatch.setattr(module, name, counted(getattr(module, name), sizes))
+            monkeypatch.setattr(module, "solve", counted(module.solve, solves))
+        op = assemble_L(params7, grid64)
+        spectrum(op)
+        mode_angle(op)
+        riesz_projection(op)
+        # one for op, one for its N + 16 companion in `spectrum`
+        assert sorted(sizes) == [2 * 64, 2 * 80]
+        assert solves == []
 
     def test_commutes_with_evolution_map(self, grid96, op96, proj96):
         bump = GridFunction.from_callable(grid96, lambda e: np.exp(-3 * (e - 0.6) ** 2), "even")
