@@ -12,16 +12,13 @@ over the scalar type: numpy arrays give values, `Jet2` seeds give values
 together with first and second derivatives.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .jets import jet_seed, jsqrt
 
 __all__ = [
-    "WaveCoefficients",
-    "wave_coeffs",
     "ghat00",
+    "generator_row",
     "c1_fn",
     "c2_fn",
     "c3_fn",
@@ -119,44 +116,22 @@ def ghat00(s, eta):
     return -np.exp(2.0 * np.asarray(s, dtype=float)) / (2.0 * np.square(S - 1.0))
 
 
-@dataclass(frozen=True)
-class WaveCoefficients:
-    """Radial wave-system coefficients at the evaluation points eta.
+def generator_row(d, x, F1, F2, deriv):
+    """Second row c11 F1' + c12 F1'' + c20 F2 + c21 F2' of the free radial
+    wave generator L_d, whose first row is F2.
 
-    c11/c12/c20/c21 drive the second-order radial wave equation, c1/c2 the
-    descent step, c3/c4 the dimension shift d -> d-2.  The parity table is
-    c21, c1, c3 odd; eta*c11, c12, c20, c2, c4 even.
+    The one definition of L_d: the collocation path (x = eta, `deriv` =
+    `Grid.deriv_half`), the dense generator matrix (the same with identity
+    columns for F1, F2) and the Taylor-series path of the identity residuals
+    (x a jet seed, `deriv` = `Taylor.deriv`) all call it.  `deriv(F, parity)`
+    differentiates F, which has the given parity.
     """
-
-    d: int
-    eta: np.ndarray
-    c11: np.ndarray
-    c12: np.ndarray
-    c20: np.ndarray
-    c21: np.ndarray
-    c1: np.ndarray
-    c2: np.ndarray
-    c3: np.ndarray
-    c4: np.ndarray
-
-    def g00(self, s=0.0):
-        return ghat00(s, self.eta)
-
-
-def wave_coeffs(d, eta) -> WaveCoefficients:
-    """Evaluate all coefficient functions for dimension d at points eta != 0."""
-    eta = np.asarray(eta, dtype=float)
-    return WaveCoefficients(
-        d=d,
-        eta=eta,
-        c11=c11_fn(d, eta),
-        c12=c12_fn(eta),
-        c20=c20_fn(d, eta),
-        c21=c21_fn(eta),
-        c1=c1_fn(eta),
-        c2=c2_fn(eta),
-        c3=c3_fn(eta),
-        c4=c4_fn(eta),
+    F1p = deriv(F1, "even")
+    return (
+        c11_fn(d, x) * F1p
+        + c12_fn(x) * deriv(F1p, "odd")
+        + c20_fn(d, x) * F2
+        + c21_fn(x) * deriv(F2, "even")
     )
 
 

@@ -43,32 +43,15 @@ __all__ = [
 ]
 
 
-def _generator_row(d, x, F1, F2, deriv):
-    """Second row c11 F1' + c12 F1'' + c20 F2 + c21 F2' of the free radial
-    wave generator L_d, whose first row is F2.
-
-    Shared by the collocation path (x = eta, `deriv` = `Grid.deriv_half`)
-    and the Taylor-series path (x a jet seed, `deriv` = `Taylor.deriv`);
-    `deriv(F, parity)` differentiates F, which has the given parity.
-    """
-    F1p = deriv(F1, "even")
-    return (
-        coeffs.c11_fn(d, x) * F1p
-        + coeffs.c12_fn(x) * deriv(F1p, "odd")
-        + coeffs.c20_fn(d, x) * F2
-        + coeffs.c21_fn(x) * deriv(F2, "even")
-    )
-
-
 def _descent_pair(d, x, F1, F2, deriv):
     """One descent step D_d on the pair (F1, F2): (d - 2) F + c1 F' + c2 (L_d F)
     per component, or the multiplication x F1, x (F2 - F1) for d = 3.  Same
-    calling convention as `_generator_row`."""
+    calling convention as `coeffs.generator_row`."""
     if d == 3:
         return x * F1, x * (F2 - F1)
     c1 = coeffs.c1_fn(x)
     c2 = coeffs.c2_fn(x)
-    LF = (F2, _generator_row(d, x, F1, F2, deriv))
+    LF = (F2, coeffs.generator_row(d, x, F1, F2, deriv))
     return tuple((d - 2.0) * F + c1 * deriv(F, "even") + c2 * L for F, L in zip((F1, F2), LF))
 
 
@@ -80,7 +63,7 @@ def apply_Ld(d, state: StateVector) -> StateVector:
     """Free radial wave generator in d dimensions on even half-grid states."""
     grid = state.grid
     f1, f2 = state.f1.values, state.f2.values
-    row2 = _generator_row(d, grid.eta, f1, f2, grid.deriv_half)
+    row2 = coeffs.generator_row(d, grid.eta, f1, f2, grid.deriv_half)
     return StateVector(
         GridFunction(grid, f2.copy(), "even"), GridFunction(grid, row2, "even")
     )
@@ -159,13 +142,14 @@ def descent_full_inverse(d, state: StateVector) -> StateVector:
 # The intertwining identities stack up to d - 1 derivatives; evaluating them
 # through collocation matrices amplifies roundoff by ~N^2 per derivative and
 # drowns the residual.  Carrying truncated Taylor expansions of the data
-# through the same formula functions the grid path runs (`_generator_row`,
-# `_descent_pair`) keeps every derivative exact, so the residuals below are
-# meaningful at the 1e-10 level and certify the code that runs.
+# through the same formula functions the grid path and the dense generator
+# run (`coeffs.generator_row`, `_descent_pair`) keeps every derivative exact,
+# so the residuals below are meaningful at the 1e-10 level and certify the
+# code that runs.
 
 
 def apply_Ld_series(d, F1, F2, x):
-    return F2, _generator_row(d, x, F1, F2, _series_deriv)
+    return F2, coeffs.generator_row(d, x, F1, F2, _series_deriv)
 
 
 def descent_step_series(d, F1, F2, x):
@@ -205,13 +189,7 @@ def intertwining_residual(d, f1, f2, grid: Grid, k=1):
     R1 = lhs1 - dv1 - rhs1
     R2 = lhs2 - dv2 - rhs2
     m = (d - 1) // 2
-    K = k + (d - 3) // 2
-    W1, W2 = x**m * F1, x**m * F2
-    denom = 0.0
-    for j in range(K + 1):
-        denom += np.sqrt(max(grid.quad_full(W1.derivative_values(j) ** 2), 0.0))
-    for j in range(K):
-        denom += np.sqrt(max(grid.quad_full(W2.derivative_values(j) ** 2), 0.0))
+    denom = _series_pair_norm(grid, x**m * F1, x**m * F2, k + (d - 3) // 2)
     return _series_pair_norm(grid, R1, R2, k) / denom
 
 
@@ -384,13 +362,11 @@ def _fd_run(d, f1, f2, s_end, R, m, cfl, record=None):
     return r, v, vs
 
 
-def direct_fd_oracle(d, f1, f2, s_end, R, m=400, cfl=0.4, richardson=True) -> FDWaveResult:
+def direct_fd_oracle(d, f1, f2, s_end, R, m=400, cfl=0.4) -> FDWaveResult:
     """Upwinded method-of-lines reference for the radial wave evolution in
-    similarity coordinates, from callable initial data (v, d_s v); optionally
+    similarity coordinates, from callable initial data (v, d_s v),
     Richardson-extrapolated for the leading O(dr^2) error."""
     r, v1, v2 = _fd_run(d, f1, f2, s_end, R, m, cfl)
-    if not richardson:
-        return FDWaveResult(r, v1, v2)
     r2, w1, w2 = _fd_run(d, f1, f2, s_end, R, 2 * m, cfl)
     from scipy.interpolate import CubicSpline
 

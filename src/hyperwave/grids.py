@@ -91,18 +91,15 @@ class Grid:
     positive nodes ascending.  Immutable after construction.
     """
 
-    def __init__(self, R: float, N: int, parity: str = "even"):
+    def __init__(self, R: float, N: int):
         if not R >= 0.5:
             raise ValueError(
                 f"R must be >= 1/2 so the energy flux at the boundary has a sign, got R={R}"
             )
         if N < 8:
             raise ValueError(f"need at least 8 radial nodes, got N={N}")
-        if parity not in ("even", "odd", "none"):
-            raise ValueError(f"parity must be 'even', 'odd' or 'none', got {parity!r}")
         self.R = float(R)
         self.N = int(N)
-        self.parity = parity
         M = 2 * N - 1
         x_desc, D_desc = _chebdif(M)
         flip = slice(None, None, -1)
@@ -214,11 +211,11 @@ class Grid:
         return self.R * (vals - at_zero)
 
     def __repr__(self):
-        return f"Grid(R={self.R}, N={self.N}, parity={self.parity!r})"
+        return f"Grid(R={self.R}, N={self.N})"
 
 
-def make_grid(R, N, parity="even") -> Grid:
-    return Grid(R, N, parity)
+def make_grid(R, N) -> Grid:
+    return Grid(R, N)
 
 
 @dataclass
@@ -470,7 +467,7 @@ def extension_operator(grid: Grid, full_values, k, endpoint_derivs=None):
 
     Returns (big_grid, extended_full_values); see `extension_eval`.
     """
-    big = Grid(2 * grid.R, 2 * grid.N, parity=grid.parity)
+    big = Grid(2 * grid.R, 2 * grid.N)
     return big, extension_eval(grid, full_values, k, big.y, endpoint_derivs)
 
 
@@ -497,17 +494,16 @@ def hardy_check(grid: Grid, full_values, s):
     return float(lhs), float(rhs)
 
 
-def integral_op_T(grid: Grid, full_values, m, n, phi=None, quad_order=None):
+def integral_op_T(grid: Grid, full_values, m, n, phi=None):
     """Smooth extension of x -> x^-m int_0^x y^n phi(y) f(y) dy.
 
-    Implemented in the rescaled form x^(n+1-m) int_0^1 t^n phi(tx) f(tx) dt,
-    which is regular at the origin whenever n + 1 - m >= 0.
+    Implemented in the rescaled form x^(n+1-m) int_0^1 t^n phi(tx) f(tx) dt
+    (Gauss-Legendre order N + 8), which is regular at the origin whenever
+    n + 1 - m >= 0.
     """
     if n + 1 - m < 0:
         raise ValueError(f"need n + 1 - m >= 0, got m={m}, n={n}")
-    if quad_order is None:
-        quad_order = grid.N + 8
-    tq, wq = leggauss(quad_order)
+    tq, wq = leggauss(grid.N + 8)
     tq = 0.5 * (tq + 1.0)
     wq = 0.5 * wq
     pts = np.outer(grid.y, tq).ravel()

@@ -215,14 +215,14 @@ def transport_pde_residual(w0: HalfWaveState, ds=0.5, step=1e-4):
     return res
 
 
-def mode_halfwave(lam, cminus=1.0):
+def mode_halfwave(lam):
     """Separated-solution data |h_pm|^(-lam) with the reflection constraint."""
 
     def fm(y):
-        return cminus * np.abs(HEIGHT.hm(np.asarray(y, dtype=float))) ** (-lam)
+        return np.abs(HEIGHT.hm(np.asarray(y, dtype=float))) ** (-lam)
 
     def fp(y):
-        return -cminus * np.abs(HEIGHT.hp(np.asarray(y, dtype=float))) ** (-lam)
+        return -np.abs(HEIGHT.hp(np.asarray(y, dtype=float))) ** (-lam)
 
     return fm, fp
 

@@ -15,7 +15,7 @@ from .model import DimensionParams, potential, symmetry_mode
 
 __all__ = [
     "OperatorMatrix",
-    "assemble_parts",
+    "generator_matrix",
     "assemble_L",
     "SpectrumResult",
     "spectrum",
@@ -68,31 +68,32 @@ class OperatorMatrix:
         return E
 
 
-def assemble_parts(params: DimensionParams, grid: Grid):
-    """Free-wave and potential blocks as dense matrices."""
+def generator_matrix(d, grid: Grid) -> np.ndarray:
+    """Dense free radial wave generator L_d on stacked half-grid states.
+
+    The first block row is [0 | I]; the second is `coeffs.generator_row`
+    applied to the identity columns of both components, so the matrix is the
+    formula the identity residuals certify."""
     n = grid.N
-    c = coeffs.wave_coeffs(params.d, grid.eta)
-    De = grid._De
-    D2e = grid._Do @ De
-    free = np.zeros((2 * n, 2 * n))
-    free[:n, n:] = np.eye(n)
-    free[n:, :n] = c.c11[:, None] * De + c.c12[:, None] * D2e
-    free[n:, n:] = np.diag(c.c20) + c.c21[:, None] * De
-    pot = np.zeros_like(free)
-    pot[n:, :n] = np.diag(potential(params, grid.eta))
-    return free, pot
+    I, Z = np.eye(n), np.zeros((n, n))
+    row2 = coeffs.generator_row(
+        d, grid.eta[:, None], np.hstack([I, Z]), np.hstack([Z, I]), grid.deriv_half
+    )
+    return np.vstack([np.hstack([Z, I]), row2])
 
 
 def assemble_L(params: DimensionParams, grid: Grid) -> OperatorMatrix:
-    """Linearized wave evolution L = L_free - 2 I + L_V on the grid.
+    """Linearized wave evolution L = L_d - 2 I + V on the grid, the potential
+    V acting on the first component in the second row.
 
     The discretized symmetry mode must be an eigenvector for eigenvalue 1 up
     to spectral accuracy; a large residual flags insufficient resolution.
     """
     if grid.N < SPECTRAL_MIN_N:
         raise ValueError(f"need N >= {SPECTRAL_MIN_N} for spectral work, got N={grid.N}")
-    free, pot = assemble_parts(params, grid)
-    L = free - 2.0 * np.eye(2 * grid.N) + pot
+    n = grid.N
+    L = generator_matrix(params.d, grid) - 2.0 * np.eye(2 * n)
+    L[n + np.arange(n), np.arange(n)] += potential(params, grid.eta)
     mode = symmetry_mode(params, grid.eta).ravel()
     residual = float(np.max(np.abs(L @ mode - mode)) / np.max(np.abs(mode)))
     if residual > 1e-4:
@@ -151,7 +152,7 @@ def spectrum(op: OperatorMatrix) -> SpectrumResult:
     within MATCH_TOL.
     """
     raw = op.eig()[0]
-    fine_grid = make_grid(op.grid.R, op.grid.N + REFINE_NODES, op.grid.parity)
+    fine_grid = make_grid(op.grid.R, op.grid.N + REFINE_NODES)
     raw_fine = assemble_L(op.params, fine_grid).eig()[0]
     kept = []
     for z in raw[raw.real >= SPECTRUM_WINDOW]:
@@ -268,10 +269,10 @@ def mode_ode_coeffs(params: DimensionParams, lam, eta) -> ModeODECoefficients:
     eta = np.asarray(eta, dtype=float)
     if np.any(eta <= 0.0) or np.any(np.abs(eta - 0.5) < 1e-12):
         raise ValueError("mode ODE coefficients are singular at eta = 0 and eta = 1/2")
-    c = coeffs.wave_coeffs(params.d, eta)
-    V = potential(params, eta)
-    p = (c.c11 + (lam + 2.0) * c.c21) / c.c12
-    q = ((lam + 2.0) * (c.c20 - lam - 2.0) + V) / c.c12
+    d = params.d
+    c12 = coeffs.c12_fn(eta)
+    p = (coeffs.c11_fn(d, eta) + (lam + 2.0) * coeffs.c21_fn(eta)) / c12
+    q = ((lam + 2.0) * (coeffs.c20_fn(d, eta) - lam - 2.0) + potential(params, eta)) / c12
     return ModeODECoefficients(
         lam=lam,
         eta=eta,
@@ -294,6 +295,11 @@ def frobenius_indices(params: DimensionParams, lam):
 
 # ----------------------------------------------------------------------
 # standard-similarity-coordinate mode scan
+
+# Frobenius series order of each branch, and the |det| below which a scan
+# grid minimum seeds a secant polish
+SSC_SERIES_ORDER = 220
+SSC_SEED_THRESHOLD = 0.05
 
 
 def _poly_mul(a, b):
@@ -329,10 +335,11 @@ def _ssc_polynomials(params: DimensionParams, lam):
     return A, B, C
 
 
-def _series_branch(A, B, C, x_eval, nmax):
-    """Index-0 Frobenius series of A g'' + B g' + C g = 0 about 0, evaluated
-    with its derivative at x_eval.  Requires A(0) = 0, B(0) != 0 and no
-    resonance among the recursion factors."""
+def _series_branch(A, B, C, x_eval):
+    """Index-0 Frobenius series of A g'' + B g' + C g = 0 about 0 to order
+    SSC_SERIES_ORDER, evaluated with its derivative at x_eval.  Requires
+    A(0) = 0, B(0) != 0 and no resonance among the recursion factors."""
+    nmax = SSC_SERIES_ORDER
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
     C = np.asarray(C, dtype=complex)
@@ -366,7 +373,7 @@ def _series_branch(A, B, C, x_eval, nmax):
     return val, dval
 
 
-def ssc_mode_scan(params: DimensionParams, lam, nmax=220):
+def ssc_mode_scan(params: DimensionParams, lam):
     """Normalized connection determinant of the mode equation in standard
     similarity coordinates.
 
@@ -376,12 +383,12 @@ def ssc_mode_scan(params: DimensionParams, lam, nmax=220):
     """
     lam = complex(lam)
     A, B, C = _ssc_polynomials(params, lam)
-    g0, dg0 = _series_branch(A, B, C, 0.5, nmax)
+    g0, dg0 = _series_branch(A, B, C, 0.5)
     pad = len(A) + 2
     At = _poly_shift(np.pad(A, (0, pad - len(A))))
     Bt = _poly_shift(np.pad(B, (0, pad - len(B))))
     Ct = _poly_shift(np.pad(C, (0, pad - len(C))))
-    g1, dg1x = _series_branch(At, -Bt, Ct, 0.5, nmax)
+    g1, dg1x = _series_branch(At, -Bt, Ct, 0.5)
     dg1 = -dg1x
     det = g0 * dg1 - dg0 * g1
     norm = (abs(g0) + abs(dg0)) * (abs(g1) + abs(dg1))
@@ -394,13 +401,11 @@ def ssc_scan_roots(
     im_range=(-2.0, 2.0),
     n_re=21,
     n_im=21,
-    threshold=0.05,
-    nmax=220,
 ):
     """Zeros of the connection determinant inside a rectangular window.
 
-    Grid local minima of |det| below the threshold seed a complex secant
-    polish; polished roots are deduplicated and validated.
+    Grid local minima of |det| below SSC_SEED_THRESHOLD seed a complex
+    secant polish; polished roots are deduplicated and validated.
     """
     res = np.linspace(re_range[0], re_range[1], n_re)
     ims = np.linspace(im_range[0], im_range[1], n_im)
@@ -408,7 +413,7 @@ def ssc_scan_roots(
     for i, re in enumerate(res):
         for j, im in enumerate(ims):
             try:
-                vals[i, j] = ssc_mode_scan(params, re + 1j * im, nmax)
+                vals[i, j] = ssc_mode_scan(params, re + 1j * im)
             except ValueError:
                 vals[i, j] = np.nan
     mags = np.abs(vals)
@@ -416,12 +421,12 @@ def ssc_scan_roots(
     for i in range(n_re):
         for j in range(n_im):
             m = mags[i, j]
-            if not np.isfinite(m) or m > threshold:
+            if not np.isfinite(m) or m > SSC_SEED_THRESHOLD:
                 continue
             neigh = mags[max(i - 1, 0) : i + 2, max(j - 1, 0) : j + 2]
             if m > np.nanmin(neigh):
                 continue
-            root = _secant_polish(params, res[i] + 1j * ims[j], nmax)
+            root = _secant_polish(params, res[i] + 1j * ims[j])
             if root is None:
                 continue
             if not (
@@ -434,11 +439,11 @@ def ssc_scan_roots(
     return sorted(roots, key=lambda z: (-z.real, abs(z.imag)))
 
 
-def _secant_polish(params, z0, nmax, tol=1e-10, maxit=40):
+def _secant_polish(params, z0, tol=1e-10, maxit=40):
     z1 = z0 + 1e-3
     try:
-        f0 = ssc_mode_scan(params, z0, nmax)
-        f1 = ssc_mode_scan(params, z1, nmax)
+        f0 = ssc_mode_scan(params, z0)
+        f1 = ssc_mode_scan(params, z1)
     except ValueError:
         return None
     for _ in range(maxit):
@@ -449,7 +454,7 @@ def _secant_polish(params, z0, nmax, tol=1e-10, maxit=40):
         z0, f0 = z1, f1
         z1 = z2
         try:
-            f1 = ssc_mode_scan(params, z1, nmax)
+            f1 = ssc_mode_scan(params, z1)
         except ValueError:
             return None
         if abs(f1) < tol:

@@ -121,30 +121,27 @@ class CauchySolution:
         return float(np.max(np.abs(self.w)))
 
 
+# a (t, r) deviation beyond this aborts the Cauchy solve
+CAUCHY_GUARD = 1.0
+
+
 def cauchy_tr_solver(
     params: DimensionParams,
     pert: PerturbationSpec,
-    t_span=None,
-    r_max=None,
     m=360,
     cfl=0.4,
-    blowup_guard=1.0,
 ) -> CauchySolution:
     """Radial method-of-lines solution of the Cauchy problem near t = 0.
 
-    Leapfrog in time on a staggered grid (even extension through r = 0) for
-    the deviation from the reference profile; integrates backward and forward
-    from t = 0 far enough to cover every initial hyperboloid with blowup time
-    in [1 - eps, 1 + eps].  A deviation beyond `blowup_guard` aborts with a
-    local-existence error.
+    Leapfrog in time on a staggered grid over r < 8 eps (even extension
+    through r = 0) for the deviation from the reference profile; integrates
+    backward to t = -4 eps and forward to t = eps, which covers every initial
+    hyperboloid with blowup time in [1 - eps, 1 + eps].  A deviation beyond
+    CAUCHY_GUARD aborts with a local-existence error.
     """
     d = params.d
     eps = pert.eps
-    if t_span is None:
-        t_span = (-4.0 * eps, 1.0 * eps)
-    if r_max is None:
-        r_max = 8.0 * eps
-    dr = r_max / m
+    dr = 8.0 * eps / m
     r = (np.arange(m) + 0.5) * dr
     dt = cfl * dr
     a, b = params.a, params.b
@@ -168,7 +165,7 @@ def cauchy_tr_solver(
         return lap + (d - 1.0) / r * grad - nonlin
 
     def march(direction):
-        n_steps = int(np.ceil(abs(t_span[0] if direction < 0 else t_span[1]) / dt))
+        n_steps = int(np.ceil((4.0 * eps if direction < 0 else eps) / dt))
         h = direction * dt
         w0 = pert.f(r)
         v0 = pert.g(r)
@@ -181,10 +178,10 @@ def cauchy_tr_solver(
             times.append(t)
             levels.append(w_curr.copy())
             w_next = 2 * w_curr - w_prev + h * h * accel(w_curr, t)
-            if np.max(np.abs(w_next)) > blowup_guard:
+            if np.max(np.abs(w_next)) > CAUCHY_GUARD:
                 raise RuntimeError(
                     "local existence window exceeded: deviation grew beyond "
-                    f"{blowup_guard} at t={t + h:.3f}"
+                    f"{CAUCHY_GUARD} at t={t + h:.3f}"
                 )
             w_prev, w_curr = w_curr, w_next
             t += h
@@ -260,13 +257,16 @@ class Trajectory:
     projection_coeff: np.ndarray
     final: StateVector
     unstable: bool = False
-    k: int = 2
 
 
 # The integrating-factor step.  At d = 7, N = 64 and amplitude 1e-3 it
 # reproduces T* of explicit RK4 at its stability-bound step exactly and the
 # fitted decay rate to 4e-9 relative; a step of 0.05 moves the rate by 6e-8.
 DEFAULT_STEP = 0.02
+
+# Sobolev order of the recorded norms: H^k of the field, H^(k-1) of its
+# s-derivative
+NORM_ORDER = 2
 
 # blowup-time adjustment, in s after s0: the shooting observable is read at
 # SHOOT_SPAN, the final run at T* ends at DECAY_SPAN, its rate fit starts at
@@ -286,9 +286,7 @@ def evolve_nonlinear(
     s_end,
     dt=None,
     n_record=33,
-    k=2,
     projector: OperatorMatrix | None = None,
-    nonlinearity=True,
 ) -> Trajectory:
     """Integrating-factor (Lawson) RK4 integration of d_s Phi = L Phi + N(Phi)
     from the hyperboloidal initial time to s_end, recording the rescaled
@@ -321,9 +319,8 @@ def evolve_nonlinear(
 
     def rhs(v):
         out = np.zeros_like(v)
-        if nonlinearity:
-            alpha = v[:n]
-            out[n:] = alpha * alpha * (c2 + c3 * alpha)
+        alpha = v[:n]
+        out[n:] = alpha * alpha * (c2 + c3 * alpha)
         return out
 
     s_values = np.linspace(ic.s0, float(s_end), n_record)
@@ -346,8 +343,8 @@ def evolve_nonlinear(
             s_values = s_values[: i]
             break
         st = StateVector.from_stacked(grid, v)
-        rec_k.append(weighted_sobolev_norm(st.f1, k, params.d))
-        rec_km1.append(weighted_sobolev_norm(st.f2, k - 1, params.d))
+        rec_k.append(weighted_sobolev_norm(st.f1, NORM_ORDER, params.d))
+        rec_km1.append(weighted_sobolev_norm(st.f2, NORM_ORDER - 1, params.d))
         rec_a.append(proj_coeff(v))
     return Trajectory(
         s=np.asarray(s_values, dtype=float),
@@ -356,7 +353,6 @@ def evolve_nonlinear(
         projection_coeff=np.array(rec_a),
         final=StateVector.from_stacked(grid, v),
         unstable=unstable,
-        k=k,
     )
 
 
@@ -391,7 +387,6 @@ class DecayReport:
     omega_fit: float | None
     fit_residual: float | None
     floor_limited: bool
-    k: int
 
 
 def adjust_blowup_time(
@@ -482,6 +477,5 @@ def adjust_blowup_time(
         omega_fit=omega,
         fit_residual=resid,
         floor_limited=floored,
-        k=traj.k,
     )
     return t_star, report

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hyperwave.cli import main
+from hyperwave.cli import build_parser, main
 
 
 def run(argv):
@@ -63,6 +63,7 @@ class TestConfigGates:
             # non-finite floats
             ["blowup", "--amp", "nan"],
             ["blowup", "--amp", "inf"],
+            ["blowup", "--amp", "-inf"],
             ["spectrum", "--R", "nan"],
             ["spectrum", "--R", "inf"],
             ["freewave", "--s-end", "inf"],
@@ -75,6 +76,12 @@ class TestConfigGates:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
+
+    def test_negative_exponent_float_is_a_value(self):
+        parser = build_parser()
+        spaced = parser.parse_args(["blowup", "--amp", "-1e-3"])
+        assert vars(spaced) == vars(parser.parse_args(["blowup", "--amp=-1e-3"]))
+        assert spaced.amp == -1e-3
 
     def test_config_supplies_values(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from hyperwave import coeffs
 from hyperwave.grids import GridFunction, StateVector, make_grid
 from hyperwave.jets import jet_seed, jsqrt
 from hyperwave.linstab import (
     assemble_L,
-    assemble_parts,
     evolve_linear,
     frobenius_indices,
+    generator_matrix,
     linear_decay_fit,
     mode_angle,
     mode_ode_coeffs,
@@ -21,22 +22,37 @@ from hyperwave.model import HEIGHT, make_params, potential, symmetry_mode
 
 
 class TestAssembly:
+    @pytest.mark.parametrize("d", [7, 9, 11])
+    def test_generator_matrix_matches_hand_assembly(self, d, grid96):
+        # the coefficient-times-derivative-matrix blocks, written out by hand
+        n = grid96.N
+        eta = grid96.eta
+        De = grid96._De
+        D2e = grid96._Do @ De
+        ref = np.zeros((2 * n, 2 * n))
+        ref[:n, n:] = np.eye(n)
+        ref[n:, :n] = coeffs.c11_fn(d, eta)[:, None] * De + coeffs.c12_fn(eta)[:, None] * D2e
+        ref[n:, n:] = np.diag(coeffs.c20_fn(d, eta)) + coeffs.c21_fn(eta)[:, None] * De
+        assert np.array_equal(generator_matrix(d, grid96), ref)
+
     def test_exact_decomposition(self, params7, grid96, op96):
-        free, pot = assemble_parts(params7, grid96)
-        rebuilt = free - 2.0 * np.eye(2 * grid96.N) + pot
+        n = grid96.N
+        pot = np.zeros((2 * n, 2 * n))
+        pot[n:, :n] = np.diag(potential(params7, grid96.eta))
+        rebuilt = generator_matrix(7, grid96) - 2.0 * np.eye(2 * n) + pot
         assert np.array_equal(rebuilt, op96.matrix)
 
-    def test_potential_block_structure(self, params7, grid96):
-        _, pot = assemble_parts(params7, grid96)
+    def test_potential_block_structure(self, params7, grid96, op96):
         n = grid96.N
+        pot = op96.matrix - (generator_matrix(7, grid96) - 2.0 * np.eye(2 * n))
         assert np.max(np.abs(pot[:n, :])) == 0.0
         assert np.max(np.abs(pot[n:, n:])) == 0.0
         block = pot[n:, :n]
         assert np.max(np.abs(block - np.diag(np.diag(block)))) == 0.0
         assert np.diag(block) == pytest.approx(potential(params7, grid96.eta))
 
-    def test_free_part_annihilates_constants(self, params7, grid96):
-        free, _ = assemble_parts(params7, grid96)
+    def test_free_part_annihilates_constants(self, grid96):
+        free = generator_matrix(7, grid96)
         state = np.concatenate([np.ones(grid96.N), np.zeros(grid96.N)])
         assert np.max(np.abs(free @ state)) < 1e-7
 

@@ -136,7 +136,7 @@ class TestEvolveNonlinear:
             1.0,
             0.05,
         )
-        traj = evolve_nonlinear(op64, ic, ic.s0 + 4.0, nonlinearity=False)
+        traj = evolve_nonlinear(op64, ic, ic.s0 + 4.0)
         slope = np.polyfit(traj.s, np.log(traj.norm_k + traj.norm_km1), 1)[0]
         assert slope == pytest.approx(1.0, abs=0.02)
 
