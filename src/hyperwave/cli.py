@@ -198,7 +198,7 @@ def cmd_freewave(args):
             fd_norms.append(weighted_state_norm(st, 1, args.d))
         rows = [
             (float(s), float(nv), float(fv))
-            for s, nv, fv in zip(s_values, norms, fd_norms)
+            for s, nv, fv in zip(s_values, norms, fd_norms, strict=True)
         ]
         write_csv(args.out + ".csv", ["s", "norm", "fd_norm"], rows)
         # cross-check on analytic data: the bump's high derivatives are not

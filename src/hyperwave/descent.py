@@ -21,7 +21,7 @@ from .grids import (
 from .halfwave import evolve_S1
 from .jets import jet_seed
 from .model import HEIGHT
-from .stepping import rk4
+from .stepping import rk4_matrix
 
 __all__ = [
     "apply_Ld",
@@ -308,7 +308,13 @@ def _fd_run(d, f1, f2, s_end, R, m, cfl, record=None):
     d'Alembert fields dt u +- dr u composed with the coordinate map, times
     e^{-s}), which satisfy autonomous transport equations with speeds
     h_pm/h_pm' and a dimensional coupling; v itself integrates alongside.
-    `record` requests (v, d_s v) snapshots at the given times.
+    `record` requests (v, d_s v) snapshots at the given times, which must be
+    sorted, non-negative and at most s_end: one snapshot per time, in order,
+    each at the step nearest to it.
+
+    The right-hand side is the constant matrix A, so one classical RK4 step
+    is the constant matrix P = `rk4_matrix(A, dt)`, built once: each step is
+    one sparse product.
     """
     if m < _UPWIND_WIDTH:
         raise ValueError(f"m must be at least {_UPWIND_WIDTH} (the upwind stencil width), got m={m}")
@@ -342,20 +348,25 @@ def _fd_run(d, f1, f2, s_end, R, m, cfl, record=None):
     W2 = (hpd * vs0 + hp * dv0) / u_scale
 
     A = _fd_operator(dr, r, h, hp, hm, hpd, hmd, couple)
+    P = rk4_matrix(A, dt)
+
+    def advance(x, n):
+        for _ in range(n):
+            x = P @ x
+        return x
 
     def snapshot(x):
         return x[:m].copy(), (A @ x)[:m]
 
     x = np.concatenate([v0, W1, W2])
-    targets = sorted(set(np.round(np.asarray(record) / dt).astype(int))) if record is not None else []
     series = []
     step = 0
-    for target in targets:
-        if 0 <= target <= nsteps:
-            x = rk4(A.__matmul__, x, dt, target - step)
+    if record is not None:
+        for target in np.round(np.asarray(record) / dt).astype(int):
+            x = advance(x, target - step)
             step = target
             series.append(snapshot(x))
-    x = rk4(A.__matmul__, x, dt, nsteps - step)
+    x = advance(x, nsteps - step)
     v, vs = snapshot(x)
     if record is not None:
         return r, v, vs, series
@@ -377,8 +388,12 @@ def direct_fd_oracle(d, f1, f2, s_end, R, m=400, cfl=0.4) -> FDWaveResult:
 
 def fd_oracle_series(d, f1, f2, s_values, R, m=300, cfl=0.4):
     """Snapshots (r, [(v, d_s v), ...]) of the reference solution at the
-    requested times; no extrapolation."""
+    requested times, one per time and in the order given; no extrapolation.
+    The times must be sorted and non-negative; a time repeated, or two times
+    that round to the same step, repeat the snapshot."""
     s_values = np.asarray(s_values, dtype=float)
+    if not (s_values.size and s_values[0] >= 0.0 and np.all(np.diff(s_values) >= 0.0)):
+        raise ValueError(f"s_values must be sorted, non-negative times, got {s_values.tolist()}")
     r, _, _, series = _fd_run(d, f1, f2, float(s_values[-1]), R, m, cfl, record=s_values)
     return r, series
 

@@ -156,6 +156,17 @@ class TestCommands:
         for suffix in (".csv", ".json"):
             assert a.with_suffix(suffix).read_bytes() == b.with_suffix(suffix).read_bytes()
 
+    def test_freewave_writes_a_row_per_time(self, tmp_path):
+        # s_end below one FD step: the six times round to steps 0 and 1, and
+        # each still gets its row; the exponent fitted over s <= 1e-4 breaches
+        # the bound, so the run exits 1 after writing its artifacts
+        out = tmp_path / "fw"
+        argv = ["freewave", "--d", "7", "--N", "64", "--s-end", "1e-4", "--out", str(out)]
+        assert run(argv) == 1
+        lines = out.with_suffix(".csv").read_text().splitlines()
+        assert lines[0] == "s,norm,fd_norm"
+        assert len(lines) == 1 + 6
+
     def test_blowup_d7_deterministic(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"

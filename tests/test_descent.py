@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from hyperwave.coeffs import c1_fn
 from hyperwave.descent import (
@@ -289,6 +290,39 @@ class TestFDOracle:
         assert vs1[idx] == pytest.approx(
             [-0.6585034488615441, -0.6342439786722399, -0.3532701062661948,
              -0.3439355526783216], rel=1e-12)
+
+    def test_one_sparse_product_per_step(self, monkeypatch):
+        m, R, cfl, s_end = 200, 2.0, 0.4, 1.0
+        dr = R / m
+        r = (np.arange(m) + 0.5) * dr
+        h, dh = HEIGHT.h(r), HEIGHT.dh(r)
+        speed = np.max(np.maximum(np.abs((r + h) / (1.0 + dh)), np.abs((r - h) / (1.0 - dh))))
+        nsteps = int(np.ceil(s_end / (cfl * dr / speed)))
+        products = []
+        matmul = sparse.csr_array.__matmul__
+
+        def counting(self, other):
+            if isinstance(other, np.ndarray):  # matrix-vector products only
+                products.append(other.shape)
+            return matmul(self, other)
+
+        monkeypatch.setattr(sparse.csr_array, "__matmul__", counting)
+        _fd_run(5, lambda r: np.exp(-2 * r * r), lambda r: 0 * r, s_end, R, m, cfl)
+        # one product per step, plus one for the final d_s v snapshot
+        assert len(products) == nsteps + 1
+
+    def test_series_one_snapshot_per_time(self):
+        f1, f2 = lambda r: np.exp(-2 * r * r), lambda r: -0.3 * np.exp(-r * r)
+        r, shots = fd_oracle_series(7, f1, f2, [0.0, 0.5, 0.5, 1.0], 2.0, m=100)
+        assert len(shots) == 4
+        assert np.array_equal(shots[0][0], f1(r))
+        assert all(np.array_equal(a, b) for a, b in zip(shots[1], shots[2]))
+        assert not np.array_equal(shots[1][0], shots[3][0])
+
+    @pytest.mark.parametrize("s_values", [[1.0, 0.5], [-0.5, 1.0], []])
+    def test_series_times_guard(self, s_values):
+        with pytest.raises(ValueError, match="sorted, non-negative"):
+            fd_oracle_series(7, lambda r: np.exp(-(r**2)), lambda r: 0 * r, s_values, 2.0, m=100)
 
     def test_convergence_order(self):
         f1 = lambda r: np.exp(-2 * r * r)

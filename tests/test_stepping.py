@@ -1,7 +1,11 @@
 import numpy as np
+import pytest
+from scipy import sparse
 from scipy.linalg import expm
 
-from hyperwave.stepping import rk4
+from hyperwave.descent import _fd_operator
+from hyperwave.model import HEIGHT
+from hyperwave.stepping import rk4, rk4_matrix
 
 A = np.array([[-3.0, 1.0, 0.0], [0.5, -20.0, 2.0], [0.0, 1.0, -0.5]])
 
@@ -57,3 +61,32 @@ def test_lawson_stable_past_classical_bound():
 
 def test_zero_steps_return_input():
     assert rk4(nonlinear, X0, 0.1, 0) is X0
+
+
+def fd_operator_and_step(d=7, R=2.0, m=50, cfl=0.4):
+    """The FD oracle's operator and its CFL step, with the geometry of `_fd_run`."""
+    dr = R / m
+    r = (np.arange(m) + 0.5) * dr
+    h, dh = HEIGHT.h(r), HEIGHT.dh(r)
+    hp, hm, hpd, hmd = r + h, r - h, 1.0 + dh, 1.0 - dh
+    couple = (r * dh - h) * (d - 1.0) / (2.0 * r)
+    speed = np.max(np.maximum(np.abs(hp / hpd), np.abs(hm / hmd)))
+    return _fd_operator(dr, r, h, hp, hm, hpd, hmd, couple), cfl * dr / speed
+
+
+@pytest.mark.parametrize("n", [1, 50])
+@pytest.mark.parametrize("case", ["dense", "fd"])
+def test_rk4_matrix_matches_stages(case, n):
+    if case == "dense":
+        # entries of variance 1/12: spectral radius about 1
+        A, h = np.random.default_rng(5).standard_normal((12, 12)) / np.sqrt(12.0), 0.02
+    else:
+        A, h = fd_operator_and_step()
+    x = np.random.default_rng(6).standard_normal(A.shape[0])
+    P = rk4_matrix(A, h)
+    assert isinstance(P, sparse.csr_array)
+    got = x
+    for _ in range(n):
+        got = P @ got
+    want = rk4(A.__matmul__, x, h, n)
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
