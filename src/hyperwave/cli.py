@@ -155,8 +155,6 @@ def cmd_identities(args):
 
 
 def cmd_freewave(args):
-    from scipy.interpolate import CubicSpline
-
     # the weighted norms resolve the order k = (d - 1) / 2 only from N >= 8k
     n_min = max(8, 8 * ((args.d - 1) // 2))
     if args.N < n_min:
@@ -188,14 +186,12 @@ def cmd_freewave(args):
             norms.append(weighted_state_norm(evolve_free_wave(args.d, state, s), k, args.d))
         # companion series from the upwind reference solver, measured in the
         # k = 1 norm (splined data do not support higher derivatives)
-        rfd, shots = fd_oracle_series(args.d, f1, f2, s_values, args.R)
-        fd_norms = []
-        for v, vs in shots:
-            st = StateVector(
-                GridFunction(grid, CubicSpline(rfd, v)(grid.eta), "even"),
-                GridFunction(grid, CubicSpline(rfd, vs)(grid.eta), "even"),
+        fd_norms = [
+            weighted_state_norm(
+                StateVector(GridFunction(grid, v, "even"), GridFunction(grid, vs, "even")), 1, args.d
             )
-            fd_norms.append(weighted_state_norm(st, 1, args.d))
+            for v, vs in fd_oracle_series(args.d, f1, f2, s_values, args.R, grid.eta)
+        ]
         rows = [
             (float(s), float(nv), float(fv))
             for s, nv, fv in zip(s_values, norms, fd_norms, strict=True)
@@ -207,12 +203,11 @@ def cmd_freewave(args):
             GridFunction.from_callable(grid, lambda e: np.exp(-2 * e * e), "even"),
             GridFunction.from_callable(grid, lambda e: np.zeros_like(e), "even"),
         )
-        fd = direct_fd_oracle(
-            args.d, lambda r: np.exp(-2 * r * r), lambda r: np.zeros_like(r), 1.0, args.R
+        o1, _ = direct_fd_oracle(
+            args.d, lambda r: np.exp(-2 * r * r), lambda r: np.zeros_like(r), 1.0, args.R, grid.eta
         )
         ev = evolve_free_wave(args.d, gauss, 1.0)
-        o1, _ = fd.eval(grid.eta)
-        wgt = grid.w_half * grid.eta ** (args.d - 1)
+        wgt = grid.radial_weights(args.d)
         cross_err = float(
             np.sqrt(np.sum((ev.f1.values - o1) ** 2 * wgt) / np.sum(ev.f1.values**2 * wgt))
         )
@@ -233,7 +228,8 @@ def cmd_freewave(args):
 
 
 def _spectral_operator(args):
-    """Parameters, grid and linearized generator for `spectrum` and `blowup`.
+    """The linearized generator (with its parameters and grid) for
+    `spectrum` and `blowup`.
 
     `assemble_L` rejects a grid too coarse for spectral work (N below the
     spectral minimum, or a symmetry-mode residual showing under-resolution);
@@ -241,20 +237,18 @@ def _spectral_operator(args):
     """
     params = make_params(args.d)
     try:
-        grid = make_grid(args.R, args.N)
-        return params, grid, assemble_L(params, grid)
+        return assemble_L(params, make_grid(args.R, args.N))
     except ValueError as exc:
         raise ConfigError(f"{args.command}: {exc}") from exc
 
 
 def cmd_spectrum(args):
-    params, grid, op = _spectral_operator(args)
+    op = _spectral_operator(args)
     spec = spectrum(op)
     doc = spec.to_json_dict()
-    proj = riesz_projection(op)
-    P = proj.matrix
+    P = riesz_projection(op)
     sv = np.linalg.svd(P, compute_uv=False)
-    mode = symmetry_mode(params, grid.eta).ravel()
+    mode = symmetry_mode(op.params, op.grid.eta).ravel()
     doc["projection"] = {
         "idempotency_defect": float(np.max(np.abs(P @ P - P))),
         "second_singular_value": float(sv[1]),
@@ -267,7 +261,7 @@ def cmd_spectrum(args):
         and doc["mode_angle"] < 1e-5
     )
     if args.scan_ssc:
-        roots = ssc_scan_roots(params)
+        roots = ssc_scan_roots(op.params)
         doc["ssc_roots"] = [{"re": float(z.real), "im": float(z.imag)} for z in roots]
         ok = ok and len(roots) == 1 and abs(roots[0] - 1.0) < 1e-6
     write_json(args.out + ".json", doc)
@@ -283,11 +277,11 @@ def cmd_blowup(args):
         raise ConfigError(f"eps must be positive, got {args.eps}")
     if args.dt is not None and not args.dt > 0.0:
         raise ConfigError(f"dt must be positive, got {args.dt}")
-    params, grid, op = _spectral_operator(args)
+    op = _spectral_operator(args)
     spec = spectrum(op)
     pert = PerturbationSpec(args.amp, eps=args.eps)
     try:
-        t_star, report = adjust_blowup_time(params, pert, grid=grid, op=op, dt=args.dt)
+        t_star, report = adjust_blowup_time(op, pert, dt=args.dt)
     except RuntimeError as exc:
         print(f"blowup experiment failed: {exc}", file=sys.stderr)
         write_json(args.out + ".json", {"error": str(exc), "parameters": {"d": args.d, "amplitude": args.amp}})

@@ -37,7 +37,6 @@ __all__ = [
     "evolve_free_wave",
     "direct_fd_oracle",
     "fd_oracle_series",
-    "FDWaveResult",
     "descent_norm_ratio",
     "t22_bound_ratio",
 ]
@@ -222,22 +221,6 @@ def evolve_free_wave(d, state: StateVector, ds) -> StateVector:
     return up
 
 
-class FDWaveResult:
-    """Finite-difference reference solution on its uniform staggered grid."""
-
-    def __init__(self, r, v1, v2):
-        self.r = r
-        self.v1 = v1
-        self.v2 = v2
-        from scipy.interpolate import CubicSpline
-
-        self._s1 = CubicSpline(r, v1)
-        self._s2 = CubicSpline(r, v2)
-
-    def eval(self, eta):
-        return self._s1(eta), self._s2(eta)
-
-
 _UPWIND_WIDTH = 3  # cells spanned by the second-order upwind stencil
 
 
@@ -264,9 +247,10 @@ def _upwind_entries(coef, speed, row0, own0, ghost0):
     return rows, cols, vals
 
 
-def _fd_operator(dr, r, h, hp, hm, hpd, hmd, couple):
-    """The FD right-hand side as one sparse 3m x 3m matrix on the stacked
-    state (v, W1, W2); it is linear and does not depend on time.
+def _fd_operator(d, R, m):
+    """The FD grid of m staggered cells on [0, R], and on it the right-hand
+    side as one sparse 3m x 3m matrix on the stacked state (v, W1, W2); it is
+    linear and does not depend on time.  Returns (r, A, largest speed).
 
         v'  = -((h + r) W1 + (h - r) W2) / 2
         W1' = (-h_+ dW1 + c (W1 - W2)) / h_+' - W1
@@ -276,7 +260,15 @@ def _fd_operator(dr, r, h, hp, hm, hpd, hmd, couple):
     field mirrors into the other's ghost cells, and c is the dimensional
     coupling.
     """
-    m = r.size
+    if m < _UPWIND_WIDTH:
+        raise ValueError(f"m must be at least {_UPWIND_WIDTH} (the upwind stencil width), got m={m}")
+    dr = R / m
+    r = (np.arange(m) + 0.5) * dr
+    h = HEIGHT.h(r)
+    dh = HEIGHT.dh(r)
+    hp, hm = r + h, r - h
+    hpd, hmd = 1.0 + dh, 1.0 - dh
+    couple = (r * dh - h) * (d - 1.0) / (2.0 * r)
     i = np.arange(m)
     V, W1, W2 = i, m + i, 2 * m + i  # row and column indices of each block
     rows = [V, V, W1, W1, W2, W2]
@@ -298,41 +290,36 @@ def _fd_operator(dr, r, h, hp, hm, hpd, hmd, couple):
             acc.extend(new)
     entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
     # coincident entries (stencil centre and diagonal, ghost and coupling) are summed
-    return sparse.coo_array(entries, shape=(3 * m, 3 * m)).tocsr()
+    A = sparse.coo_array(entries, shape=(3 * m, 3 * m)).tocsr()
+    return r, A, np.max(np.maximum(np.abs(hp / hpd), np.abs(hm / hmd)))
 
 
-def _fd_run(d, f1, f2, s_end, R, m, cfl, record=None):
+def _fd_run(d, f1, f2, s_values, R, m, cfl):
     """March the characteristic first-order form of the radial wave system.
 
     Variables are v and the rescaled half-wave fields W1, W2 (the Cartesian
     d'Alembert fields dt u +- dr u composed with the coordinate map, times
     e^{-s}), which satisfy autonomous transport equations with speeds
     h_pm/h_pm' and a dimensional coupling; v itself integrates alongside.
-    `record` requests (v, d_s v) snapshots at the given times, which must be
-    sorted, non-negative and at most s_end: one snapshot per time, in order,
-    each at the step nearest to it.
+    Returns (r, [(v, d_s v), ...]) on the cells r: one snapshot per time in
+    `s_values`, in order, each at the step nearest to it.  The times must be
+    sorted and non-negative, the last one positive; a time repeated, or two
+    times that round to the same step, repeat the snapshot.
 
     The right-hand side is the constant matrix A, so one classical RK4 step
     is the constant matrix P = `rk4_matrix(A, dt)`, built once: each step is
     one sparse product.
     """
-    if m < _UPWIND_WIDTH:
-        raise ValueError(f"m must be at least {_UPWIND_WIDTH} (the upwind stencil width), got m={m}")
+    s_values = np.asarray(s_values, dtype=float)
+    if s_values.size and not s_values[-1] > 0.0:
+        raise ValueError(f"s_end must be positive, got s_end={s_values[-1]}")
+    if not (s_values.size and s_values[0] >= 0.0 and np.all(np.diff(s_values) >= 0.0)):
+        raise ValueError(f"s_values must be sorted, non-negative times, got {s_values.tolist()}")
     if not cfl > 0.0:
         raise ValueError(f"cfl must be positive, got cfl={cfl}")
-    if not s_end > 0.0:
-        raise ValueError(f"s_end must be positive, got s_end={s_end}")
+    r, A, speed = _fd_operator(d, R, m)
     dr = R / m
-    r = (np.arange(m) + 0.5) * dr
-    h = HEIGHT.h(r)
-    dh = HEIGHT.dh(r)
-    hp, hm = r + h, r - h
-    hpd, hmd = 1.0 + dh, 1.0 - dh
-    lam1 = hp / hpd
-    lam2 = hm / hmd
-    u_scale = r * dh - h
-    couple = u_scale * (d - 1.0) / (2.0 * r)
-    speed = np.max(np.maximum(np.abs(lam1), np.abs(lam2)))
+    s_end = s_values[-1]
     dt = cfl * dr / speed
     nsteps = int(np.ceil(s_end / dt))
     dt = s_end / nsteps
@@ -344,58 +331,47 @@ def _fd_run(d, f1, f2, s_end, R, m, cfl, record=None):
     jj = np.arange(2, m + 2)
     dv0 = (-vx[jj + 2] + 8 * vx[jj + 1] - 8 * vx[jj - 1] + vx[jj - 2]) / (12 * dr)
     dv0[-2:] = (3 * v0[-2:] - 4 * np.roll(v0, 1)[-2:] + np.roll(v0, 2)[-2:]) / (2 * dr)
-    W1 = (hmd * vs0 + hm * dv0) / u_scale
-    W2 = (hpd * vs0 + hp * dv0) / u_scale
+    h, dh = HEIGHT.h(r), HEIGHT.dh(r)
+    u_scale = r * dh - h
+    W1 = ((1.0 - dh) * vs0 + (r - h) * dv0) / u_scale
+    W2 = ((1.0 + dh) * vs0 + (r + h) * dv0) / u_scale
 
-    A = _fd_operator(dr, r, h, hp, hm, hpd, hmd, couple)
     P = rk4_matrix(A, dt)
-
-    def advance(x, n):
-        for _ in range(n):
-            x = P @ x
-        return x
-
-    def snapshot(x):
-        return x[:m].copy(), (A @ x)[:m]
-
     x = np.concatenate([v0, W1, W2])
     series = []
     step = 0
-    if record is not None:
-        for target in np.round(np.asarray(record) / dt).astype(int):
-            x = advance(x, target - step)
-            step = target
-            series.append(snapshot(x))
-    x = advance(x, nsteps - step)
-    v, vs = snapshot(x)
-    if record is not None:
-        return r, v, vs, series
-    return r, v, vs
+    for target in np.round(s_values / dt).astype(int):
+        for _ in range(target - step):
+            x = P @ x
+        step = target
+        series.append((x[:m].copy(), (A @ x)[:m]))
+    return r, series
 
 
-def direct_fd_oracle(d, f1, f2, s_end, R, m=400, cfl=0.4) -> FDWaveResult:
-    """Upwinded method-of-lines reference for the radial wave evolution in
-    similarity coordinates, from callable initial data (v, d_s v),
-    Richardson-extrapolated for the leading O(dr^2) error."""
-    r, v1, v2 = _fd_run(d, f1, f2, s_end, R, m, cfl)
-    r2, w1, w2 = _fd_run(d, f1, f2, s_end, R, 2 * m, cfl)
+def _at_nodes(r, fields, eta):
+    """Cubic-spline interpolants of FD fields on the cells r, at eta."""
     from scipy.interpolate import CubicSpline
 
-    fine1 = CubicSpline(r2, w1)(r)
-    fine2 = CubicSpline(r2, w2)(r)
-    return FDWaveResult(r, (4 * fine1 - v1) / 3.0, (4 * fine2 - v2) / 3.0)
+    return tuple(CubicSpline(r, f)(eta) for f in fields)
 
 
-def fd_oracle_series(d, f1, f2, s_values, R, m=300, cfl=0.4):
-    """Snapshots (r, [(v, d_s v), ...]) of the reference solution at the
-    requested times, one per time and in the order given; no extrapolation.
-    The times must be sorted and non-negative; a time repeated, or two times
-    that round to the same step, repeat the snapshot."""
-    s_values = np.asarray(s_values, dtype=float)
-    if not (s_values.size and s_values[0] >= 0.0 and np.all(np.diff(s_values) >= 0.0)):
-        raise ValueError(f"s_values must be sorted, non-negative times, got {s_values.tolist()}")
-    r, _, _, series = _fd_run(d, f1, f2, float(s_values[-1]), R, m, cfl, record=s_values)
-    return r, series
+def direct_fd_oracle(d, f1, f2, s_end, R, eta, m=400, cfl=0.4):
+    """Upwinded method-of-lines reference for the radial wave evolution in
+    similarity coordinates, from callable initial data (v, d_s v):
+    (v, d_s v) at time s_end and the nodes eta, Richardson-extrapolated on
+    the m cells for the leading O(dr^2) error."""
+    r, [coarse] = _fd_run(d, f1, f2, [s_end], R, m, cfl)
+    r2, [fine] = _fd_run(d, f1, f2, [s_end], R, 2 * m, cfl)
+    fine = _at_nodes(r2, fine, r)
+    return _at_nodes(r, [(4 * f - c) / 3.0 for f, c in zip(fine, coarse)], eta)
+
+
+def fd_oracle_series(d, f1, f2, s_values, R, eta, m=300, cfl=0.4):
+    """Snapshots [(v, d_s v), ...] of the reference solution at the nodes
+    eta, one per time in `s_values` and in the order given (see `_fd_run`);
+    no extrapolation."""
+    r, shots = _fd_run(d, f1, f2, s_values, R, m, cfl)
+    return [_at_nodes(r, shot, eta) for shot in shots]
 
 
 def descent_norm_ratio(d, state: StateVector, k=1):
@@ -405,12 +381,8 @@ def descent_norm_ratio(d, state: StateVector, k=1):
 
 
 def t22_bound_ratio(d, g2: GridFunction, k=2):
-    """Empirical constant in the second-component kernel bound."""
-    grid = g2.grid
-    eta = grid.eta
-    h = HEIGHT.h(eta)
-    g2_full = g2.full()
-    J21 = _scaled_integral(grid, g2_full, coeffs.t21_fn, d - 3)
-    J22 = _scaled_integral(grid, g2_full, coeffs.t22_fn, d - 3)
-    out = GridFunction(grid, -(d - 3.0) * h * J21 + (d - 2.0) * J22, "even")
+    """Empirical constant in the second-component kernel bound: the f2 of
+    the one-step inverse on (0, g2), where the f1 kernels vanish exactly."""
+    zero = GridFunction(g2.grid, np.zeros(g2.grid.N), "even")
+    out = descent_step_inverse(d, StateVector(zero, g2)).f2
     return weighted_sobolev_norm(out, k, d) / weighted_sobolev_norm(g2, k - 1, d - 2)

@@ -153,6 +153,10 @@ class Grid:
         """Integral over [0, R] of an even function given on the half grid."""
         return float(self.w_half @ np.asarray(values))
 
+    def radial_weights(self, d):
+        """Half-grid quadrature weights of the radial measure eta^(d-1) d eta."""
+        return self.w_half * self.eta ** (d - 1)
+
     # ------------------------------------------------------------------
     # interpolation and antiderivative
     def interp_matrix(self, pts):
@@ -268,12 +272,6 @@ class StateVector:
     @property
     def grid(self):
         return self.f1.grid
-
-    def copy(self):
-        return StateVector(
-            GridFunction(self.grid, self.f1.values.copy(), self.f1.parity),
-            GridFunction(self.grid, self.f2.values.copy(), self.f2.parity),
-        )
 
     @classmethod
     def zero(cls, grid, parity="even"):

@@ -35,9 +35,6 @@ class Taylor:
     def value(self):
         return self.coef[0]
 
-    def coeff(self, k):
-        return self.coef[k]
-
     @staticmethod
     def constant(c, order, npts):
         coef = np.zeros((order + 1, npts))

@@ -174,7 +174,7 @@ def spectrum(op: OperatorMatrix) -> SpectrumResult:
 
 
 def _state_inner(grid: Grid, d, u, v):
-    w = grid.w_half * grid.eta ** (d - 1)
+    w = grid.radial_weights(d)
     n = grid.N
     return float(w @ (u[:n] * v[:n]) + w @ (u[n:] * v[n:]))
 
@@ -193,7 +193,7 @@ def mode_angle(op: OperatorMatrix):
     return float(np.arccos(min(cosang, 1.0)))
 
 
-def riesz_projection(op: OperatorMatrix) -> OperatorMatrix:
+def riesz_projection(op: OperatorMatrix) -> np.ndarray:
     """Spectral projection P = v w^H / (w^H v) onto the eigenvalue 1, from
     its right and left eigenvectors.  That eigenvalue (the symmetry mode) is
     simple and isolated, so this rank-one form is exactly the Riesz
@@ -201,7 +201,7 @@ def riesz_projection(op: OperatorMatrix) -> OperatorMatrix:
     values, left, right = op.eig()
     i = np.argmin(np.abs(values - 1.0))
     v, w = right[:, i], left[:, i].conj()
-    return OperatorMatrix(np.real(np.outer(v, w) / (w @ v)), op.grid, op.params)
+    return np.real(np.outer(v, w) / (w @ v))
 
 
 def evolve_linear(op: OperatorMatrix, state: StateVector, s_end, record=None):

@@ -22,8 +22,6 @@ __all__ = [
     "potential",
     "potential_ssc",
     "nonlinearity_coeffs",
-    "nonlinearity_scalar",
-    "nonlinearity_quadratic_coeff",
     "symmetry_mode",
     "initial_time_s0",
 ]
@@ -76,9 +74,6 @@ class StandardHeight:
 
     def d2h(self, y):
         return 2.0 / np.power(2.0 + np.square(y), 1.5)
-
-    def d3h(self, y):
-        return -6.0 * y / np.power(2.0 + np.square(y), 2.5)
 
     def dh_over_y(self, y):
         """h'(y)/y, regular at y = 0."""
@@ -205,18 +200,6 @@ def nonlinearity_coeffs(params: DimensionParams, y):
     scale = -(d - 4) * (u * u / w)
     quad = 3.0 * ((1.0 - a) * y2 + b * h * h) / (b * h * h + y2)
     return scale * quad, scale * y2
-
-
-def nonlinearity_scalar(params: DimensionParams, y, alpha):
-    """Pointwise nonlinearity N(y, alpha) of the autonomous first-order system."""
-    c2, c3 = nonlinearity_coeffs(params, y)
-    alpha = np.asarray(alpha, dtype=float)
-    return alpha * alpha * (c2 + c3 * alpha)
-
-
-def nonlinearity_quadratic_coeff(params: DimensionParams, y):
-    """Half of d^2 N / d alpha^2 at alpha = 0, i.e. the alpha^2 coefficient."""
-    return nonlinearity_coeffs(params, y)[0]
 
 
 def symmetry_mode(params: DimensionParams, y):

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, GridFunction, StateVector, make_grid, weighted_sobolev_norm
-from .linstab import OperatorMatrix, assemble_L, riesz_projection
+from .grids import Grid, GridFunction, StateVector, weighted_sobolev_norm
+from .linstab import OperatorMatrix, riesz_projection
 from .model import (
     HEIGHT,
     DimensionParams,
@@ -286,7 +286,7 @@ def evolve_nonlinear(
     s_end,
     dt=None,
     n_record=33,
-    projector: OperatorMatrix | None = None,
+    projector: np.ndarray | None = None,
 ) -> Trajectory:
     """Integrating-factor (Lawson) RK4 integration of d_s Phi = L Phi + N(Phi)
     from the hyperboloidal initial time to s_end, recording the rescaled
@@ -309,12 +309,11 @@ def evolve_nonlinear(
     c2, c3 = nonlinearity_coeffs(params, eta)
 
     mode = symmetry_mode(params, eta).ravel()
-    wgt = np.concatenate([grid.w_half * eta ** (params.d - 1)] * 2)
+    wgt = np.concatenate([grid.radial_weights(params.d)] * 2)
     mode_norm2 = float(wgt @ (mode * mode))
-    P = projector.matrix if projector is not None else None
 
     def proj_coeff(v):
-        pv = P @ v if P is not None else v
+        pv = projector @ v if projector is not None else v
         return float(wgt @ (pv * mode)) / mode_norm2
 
     def rhs(v):
@@ -389,13 +388,7 @@ class DecayReport:
     floor_limited: bool
 
 
-def adjust_blowup_time(
-    params: DimensionParams,
-    pert: PerturbationSpec,
-    grid: Grid | None = None,
-    op: OperatorMatrix | None = None,
-    dt=None,
-):
+def adjust_blowup_time(op: OperatorMatrix, pert: PerturbationSpec, dt=None):
     """Find the blowup time T* that suppresses the unstable mode, then run
     the full trajectory at T* and fit the decay rate.
 
@@ -406,10 +399,7 @@ def adjust_blowup_time(
     and a guarded secant homes in; a sign change across the result is then
     verified by bracketing.  Returns (T*, DecayReport).
     """
-    if grid is None:
-        grid = make_grid(2.0, 64)
-    if op is None:
-        op = assemble_L(params, grid)
+    params, grid = op.params, op.grid
     proj = riesz_projection(op)
     cauchy = cauchy_tr_solver(params, pert)
     s0 = initial_time_s0(pert.eps)

@@ -28,6 +28,8 @@ from hyperwave.nonlinear import smooth_bump
 
 from conftest import even_state
 
+ETA = np.linspace(0.0, 2.0, 9)  # interpolation nodes for the guard tests
+
 # Gaussian-type suite written generically so jet arguments work too
 SUITE = [
     (lambda x: jexp(-(x * x)), lambda x: 0.0 * x),
@@ -214,39 +216,42 @@ class TestFreeWave:
 
 class TestFDOracle:
     def test_steady_state(self):
-        r, v, vs = _fd_run(5, lambda r: np.ones_like(r), lambda r: 0 * r, 1.0, 2.0, 200, 0.4)
+        _, [(v, vs)] = _fd_run(5, lambda r: np.ones_like(r), lambda r: 0 * r, [1.0], 2.0, 200, 0.4)
         assert np.max(np.abs(v - 1.0)) == 0.0
         assert np.max(np.abs(vs)) == 0.0
 
     def test_reflection_symmetry_preserved(self):
         # even initial data stays even: the origin value never drifts relative
         # to its mirror ghost, checked through the first-node symmetry
-        r, v, vs = _fd_run(5, lambda r: np.exp(-3 * r * r), lambda r: 0 * r, 0.5, 2.0, 200, 0.4)
+        _, [(v, vs)] = _fd_run(5, lambda r: np.exp(-3 * r * r), lambda r: 0 * r, [0.5], 2.0, 200, 0.4)
         assert np.all(np.isfinite(v))
 
     def test_cfl_guard(self):
         f1, f2 = lambda r: np.exp(-(r**2)), lambda r: 0 * r
         with pytest.raises(ValueError, match="m must be at least 3"):
-            direct_fd_oracle(5, f1, f2, 1.0, 2.0, m=-3)
+            direct_fd_oracle(5, f1, f2, 1.0, 2.0, ETA, m=-3)
         with pytest.raises(ValueError, match="m must be at least 3"):
-            _fd_run(5, f1, f2, 1.0, 2.0, 2, 0.4)
+            _fd_operator(5, 2.0, 2)
         with pytest.raises(ValueError, match="cfl must be positive"):
-            direct_fd_oracle(5, f1, f2, 1.0, 2.0, cfl=0.0)
+            direct_fd_oracle(5, f1, f2, 1.0, 2.0, ETA, cfl=0.0)
 
     @pytest.mark.parametrize("s_end", [0.0, -1.0])
     def test_end_time_guard(self, s_end):
         with pytest.raises(ValueError, match="s_end must be positive"):
-            _fd_run(5, lambda r: np.exp(-(r**2)), lambda r: 0 * r, s_end, 2.0, 200, 0.4)
+            direct_fd_oracle(5, lambda r: np.exp(-(r**2)), lambda r: 0 * r, s_end, 2.0, ETA)
 
     def test_operator_matches_stencil_loop(self):
         m, R, d = 40, 2.0, 7
+        r, A, speed = _fd_operator(d, R, m)
         dr = R / m
-        r = (np.arange(m) + 0.5) * dr
+        assert np.array_equal(r, (np.arange(m) + 0.5) * dr)
+        assert A.nnz <= 10 * m
+
+        # the per-cell reference: the height, speeds and coupling on the cells
         h, dh = HEIGHT.h(r), HEIGHT.dh(r)
         hp, hm, hpd, hmd = r + h, r - h, 1.0 + dh, 1.0 - dh
         couple = (r * dh - h) * (d - 1.0) / (2.0 * r)
-        A = _fd_operator(dr, r, h, hp, hm, hpd, hmd, couple)
-        assert A.nnz <= 10 * m
+        assert speed == np.max(np.maximum(np.abs(hp / hpd), np.abs(hm / hmd)))
 
         x = np.random.default_rng(3).standard_normal(3 * m)
         w1, w2 = x[m : 2 * m], x[2 * m :]
@@ -270,7 +275,7 @@ class TestFDOracle:
 
     def test_regression_pin(self):
         # values of the stencil-by-stencil upwind solver this operator replaced
-        r, v, vs = _fd_run(5, lambda r: np.exp(-2 * r * r), lambda r: 0 * r, 1.0, 2.0, 200, 0.4)
+        _, [(v, vs)] = _fd_run(5, lambda r: np.exp(-2 * r * r), lambda r: 0 * r, [1.0], 2.0, 200, 0.4)
         idx = [0, 1, 37, 100, 199]
         assert v[idx] == pytest.approx(
             [0.07410089909774671, 0.07402609232994271, 0.024621339800224476,
@@ -278,8 +283,8 @@ class TestFDOracle:
         assert vs[idx] == pytest.approx(
             [-0.716189235911018, -0.7160713995601833, -0.6401242385222106,
              -0.3869622825676523, -0.38546114240154483], rel=1e-12)
-        _, shots = fd_oracle_series(
-            7, lambda r: np.exp(-2 * r * r), lambda r: -0.3 * np.exp(-r * r), [0.0, 0.5, 1.0], 2.0, m=100
+        _, shots = _fd_run(
+            7, lambda r: np.exp(-2 * r * r), lambda r: -0.3 * np.exp(-r * r), [0.0, 0.5, 1.0], 2.0, 100, 0.4
         )
         assert len(shots) == 3
         v1, vs1 = shots[-1]
@@ -293,11 +298,8 @@ class TestFDOracle:
 
     def test_one_sparse_product_per_step(self, monkeypatch):
         m, R, cfl, s_end = 200, 2.0, 0.4, 1.0
-        dr = R / m
-        r = (np.arange(m) + 0.5) * dr
-        h, dh = HEIGHT.h(r), HEIGHT.dh(r)
-        speed = np.max(np.maximum(np.abs((r + h) / (1.0 + dh)), np.abs((r - h) / (1.0 - dh))))
-        nsteps = int(np.ceil(s_end / (cfl * dr / speed)))
+        _, _, speed = _fd_operator(5, R, m)
+        nsteps = int(np.ceil(s_end / (cfl * (R / m) / speed)))
         products = []
         matmul = sparse.csr_array.__matmul__
 
@@ -307,13 +309,13 @@ class TestFDOracle:
             return matmul(self, other)
 
         monkeypatch.setattr(sparse.csr_array, "__matmul__", counting)
-        _fd_run(5, lambda r: np.exp(-2 * r * r), lambda r: 0 * r, s_end, R, m, cfl)
+        _fd_run(5, lambda r: np.exp(-2 * r * r), lambda r: 0 * r, [s_end], R, m, cfl)
         # one product per step, plus one for the final d_s v snapshot
         assert len(products) == nsteps + 1
 
     def test_series_one_snapshot_per_time(self):
         f1, f2 = lambda r: np.exp(-2 * r * r), lambda r: -0.3 * np.exp(-r * r)
-        r, shots = fd_oracle_series(7, f1, f2, [0.0, 0.5, 0.5, 1.0], 2.0, m=100)
+        r, shots = _fd_run(7, f1, f2, [0.0, 0.5, 0.5, 1.0], 2.0, 100, 0.4)
         assert len(shots) == 4
         assert np.array_equal(shots[0][0], f1(r))
         assert all(np.array_equal(a, b) for a, b in zip(shots[1], shots[2]))
@@ -322,16 +324,13 @@ class TestFDOracle:
     @pytest.mark.parametrize("s_values", [[1.0, 0.5], [-0.5, 1.0], []])
     def test_series_times_guard(self, s_values):
         with pytest.raises(ValueError, match="sorted, non-negative"):
-            fd_oracle_series(7, lambda r: np.exp(-(r**2)), lambda r: 0 * r, s_values, 2.0, m=100)
+            fd_oracle_series(7, lambda r: np.exp(-(r**2)), lambda r: 0 * r, s_values, 2.0, ETA, m=100)
 
     def test_convergence_order(self):
         f1 = lambda r: np.exp(-2 * r * r)
         f2 = lambda r: 0 * r
-        sols = {m: _fd_run(5, f1, f2, 1.0, 2.0, m, 0.4) for m in (100, 200, 400)}
-        from scipy.interpolate import CubicSpline
-
         probe = np.linspace(0.1, 1.8, 50)
-        vals = {m: CubicSpline(sols[m][0], sols[m][1])(probe) for m in sols}
+        vals = {m: fd_oracle_series(5, f1, f2, [1.0], 2.0, probe, m=m)[0][0] for m in (100, 200, 400)}
         e1 = np.max(np.abs(vals[100] - vals[200]))
         e2 = np.max(np.abs(vals[200] - vals[400]))
         order = np.log2(e1 / e2)
@@ -341,10 +340,9 @@ class TestFDOracle:
     def test_cross_check_spectral(self, grid64, d):
         f1 = lambda r: np.exp(-2 * r * r)
         f2 = lambda r: 0 * r
-        fd = direct_fd_oracle(d, f1, f2, 1.0, 2.0, m=400)
+        o1, _ = direct_fd_oracle(d, f1, f2, 1.0, 2.0, grid64.eta, m=400)
         st = even_state(grid64, f1, f2)
         ev = evolve_free_wave(d, st, 1.0)
-        o1, _ = fd.eval(grid64.eta)
         w = grid64.w_half * grid64.eta ** (d - 1)
         rel = np.sqrt(np.sum((ev.f1.values - o1) ** 2 * w) / np.sum(o1**2 * w))
         assert rel < 1e-4

@@ -109,25 +109,25 @@ class TestSpectrum:
 
 class TestRieszProjection:
     def test_idempotent(self, proj96):
-        P = proj96.matrix
+        P = proj96
         assert np.max(np.abs(P @ P - P)) < 1e-8
 
     def test_rank_one(self, proj96):
-        sv = np.linalg.svd(proj96.matrix, compute_uv=False)
+        sv = np.linalg.svd(proj96, compute_uv=False)
         assert sv[0] > 0.5
         assert sv[1] < 1e-6
 
     def test_fixes_symmetry_mode(self, params7, grid96, proj96):
         mode = symmetry_mode(params7, grid96.eta).ravel()
-        assert np.max(np.abs(proj96.matrix @ mode - mode)) / np.max(np.abs(mode)) < 1e-6
+        assert np.max(np.abs(proj96 @ mode - mode)) / np.max(np.abs(mode)) < 1e-6
 
     def test_commutes_with_generator(self, op96, proj96):
-        comm = op96.matrix @ proj96.matrix - proj96.matrix @ op96.matrix
+        comm = op96.matrix @ proj96 - proj96 @ op96.matrix
         assert np.max(np.abs(comm)) < 1e-6
 
     def test_complement_annihilates_mode(self, params7, grid96, proj96):
         mode = symmetry_mode(params7, grid96.eta).ravel()
-        out = mode - proj96.matrix @ mode
+        out = mode - proj96 @ mode
         assert np.max(np.abs(out)) / np.max(np.abs(mode)) < 1e-6
 
     def test_matches_contour_projector(self, op64):
@@ -140,7 +140,7 @@ class TestRieszProjection:
         for t in 2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes:
             w = np.exp(1j * t)
             acc += np.real(np.linalg.solve((1.0 + w) * eye - op64.matrix, w * eye))
-        P = riesz_projection(op64).matrix
+        P = riesz_projection(op64)
         assert np.max(np.abs(P - acc / nodes)) < 1e-9
 
     def test_one_decomposition_per_operator(self, params7, grid64, monkeypatch):
@@ -169,9 +169,9 @@ class TestRieszProjection:
         bump = GridFunction.from_callable(grid96, lambda e: np.exp(-3 * (e - 0.6) ** 2), "even")
         st = StateVector(bump, GridFunction(grid96, -0.2 * bump.values, "even"))
         ds = 0.5
-        a = proj96.matrix @ evolve_linear(op96, st, ds).stacked()
+        a = proj96 @ evolve_linear(op96, st, ds).stacked()
         b = evolve_linear(
-            op96, StateVector.from_stacked(grid96, proj96.matrix @ st.stacked()), ds
+            op96, StateVector.from_stacked(grid96, proj96 @ st.stacked()), ds
         ).stacked()
         assert np.max(np.abs(a - b)) / np.max(np.abs(st.stacked())) < 1e-5
 
@@ -184,7 +184,7 @@ class TestLinearEvolution:
     def test_unstable_direction_grows_like_e_s(self, params7, grid96, op96, proj96):
         bump = GridFunction.from_callable(grid96, lambda e: np.exp(-4 * (e - 0.8) ** 2), "even")
         st = StateVector(bump, GridFunction(grid96, 0.3 * bump.values, "even"))
-        proj_state = StateVector.from_stacked(grid96, proj96.matrix @ st.stacked())
+        proj_state = StateVector.from_stacked(grid96, proj96 @ st.stacked())
         exponent, _ = linear_decay_fit(op96, proj_state)
         assert exponent == pytest.approx(1.0, abs=0.02)
 
@@ -192,7 +192,7 @@ class TestLinearEvolution:
         bump = GridFunction.from_callable(grid96, lambda e: np.exp(-4 * (e - 0.8) ** 2), "even")
         st = StateVector(bump, GridFunction(grid96, 0.3 * bump.values, "even"))
         stacked = st.stacked()
-        q_state = StateVector.from_stacked(grid96, stacked - proj96.matrix @ stacked)
+        q_state = StateVector.from_stacked(grid96, stacked - proj96 @ stacked)
         exponent, _ = linear_decay_fit(op96, q_state, s_values=np.linspace(2.0, 8.0, 13))
         assert exponent < 0.0
         assert abs(-exponent - spec96.gap) <= 0.2 * spec96.gap

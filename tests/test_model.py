@@ -11,8 +11,6 @@ from hyperwave.model import (
     initial_time_s0,
     make_params,
     nonlinearity_coeffs,
-    nonlinearity_quadratic_coeff,
-    nonlinearity_scalar,
     potential,
     potential_ssc,
     similarity_time_scalar,
@@ -164,10 +162,12 @@ class TestPotentialNonlinearity:
 
     def test_nonlinearity_zero(self, params7, rng):
         y = rng.uniform(0, 2, 16)
-        assert np.all(nonlinearity_scalar(params7, y, 0.0) == 0.0)
+        c2, c3 = nonlinearity_coeffs(params7, y)
+        al = 0.0
+        assert np.all(al * al * (c2 + c3 * al) == 0.0)
 
     def test_quadratic_coefficient_origin(self, params7):
-        val = nonlinearity_quadratic_coeff(params7, 1e-9)
+        val = nonlinearity_coeffs(params7, 1e-9)[0]
         assert val == pytest.approx(-3.0 * (7 - 4) * HEIGHT.h(0.0) ** 2, rel=1e-8)
 
     def test_factored_nonlinearity_matches_closed_form(self, params7):
@@ -180,14 +180,13 @@ class TestPotentialNonlinearity:
         c2, c3 = nonlinearity_coeffs(params7, y)
         factored = al * al * (c2 + c3 * al)
         assert np.all(np.abs(factored - terms.sum(axis=0)) <= 1e-14 * np.abs(terms).sum(axis=0))
-        assert np.array_equal(nonlinearity_scalar(params7, y, al), factored)
-        assert np.array_equal(nonlinearity_quadratic_coeff(params7, y), c2)
 
     def test_lipschitz_factorization(self, params7, rng):
         y = rng.uniform(0, 2, 32)
         al = rng.uniform(-0.5, 0.5, 32)
         be = rng.uniform(-0.5, 0.5, 32)
-        lhs = np.abs(nonlinearity_scalar(params7, y, al) - nonlinearity_scalar(params7, y, be))
+        c2, c3 = nonlinearity_coeffs(params7, y)
+        lhs = np.abs(al * al * (c2 + c3 * al) - be * be * (c2 + c3 * be))
         big = 60.0 * (np.abs(al) + np.abs(be) + al**2 + be**2) * np.abs(al - be)
         assert np.all(lhs <= big + 1e-15)
 

@@ -228,8 +228,8 @@ class TestDecayFit:
 
 
 class TestBlowupAdjustment:
-    def test_full_experiment(self, params7, pert, grid64, op64):
-        t_star, report = adjust_blowup_time(params7, pert, grid=grid64, op=op64)
+    def test_full_experiment(self, pert, op64):
+        t_star, report = adjust_blowup_time(op64, pert)
         gap = spectrum(op64).gap
         assert abs(t_star - 1.0) <= 0.1
         assert report.omega_fit is not None and report.omega_fit > 0.0
@@ -238,17 +238,15 @@ class TestBlowupAdjustment:
         # sign change verified inside; projection coefficient small at the end
         assert abs(report.projection_coeff[-1]) < 1e-4
 
-    def test_zero_amplitude_control(self, params7, grid64, op64):
-        t_star, report = adjust_blowup_time(
-            params7, PerturbationSpec(0.0), grid=grid64, op=op64
-        )
+    def test_zero_amplitude_control(self, op64):
+        t_star, report = adjust_blowup_time(op64, PerturbationSpec(0.0))
         assert t_star == 1.0
         assert report.floor_limited
         assert np.max(report.norm_k + report.norm_km1) == 0.0
 
-    def test_rate_family_independent(self, params7, grid64, op64):
+    def test_rate_family_independent(self, op64):
         rates = []
         for spec in (PerturbationSpec(1e-3), PerturbationSpec(3e-4, weight_f=0.4, weight_g=1.0)):
-            _, report = adjust_blowup_time(params7, spec, grid=grid64, op=op64)
+            _, report = adjust_blowup_time(op64, spec)
             rates.append(report.omega_fit)
         assert abs(rates[0] - rates[1]) <= 0.2 * abs(rates[0])

@@ -1,3 +1,6 @@
+import ast
+import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -28,3 +31,24 @@ def test_cli_import_leaves_scipy_interpolate_and_integrate_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_traced_spans_resolve():
+    # the benchmark tracer skips a target the package no longer defines, so a
+    # rename would silently zero a per-layer metric; SPANS is read, not run
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "bench", "tracer.py")) as fh:
+        tree = ast.parse(fh.read())
+    [spans] = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SPANS"]
+    ]
+    targets = [t for ts in spans.values() for t in ts if t.startswith("hyperwave")]
+    assert targets
+    for target in targets:
+        module_name, qualname = target.split(":")
+        obj = importlib.import_module(module_name)
+        for part in qualname.split("."):
+            obj = getattr(obj, part, None)
+        assert inspect.isfunction(obj), target

@@ -4,7 +4,6 @@ from scipy import sparse
 from scipy.linalg import expm
 
 from hyperwave.descent import _fd_operator
-from hyperwave.model import HEIGHT
 from hyperwave.stepping import rk4, rk4_matrix
 
 A = np.array([[-3.0, 1.0, 0.0], [0.5, -20.0, 2.0], [0.0, 1.0, -0.5]])
@@ -64,14 +63,9 @@ def test_zero_steps_return_input():
 
 
 def fd_operator_and_step(d=7, R=2.0, m=50, cfl=0.4):
-    """The FD oracle's operator and its CFL step, with the geometry of `_fd_run`."""
-    dr = R / m
-    r = (np.arange(m) + 0.5) * dr
-    h, dh = HEIGHT.h(r), HEIGHT.dh(r)
-    hp, hm, hpd, hmd = r + h, r - h, 1.0 + dh, 1.0 - dh
-    couple = (r * dh - h) * (d - 1.0) / (2.0 * r)
-    speed = np.max(np.maximum(np.abs(hp / hpd), np.abs(hm / hmd)))
-    return _fd_operator(dr, r, h, hp, hm, hpd, hmd, couple), cfl * dr / speed
+    """The FD oracle's operator and its CFL step, as `_fd_run` takes them."""
+    _, A, speed = _fd_operator(d, R, m)
+    return A, cfl * (R / m) / speed
 
 
 @pytest.mark.parametrize("n", [1, 50])
