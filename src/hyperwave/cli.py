@@ -321,9 +321,16 @@ def cmd_blowup(args):
             and report.omega_fit > 0.0
             and abs(report.omega_fit - spec.gap) <= 0.2 * spec.gap
         )
+        # no rate is fitted when the norms sink to the floor: a tiny amplitude,
+        # or a perturbation whose light cone misses every hyperboloid node
+        omega = (
+            "none (trajectory at floor)"
+            if report.omega_fit is None
+            else format_float(report.omega_fit)
+        )
         print(
             f"blowup d={args.d}: T* = {format_float(t_star)}, omega0 "
-            f"{format_float(report.omega_fit)}, gap {format_float(spec.gap)}"
+            f"{omega}, gap {format_float(spec.gap)}"
         )
     return 0 if ok else 1
 

@@ -85,23 +85,25 @@ def profile_difference(params: DimensionParams, T, t, r):
 
 
 class CauchySolution:
-    """Sampler for the deviation w = u - u_1^* on the (t, r) rectangle."""
+    """Sampler for the deviation w = u - u_1^* on the (t, r) rectangle.
 
-    def __init__(self, params, pert, times, r, w, wt):
+    `fields[i, j]` holds (w, w_t, w_r) at (times[i], r[j]); `w` and `wt` are
+    views into it.
+    """
+
+    def __init__(self, params, pert, times, r, fields):
         self.params = params
         self.pert = pert
         self.times = times
         self.r = r
-        self.w = w
-        self.wt = wt
-        dr = r[1] - r[0]
-        wr = np.gradient(w, dr, axis=1, edge_order=2)
+        self.w = fields[..., 0]
+        self.wt = fields[..., 1]
         from scipy.interpolate import RegularGridInterpolator
 
-        pts = (times, r)
-        self._iw = RegularGridInterpolator(pts, w, method="cubic")
-        self._iwt = RegularGridInterpolator(pts, wt, method="cubic")
-        self._iwr = RegularGridInterpolator(pts, wr, method="cubic")
+        # one spline over the stacked fields: the design matrix is built once
+        # and its default solver (gcrotmk) runs column by column, so each
+        # field gets the coefficients a separate fit would give, bit for bit
+        self._fit = RegularGridInterpolator((times, r), fields, method="cubic")
 
     def deviation(self, t, r):
         """(w, w_t, w_r) at scattered points; zero outside the light cone of
@@ -111,10 +113,7 @@ class CauchySolution:
         inside = r <= np.abs(t) + self.pert.eps + 2.0 * (self.r[1] - self.r[0])
         out = np.zeros((3, t.size))
         if np.any(inside):
-            pts = np.stack([t[inside], r[inside]], axis=-1)
-            out[0, inside] = self._iw(pts)
-            out[1, inside] = self._iwt(pts)
-            out[2, inside] = self._iwr(pts)
+            out[:, inside] = self._fit(np.stack([t[inside], r[inside]], axis=-1)).T
         return out
 
     def max_deviation(self):
@@ -170,13 +169,13 @@ def cauchy_tr_solver(
         w0 = pert.f(r)
         v0 = pert.g(r)
         times = [0.0]
-        levels = [w0.copy()]
+        levels = [w0]
         w_prev = w0
         w_curr = w0 + h * v0 + 0.5 * h * h * accel(w0, 0.0)
         t = h
         for _ in range(n_steps):
             times.append(t)
-            levels.append(w_curr.copy())
+            levels.append(w_curr)
             w_next = 2 * w_curr - w_prev + h * h * accel(w_curr, t)
             if np.max(np.abs(w_next)) > CAUCHY_GUARD:
                 raise RuntimeError(
@@ -195,9 +194,15 @@ def cauchy_tr_solver(
     tb, wb, wtb = march(-1)
     tf, wf, wtf = march(+1)
     times = np.concatenate([tb[::-1], tf[1:]])
-    w = np.concatenate([wb[::-1], wf[1:]], axis=0)
-    wt = np.concatenate([wtb[::-1], wtf[1:]], axis=0)
-    return CauchySolution(params, pert, times, r, w, wt)
+    # filled in place, and the levels dropped, so the spline's values are the
+    # only copy of the fields while the fit runs
+    fields = np.empty((times.size, m, 3))
+    np.concatenate([wb[::-1], wf[1:]], axis=0, out=fields[..., 0])
+    np.concatenate([wtb[::-1], wtf[1:]], axis=0, out=fields[..., 1])
+    del wb, wf, wtb, wtf
+    # spaced by r[1] - r[0], which rounds differently from dr, as w_r always was
+    fields[..., 2] = np.gradient(fields[..., 0], r[1] - r[0], axis=1, edge_order=2)
+    return CauchySolution(params, pert, times, r, fields)
 
 
 @dataclass

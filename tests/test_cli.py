@@ -180,6 +180,19 @@ class TestCommands:
         for suffix in (".csv", ".json"):
             assert a.with_suffix(suffix).read_bytes() == b.with_suffix(suffix).read_bytes()
 
+    @pytest.mark.parametrize("extra", [["--amp", "1e-20"], ["--eps", "0.005"]])
+    def test_blowup_without_rate_fails_the_gate(self, tmp_path, capsys, extra):
+        # the norms sink to the floor: a vanishing amplitude, or a support so
+        # narrow that its light cone misses every node of the hyperboloid
+        out = tmp_path / "b"
+        assert run(["blowup", "--d", "7", *extra, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "omega0 none (trajectory at floor)" in captured.out
+        doc = json.loads(out.with_suffix(".json").read_text())
+        assert doc["omega0_fit"] is None
+        assert doc["floor_limited"] is True
+
     def test_norms_deterministic_with_seed(self, tmp_path):
         a = tmp_path / "na"
         b = tmp_path / "nb"

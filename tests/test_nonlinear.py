@@ -5,7 +5,13 @@ import pytest
 
 from hyperwave.grids import GridFunction, StateVector, weighted_sobolev_norm
 from hyperwave.linstab import spectrum
-from hyperwave.model import blowup_profile_hsc, hsc_map, initial_time_s0, symmetry_mode
+from hyperwave.model import (
+    HEIGHT,
+    blowup_profile_hsc,
+    hsc_map,
+    initial_time_s0,
+    symmetry_mode,
+)
 from hyperwave.nonlinear import (
     HyperboloidalIC,
     PerturbationSpec,
@@ -76,6 +82,51 @@ class TestCauchySolver:
         big = PerturbationSpec(80.0)
         with pytest.raises(RuntimeError, match="local existence"):
             cauchy_tr_solver(params7, big)
+
+    @pytest.mark.parametrize("name", ["cauchy", "cauchy_zero"])
+    def test_stacked_fit_matches_separate_fits(self, request, name, grid64):
+        from scipy.interpolate import RegularGridInterpolator
+
+        sol = request.getfixturevalue(name)
+        dr = sol.r[1] - sol.r[0]
+        wr = np.gradient(sol.w, dr, axis=1, edge_order=2)
+        fits = [
+            RegularGridInterpolator((sol.times, sol.r), field, method="cubic")
+            for field in (sol.w, sol.wt, wr)
+        ]
+        # the initial hyperboloids across the prepared window, plus random
+        # points of the (t, r) rectangle inside the perturbation's light cone
+        eps = sol.pert.eps
+        es = np.exp(-initial_time_s0(eps))
+        y = grid64.eta
+        hyp = [(T + es * HEIGHT.h(y), es * y) for T in (0.95, 0.997, 1.0, 1.003, 1.05)]
+        rng = np.random.default_rng(11)
+        t = rng.uniform(sol.times[0], sol.times[-1], 2000)
+        r = rng.uniform(sol.r[0], np.minimum(np.abs(t) + eps, sol.r[-1]))
+        t = np.concatenate([t] + [p[0] for p in hyp])
+        r = np.concatenate([r] + [p[1] for p in hyp])
+
+        inside = r <= np.abs(t) + eps + 2.0 * dr
+        pts = np.stack([t[inside], r[inside]], axis=-1)
+        expected = np.zeros((3, t.size))
+        for row, fit in zip(expected, fits):
+            row[inside] = fit(pts)
+        assert np.count_nonzero(inside) > 2000
+        assert np.array_equal(sol.deviation(t, r), expected)
+
+    def test_one_spline_fit_per_cauchy_solve(self, params7, pert, monkeypatch):
+        from scipy.interpolate import NdBSpline
+
+        calls = []
+        design_matrix = NdBSpline.design_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return design_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(NdBSpline, "design_matrix", counted)
+        cauchy_tr_solver(params7, pert)
+        assert len(calls) == 1
 
 
 class TestInitialData:
