@@ -45,28 +45,12 @@ from .nonlinear import (
 )
 from .output import format_float, write_csv, write_json
 
-# options a config file may set: key -> (type, built-in default); `out`
-# defaults to the subcommand name
-_OPTIONS = {
-    "d": (int, 7),
-    "R": (float, 2.0),
-    "N": (int, 64),
-    "eps": (float, 0.05),
-    "amp": (float, 1e-3),
-    "s_end": (float, 5.0),
-    "dt": (float, None),
-    "out": (str, None),
-    "dims": (str, None),
-    "seed": (int, 0),
-    "scan_ssc": (bool, False),
-}
-
 
 class ConfigError(Exception):
     pass
 
 
-def _load_config(path):
+def _load_config(path, command):
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -74,9 +58,10 @@ def _load_config(path):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a flat JSON object")
+    keys = _COMMANDS[command][1]
     for key, value in raw.items():
-        if key not in _OPTIONS:
-            raise ConfigError(f"unknown config key {key!r}")
+        if key not in keys:
+            raise ConfigError(f"{command} reads no config key {key!r}; it reads {', '.join(keys)}")
         want = _OPTIONS[key][0]
         if want is float and isinstance(value, int):
             continue
@@ -89,9 +74,9 @@ def _merge(args):
     """Explicit CLI flags win, config file values come next, then the
     built-in defaults.  The options parse with SUPPRESS defaults, so only
     the flags given on the command line are set on `args`."""
-    cfg = _load_config(args.config) if args.config else {}
+    cfg = _load_config(args.config, args.command) if args.config else {}
     given = set(vars(args))
-    defaults = {key: default for key, (_, default) in _OPTIONS.items()}
+    defaults = {key: _OPTIONS[key][1] for key in _COMMANDS[args.command][1]}
     for key, value in {**defaults, "out": args.command, **cfg}.items():
         if key not in given:
             setattr(args, key, value)
@@ -99,13 +84,10 @@ def _merge(args):
 
 
 def _dims_list(args):
-    if args.dims:
-        try:
-            dims = [int(x) for x in str(args.dims).split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"--dims must be a comma list of integers: {args.dims!r}") from exc
-    else:
-        dims = [args.d]
+    try:
+        dims = [int(x) for x in args.dims.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--dims must be a comma list of integers: {args.dims!r}") from exc
     for d in dims:
         if d % 2 == 0 or d < 1:
             raise ConfigError(f"dimensions must be odd and positive, got {d}")
@@ -347,14 +329,6 @@ def cmd_norms(args):
         r = np.asarray(r, dtype=float)
         return sum(np.exp(-w * (r - c) ** 2) + np.exp(-w * (r + c) ** 2) for c, w in zip(centers, widths))
 
-    step = 1e-5
-
-    def d1(r):
-        return (fhat(r + step) - fhat(r - step)) / (2 * step)
-
-    def d2(r):
-        return (fhat(r + step) - 2 * fhat(r) + fhat(r - step)) / step**2
-
     rows = []
     ok = True
     for d in dims:
@@ -366,7 +340,7 @@ def cmd_norms(args):
                 grid = make_grid(args.R, N)
                 gf = GridFunction.from_callable(grid, fhat, "even")
                 wn = weighted_sobolev_norm(gf, k, d)
-                on = radial_sobolev_norm_oracle(fhat, k, d, args.R, derivs=(d1, d2))
+                on = radial_sobolev_norm_oracle(fhat, k, d, args.R)
                 ratios.append(on / wn)
             drift = abs(ratios[1] / ratios[0] - 1.0)
             ok = ok and drift < 0.1
@@ -384,12 +358,46 @@ def cmd_norms(args):
     return 0 if ok else 1
 
 
-_CSV_DOCS = {
-    "identities": "columns: d, check, max_residual",
-    "freewave": "columns: s, norm[, fd_norm] (fd series measured in the k=1 norm)",
-    "spectrum": "JSON only: {d, R, N, eigenvalues: [{re, im, stable}], gap, ...}",
-    "blowup": "columns: s, norm_k, norm_km1, projection_coeff",
-    "norms": "columns: d, k, ratio_N, ratio_2N, drift (d=0 rows: Hardy / integral operator)",
+# every option: key -> (type, default, help); the flag is the key with "-"
+# for "_", and a bool option is a switch
+_OPTIONS = {
+    "d": (int, 7, "odd space dimension"),
+    "dims": (str, "7", "comma list of odd dimensions"),
+    "R": (float, 2.0, "domain radius (>= 1/2)"),
+    "N": (int, 64, "radial node count"),
+    "s_end": (float, 5.0, "final hyperboloidal time"),
+    "scan_ssc": (bool, False, "also scan the mode equation in similarity coordinates"),
+    "eps": (float, 0.05, "perturbation support radius"),
+    "amp": (float, 1e-3, "perturbation amplitude"),
+    "dt": (float, None, f"fixed integrating-factor RK4 step (default {DEFAULT_STEP})"),
+    "seed": (int, 0, "seed of the random test functions"),
+    "out": (str, None, "output path prefix (default: the command name)"),
+}
+
+# every subcommand: name -> (function, the option keys it reads, epilog);
+# it accepts those flags and config keys and no others
+_COMMANDS = {
+    "identities": (cmd_identities, ("dims", "R", "out"), "columns: d, check, max_residual"),
+    "freewave": (
+        cmd_freewave,
+        ("d", "R", "N", "s_end", "out"),
+        "columns: s, norm[, fd_norm] (fd series measured in the k=1 norm)",
+    ),
+    "spectrum": (
+        cmd_spectrum,
+        ("d", "R", "N", "scan_ssc", "out"),
+        "JSON only: {d, R, N, eigenvalues: [{re, im, stable}], gap, ...}",
+    ),
+    "blowup": (
+        cmd_blowup,
+        ("d", "R", "N", "eps", "amp", "dt", "out"),
+        "columns: s, norm_k, norm_km1, projection_coeff",
+    ),
+    "norms": (
+        cmd_norms,
+        ("dims", "R", "N", "seed", "out"),
+        "columns: d, k, ratio_N, ratio_2N, drift (d=0 rows: Hardy / integral operator)",
+    ),
 }
 
 
@@ -411,37 +419,22 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--d", type=int, help="odd space dimension")
-        p.add_argument("--R", type=float, help="domain radius (>= 1/2)")
-        p.add_argument("--N", type=int, help="radial node count")
-        p.add_argument("--eps", type=float, help="perturbation support radius")
-        p.add_argument("--amp", type=float, help="perturbation amplitude")
-        p.add_argument("--s-end", dest="s_end", type=float)
-        p.add_argument(
-            "--dt",
-            type=float,
-            help=f"blowup: fixed integrating-factor RK4 step (default {DEFAULT_STEP})",
-        )
-        p.add_argument("--out", type=str, help="output path prefix")
-        p.add_argument("--config", type=str, default=None, help="flat JSON config file")
-        p.add_argument("--dims", type=str, help="comma list of dimensions")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--scan-ssc", dest="scan_ssc", action="store_true")
-
-    for name, fn in (
-        ("identities", cmd_identities),
-        ("freewave", cmd_freewave),
-        ("spectrum", cmd_spectrum),
-        ("blowup", cmd_blowup),
-        ("norms", cmd_norms),
-    ):
+    for name, (_, keys, epilog) in _COMMANDS.items():
         # SUPPRESS leaves every flag not given unset, so `_merge` can tell
-        # explicit flags from config values and defaults
-        p = sub.add_parser(name, epilog=_CSV_DOCS[name], argument_default=argparse.SUPPRESS)
+        # explicit flags from config values and defaults; without
+        # abbreviations `identities --d` is an unknown flag, not `--dims`
+        p = sub.add_parser(
+            name, epilog=epilog, argument_default=argparse.SUPPRESS, allow_abbrev=False
+        )
         p._negative_number_matcher = _NEGATIVE_NUMBER
-        add_common(p)
-        p.set_defaults(func=fn)
+        for key in keys:
+            kind, _, text = _OPTIONS[key]
+            flag = "--" + key.replace("_", "-")
+            if kind is bool:
+                p.add_argument(flag, dest=key, action="store_true", help=text)
+            else:
+                p.add_argument(flag, dest=key, type=kind, help=text)
+        p.add_argument("--config", type=str, default=None, help="flat JSON config file")
     return parser
 
 
@@ -450,17 +443,18 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args = _merge(args)
-        for key, (kind, _) in _OPTIONS.items():
+        func, keys, _ = _COMMANDS[args.command]
+        for key in keys:
             value = getattr(args, key)
-            if kind is float and value is not None and not math.isfinite(value):
+            if _OPTIONS[key][0] is float and value is not None and not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}")
-        if args.d % 2 == 0 or args.d < 1:
+        if "d" in keys and (args.d % 2 == 0 or args.d < 1):
             raise ConfigError(f"dimension must be odd and positive, got {args.d}")
         if args.command in ("spectrum", "blowup") and args.d < 7:
             raise ConfigError(f"the blowup profile needs d >= 7, got {args.d}")
         if not args.R >= 0.5:
             raise ConfigError(f"R must be >= 1/2, got {args.R}")
-        return args.func(args)
+        return func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -192,10 +192,10 @@ def intertwining_residual(d, f1, f2, grid: Grid, k=1):
     return _series_pair_norm(grid, R1, R2, k) / denom
 
 
-def stepwise_intertwining_residual(d, f1, f2, grid: Grid, k=1):
+def stepwise_intertwining_residual(d, f1, f2, grid: Grid):
     """Relative residual of the single-step identity D_d L_d = L_{d-2} D_d
-    (with the extra lower-order term at d = 3)."""
-    order = k + 5
+    (with the extra lower-order term at d = 3), in the k = 1 series norm."""
+    order = 6
     x = jet_seed(grid.y, order)
     F1, F2 = f1(x), f2(x)
     L1c, L2c = apply_Ld_series(d, F1, F2, x)
@@ -206,8 +206,8 @@ def stepwise_intertwining_residual(d, f1, f2, grid: Grid, k=1):
         rhs1, rhs2 = rhs1 + dv1, rhs2 + dv2
     R1 = lhs1 - rhs1
     R2 = lhs2 - rhs2
-    scale = _series_pair_norm(grid, lhs1, lhs2, k) + _series_pair_norm(grid, rhs1, rhs2, k)
-    return _series_pair_norm(grid, R1, R2, k) / scale
+    scale = _series_pair_norm(grid, lhs1, lhs2, 1) + _series_pair_norm(grid, rhs1, rhs2, 1)
+    return _series_pair_norm(grid, R1, R2, 1) / scale
 
 
 def evolve_free_wave(d, state: StateVector, ds) -> StateVector:
@@ -222,6 +222,7 @@ def evolve_free_wave(d, state: StateVector, ds) -> StateVector:
 
 
 _UPWIND_WIDTH = 3  # cells spanned by the second-order upwind stencil
+FD_CFL = 0.4  # Courant number of the FD oracle's RK4 steps
 
 
 def _upwind_entries(coef, speed, row0, own0, ghost0):
@@ -355,7 +356,7 @@ def _at_nodes(r, fields, eta):
     return tuple(CubicSpline(r, f)(eta) for f in fields)
 
 
-def direct_fd_oracle(d, f1, f2, s_end, R, eta, m=400, cfl=0.4):
+def direct_fd_oracle(d, f1, f2, s_end, R, eta, m=400, cfl=FD_CFL):
     """Upwinded method-of-lines reference for the radial wave evolution in
     similarity coordinates, from callable initial data (v, d_s v):
     (v, d_s v) at time s_end and the nodes eta, Richardson-extrapolated on
@@ -366,11 +367,11 @@ def direct_fd_oracle(d, f1, f2, s_end, R, eta, m=400, cfl=0.4):
     return _at_nodes(r, [(4 * f - c) / 3.0 for f, c in zip(fine, coarse)], eta)
 
 
-def fd_oracle_series(d, f1, f2, s_values, R, eta, m=300, cfl=0.4):
+def fd_oracle_series(d, f1, f2, s_values, R, eta, m=300):
     """Snapshots [(v, d_s v), ...] of the reference solution at the nodes
     eta, one per time in `s_values` and in the order given (see `_fd_run`);
     no extrapolation."""
-    r, shots = _fd_run(d, f1, f2, s_values, R, m, cfl)
+    r, shots = _fd_run(d, f1, f2, s_values, R, m, FD_CFL)
     return [_at_nodes(r, shot, eta) for shot in shots]
 
 

@@ -129,7 +129,7 @@ def sqrt_det(s, y, d=None):
     return np.exp(-(d + 1) * s) * _scale(y)
 
 
-def contracted_christoffel_residual(s, y, step=None):
+def contracted_christoffel_residual(s, y):
     """Residual of (1/sqrt|g|) d_mu(g^{mu nu} sqrt|g|) = -g^{kl} Gamma^nu_{kl},
     with the divergence taken by 6th-order central differences.
 
@@ -138,8 +138,7 @@ def contracted_christoffel_residual(s, y, step=None):
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     d = y.size
-    if step is None:
-        step = 0.02 / max(2.0, d - 1.0)
+    step = 0.02 / max(2.0, d - 1.0)
 
     def flux(sv, yv):
         return inverse_metric(sv, yv) * sqrt_det(sv, yv, d)

@@ -8,6 +8,7 @@ is never a collocation point; all coefficient functions with 1/eta poles can
 then be evaluated directly.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -274,19 +275,19 @@ class StateVector:
         return self.f1.grid
 
     @classmethod
-    def zero(cls, grid, parity="even"):
+    def zero(cls, grid):
         z = np.zeros(grid.N)
-        return cls(GridFunction(grid, z, parity), GridFunction(grid, z.copy(), parity))
+        return cls(GridFunction(grid, z, "even"), GridFunction(grid, z.copy(), "even"))
 
     def stacked(self):
         return np.concatenate([self.f1.values, self.f2.values])
 
     @classmethod
-    def from_stacked(cls, grid, vec, parity="even"):
+    def from_stacked(cls, grid, vec):
         vec = np.asarray(vec, dtype=float)
         return cls(
-            GridFunction(grid, vec[: grid.N], parity),
-            GridFunction(grid, vec[grid.N :], parity),
+            GridFunction(grid, vec[: grid.N], "even"),
+            GridFunction(grid, vec[grid.N :], "even"),
         )
 
 
@@ -435,7 +436,7 @@ def extension_eval(grid: Grid, full_values, k, pts, endpoint_derivs=None):
     def taylor(coeffs, dx):
         out = np.zeros_like(dx)
         for j in range(0, k + 1, 2):
-            out += 2.0 * coeffs[j] / _factorial(j) * dx**j
+            out += 2.0 * coeffs[j] / math.factorial(j) * dx**j
         return out
 
     x = np.atleast_1d(np.asarray(pts, dtype=float))
@@ -467,13 +468,6 @@ def extension_operator(grid: Grid, full_values, k, endpoint_derivs=None):
     """
     big = Grid(2 * grid.R, 2 * grid.N)
     return big, extension_eval(grid, full_values, k, big.y, endpoint_derivs)
-
-
-def _factorial(j):
-    out = 1
-    for i in range(2, j + 1):
-        out *= i
-    return out
 
 
 def hardy_check(grid: Grid, full_values, s):

@@ -128,21 +128,20 @@ def cauchy_tr_solver(
     params: DimensionParams,
     pert: PerturbationSpec,
     m=360,
-    cfl=0.4,
 ) -> CauchySolution:
     """Radial method-of-lines solution of the Cauchy problem near t = 0.
 
-    Leapfrog in time on a staggered grid over r < 8 eps (even extension
-    through r = 0) for the deviation from the reference profile; integrates
-    backward to t = -4 eps and forward to t = eps, which covers every initial
-    hyperboloid with blowup time in [1 - eps, 1 + eps].  A deviation beyond
-    CAUCHY_GUARD aborts with a local-existence error.
+    Leapfrog in time (CFL number 0.4) on a staggered grid over r < 8 eps
+    (even extension through r = 0) for the deviation from the reference
+    profile; integrates backward to t = -4 eps and forward to t = eps, which
+    covers every initial hyperboloid with blowup time in [1 - eps, 1 + eps].
+    A deviation beyond CAUCHY_GUARD aborts with a local-existence error.
     """
     d = params.d
     eps = pert.eps
     dr = 8.0 * eps / m
     r = (np.arange(m) + 0.5) * dr
-    dt = cfl * dr
+    dt = 0.4 * dr
     a, b = params.a, params.b
 
     u_star = lambda t: -a / (b * (1.0 - t) ** 2 + r * r)

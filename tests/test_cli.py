@@ -1,8 +1,12 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from hyperwave.cli import build_parser, main
+from hyperwave.cli import _COMMANDS, build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(argv):
@@ -11,7 +15,8 @@ def run(argv):
 
 class TestConfigGates:
     def test_even_dimension_exit_2(self, tmp_path):
-        assert run(["identities", "--d", "6", "--out", str(tmp_path / "x")]) == 2
+        assert run(["identities", "--dims", "6", "--out", str(tmp_path / "x")]) == 2
+        assert run(["freewave", "--d", "6", "--out", str(tmp_path / "x")]) == 2
 
     def test_small_radius_exit_2(self, tmp_path):
         assert run(["identities", "--R", "0.3", "--out", str(tmp_path / "x")]) == 2
@@ -24,7 +29,48 @@ class TestConfigGates:
     def test_wrong_type_exit_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"N": "many"}))
-        assert run(["identities", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert run(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # `--d` is not taken as an abbreviation of `--dims`
+            ["identities", "--d", "7"],
+            ["freewave", "--dims", "7"],
+            ["spectrum", "--eps", "0.1"],
+            ["blowup", "--seed", "1"],
+            ["norms", "--amp", "nan"],
+        ],
+    )
+    def test_unread_flag_exit_2(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "command, cfg",
+        [
+            ("identities", {"N": 4}),
+            ("freewave", {"scan_ssc": True}),
+            ("spectrum", {"eps": -3}),
+            ("blowup", {"dims": "7"}),
+            ("norms", {"amp": 2}),
+        ],
+    )
+    def test_unread_config_key_exit_2(self, tmp_path, capsys, command, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run([command, "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert not list(tmp_path.glob("x*"))
+
+    def test_readme_lists_each_command_keys(self):
+        rows = re.findall(r"^\| (\w+) +\| `([^`]*)` +\|$", README.read_text(), re.MULTILINE)
+        assert {name: tuple(keys.split(", ")) for name, keys in rows} == {
+            name: keys for name, (_, keys, _) in _COMMANDS.items()
+        }
 
     def test_bad_dims_exit_2(self, tmp_path):
         assert run(["identities", "--dims", "3,four", "--out", str(tmp_path / "x")]) == 2

@@ -169,16 +169,15 @@ class TestRieszProjection:
         bump = GridFunction.from_callable(grid96, lambda e: np.exp(-3 * (e - 0.6) ** 2), "even")
         st = StateVector(bump, GridFunction(grid96, -0.2 * bump.values, "even"))
         ds = 0.5
-        a = proj96 @ evolve_linear(op96, st, ds).stacked()
-        b = evolve_linear(
-            op96, StateVector.from_stacked(grid96, proj96 @ st.stacked()), ds
-        ).stacked()
-        assert np.max(np.abs(a - b)) / np.max(np.abs(st.stacked())) < 1e-5
+        (a,) = evolve_linear(op96, st, [ds])
+        (b,) = evolve_linear(op96, StateVector.from_stacked(grid96, proj96 @ st.stacked()), [ds])
+        diff = proj96 @ a.stacked() - b.stacked()
+        assert np.max(np.abs(diff)) / np.max(np.abs(st.stacked())) < 1e-5
 
 
 class TestLinearEvolution:
     def test_zero(self, op96, grid96):
-        out = evolve_linear(op96, StateVector.zero(grid96), 1.0)
+        (out,) = evolve_linear(op96, StateVector.zero(grid96), [1.0])
         assert np.max(np.abs(out.stacked())) == 0.0
 
     def test_unstable_direction_grows_like_e_s(self, params7, grid96, op96, proj96):
