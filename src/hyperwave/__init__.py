@@ -3,14 +3,16 @@ hyperboloidal similarity coordinates and the stability of self-similar
 blowup in the equivariant Yang-Mills equation in odd dimensions.
 
 Layers:
-    model       closed-form constants, coordinates, profile, potential
+    model       closed-form constants, height function, potential, nonlinearity
     coeffs      wave-system coefficient functions and their identities
-    geometry    spacetime tensors of the similarity coordinates
+    geometry    inverse metric and Christoffel symbols of the coordinates
     grids       spectral collocation, quadrature, radial Sobolev norms
-    halfwave    1-d transport fields and the exact half-wave evolution
-    descent     dimension-lowering operators and the free wave propagator
-    linstab     linearized operator, spectrum, rank-one projection, mode ODE
+    halfwave    half-wave (de)composition and the exact half-wave evolution
+    descent     descent operators, the free wave propagator, the FD oracle
+    linstab     linearized operator, spectrum, rank-one projection, mode scan
     nonlinear   Cauchy data preparation and the blowup-stability experiment
+    stepping    the Lawson RK4 step and the classical RK4 step as a matrix
+    jets        truncated Taylor arithmetic for the identity residuals
     cli         command-line front end emitting CSV/JSON artifacts
 """
 

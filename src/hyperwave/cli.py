@@ -63,9 +63,9 @@ def _load_config(path, command):
         if key not in keys:
             raise ConfigError(f"{command} reads no config key {key!r}; it reads {', '.join(keys)}")
         want = _OPTIONS[key][0]
-        if want is float and isinstance(value, int):
-            continue
-        if not isinstance(value, want):
+        # JSON true/false load as bool, a subclass of int: only a bool key takes them
+        fits = isinstance(value, want) or (want is float and isinstance(value, int))
+        if not fits or (isinstance(value, bool) and want is not bool):
             raise ConfigError(f"config key {key!r} must be {want.__name__}")
     return raw
 

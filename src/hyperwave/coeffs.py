@@ -17,7 +17,6 @@ import numpy as np
 from .jets import jet_seed, jsqrt
 
 __all__ = [
-    "ghat00",
     "generator_row",
     "c1_fn",
     "c2_fn",
@@ -31,7 +30,6 @@ __all__ = [
     "t12_fn",
     "t21_fn",
     "t22_fn",
-    "wronskian_fn",
     "identity_residuals",
 ]
 
@@ -104,26 +102,15 @@ def t22_fn(x):
     return -(S - 2.0) / (S * (S - 1.0))
 
 
-def wronskian_fn(d, x):
-    """Wronskian of the two descent kernel solutions, -h'/eta^(2(d-2))."""
-    x = np.asarray(x, dtype=float)
-    return -(x / np.sqrt(2.0 + x * x)) / x ** (2 * (d - 2))
-
-
-def ghat00(s, eta):
-    """Time-time component of the inverse metric along radial profiles."""
-    S = _S(np.asarray(eta, dtype=float))
-    return -np.exp(2.0 * np.asarray(s, dtype=float)) / (2.0 * np.square(S - 1.0))
-
-
 def generator_row(d, x, F1, F2, deriv):
     """Second row c11 F1' + c12 F1'' + c20 F2 + c21 F2' of the free radial
     wave generator L_d, whose first row is F2.
 
-    The one definition of L_d: the collocation path (x = eta, `deriv` =
-    `Grid.deriv_half`), the dense generator matrix (the same with identity
-    columns for F1, F2) and the Taylor-series path of the identity residuals
-    (x a jet seed, `deriv` = `Taylor.deriv`) all call it.  `deriv(F, parity)`
+    The one definition of L_d: the collocation path of the descent step
+    (x = eta, `deriv` = `Grid.deriv_half`), the dense generator matrix (the
+    same with identity columns for F1, F2) and the Taylor-series path of the
+    operator identity tests (x a jet seed, `deriv` the series derivative)
+    all call it.  `deriv(F, parity)`
     differentiates F, which has the given parity.
     """
     F1p = deriv(F1, "even")

@@ -1,6 +1,7 @@
 """Descent operators between odd space dimensions, their integral-kernel
-inverses, the composite reduction to the 1-d wave equation, and the free
-radial wave propagator built from it.
+inverses, the composite reduction to the 1-d wave equation, the free radial
+wave propagator built from it, and the upwind finite-difference reference
+solver that `freewave` checks the propagator against.
 
 States in d dimensions are even two-component half-grid functions; the
 composite descent lands on the odd module of the 1-d machinery.
@@ -10,35 +11,19 @@ import numpy as np
 from scipy import sparse
 
 from . import coeffs
-from .grids import (
-    Grid,
-    GridFunction,
-    StateVector,
-    odd_state_norm,
-    weighted_sobolev_norm,
-    weighted_state_norm,
-)
+from .grids import Grid, GridFunction, StateVector
 from .halfwave import evolve_S1
-from .jets import jet_seed
 from .model import HEIGHT
 from .stepping import rk4_matrix
 
 __all__ = [
-    "apply_Ld",
     "descent_step",
     "descent_step_inverse",
     "descent_full",
     "descent_full_inverse",
-    "apply_Ld_series",
-    "descent_step_series",
-    "descent_full_series",
-    "intertwining_residual",
-    "stepwise_intertwining_residual",
     "evolve_free_wave",
     "direct_fd_oracle",
     "fd_oracle_series",
-    "descent_norm_ratio",
-    "t22_bound_ratio",
 ]
 
 
@@ -52,20 +37,6 @@ def _descent_pair(d, x, F1, F2, deriv):
     c2 = coeffs.c2_fn(x)
     LF = (F2, coeffs.generator_row(d, x, F1, F2, deriv))
     return tuple((d - 2.0) * F + c1 * deriv(F, "even") + c2 * L for F, L in zip((F1, F2), LF))
-
-
-def _series_deriv(F, parity):
-    return F.deriv()
-
-
-def apply_Ld(d, state: StateVector) -> StateVector:
-    """Free radial wave generator in d dimensions on even half-grid states."""
-    grid = state.grid
-    f1, f2 = state.f1.values, state.f2.values
-    row2 = coeffs.generator_row(d, grid.eta, f1, f2, grid.deriv_half)
-    return StateVector(
-        GridFunction(grid, f2.copy(), "even"), GridFunction(grid, row2, "even")
-    )
 
 
 def descent_step(d, state: StateVector) -> StateVector:
@@ -133,81 +104,6 @@ def descent_full_inverse(d, state: StateVector) -> StateVector:
     for dd in range(3, d + 1, 2):
         out = descent_step_inverse(dd, out)
     return out
-
-
-# ----------------------------------------------------------------------
-# Taylor-series pipeline
-#
-# The intertwining identities stack up to d - 1 derivatives; evaluating them
-# through collocation matrices amplifies roundoff by ~N^2 per derivative and
-# drowns the residual.  Carrying truncated Taylor expansions of the data
-# through the same formula functions the grid path and the dense generator
-# run (`coeffs.generator_row`, `_descent_pair`) keeps every derivative exact,
-# so the residuals below are meaningful at the 1e-10 level and certify the
-# code that runs.
-
-
-def apply_Ld_series(d, F1, F2, x):
-    return F2, coeffs.generator_row(d, x, F1, F2, _series_deriv)
-
-
-def descent_step_series(d, F1, F2, x):
-    return _descent_pair(d, x, F1, F2, _series_deriv)
-
-
-def descent_full_series(d, F1, F2, x):
-    for dd in range(d, 1, -2):
-        F1, F2 = descent_step_series(dd, F1, F2, x)
-    return F1, F2
-
-
-def _series_pair_norm(grid, F1, F2, k):
-    total = 0.0
-    for j in range(k + 1):
-        total += np.sqrt(max(grid.quad_full(F1.derivative_values(j) ** 2), 0.0))
-    for j in range(k):
-        total += np.sqrt(max(grid.quad_full(F2.derivative_values(j) ** 2), 0.0))
-    return total
-
-
-def intertwining_residual(d, f1, f2, grid: Grid, k=1):
-    """Relative residual of D_d L_d v - D_d v = L_1 D_d v on smooth data.
-
-    f1, f2 are callables generic over Taylor input (see `jets`); the whole
-    identity is evaluated in series arithmetic on the full grid and measured
-    in the odd-module H^k x H^(k-1) norm, relative to the d-dimensional norm
-    of the data.
-    """
-    order = d + k + 1
-    x = jet_seed(grid.y, order)
-    F1, F2 = f1(x), f2(x)
-    L1c, L2c = apply_Ld_series(d, F1, F2, x)
-    lhs1, lhs2 = descent_full_series(d, L1c, L2c, x)
-    dv1, dv2 = descent_full_series(d, F1, F2, x)
-    rhs1, rhs2 = apply_Ld_series(1, dv1, dv2, x)
-    R1 = lhs1 - dv1 - rhs1
-    R2 = lhs2 - dv2 - rhs2
-    m = (d - 1) // 2
-    denom = _series_pair_norm(grid, x**m * F1, x**m * F2, k + (d - 3) // 2)
-    return _series_pair_norm(grid, R1, R2, k) / denom
-
-
-def stepwise_intertwining_residual(d, f1, f2, grid: Grid):
-    """Relative residual of the single-step identity D_d L_d = L_{d-2} D_d
-    (with the extra lower-order term at d = 3), in the k = 1 series norm."""
-    order = 6
-    x = jet_seed(grid.y, order)
-    F1, F2 = f1(x), f2(x)
-    L1c, L2c = apply_Ld_series(d, F1, F2, x)
-    lhs1, lhs2 = descent_step_series(d, L1c, L2c, x)
-    dv1, dv2 = descent_step_series(d, F1, F2, x)
-    rhs1, rhs2 = apply_Ld_series(d - 2, dv1, dv2, x)
-    if d == 3:
-        rhs1, rhs2 = rhs1 + dv1, rhs2 + dv2
-    R1 = lhs1 - rhs1
-    R2 = lhs2 - rhs2
-    scale = _series_pair_norm(grid, lhs1, lhs2, 1) + _series_pair_norm(grid, rhs1, rhs2, 1)
-    return _series_pair_norm(grid, R1, R2, 1) / scale
 
 
 def evolve_free_wave(d, state: StateVector, ds) -> StateVector:
@@ -373,17 +269,3 @@ def fd_oracle_series(d, f1, f2, s_values, R, eta, m=300):
     no extrapolation."""
     r, shots = _fd_run(d, f1, f2, s_values, R, m, FD_CFL)
     return [_at_nodes(r, shot, eta) for shot in shots]
-
-
-def descent_norm_ratio(d, state: StateVector, k=1):
-    """Ratio of the descended odd-module norm to the d-dimensional norm."""
-    down = descent_full(d, state)
-    return odd_state_norm(down, k) / weighted_state_norm(state, k + (d - 3) // 2, d)
-
-
-def t22_bound_ratio(d, g2: GridFunction, k=2):
-    """Empirical constant in the second-component kernel bound: the f2 of
-    the one-step inverse on (0, g2), where the f1 kernels vanish exactly."""
-    zero = GridFunction(g2.grid, np.zeros(g2.grid.N), "even")
-    out = descent_step_inverse(d, StateVector(zero, g2)).f2
-    return weighted_sobolev_norm(out, k, d) / weighted_sobolev_norm(g2, k - 1, d - 2)

@@ -1,10 +1,9 @@
 """Geometry of the similarity coordinates on (1+d)-dimensional Minkowski
-space: Jacobians, metric, Christoffel symbols and the contracted-Christoffel
-consistency check.
+space: inverse metric, volume density, Christoffel symbols and the
+contracted-Christoffel consistency check.
 
 Tensors are evaluated at a single spacetime point (s, y) with y a
 d-dimensional spatial vector; index 0 is the hyperboloidal time direction.
-Radial callers use `geometry_tables`, which places y on the first axis.
 """
 
 import numpy as np
@@ -12,14 +11,10 @@ import numpy as np
 from .model import HEIGHT
 
 __all__ = [
-    "hsc_jacobian",
-    "hsc_inverse_jacobian",
-    "metric",
     "inverse_metric",
     "christoffel",
     "sqrt_det",
     "contracted_christoffel_residual",
-    "geometry_tables",
 ]
 
 # 6th-order central difference weights on a 7-point stencil.
@@ -48,46 +43,6 @@ def _scale(y):
     """The positive scalar y.grad(h) - h entering every inverse formula."""
     r = np.linalg.norm(y)
     return r * HEIGHT.dh(r) - HEIGHT.h(r)
-
-
-def hsc_jacobian(s, y):
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    d = y.size
-    es = np.exp(-s)
-    jac = np.zeros((d + 1, d + 1))
-    jac[0, 0] = -es * HEIGHT.h(np.linalg.norm(y))
-    jac[0, 1:] = es * _grad_h(y)
-    jac[1:, 0] = -es * y
-    jac[1:, 1:] = es * np.eye(d)
-    return jac
-
-
-def hsc_inverse_jacobian(s, y):
-    """Jacobian of the inverse coordinate map, expressed at the point (s, y)."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    d = y.size
-    es = np.exp(s)
-    D = _scale(y)
-    gh = _grad_h(y)
-    inv = np.zeros((d + 1, d + 1))
-    inv[0, 0] = es / D
-    inv[0, 1:] = -es * gh / D
-    inv[1:, 0] = es * y / D
-    inv[1:, 1:] = es * (np.eye(d) - np.outer(y, gh) / D)
-    return inv
-
-
-def metric(s, y):
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    d = y.size
-    e2s = np.exp(-2.0 * s)
-    h = HEIGHT.h(np.linalg.norm(y))
-    gh = _grad_h(y)
-    g = np.zeros((d + 1, d + 1))
-    g[0, 0] = e2s * (-h * h + y @ y)
-    g[0, 1:] = g[1:, 0] = e2s * (h * gh - y)
-    g[1:, 1:] = e2s * (np.eye(d) - np.outer(gh, gh))
-    return g
 
 
 def inverse_metric(s, y):
@@ -157,20 +112,3 @@ def contracted_christoffel_residual(s, y):
     ginv = inverse_metric(s, y)
     contracted = np.einsum("kl,nkl->n", ginv, gamma)
     return np.max(np.abs(div / sqrt_det(s, y, d) + contracted))
-
-
-def geometry_tables(s, r, d):
-    """All geometric data at the radial point y = r e_1 in d space dimensions."""
-    y = np.zeros(d)
-    y[0] = float(r)
-    jac = hsc_jacobian(s, y)
-    inv_jac = hsc_inverse_jacobian(s, y)
-    return {
-        "jacobian": jac,
-        "inverse_jacobian": inv_jac,
-        "metric": metric(s, y),
-        "inverse_metric": inverse_metric(s, y),
-        "christoffel": christoffel(s, y),
-        "sqrt_det": sqrt_det(s, y, d),
-        "jacobian_identity_error": float(np.max(np.abs(jac @ inv_jac - np.eye(d + 1)))),
-    }

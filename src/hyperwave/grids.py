@@ -1,14 +1,13 @@
 """Spectral collocation infrastructure: Chebyshev-Lobatto grids on [-R, R]
 symmetrised to radial half-grids, differentiation and quadrature, barycentric
-interpolation, spectral antiderivatives, the weighted radial Sobolev norms,
-and the extension / Hardy / integral-operator test utilities.
+interpolation, spectral antiderivatives, the weighted radial Sobolev norms
+and their brute-force oracle, and the Hardy and integral-operator checks.
 
 The full grid deliberately contains an even number of nodes so that eta = 0
 is never a collocation point; all coefficient functions with 1/eta poles can
 then be evaluated directly.
 """
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -16,8 +15,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy.fft import dct
 from numpy.polynomial.legendre import leggauss
-
-from .model import HEIGHT
 
 __all__ = [
     "Grid",
@@ -29,10 +26,6 @@ __all__ = [
     "weighted_state_norm",
     "odd_state_norm",
     "radial_sobolev_norm_oracle",
-    "hpm_inner",
-    "extension_operator",
-    "extension_eval",
-    "smooth_cutoff",
     "hardy_check",
     "integral_op_T",
 ]
@@ -150,10 +143,6 @@ class Grid:
     def quad_full(self, full_values):
         return float(self.w @ np.asarray(full_values))
 
-    def quad_half(self, values):
-        """Integral over [0, R] of an even function given on the half grid."""
-        return float(self.w_half @ np.asarray(values))
-
     def radial_weights(self, d):
         """Half-grid quadrature weights of the radial measure eta^(d-1) d eta."""
         return self.w_half * self.eta ** (d - 1)
@@ -254,10 +243,6 @@ class GridFunction:
     def full(self):
         return self.grid.extend(self.values, self.parity)
 
-    def deriv(self):
-        flipped = "odd" if self.parity == "even" else "even"
-        return GridFunction(self.grid, self.grid.deriv_half(self.values, self.parity), flipped)
-
 
 @dataclass
 class StateVector:
@@ -273,11 +258,6 @@ class StateVector:
     @property
     def grid(self):
         return self.f1.grid
-
-    @classmethod
-    def zero(cls, grid):
-        z = np.zeros(grid.N)
-        return cls(GridFunction(grid, z, "even"), GridFunction(grid, z.copy(), "even"))
 
     def stacked(self):
         return np.concatenate([self.f1.values, self.f2.values])
@@ -387,87 +367,8 @@ def radial_sobolev_norm_oracle(fhat, k, d, R, derivs=None):
     return float(total)
 
 
-def hpm_inner(grid, f_full, g_full, sign):
-    """Inner product with the h_pm' weight 1 +- h' on [-R, R]."""
-    weight = 1.0 + float(sign) * HEIGHT.dh(grid.y)
-    return grid.quad_full(np.asarray(f_full) * np.conj(g_full) * weight)
-
-
 # ----------------------------------------------------------------------
-# extension operator, Hardy check, integral operator
-
-
-def smooth_cutoff(t):
-    """C-infinity cutoff: 1 on |t| <= 1, 0 on |t| >= 3/2."""
-    t = np.abs(np.asarray(t, dtype=float))
-
-    def bump(s):
-        out = np.zeros_like(s)
-        pos = s > 0
-        out[pos] = np.exp(-1.0 / s[pos])
-        return out
-
-    up = bump(1.5 - t)
-    down = bump(t - 1.0)
-    return up / (up + down)
-
-
-def extension_eval(grid: Grid, full_values, k, pts, endpoint_derivs=None):
-    """Evaluate the Sobolev extension of grid data at arbitrary points.
-
-    Inside [-R, R] this is the spectral interpolant; outside, the mirror
-    reflection corrected by an even-order Taylor polynomial at the seam,
-    smoothly cut off inside [-2R, 2R].  `endpoint_derivs` may supply exact
-    derivative values ((at -R), (at +R)) up to order k; the default takes
-    them from spectral differentiation of the grid data.
-    """
-    R = grid.R
-    f = np.asarray(full_values, dtype=float)
-    if endpoint_derivs is None:
-        derivs_left, derivs_right = [], []
-        g = f.copy()
-        for _ in range(k + 1):
-            derivs_left.append(g[0])
-            derivs_right.append(g[-1])
-            g = grid.D @ g
-    else:
-        derivs_left, derivs_right = endpoint_derivs
-
-    def taylor(coeffs, dx):
-        out = np.zeros_like(dx)
-        for j in range(0, k + 1, 2):
-            out += 2.0 * coeffs[j] / math.factorial(j) * dx**j
-        return out
-
-    x = np.atleast_1d(np.asarray(pts, dtype=float))
-    vals = np.zeros_like(x)
-    inner = np.abs(x) <= R
-    if np.any(inner):
-        vals[inner] = grid.interpolate(f, x[inner])
-    right = x > R
-    if np.any(right):
-        xr = np.minimum(x[right], 2 * R)
-        vals[right] = smooth_cutoff(xr / R) * (
-            -grid.interpolate(f, 2 * R - xr) + taylor(derivs_right, xr - R)
-        )
-        vals[right] = np.where(x[right] >= 2 * R, 0.0, vals[right])
-    left = x < -R
-    if np.any(left):
-        xl = np.maximum(x[left], -2 * R)
-        vals[left] = smooth_cutoff(xl / R) * (
-            -grid.interpolate(f, -2 * R - xl) + taylor(derivs_left, xl + R)
-        )
-        vals[left] = np.where(x[left] <= -2 * R, 0.0, vals[left])
-    return vals
-
-
-def extension_operator(grid: Grid, full_values, k, endpoint_derivs=None):
-    """Extend grid values on [-R, R] to grid values on [-2R, 2R].
-
-    Returns (big_grid, extended_full_values); see `extension_eval`.
-    """
-    big = Grid(2 * grid.R, 2 * grid.N)
-    return big, extension_eval(grid, full_values, k, big.y, endpoint_derivs)
+# Hardy check, integral operator
 
 
 def hardy_check(grid: Grid, full_values, s):

@@ -10,7 +10,7 @@ needed for that.
 
 import numpy as np
 
-__all__ = ["Taylor", "jet_seed", "jsqrt", "jexp"]
+__all__ = ["Taylor", "jet_seed", "jsqrt"]
 
 
 class Taylor:
@@ -128,23 +128,6 @@ class Taylor:
             out[k] = (a[k] - acc) * inv2
         return Taylor(out)
 
-    def exp(self):
-        a = self.coef
-        out = np.zeros_like(a)
-        out[0] = np.exp(a[0])
-        for k in range(1, a.shape[0]):
-            acc = np.zeros_like(a[0])
-            for j in range(1, k + 1):
-                acc += j * a[j] * out[k - j]
-            out[k] = acc / k
-        return Taylor(out)
-
-    def deriv(self):
-        if self.order < 1:
-            raise ValueError("series too short to differentiate")
-        k = np.arange(1, self.order + 1)
-        return Taylor(self.coef[1:] * k[:, None])
-
     def derivative_values(self, k):
         """Value array of the k-th derivative."""
         if k > self.order:
@@ -167,7 +150,3 @@ def jet_seed(x, order):
 
 def jsqrt(x):
     return x.sqrt() if isinstance(x, Taylor) else np.sqrt(x)
-
-
-def jexp(x):
-    return x.exp() if isinstance(x, Taylor) else np.exp(x)

@@ -1,7 +1,8 @@
 """Assembly and spectral analysis of the linearized wave evolution: dense
-collocation matrices with one cached eigen-decomposition each, filtered
-spectra, the rank-one spectral projection onto the unstable mode, linear
-propagation with decay fits, and the mode-ODE machinery in both coordinates.
+collocation matrices with one cached eigen-decomposition and cached matrix
+exponentials each, filtered spectra, the rank-one spectral projection onto
+the unstable mode, and the connection-determinant scan of the mode equation
+in standard similarity coordinates.
 """
 
 from dataclasses import dataclass, field
@@ -10,7 +11,7 @@ import numpy as np
 from scipy import linalg
 
 from . import coeffs
-from .grids import Grid, StateVector, make_grid, weighted_state_norm
+from .grids import Grid, make_grid
 from .model import DimensionParams, potential, symmetry_mode
 
 __all__ = [
@@ -21,11 +22,6 @@ __all__ = [
     "spectrum",
     "mode_angle",
     "riesz_projection",
-    "evolve_linear",
-    "linear_decay_fit",
-    "ModeODECoefficients",
-    "mode_ode_coeffs",
-    "frobenius_indices",
     "ssc_mode_scan",
     "ssc_scan_roots",
 ]
@@ -202,91 +198,6 @@ def riesz_projection(op: OperatorMatrix) -> np.ndarray:
     i = np.argmin(np.abs(values - 1.0))
     v, w = right[:, i], left[:, i].conj()
     return np.real(np.outer(v, w) / (w @ v))
-
-
-def evolve_linear(op: OperatorMatrix, state: StateVector, times):
-    """Exact propagation of d_s Phi = L Phi by the matrix exponential; one
-    state per output time in `times` (ascending).
-
-    Each interval between output times applies exp((target - s) L) once.
-    An explosion beyond e^{2s} growth aborts.
-    """
-    v = state.stacked()
-    norm0 = np.linalg.norm(v) + 1e-300
-    results = []
-    s = 0.0
-    for target in np.asarray(times, dtype=float):
-        if target > s:
-            v = op.propagator(target - s) @ v
-        s = target
-        if np.linalg.norm(v) > 100.0 * np.exp(2.0 * s) * norm0:
-            raise RuntimeError(f"linear evolution exploded beyond e^(2s) growth at s={s:.2f}")
-        results.append(StateVector.from_stacked(op.grid, v.copy()))
-    return results
-
-
-def linear_decay_fit(op: OperatorMatrix, state: StateVector, s_values=None):
-    """Least-squares growth exponent of the order-2 weighted state norm along
-    the linear evolution; returns (exponent, fit residual)."""
-    if s_values is None:
-        s_values = np.linspace(0.5, 6.0, 12)
-    norms = np.array(
-        [weighted_state_norm(st, 2, op.params.d) for st in evolve_linear(op, state, s_values)]
-    )
-    if np.any(norms <= 0.0):
-        raise RuntimeError("norm collapsed to zero during the fit window")
-    coeffs_fit = np.polyfit(s_values, np.log(norms), 1)
-    resid = float(np.max(np.abs(np.polyval(coeffs_fit, s_values) - np.log(norms))))
-    return float(coeffs_fit[0]), resid
-
-
-# ----------------------------------------------------------------------
-# mode ODE in both coordinate systems
-
-
-@dataclass
-class ModeODECoefficients:
-    lam: complex
-    eta: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
-    indices_origin: tuple
-    indices_half: tuple
-
-
-def mode_ode_coeffs(params: DimensionParams, lam, eta) -> ModeODECoefficients:
-    """Coefficients of f'' + p f' + q f = 0 for separated solutions
-    e^((lam+2)s) f(eta) of the linearized equation.
-
-    Derived by eliminating the second component from the spectral equation;
-    singular at eta = 0 and eta = 1/2.
-    """
-    lam = complex(lam)
-    eta = np.asarray(eta, dtype=float)
-    if np.any(eta <= 0.0) or np.any(np.abs(eta - 0.5) < 1e-12):
-        raise ValueError("mode ODE coefficients are singular at eta = 0 and eta = 1/2")
-    d = params.d
-    c12 = coeffs.c12_fn(eta)
-    p = (coeffs.c11_fn(d, eta) + (lam + 2.0) * coeffs.c21_fn(eta)) / c12
-    q = ((lam + 2.0) * (coeffs.c20_fn(d, eta) - lam - 2.0) + potential(params, eta)) / c12
-    return ModeODECoefficients(
-        lam=lam,
-        eta=eta,
-        p=p,
-        q=q,
-        indices_origin=frobenius_indices(params, lam)["origin"],
-        indices_half=frobenius_indices(params, lam)["half"],
-    )
-
-
-def frobenius_indices(params: DimensionParams, lam):
-    """Index pairs of the mode ODE at its regular singular points."""
-    lam = complex(lam)
-    d = params.d
-    return {
-        "origin": (0.0, float(2 - d)),
-        "half": (0.0, (d - 5) / 2.0 - lam),
-    }
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Closed-form layer: dimension constants, height function, coordinate maps,
-blowup profile, linearization potential, nonlinearity and the symmetry mode.
+"""Closed-form layer: dimension constants, the height function, the time of
+the initial slice, the linearization potential, the nonlinearity and the
+symmetry mode.
 
 Everything here is a pure function of its value inputs.  Radial arguments may
 be scalars or numpy arrays.
@@ -14,13 +15,7 @@ __all__ = [
     "make_params",
     "StandardHeight",
     "HEIGHT",
-    "hsc_map",
-    "hsc_inverse",
-    "similarity_time_scalar",
-    "blowup_profile",
-    "blowup_profile_hsc",
     "potential",
-    "potential_ssc",
     "nonlinearity_coeffs",
     "symmetry_mode",
     "initial_time_s0",
@@ -99,34 +94,6 @@ class StandardHeight:
 HEIGHT = StandardHeight()
 
 
-def hsc_map(T, s, y):
-    """Hyperboloidal similarity coordinates -> Cartesian: (s,y) -> (t,x)."""
-    es = np.exp(-np.asarray(s, dtype=float))
-    y = np.asarray(y, dtype=float)
-    return T + es * HEIGHT.h(y), es * y
-
-
-def similarity_time_scalar(T, t, x):
-    """The scalar g_T with log(g_T) = s along the inverse coordinate map."""
-    dt = T - np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return 1.0 / (dt + 0.5 * np.sqrt(2.0 * (dt * dt + x * x)))
-
-
-def hsc_inverse(T, t, x):
-    """Cartesian -> hyperboloidal similarity coordinates on Omega_T.
-
-    Only defined where |x| > -(T - t); outside, the point is at or beyond the
-    future light cone of (T, 0) and a ValueError is raised.
-    """
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) <= -(T - t)):
-        raise ValueError("point outside Omega_T: |x| <= t - T")
-    g = similarity_time_scalar(T, t, x)
-    return np.log(g), g * x
-
-
 def initial_time_s0(eps: float) -> float:
     """Hyperboloidal time of the initial slice whose tip sits at t = T - 1 - 2*eps."""
     return float(np.log(-HEIGHT.h(0.0) / (1.0 + 2.0 * eps)))
@@ -136,32 +103,6 @@ def _require_constants(params: DimensionParams):
     if params.a is None or params.b is None:
         raise ValueError(f"profile constants undefined for d={params.d} (need d >= 7)")
     return params.a, params.b
-
-
-def blowup_profile(params: DimensionParams, T, t, x):
-    """Extended self-similar blowup solution in Cartesian coordinates."""
-    a, b = _require_constants(params)
-    dt = T - np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    den = b * dt * dt + x * x
-    if np.any(den == 0.0):
-        raise ValueError("blowup profile is singular at (t, x) = (T, 0)")
-    return -a / den
-
-
-def blowup_profile_hsc(params: DimensionParams, T, s, y):
-    """Blowup profile and its s-derivative along the similarity coordinates.
-
-    The composition with the coordinate map depends on s only through e^{2s},
-    so the s-derivative is twice the value.  T drops out when profile and
-    coordinates share the same blowup time; it is accepted for signature
-    symmetry with the Cartesian version.
-    """
-    a, b = _require_constants(params)
-    del T
-    h = HEIGHT.h(y)
-    val = -np.exp(2.0 * np.asarray(s, dtype=float)) * a / (b * h * h + np.square(y))
-    return val, 2.0 * val
 
 
 def potential(params: DimensionParams, y):
@@ -176,14 +117,6 @@ def potential(params: DimensionParams, y):
     w = 1.0 - dh * dh
     y2 = np.square(y)
     return -3.0 * a * (d - 4) * (u * u / w) * ((a - 2.0) * y2 - 2.0 * b * h * h) / np.square(b * h * h + y2)
-
-
-def potential_ssc(params: DimensionParams, rho):
-    """The same potential seen from standard similarity coordinates."""
-    a, b = _require_constants(params)
-    d = params.d
-    rho2 = np.square(np.asarray(rho, dtype=float))
-    return -3.0 * (d - 4) * a * ((a - 2.0) * rho2 - 2.0 * b) / np.square(b + rho2)
 
 
 def nonlinearity_coeffs(params: DimensionParams, y):

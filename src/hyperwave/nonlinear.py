@@ -116,9 +116,6 @@ class CauchySolution:
             out[:, inside] = self._fit(np.stack([t[inside], r[inside]], axis=-1)).T
         return out
 
-    def max_deviation(self):
-        return float(np.max(np.abs(self.w)))
-
 
 # a (t, r) deviation beyond this aborts the Cauchy solve
 CAUCHY_GUARD = 1.0

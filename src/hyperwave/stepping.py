@@ -1,10 +1,11 @@
-"""The one Runge-Kutta stepper of the package: fourth order, classical or in
-integrating-factor (Lawson) form.
+"""Runge-Kutta steppers of the package: the integrating-factor (Lawson) RK4
+step of the nonlinear evolution, and the classical RK4 step of a constant
+linear system as one sparse matrix.
 
-The hyperboloidal nonlinear evolution and the method-of-lines half-wave
-oracle advance their states through `rk4`.  For a constant linear right-hand
-side x' = A x a classical step is a fixed matrix; `rk4_matrix` builds it once,
-so the finite-difference wave oracle takes each step as one sparse product.
+The hyperboloidal nonlinear evolution advances its state through `rk4`.  For
+a constant linear right-hand side x' = A x a classical step is a fixed
+matrix; `rk4_matrix` builds it once, so the finite-difference wave oracle
+takes each step as one sparse product.
 """
 
 from scipy import sparse
@@ -12,40 +13,30 @@ from scipy import sparse
 __all__ = ["rk4", "rk4_matrix"]
 
 
-def _identity(x):
-    return x
+def rk4(rhs, x, h, nsteps, propagators):
+    """Advance x by nsteps integrating-factor (Lawson) RK4 steps of size h
+    for x' = A x + rhs(x), with propagators (E, E2) = (exp(hA), exp(hA/2))
+    for the constant linear part A.
 
-
-def rk4(rhs, x, h, nsteps, propagators=None):
-    """Advance x by nsteps fourth-order Runge-Kutta steps of size h.
-
-    Without propagators this is classical RK4 for x' = rhs(x).  With
-    propagators (E, E2) = (exp(hA), exp(hA/2)) for a constant linear part A,
-    it is the integrating-factor (Lawson) RK4 step for x' = A x + rhs(x):
-    the linear part is propagated exactly, so the step size is not bound by
-    the stiffness of A, and rhs carries only the remainder.  Identity
-    propagators reduce the Lawson step to classical RK4 operation for
-    operation, so both forms share one code path.
+    The linear part is propagated exactly, so the step size is not bound by
+    the stiffness of A, and rhs carries only the remainder.
     """
-    if propagators is None:
-        E = E2 = _identity
-    else:
-        E, E2 = (p.__matmul__ for p in propagators)
+    E, E2 = propagators
     for _ in range(nsteps):
         k1 = rhs(x)
-        k2 = rhs(E2(x + 0.5 * h * k1))
-        k3 = rhs(E2(x) + 0.5 * h * k2)
-        Ex, E2k3 = E(x), E2(k3)
+        k2 = rhs(E2 @ (x + 0.5 * h * k1))
+        k3 = rhs(E2 @ x + 0.5 * h * k2)
+        Ex, E2k3 = E @ x, E2 @ k3
         k4 = rhs(Ex + h * E2k3)
-        x = Ex + (h / 6.0) * (E(k1) + 2 * E2(k2) + 2 * E2k3 + k4)
+        x = Ex + (h / 6.0) * (E @ k1 + 2 * (E2 @ k2) + 2 * E2k3 + k4)
     return x
 
 
 def rk4_matrix(A, h):
     """The classical RK4 step of size h for x' = A x, as one CSR matrix.
 
-    For a constant A the four stages of `rk4(A.__matmul__, x, h, 1)` collapse
-    to the degree-4 Taylor polynomial of exp(hA), built here in nested form
+    For a constant A the four stages of a classical RK4 step collapse to the
+    degree-4 Taylor polynomial of exp(hA), built here in nested form
     P = I + hA (I + hA/2 (I + hA/3 (I + hA/4))).  P @ x agrees with that step
     to rounding.  P fills in to the pattern of I, A, ..., A^4 (5.4 times the
     entries of A for the FD oracle's upwind operator), so it pays when many

@@ -14,7 +14,6 @@ from hyperwave.descent import (
     descent_full_inverse,
     direct_fd_oracle,
     evolve_free_wave,
-    intertwining_residual,
 )
 from hyperwave.grids import (
     GridFunction,
@@ -27,13 +26,13 @@ from hyperwave.grids import (
     weighted_sobolev_norm,
     weighted_state_norm,
 )
-from hyperwave.halfwave import HalfWaveState, evolve_S1, halfwave_energy, halfwave_flow
-from hyperwave.jets import jexp
-from hyperwave.linstab import linear_decay_fit, mode_angle, spectrum, ssc_scan_roots
+from hyperwave.halfwave import HalfWaveState, evolve_S1
+from hyperwave.linstab import mode_angle, spectrum, ssc_scan_roots
 from hyperwave.model import make_params, symmetry_mode
 from hyperwave.nonlinear import PerturbationSpec, adjust_blowup_time, smooth_bump
 
 from conftest import even_state
+from oracles import halfwave_energy, halfwave_flow, intertwining_residual, jexp, linear_decay_fit
 
 
 def report(num, ok, detail, t0, budget):

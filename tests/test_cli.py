@@ -66,6 +66,27 @@ class TestConfigGates:
         assert err.startswith("configuration error:") and err.count("\n") == 1
         assert not list(tmp_path.glob("x*"))
 
+    @pytest.mark.parametrize(
+        "command, cfg",
+        [
+            *((name, {"R": True}) for name in _COMMANDS),
+            ("freewave", {"d": True}),
+            ("spectrum", {"N": False}),
+            ("blowup", {"d": True}),
+            ("norms", {"seed": True}),
+        ],
+    )
+    def test_bool_for_number_key_exit_2(self, tmp_path, capsys, command, cfg):
+        # bool is a subclass of int, so JSON true/false must be refused by name
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run([command, "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        [key] = cfg
+        assert err.startswith(f"configuration error: config key {key!r} must be ")
+        assert err.count("\n") == 1
+        assert not list(tmp_path.glob("x*"))
+
     def test_readme_lists_each_command_keys(self):
         rows = re.findall(r"^\| (\w+) +\| `([^`]*)` +\|$", README.read_text(), re.MULTILINE)
         assert {name: tuple(keys.split(", ")) for name, keys in rows} == {

@@ -4,16 +4,15 @@ import pytest
 from hyperwave.grids import (
     GridFunction,
     StateVector,
-    extension_eval,
-    extension_operator,
     hardy_check,
-    hpm_inner,
     integral_op_T,
     make_grid,
     radial_sobolev_norm_oracle,
     sobolev_norm_full,
     weighted_sobolev_norm,
 )
+
+from oracles import hpm_inner
 
 
 class TestGridBasics:
@@ -52,9 +51,6 @@ class TestGridBasics:
         for p in (7, 63):
             scale = 2.0 * 2.0 ** (p + 1) / (p + 1)
             assert abs(grid64.quad_full(grid64.y**p)) < 1e-12 * scale
-
-    def test_half_quadrature(self, grid64):
-        assert grid64.quad_half(grid64.eta**6) == pytest.approx(2.0**7 / 7.0, rel=1e-13)
 
     def test_interpolation(self, grid64):
         pts = np.array([-1.7, -0.3, 0.0, 0.123, 1.999, grid64.y[5]])
@@ -175,50 +171,6 @@ class TestHpmInner:
         plus = hpm_inner(grid64, f, f, +1)
         minus = hpm_inner(grid64, f[::-1], f[::-1], -1)
         assert plus == pytest.approx(minus, rel=1e-12)
-
-
-class TestExtension:
-    def test_zero(self, grid64):
-        big, vals = extension_operator(grid64, np.zeros(128), 2)
-        assert np.max(np.abs(vals)) == 0.0
-
-    def test_agreement_and_support(self):
-        g1 = make_grid(1.0, 48)
-        big, vals = extension_operator(g1, g1.y**2, 2)
-        inner = np.abs(big.y) <= 1.0
-        assert vals[inner] == pytest.approx(big.y[inner] ** 2, abs=1e-13)
-        assert np.max(np.abs(vals[np.abs(big.y) >= 1.9])) == 0.0
-
-    def test_seam_smoothness(self):
-        # one-sided second derivatives agree across the seam for f = x^2
-        g1 = make_grid(1.0, 48)
-
-        def E(x):
-            return extension_eval(g1, g1.y**2, 2, np.atleast_1d(x))[0]
-
-        h = 1e-3
-        left = (2 * E(1.0) - 5 * E(1 - h) + 4 * E(1 - 2 * h) - E(1 - 3 * h)) / h**2
-        right = (2 * E(1.0) - 5 * E(1 + h) + 4 * E(1 + 2 * h) - E(1 + 3 * h)) / h**2
-        assert abs(left - right) < 1e-8
-
-    def test_compact_support_identity(self):
-        from hyperwave.nonlinear import smooth_bump
-
-        g1 = make_grid(1.0, 64)
-        f = smooth_bump(g1.y / 0.4)
-        zeros = (np.zeros(4), np.zeros(4))
-        big, vals = extension_operator(g1, f, 3, endpoint_derivs=zeros)
-        outer = np.abs(big.y) > 1.0
-        assert np.max(np.abs(vals[outer])) < 1e-4
-
-    def test_outer_norm_controlled(self):
-        g1 = make_grid(1.0, 64)
-        f = np.cos(3 * g1.y) * np.exp(-0.3 * g1.y**2)
-        big, vals = extension_operator(g1, f, 2)
-        out_norm = sobolev_norm_full(big, vals * (np.abs(big.y) > 1.0), 0)
-        annulus = f * (np.abs(g1.y) > 0.5)
-        in_norm = sobolev_norm_full(g1, annulus, 0)
-        assert out_norm < 20.0 * in_norm
 
 
 class TestHardyAndIntegralOp:

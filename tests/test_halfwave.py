@@ -4,24 +4,135 @@ import pytest
 from hyperwave.grids import GridFunction, StateVector, make_grid, odd_state_norm, sobolev_norm_full
 from hyperwave.halfwave import (
     HalfWaveState,
-    apply_D_pm,
-    apply_L_pm,
-    dalembert_oracle,
-    dalembert_state,
     evolve_halfwave,
     evolve_S1,
     halfwave_decompose,
-    halfwave_energy,
-    halfwave_flow,
-    halfwave_norm,
     halfwave_recompose,
-    mode_halfwave,
-    transport_pde_residual,
 )
 from hyperwave.model import HEIGHT
 from hyperwave.nonlinear import smooth_bump
 
 from conftest import odd_state
+from oracles import classical_loop, halfwave_energy, halfwave_flow, hpm_inner
+
+
+# ----------------------------------------------------------------------
+# references for the exact transport: the vector fields on the grid, a
+# method-of-lines solver, the transport norm, mode data and the d'Alembert
+# solution
+
+
+def apply_L_pm(grid, f_full, sign):
+    """Transport vector field L_pm f = -(y pm h)/(1 pm h') f'."""
+    f = np.asarray(f_full, dtype=float)
+    y = grid.y
+    s = float(sign)
+    return -(y + s * HEIGHT.h(y)) / (1.0 + s * HEIGHT.dh(y)) * (grid.D @ f)
+
+
+def apply_D_pm(grid, f_full, sign):
+    """Commuting vector field D_pm f = f'/(1 pm h')."""
+    f = np.asarray(f_full, dtype=float)
+    return (grid.D @ f) / (1.0 + float(sign) * HEIGHT.dh(grid.y))
+
+
+def evolve_halfwave_mol(w, ds, dt=1e-3):
+    """Method-of-lines RK4 integration of the transport fields."""
+    grid = w.grid
+    n = 2 * grid.N
+    nsteps = max(int(np.ceil(ds / dt)), 1)
+
+    def rhs(x):
+        return np.concatenate(
+            [apply_L_pm(grid, x[:n], -1), apply_L_pm(grid, x[n:], +1)]
+        )
+
+    x = classical_loop(rhs, np.concatenate([w.vm, w.vp]), ds / nsteps, nsteps)
+    return HalfWaveState(grid, x[:n], x[n:])
+
+
+def halfwave_norm(w, k):
+    """Sum over j <= k-1 of the weighted L^2 norms of D_pm^j v_pm."""
+    total = 0.0
+    gm, gp = w.vm.copy(), w.vp.copy()
+    for _ in range(k):
+        total += np.sqrt(max(hpm_inner(w.grid, gm, gm, -1), 0.0))
+        total += np.sqrt(max(hpm_inner(w.grid, gp, gp, +1), 0.0))
+        gm = apply_D_pm(w.grid, gm, -1)
+        gp = apply_D_pm(w.grid, gp, +1)
+    return float(total)
+
+
+def transport_pde_residual(w0, ds=0.5):
+    """Residual of (1 pm h') d_s v + (y pm h) d_y v = 0 along the evolution,
+    with the s-derivative taken by central differences.  Validates the sign
+    and exponent convention of the characteristic pull-back."""
+    grid = w0.grid
+    step = 1e-4
+    plus = evolve_halfwave(w0, ds + step)
+    minus = evolve_halfwave(w0, ds - step)
+    mid = evolve_halfwave(w0, ds)
+    y = grid.y
+    h = HEIGHT.h(y)
+    dh = HEIGHT.dh(y)
+    res = 0.0
+    for sign, vdot, v in (
+        (-1.0, (plus.vm - minus.vm) / (2 * step), mid.vm),
+        (+1.0, (plus.vp - minus.vp) / (2 * step), mid.vp),
+    ):
+        r = (1.0 + sign * dh) * vdot + (y + sign * h) * (grid.D @ v)
+        res = max(res, float(np.max(np.abs(r))))
+    return res
+
+
+def mode_halfwave(lam):
+    """Separated-solution data |h_pm|^(-lam) with the reflection constraint."""
+
+    def fm(y):
+        return np.abs(HEIGHT.hm(np.asarray(y, dtype=float))) ** (-lam)
+
+    def fp(y):
+        return -np.abs(HEIGHT.hp(np.asarray(y, dtype=float))) ** (-lam)
+
+    return fm, fp
+
+
+def _default_primitive(gfun):
+    tq, wq = np.polynomial.legendre.leggauss(48)
+
+    def prim(b):
+        b = np.asarray(b, dtype=float)
+        half = 0.5 * b
+        pts = half[..., None] * (tq + 1.0)
+        return np.sum(gfun(pts) * wq, axis=-1) * half
+
+    return prim
+
+
+def dalembert_oracle(f, g, T, s, y, g_primitive=None):
+    """Exact 1-d wave solution with odd data (f, g), evaluated along the
+    similarity coordinates: u(t, x) with (t, x) = eta_T(s, y)."""
+    y = np.asarray(y, dtype=float)
+    t = T + np.exp(-s) * HEIGHT.h(y)
+    x = np.exp(-s) * y
+    prim = g_primitive if g_primitive is not None else _default_primitive(g)
+    return 0.5 * (f(x + t) + f(x - t)) + 0.5 * (prim(x + t) - prim(x - t))
+
+
+def dalembert_state(grid, f, df, g, T, s):
+    """Exact odd state (v, d_s v) of the 1-d wave at hyperboloidal time s."""
+    y = grid.y
+    es = np.exp(-s)
+    t = T + es * HEIGHT.h(y)
+    x = es * y
+    v = dalembert_oracle(f, g, T, s, y)
+    ut = 0.5 * (df(x + t) - df(x - t)) + 0.5 * (g(x + t) + g(x - t))
+    ux = 0.5 * (df(x + t) + df(x - t)) + 0.5 * (g(x + t) - g(x - t))
+    vs = -es * (HEIGHT.h(y) * ut + y * ux)
+    return StateVector(
+        GridFunction.from_full(grid, v, "odd", tol=1e-9),
+        GridFunction.from_full(grid, vs, "odd", tol=1e-9),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -90,8 +201,6 @@ class TestHalfWaveMaps:
 
 class TestTransport:
     def test_mol_oracle_matches_exact_transport(self, g):
-        from hyperwave.halfwave import evolve_halfwave_mol
-
         bump = lambda e: np.exp(-5 * (e - 0.25) ** 2)
         w0 = HalfWaveState(g, bump(g.y), -bump(-g.y))
         exact = evolve_halfwave(w0, 0.6)

@@ -7,18 +7,35 @@ from hyperwave.grids import GridFunction, StateVector, make_grid
 from hyperwave.jets import jet_seed, jsqrt
 from hyperwave.linstab import (
     assemble_L,
-    evolve_linear,
-    frobenius_indices,
     generator_matrix,
-    linear_decay_fit,
     mode_angle,
-    mode_ode_coeffs,
     riesz_projection,
     spectrum,
     ssc_mode_scan,
     ssc_scan_roots,
 )
 from hyperwave.model import HEIGHT, make_params, potential, symmetry_mode
+
+from conftest import even_state
+from oracles import evolve_linear, linear_decay_fit
+
+
+def mode_ode_coeffs(params, lam, eta):
+    """Coefficients (p, q) of f'' + p f' + q f = 0 for separated solutions
+    e^((lam+2)s) f(eta) of the linearized equation.
+
+    Derived by eliminating the second component from the spectral equation;
+    singular at eta = 0 and eta = 1/2.
+    """
+    lam = complex(lam)
+    eta = np.asarray(eta, dtype=float)
+    if np.any(eta <= 0.0) or np.any(np.abs(eta - 0.5) < 1e-12):
+        raise ValueError("mode ODE coefficients are singular at eta = 0 and eta = 1/2")
+    d = params.d
+    c12 = coeffs.c12_fn(eta)
+    p = (coeffs.c11_fn(d, eta) + (lam + 2.0) * coeffs.c21_fn(eta)) / c12
+    q = ((lam + 2.0) * (coeffs.c20_fn(d, eta) - lam - 2.0) + potential(params, eta)) / c12
+    return p, q
 
 
 class TestAssembly:
@@ -177,7 +194,7 @@ class TestRieszProjection:
 
 class TestLinearEvolution:
     def test_zero(self, op96, grid96):
-        (out,) = evolve_linear(op96, StateVector.zero(grid96), [1.0])
+        (out,) = evolve_linear(op96, even_state(grid96, np.zeros_like, np.zeros_like), [1.0])
         assert np.max(np.abs(out.stacked())) == 0.0
 
     def test_unstable_direction_grows_like_e_s(self, params7, grid96, op96, proj96):
@@ -198,28 +215,21 @@ class TestLinearEvolution:
 
 
 class TestModeODE:
-    def test_indices(self, params7):
-        idx = frobenius_indices(params7, 1.0)
-        assert idx["origin"] == (0.0, -5.0)
-        assert idx["half"][1] == pytest.approx(0.0)
-        coeffs = mode_ode_coeffs(params7, 1.0, np.array([0.3, 0.7]))
-        assert coeffs.indices_origin == (0.0, -5.0)
-
     def test_index_from_coefficient_limit(self, params7):
         # (eta - 1/2) p approaches the residue linearly; extrapolate once
         lam = 0.3
 
         def scaled(e):
             eta = 0.5 + np.array([e])
-            return (((eta - 0.5) * mode_ode_coeffs(params7, lam, eta).p)[0]).real
+            return (((eta - 0.5) * mode_ode_coeffs(params7, lam, eta)[0])[0]).real
 
         p0 = 2.0 * scaled(1e-5) - scaled(2e-5)
         assert 1.0 - p0 == pytest.approx((7 - 5) / 2.0 - lam, abs=1e-6)
 
     def test_origin_behavior(self, params7):
         eta = np.array([1e-4, 1e-5])
-        mc = mode_ode_coeffs(params7, 1.0, eta)
-        assert eta * mc.p == pytest.approx(7 - 1, abs=1e-6)
+        p, _ = mode_ode_coeffs(params7, 1.0, eta)
+        assert eta * p == pytest.approx(7 - 1, abs=1e-6)
 
     def test_singular_points_rejected(self, params7):
         with pytest.raises(ValueError):
@@ -230,11 +240,11 @@ class TestModeODE:
     def test_symmetry_mode_satisfies_ode(self, params7):
         eta = np.linspace(0.07, 1.9, 41)
         eta = eta[np.abs(eta - 0.5) > 0.03]
-        mc = mode_ode_coeffs(params7, 1.0, eta)
+        p, q = mode_ode_coeffs(params7, 1.0, eta)
         x = jet_seed(eta, 2)
         h = jsqrt(2.0 + x * x) - 2.0
         f = h / (params7.b * h * h + x * x) ** 2
-        res = f.derivative_values(2) + mc.p * f.derivative_values(1) + mc.q * f.value
+        res = f.derivative_values(2) + p * f.derivative_values(1) + q * f.value
         assert np.max(np.abs(res)) < 1e-10
 
     def test_p_matches_published_form(self, params7):
@@ -244,14 +254,14 @@ class TestModeODE:
         lam = 1.37 + 0.21j
         eta = np.linspace(0.05, 1.9, 30)
         eta = eta[np.abs(eta - 0.5) > 0.02]
-        mc = mode_ode_coeffs(params7, lam, eta)
+        p, _ = mode_ode_coeffs(params7, lam, eta)
         h, dh, d2h = HEIGHT.h(eta), HEIGHT.dh(eta), HEIGHT.d2h(eta)
         p_pub = (
             6.0 / eta
             + 2.0 * (lam - 0.0) * (h * dh - eta) / (h * h - eta * eta)
             - eta * d2h / (eta * dh - h)
         )
-        assert np.max(np.abs(mc.p - p_pub)) < 1e-10
+        assert np.max(np.abs(p - p_pub)) < 1e-10
 
 
 class TestSSCScan:

@@ -2,22 +2,113 @@ import numpy as np
 import pytest
 
 from hyperwave import geometry
+from hyperwave.geometry import _grad_h, _scale
 from hyperwave.model import (
     HEIGHT,
-    blowup_profile,
-    blowup_profile_hsc,
-    hsc_inverse,
-    hsc_map,
     initial_time_s0,
     make_params,
     nonlinearity_coeffs,
     potential,
-    potential_ssc,
-    similarity_time_scalar,
     symmetry_mode,
 )
 
+from oracles import blowup_profile_hsc
+
 SQ2 = np.sqrt(2.0)
+
+
+# ----------------------------------------------------------------------
+# closed-form references: the coordinate maps, the Cartesian profile and
+# potential, and the Jacobians and metric of the coordinates
+
+
+def hsc_map(T, s, y):
+    """Hyperboloidal similarity coordinates -> Cartesian: (s,y) -> (t,x)."""
+    es = np.exp(-np.asarray(s, dtype=float))
+    y = np.asarray(y, dtype=float)
+    return T + es * HEIGHT.h(y), es * y
+
+
+def similarity_time_scalar(T, t, x):
+    """The scalar g_T with log(g_T) = s along the inverse coordinate map."""
+    dt = T - np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
+    return 1.0 / (dt + 0.5 * np.sqrt(2.0 * (dt * dt + x * x)))
+
+
+def hsc_inverse(T, t, x):
+    """Cartesian -> hyperboloidal similarity coordinates on Omega_T.
+
+    Only defined where |x| > -(T - t); outside, the point is at or beyond the
+    future light cone of (T, 0) and a ValueError is raised.
+    """
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if np.any(np.abs(x) <= -(T - t)):
+        raise ValueError("point outside Omega_T: |x| <= t - T")
+    g = similarity_time_scalar(T, t, x)
+    return np.log(g), g * x
+
+
+def blowup_profile(params, T, t, x):
+    """Extended self-similar blowup solution in Cartesian coordinates."""
+    dt = T - np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
+    den = params.b * dt * dt + x * x
+    if np.any(den == 0.0):
+        raise ValueError("blowup profile is singular at (t, x) = (T, 0)")
+    return -params.a / den
+
+
+def potential_ssc(params, rho):
+    """The linearization potential seen from standard similarity coordinates."""
+    a, b, d = params.a, params.b, params.d
+    rho2 = np.square(np.asarray(rho, dtype=float))
+    return -3.0 * (d - 4) * a * ((a - 2.0) * rho2 - 2.0 * b) / np.square(b + rho2)
+
+
+def hsc_jacobian(s, y):
+    d = y.size
+    es = np.exp(-s)
+    jac = np.zeros((d + 1, d + 1))
+    jac[0, 0] = -es * HEIGHT.h(np.linalg.norm(y))
+    jac[0, 1:] = es * _grad_h(y)
+    jac[1:, 0] = -es * y
+    jac[1:, 1:] = es * np.eye(d)
+    return jac
+
+
+def hsc_inverse_jacobian(s, y):
+    """Jacobian of the inverse coordinate map, expressed at the point (s, y)."""
+    d = y.size
+    es = np.exp(s)
+    D = _scale(y)
+    gh = _grad_h(y)
+    inv = np.zeros((d + 1, d + 1))
+    inv[0, 0] = es / D
+    inv[0, 1:] = -es * gh / D
+    inv[1:, 0] = es * y / D
+    inv[1:, 1:] = es * (np.eye(d) - np.outer(y, gh) / D)
+    return inv
+
+
+def metric(s, y):
+    d = y.size
+    e2s = np.exp(-2.0 * s)
+    h = HEIGHT.h(np.linalg.norm(y))
+    gh = _grad_h(y)
+    g = np.zeros((d + 1, d + 1))
+    g[0, 0] = e2s * (-h * h + y @ y)
+    g[0, 1:] = g[1:, 0] = e2s * (h * gh - y)
+    g[1:, 1:] = e2s * (np.eye(d) - np.outer(gh, gh))
+    return g
+
+
+def radial_point(r, d):
+    """The spatial point r e_1 in d dimensions."""
+    y = np.zeros(d)
+    y[0] = r
+    return y
 
 
 class TestParams:
@@ -217,32 +308,31 @@ class TestGeometry:
     @pytest.mark.parametrize("d", [1, 3, 7])
     def test_tables(self, d, rng):
         s = rng.uniform(-1, 1)
-        r = rng.uniform(0.1, 1.5)
-        tab = geometry.geometry_tables(s, r, d)
-        assert tab["jacobian_identity_error"] < 1e-12
-        assert tab["christoffel"][0, 0, 0] == -1.0
-        g = tab["metric"]
-        gi = tab["inverse_metric"]
-        assert np.max(np.abs(g @ gi - np.eye(d + 1))) < 1e-12
+        y = radial_point(rng.uniform(0.1, 1.5), d)
+        jac = hsc_jacobian(s, y)
+        assert np.max(np.abs(jac @ hsc_inverse_jacobian(s, y) - np.eye(d + 1))) < 1e-12
+        assert geometry.christoffel(s, y)[0, 0, 0] == -1.0
+        gi = geometry.inverse_metric(s, y)
+        assert np.max(np.abs(metric(s, y) @ gi - np.eye(d + 1))) < 1e-12
 
     def test_g00_origin(self):
-        tab = geometry.geometry_tables(0.0, 0.0, 3)
-        assert tab["inverse_metric"][0, 0] == pytest.approx(-1.0 / HEIGHT.h(0.0) ** 2, rel=1e-14)
+        g00 = geometry.inverse_metric(0.0, radial_point(0.0, 3))[0, 0]
+        assert g00 == pytest.approx(-1.0 / HEIGHT.h(0.0) ** 2, rel=1e-14)
 
     def test_det_scaling(self):
         d = 7
         s = 0.37
-        tab = geometry.geometry_tables(s, 1.0, d)
         expected = 1.0 / np.sqrt(3.0) - (np.sqrt(3.0) - 2.0)
-        assert tab["sqrt_det"] * np.exp((d + 1) * s) == pytest.approx(expected, rel=1e-13)
+        got = geometry.sqrt_det(s, radial_point(1.0, d))
+        assert got * np.exp((d + 1) * s) == pytest.approx(expected, rel=1e-13)
 
     def test_metric_is_pullback(self, rng):
         d = 3
         s = rng.uniform(-1, 1)
         y = rng.uniform(-1.2, 1.2, d)
-        jac = geometry.hsc_jacobian(s, y)
+        jac = hsc_jacobian(s, y)
         mink = np.diag([-1.0] + [1.0] * d)
-        assert np.max(np.abs(jac.T @ mink @ jac - geometry.metric(s, y))) < 1e-13
+        assert np.max(np.abs(jac.T @ mink @ jac - metric(s, y))) < 1e-13
 
     @pytest.mark.parametrize("d", [1, 3, 7, 11])
     def test_contracted_christoffel(self, d, rng):

@@ -5,6 +5,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -52,3 +53,87 @@ def test_traced_spans_resolve():
         for part in qualname.split("."):
             obj = getattr(obj, part, None)
         assert inspect.isfunction(obj), target
+
+
+# roots of the walk: the CLI entry point and the tables it dispatches through
+CLI_ROOTS = ("main", "_OPTIONS", "_COMMANDS", "_NEGATIVE_NUMBER")
+
+
+def _package_definitions():
+    """Every top-level function, class, method and module constant of the
+    package: (module, qualname) -> (node, names the module imports from
+    outside the package)."""
+    defs = {}
+    for path in sorted(Path(hyperwave.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        external = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and not getattr(node, "level", 0)
+            for alias in node.names
+        }
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[path.stem, node.name] = node, external
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        defs[path.stem, f"{node.name}.{item.name}"] = item, external
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                        defs[path.stem, target.id] = node, external
+    return defs
+
+
+def _names_used(node, external):
+    """What the code of a definition refers to: ("name", x) for a bare name,
+    which can only mean a module-level definition, and ("attr", x) for an
+    attribute, except one read off a module imported from outside the package
+    (`np.exp` does not reach `Taylor.exp`).  A docstring is a constant, so a
+    name it mentions does not count."""
+    if isinstance(node, ast.ClassDef):
+        body = [s for s in node.body if not isinstance(s, ast.FunctionDef)]
+        parts = [*node.bases, *node.decorator_list, *body]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        parts = [node.value] if node.value is not None else []
+    else:
+        parts = [node]
+    used = set()
+    for part in parts:
+        for n in ast.walk(part):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                used.add(("name", n.id))
+            elif isinstance(n, ast.Attribute):
+                if not (isinstance(n.value, ast.Name) and n.value.id in external):
+                    used.add(("attr", n.attr))
+    return used
+
+
+def _unreached():
+    defs = _package_definitions()
+    todo = [("cli", root) for root in CLI_ROOTS]
+    reached = set(todo)
+    while todo:
+        module, qualname = todo.pop()
+        node, external = defs[module, qualname]
+        used = _names_used(node, external)
+        for key in defs:
+            *owner, name = key[1].split(".")
+            dunder = name.startswith("__") and name.endswith("__")
+            if (
+                ("attr", name) in used
+                or (not owner and ("name", name) in used)
+                # a class reaches its dunder methods: Python calls them
+                or (owner == [qualname] and key[0] == module and dunder)
+            ) and key not in reached:
+                reached.add(key)
+                todo.append(key)
+    return sorted(".".join(key) for key in set(defs) - reached)
+
+
+def test_every_definition_reached_from_cli_main():
+    # the package is what the five pipelines run; test-only references live
+    # in tests/oracles.py or in the one test module that uses them
+    assert _unreached() == []
