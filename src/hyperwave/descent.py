@@ -9,6 +9,7 @@ composite descent lands on the odd module of the 1-d machinery.
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import solve_banded
 
 from . import coeffs
 from .grids import Grid, GridFunction, StateVector
@@ -191,6 +192,29 @@ def _fd_operator(d, R, m):
     return r, A, np.max(np.maximum(np.abs(hp / hpd), np.abs(hm / hmd)))
 
 
+def _fd_start(d, f1, f2, s_end, R, m, cfl):
+    """The FD oracle's cells r, right-hand side A, step dt (the CFL step
+    shrunk to divide s_end) and initial state: v0 and w0 = (W1, W2), the
+    half-wave fields built from (v, d_s v) with d_eta v by 4th-order FD."""
+    r, A, speed = _fd_operator(d, R, m)
+    dr = R / m
+    dt = cfl * dr / speed
+    nsteps = int(np.ceil(s_end / dt))
+    dt = s_end / nsteps
+
+    v0 = f1(r)
+    vs0 = f2(r)
+    vx = np.concatenate([v0[1::-1], v0, v0[-1:-3:-1]])
+    jj = np.arange(2, m + 2)
+    dv0 = (-vx[jj + 2] + 8 * vx[jj + 1] - 8 * vx[jj - 1] + vx[jj - 2]) / (12 * dr)
+    dv0[-2:] = (3 * v0[-2:] - 4 * np.roll(v0, 1)[-2:] + np.roll(v0, 2)[-2:]) / (2 * dr)
+    h, dh = HEIGHT.h(r), HEIGHT.dh(r)
+    u_scale = r * dh - h
+    W1 = ((1.0 - dh) * vs0 + (r - h) * dv0) / u_scale
+    W2 = ((1.0 + dh) * vs0 + (r + h) * dv0) / u_scale
+    return r, A, dt, v0, np.concatenate([W1, W2])
+
+
 def _fd_run(d, f1, f2, s_values, R, m, cfl):
     """March the characteristic first-order form of the radial wave system.
 
@@ -204,8 +228,13 @@ def _fd_run(d, f1, f2, s_values, R, m, cfl):
     times that round to the same step, repeat the snapshot.
 
     The right-hand side is the constant matrix A, so one classical RK4 step
-    is the constant matrix P = `rk4_matrix(A, dt)`, built once: each step is
-    one sparse product.
+    is the constant matrix P = `rk4_matrix(A, dt)`, built once.  No field
+    depends on v (A has no entries in its v columns), so v is a passive
+    integral: P = [[I, P_vw], [0, P_ww]].  Each step is one sparse product
+    w <- P_ww w on w = (W1, W2) and a running sum acc of the iterates; a
+    snapshot takes two more, v = v0 + P_vw acc and d_s v = A_vw w.  The w
+    iterates and d_s v are bit for bit those of the full step x <- P x, and
+    v differs from it by rounding only.
     """
     s_values = np.asarray(s_values, dtype=float)
     if s_values.size and not s_values[-1] > 0.0:
@@ -214,42 +243,55 @@ def _fd_run(d, f1, f2, s_values, R, m, cfl):
         raise ValueError(f"s_values must be sorted, non-negative times, got {s_values.tolist()}")
     if not cfl > 0.0:
         raise ValueError(f"cfl must be positive, got cfl={cfl}")
-    r, A, speed = _fd_operator(d, R, m)
-    dr = R / m
-    s_end = s_values[-1]
-    dt = cfl * dr / speed
-    nsteps = int(np.ceil(s_end / dt))
-    dt = s_end / nsteps
-
-    # initial half-wave fields from (v, d_s v); d_eta v by 4th-order FD
-    v0 = f1(r)
-    vs0 = f2(r)
-    vx = np.concatenate([v0[1::-1], v0, v0[-1:-3:-1]])
-    jj = np.arange(2, m + 2)
-    dv0 = (-vx[jj + 2] + 8 * vx[jj + 1] - 8 * vx[jj - 1] + vx[jj - 2]) / (12 * dr)
-    dv0[-2:] = (3 * v0[-2:] - 4 * np.roll(v0, 1)[-2:] + np.roll(v0, 2)[-2:]) / (2 * dr)
-    h, dh = HEIGHT.h(r), HEIGHT.dh(r)
-    u_scale = r * dh - h
-    W1 = ((1.0 - dh) * vs0 + (r - h) * dv0) / u_scale
-    W2 = ((1.0 + dh) * vs0 + (r + h) * dv0) / u_scale
-
+    r, A, dt, v0, w = _fd_start(d, f1, f2, s_values[-1], R, m, cfl)
     P = rk4_matrix(A, dt)
-    x = np.concatenate([v0, W1, W2])
+    P_vw, P_ww, A_vw = P[:m, m:], P[m:, m:], A[:m, m:]
+    acc = np.zeros_like(w)
     series = []
     step = 0
     for target in np.round(s_values / dt).astype(int):
         for _ in range(target - step):
-            x = P @ x
+            acc += w
+            w = P_ww @ w
         step = target
-        series.append((x[:m].copy(), (A @ x)[:m]))
+        series.append((v0 + P_vw @ acc, A_vw @ w))
     return r, series
 
 
 def _at_nodes(r, fields, eta):
-    """Cubic-spline interpolants of FD fields on the cells r, at eta."""
-    from scipy.interpolate import CubicSpline
+    """Not-a-knot cubic-spline interpolants of FD fields on the uniform cells
+    r, at eta; the end cubics extend past the first and last cells.  These
+    are the values of scipy's `CubicSpline(r, f)(eta)`, to rounding.
 
-    return tuple(CubicSpline(r, f)(eta) for f in fields)
+    In units of the cell width dr the spline's slopes sigma solve the
+    tridiagonal system sigma_{i-1} + 4 sigma_i + sigma_{i+1} =
+    3 (y_{i+1} - y_{i-1}), closed by the not-a-knot rows
+    sigma_0 + 2 sigma_1 = (-5 y_0 + 4 y_1 + y_2) / 2 and their mirror image
+    (de Boor, A Practical Guide to Splines, ch. IV); one banded solve fits
+    every field.  Each interval then holds the cubic Hermite interpolant.
+    """
+    m = r.size
+    dr = (r[-1] - r[0]) / (m - 1)
+    y = np.stack(fields, axis=1)
+    ab = np.ones((3, m))  # rows: super-, main and sub-diagonal
+    ab[1, 1:-1] = 4.0
+    ab[0, 1] = ab[2, -2] = 2.0
+    b = np.empty_like(y)
+    b[1:-1] = 3.0 * (y[2:] - y[:-2])
+    b[0] = (-5.0 * y[0] + 4.0 * y[1] + y[2]) / 2.0
+    b[-1] = (5.0 * y[-1] - 4.0 * y[-2] - y[-3]) / 2.0
+    if m == 3:
+        # both not-a-knot rows then say the spline is one parabola: the
+        # middle row becomes sigma_0 - 2 sigma_1 + sigma_2 = 0
+        ab[1, 1] = -2.0
+        b[1] = 0.0
+    sigma = solve_banded((1, 1), ab, b)
+    i = np.clip(np.searchsorted(r, eta, side="right") - 1, 0, m - 2)
+    t = ((eta - r[i]) / dr)[:, None]
+    dy = y[i + 1] - y[i]
+    s0, s1 = sigma[i], sigma[i + 1]
+    vals = y[i] + t * (s0 + t * (3.0 * dy - 2.0 * s0 - s1 + t * (s0 + s1 - 2.0 * dy)))
+    return tuple(np.ascontiguousarray(vals.T))
 
 
 def direct_fd_oracle(d, f1, f2, s_end, R, eta, m=400, cfl=FD_CFL):
@@ -268,4 +310,5 @@ def fd_oracle_series(d, f1, f2, s_values, R, eta, m=300):
     eta, one per time in `s_values` and in the order given (see `_fd_run`);
     no extrapolation."""
     r, shots = _fd_run(d, f1, f2, s_values, R, m, FD_CFL)
-    return [_at_nodes(r, shot, eta) for shot in shots]
+    vals = _at_nodes(r, [f for shot in shots for f in shot], eta)
+    return list(zip(vals[::2], vals[1::2]))

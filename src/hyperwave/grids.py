@@ -6,6 +6,10 @@ and their brute-force oracle, and the Hardy and integral-operator checks.
 The full grid deliberately contains an even number of nodes so that eta = 0
 is never a collocation point; all coefficient functions with 1/eta poles can
 then be evaluated directly.
+
+The grid machinery needs numpy alone: the Chebyshev coefficients come from
+numpy's FFT.  Only the brute-force norm oracle loads scipy.integrate, and
+only when it is called.
 """
 
 from dataclasses import dataclass
@@ -13,7 +17,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import dct
 from numpy.polynomial.legendre import leggauss
 
 __all__ = [
@@ -183,9 +186,13 @@ class Grid:
         return DilationQuadrature(t, w, pts, interp)
 
     def cheb_coeffs(self, full_values):
+        """Chebyshev coefficients of the interpolant through the full-grid
+        values.  The DCT-I they need is the real FFT of the values' even
+        extension about both end nodes (Trefethen, Spectral Methods in
+        MATLAB, ch. 8); it equals scipy's `dct(type=1)` bit for bit."""
         v_desc = np.asarray(full_values)[::-1]
         M = self.y.size - 1
-        a = dct(v_desc, type=1) / M
+        a = np.fft.rfft(np.concatenate([v_desc, v_desc[-2:0:-1]])).real / M
         a[0] *= 0.5
         a[M] *= 0.5
         return a

@@ -1,5 +1,6 @@
 """Reference implementations that more than one test module compares the
-package against.  None of them runs in a CLI pipeline; a reference that only
+package against, and the library calls and loops that faster package code
+replaced.  None of them runs in a CLI pipeline; any other reference that only
 one test module uses lives in that module.
 
 - `classical_loop`: classical RK4, the reference for `stepping.rk4_matrix`
@@ -13,15 +14,20 @@ one test module uses lives in that module.
 - `blowup_profile_hsc`: the blowup profile along the similarity coordinates.
 - `evolve_linear`, `linear_decay_fit`: exact linear propagation by the
   matrix exponential and the growth exponent of its norm.
+- `cheb_coeffs_dct`, `cubic_spline_at`, `fd_run_full_state`: scipy's DCT-I
+  behind `Grid.cheb_coeffs`, scipy's not-a-knot `CubicSpline` behind
+  `descent._at_nodes`, and the FD oracle's march on the full state
+  (v, W1, W2), one step x <- P x, behind `descent._fd_run`.
 """
 
 import numpy as np
 
 from hyperwave import coeffs
-from hyperwave.descent import _descent_pair
+from hyperwave.descent import _descent_pair, _fd_start
 from hyperwave.grids import Grid, StateVector, weighted_state_norm
 from hyperwave.jets import Taylor, jet_seed
 from hyperwave.model import HEIGHT
+from hyperwave.stepping import rk4_matrix
 
 
 def classical_loop(rhs, x, h, nsteps):
@@ -193,3 +199,42 @@ def linear_decay_fit(op, state: StateVector, s_values=None):
     fit = np.polyfit(s_values, np.log(norms), 1)
     resid = float(np.max(np.abs(np.polyval(fit, s_values) - np.log(norms))))
     return float(fit[0]), resid
+
+
+# ----------------------------------------------------------------------
+# replaced library calls and loops
+
+
+def cheb_coeffs_dct(full_values):
+    """`Grid.cheb_coeffs` by scipy's DCT-I."""
+    from scipy.fft import dct
+
+    v_desc = np.asarray(full_values)[::-1]
+    M = v_desc.size - 1
+    a = dct(v_desc, type=1) / M
+    a[0] *= 0.5
+    a[M] *= 0.5
+    return a
+
+
+def cubic_spline_at(r, f, eta):
+    from scipy.interpolate import CubicSpline
+
+    return CubicSpline(r, f)(eta)
+
+
+def fd_run_full_state(d, f1, f2, s_values, R, m, cfl):
+    """`descent._fd_run` stepping the whole state x = (v, W1, W2) with the
+    full RK4 matrix P, one product x <- P x per step."""
+    s_values = np.asarray(s_values, dtype=float)
+    r, A, dt, v0, w0 = _fd_start(d, f1, f2, s_values[-1], R, m, cfl)
+    P = rk4_matrix(A, dt)
+    x = np.concatenate([v0, w0])
+    series = []
+    step = 0
+    for target in np.round(s_values / dt).astype(int):
+        for _ in range(target - step):
+            x = P @ x
+        step = target
+        series.append((x[:m].copy(), (A @ x)[:m]))
+    return r, series

@@ -11,6 +11,7 @@ from hyperwave.descent import (
     direct_fd_oracle,
     evolve_free_wave,
     fd_oracle_series,
+    _at_nodes,
     _fd_operator,
     _fd_run,
 )
@@ -30,7 +31,9 @@ from hyperwave.nonlinear import smooth_bump
 from conftest import even_state
 from oracles import (
     apply_Ld_series,
+    cubic_spline_at,
     descent_step_series,
+    fd_run_full_state,
     intertwining_residual,
     jexp,
     series_pair_norm,
@@ -354,8 +357,38 @@ class TestFDOracle:
 
         monkeypatch.setattr(sparse.csr_array, "__matmul__", counting)
         _fd_run(5, lambda r: np.exp(-2 * r * r), lambda r: 0 * r, [s_end], R, m, cfl)
-        # one product per step, plus one for the final d_s v snapshot
-        assert len(products) == nsteps + 1
+        # v is passive: one product P_ww w per step on w = (W1, W2) alone,
+        # plus two for the snapshot, v = v0 + P_vw acc and d_s v = A_vw w
+        assert products == [(2 * m,)] * (nsteps + 2)
+
+    @pytest.mark.parametrize(
+        "d, f2, s_values, m",
+        [
+            (5, lambda r: 0 * r, [1.0], 200),
+            (7, lambda r: -0.3 * np.exp(-r * r), [0.0, 0.5, 1.0], 100),
+        ],
+    )
+    def test_march_matches_full_state_loop(self, d, f2, s_values, m):
+        # the regression-pin runs.  The W iterates, hence d_s v, are those of
+        # x <- P x bit for bit; v sums the same increments in another order
+        case = (d, lambda r: np.exp(-2 * r * r), f2, s_values, 2.0, m, 0.4)
+        _, got = _fd_run(*case)
+        _, want = fd_run_full_state(*case)
+        assert len(got) == len(want)
+        for (v, vs), (v_ref, vs_ref) in zip(got, want):
+            assert np.array_equal(vs, vs_ref)
+            assert np.max(np.abs(v - v_ref)) <= 1e-13 * np.max(np.abs(v_ref))
+
+    @pytest.mark.parametrize("m", [3, 100, 300, 400, 800])
+    def test_spline_matches_scipy_cubic_spline(self, grid64, m):
+        # the nodes reach past the last cell centre, so the end cubics are
+        # extended; m = 3 is the parabola both not-a-knot rows then describe
+        r = (np.arange(m) + 0.5) * (2.0 / m)
+        fields = [np.exp(-2 * r * r), -0.3 * smooth_bump(r / 0.6), np.sin(3 * r) * r]
+        assert grid64.eta[-1] > r[-1]
+        for got, f in zip(_at_nodes(r, fields, grid64.eta), fields, strict=True):
+            want = cubic_spline_at(r, f, grid64.eta)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_series_one_snapshot_per_time(self):
         f1, f2 = lambda r: np.exp(-2 * r * r), lambda r: -0.3 * np.exp(-r * r)

@@ -12,7 +12,7 @@ from hyperwave.grids import (
     weighted_sobolev_norm,
 )
 
-from oracles import hpm_inner
+from oracles import cheb_coeffs_dct, hpm_inner
 
 
 class TestGridBasics:
@@ -76,6 +76,12 @@ class TestGridBasics:
         assert np.max(np.abs(F - np.sin(grid64.y))) < 1e-13
         F5 = grid64.antiderivative(grid64.y**5)
         assert np.max(np.abs(F5 - grid64.y**6 / 6.0)) < 1e-12
+
+    @pytest.mark.parametrize("N", [8, 24, 64, 96])
+    def test_cheb_coeffs_match_scipy_dct(self, N, rng):
+        grid = make_grid(2.0, N)
+        v = rng.standard_normal(2 * N)
+        assert np.array_equal(grid.cheb_coeffs(v), cheb_coeffs_dct(v))
 
     def test_parity_derivatives(self, grid64):
         eta = grid64.eta

@@ -20,18 +20,32 @@ def test_star_import(name):
     exec(f"from hyperwave.{name} import *", {})
 
 
-def test_cli_import_leaves_scipy_interpolate_and_integrate_unloaded():
-    # both are slow to import; the functions that need them import them
-    code = (
-        "import sys, hyperwave.cli; "
-        "print(sorted(m for m in ('scipy.interpolate', 'scipy.integrate') if m in sys.modules))"
+def _scipy_loaded_after(code):
+    """The slow scipy subpackages in sys.modules after `code` runs in a fresh
+    interpreter."""
+    code += (
+        "; import sys; print(sorted(m for m in "
+        "('scipy.interpolate', 'scipy.integrate', 'scipy.fft') if m in sys.modules))"
     )
     src = os.path.dirname(os.path.dirname(hyperwave.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout
-    assert out.strip() == "[]"
+    return ast.literal_eval(out.strip().splitlines()[-1])
+
+
+def test_cli_import_leaves_scipy_interpolate_integrate_and_fft_unloaded():
+    # all three are slow to import; the functions that need them import them
+    assert _scipy_loaded_after("import hyperwave.cli") == []
+
+
+def test_freewave_leaves_scipy_interpolate_and_fft_unloaded(tmp_path):
+    # the pipeline needs numpy, scipy.sparse and scipy.linalg only
+    out = str(tmp_path / "freewave")
+    argv = ["freewave", "--d", "7", "--N", "24", "--s-end", "1", "--out", out]
+    loaded = _scipy_loaded_after(f"import hyperwave.cli; hyperwave.cli.main({argv!r})")
+    assert not {"scipy.interpolate", "scipy.fft"} & set(loaded)
 
 
 def test_traced_spans_resolve():
