@@ -84,26 +84,109 @@ def profile_difference(params: DimensionParams, T, t, r):
     return val, val_t, val_r
 
 
+def _not_a_knot(x):
+    """Knots of the not-a-knot cubic spline interpolating at the nodes x: the
+    end nodes fourfold, and no knot at x[1] or x[-2] (de Boor, A Practical
+    Guide to Splines, ch. XIII).  There are x.size B-splines."""
+    return np.concatenate([np.full(4, x[0]), x[2:-2], np.full(4, x[-1])])
+
+
+def _cubic_basis(knots, x):
+    """The knot interval ell of each point (knots[ell] <= x < knots[ell + 1],
+    the last interval closed at its right end) and the values of the 4 cubic
+    B-splines B_{ell-3}, ..., B_ell that are nonzero there, shape (x.size, 4).
+
+    de Boor's recursion, in the operation order of scipy's `_deBoor_D`, so the
+    values are those of `BSpline.design_matrix` bit for bit.  In the
+    intervals of a not-a-knot knot vector no two knots of a divided
+    difference coincide, so the recursion never divides by zero.
+    """
+    n = knots.size - 4
+    ell = np.clip(np.searchsorted(knots, x, side="right") - 1, 3, n - 1)
+    b = np.zeros((4, x.size))
+    b[0] = 1.0
+    for j in range(1, 4):
+        prev = b[:j].copy()
+        b[0] = 0.0
+        for i in range(1, j + 1):
+            right = knots[ell + i]
+            left = knots[ell + i - j]
+            w = prev[i - 1] / (right - left)
+            b[i - 1] += w * (right - x)
+            b[i] = w * (x - left)
+    return ell, b.T
+
+
+def _collocation_matrix(knots_t, times, knots_r, r):
+    """kron(B_t, B_r) of the tensor spline at the grid nodes, as CSR: row
+    i * r.size + j holds B_t[i, a] * B_r[j, c] for the 16 products, t-index
+    outer and r-index inner, so its columns ascend; zero products are
+    dropped.  This is scipy's `NdBSpline.design_matrix` after
+    `eliminate_zeros()`, entry for entry, with 32-bit indices."""
+    from scipy.sparse import csr_array
+
+    lt, bt = _cubic_basis(knots_t, times)
+    lr, br = _cubic_basis(knots_r, r)
+    size = times.size * r.size
+    cols_t = (lt[:, None] + np.arange(-3, 1)).astype(np.int32) * r.size
+    cols_r = (lr[:, None] + np.arange(-3, 1)).astype(np.int32)
+    # (node, 16) tables: the t factors repeat over c, the r factors tile over a
+    data = (np.repeat(bt, 4, axis=1)[:, None] * np.tile(br, 4)).ravel()
+    cols = (np.repeat(cols_t, 4, axis=1)[:, None] + np.tile(cols_r, 4)).ravel()
+    keep = data != 0.0
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(keep.reshape(size, 16), axis=1), out=indptr[1:])
+    return csr_array((data[keep], cols[keep], indptr), shape=(size, size))
+
+
 class CauchySolution:
     """Sampler for the deviation w = u - u_1^* on the (t, r) rectangle.
 
     `fields[i, j]` holds (w, w_t, w_r) at (times[i], r[j]); `w` and `wt` are
-    views into it.
+    views into it.  Each field is interpolated by the not-a-knot cubic tensor
+    spline that scipy's `RegularGridInterpolator(method="cubic")` builds, with
+    the same numbers: one collocation matrix serves all three fields, and
+    scipy's solver for it (`gcrotmk`, atol = 1e-6) runs once per field, so
+    each gets the coefficients of a fit of its own, bit for bit.
     """
 
     def __init__(self, params, pert, times, r, fields):
+        from scipy.sparse.linalg import gcrotmk
+
         self.params = params
         self.pert = pert
         self.times = times
         self.r = r
         self.w = fields[..., 0]
         self.wt = fields[..., 1]
-        from scipy.interpolate import RegularGridInterpolator
+        self._knots = (_not_a_knot(times), _not_a_knot(r))
+        matrix = _collocation_matrix(self._knots[0], times, self._knots[1], r)
+        rhs = fields.reshape(-1, 3)
+        coef = np.empty_like(rhs)
+        for k in range(3):
+            coef[:, k], info = gcrotmk(matrix, rhs[:, k], atol=1e-6)
+            if info != 0:
+                raise RuntimeError(
+                    f"Cauchy spline fit: gcrotmk returned info={info} for field {k}"
+                )
+        self._coef = coef.reshape(fields.shape)
 
-        # one spline over the stacked fields: the design matrix is built once
-        # and its default solver (gcrotmk) runs column by column, so each
-        # field gets the coefficients a separate fit would give, bit for bit
-        self._fit = RegularGridInterpolator((times, r), fields, method="cubic")
+    def _spline(self, t, r):
+        """(w, w_t, w_r) of the spline at points of the rectangle, shape
+        (t.size, 3); the 16 tensor terms are summed t-index outer, r-index
+        inner, as scipy's `NdBSpline` sums them."""
+        for name, x, nodes in (("t", t, self.times), ("r", r, self.r)):
+            if not np.all((nodes[0] <= x) & (x <= nodes[-1])):
+                raise ValueError(
+                    f"Cauchy spline evaluated outside [{nodes[0]}, {nodes[-1]}] in {name}"
+                )
+        lt, bt = _cubic_basis(self._knots[0], t)
+        lr, br = _cubic_basis(self._knots[1], r)
+        vals = np.zeros((t.size, 3))
+        for a in range(4):
+            for c in range(4):
+                vals += self._coef[lt - 3 + a, lr - 3 + c] * (bt[:, a] * br[:, c])[:, None]
+        return vals
 
     def deviation(self, t, r):
         """(w, w_t, w_r) at scattered points; zero outside the light cone of
@@ -113,7 +196,7 @@ class CauchySolution:
         inside = r <= np.abs(t) + self.pert.eps + 2.0 * (self.r[1] - self.r[0])
         out = np.zeros((3, t.size))
         if np.any(inside):
-            out[:, inside] = self._fit(np.stack([t[inside], r[inside]], axis=-1)).T
+            out[:, inside] = self._spline(t[inside], r[inside]).T
         return out
 
 

@@ -111,18 +111,69 @@ class TestCauchySolver:
         assert np.array_equal(sol.deviation(t, r), expected)
 
     def test_one_spline_fit_per_cauchy_solve(self, params7, pert, monkeypatch):
+        # one collocation matrix serves the three fields, and its solver runs
+        # once per field
+        import scipy.sparse.linalg
+
+        from hyperwave import nonlinear
+
+        builds, solves = [], []
+        build, solve = nonlinear._collocation_matrix, scipy.sparse.linalg.gcrotmk
+
+        def counted_build(*args):
+            builds.append(1)
+            return build(*args)
+
+        def counted_solve(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(nonlinear, "_collocation_matrix", counted_build)
+        monkeypatch.setattr(scipy.sparse.linalg, "gcrotmk", counted_solve)
+        cauchy_tr_solver(params7, pert)
+        assert len(builds) == 1
+        assert len(solves) == 3
+
+    @pytest.mark.parametrize("m", [20, 360])
+    def test_collocation_matrix_is_scipys_design_matrix(self, params7, pert, m):
         from scipy.interpolate import NdBSpline
 
-        calls = []
-        design_matrix = NdBSpline.design_matrix
+        from hyperwave.nonlinear import _collocation_matrix, _not_a_knot
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return design_matrix(*args, **kwargs)
+        sol = cauchy_tr_solver(params7, pert, m=m)
+        knots = (_not_a_knot(sol.times), _not_a_knot(sol.r))
+        nodes = np.stack(np.meshgrid(sol.times, sol.r, indexing="ij"), axis=-1).reshape(-1, 2)
+        expected = NdBSpline.design_matrix(nodes, knots, 3)
+        expected.eliminate_zeros()
+        got = _collocation_matrix(knots[0], sol.times, knots[1], sol.r)
+        assert got.shape == expected.shape
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, name), getattr(expected, name)), name
 
-        monkeypatch.setattr(NdBSpline, "design_matrix", counted)
-        cauchy_tr_solver(params7, pert)
-        assert len(calls) == 1
+    @pytest.mark.parametrize("axis", ["times", "r"])
+    def test_cubic_basis_is_scipys_design_matrix(self, cauchy, axis):
+        from scipy.interpolate import BSpline
+
+        from hyperwave.nonlinear import _cubic_basis, _not_a_knot
+
+        nodes = getattr(cauchy, axis)
+        knots = _not_a_knot(nodes)
+        rng = np.random.default_rng(5)
+        # the nodes (the last one is the last knot) and points between them
+        x = np.concatenate([nodes, rng.uniform(nodes[0], nodes[-1], 500)])
+        ell, vals = _cubic_basis(knots, x)
+        expected = BSpline.design_matrix(x, knots, 3)
+        assert x[nodes.size - 1] == knots[-1]
+        assert np.array_equal(expected.indptr, 4 * np.arange(x.size + 1))
+        assert np.array_equal(expected.indices.reshape(-1, 4), ell[:, None] + np.arange(-3, 1))
+        assert np.array_equal(expected.data.reshape(-1, 4), vals)
+
+    @pytest.mark.parametrize("point", [(0.06, 0.01), (0.0, 1e-5)])
+    def test_deviation_outside_the_grid_raises(self, cauchy, point):
+        # past the last time level, and inside the first r cell: both points
+        # lie in the light cone, where the spline is read
+        with pytest.raises(ValueError, match="outside"):
+            cauchy.deviation(*point)
 
 
 class TestInitialData:

@@ -25,7 +25,8 @@ def _scipy_loaded_after(code):
     interpreter."""
     code += (
         "; import sys; print(sorted(m for m in "
-        "('scipy.interpolate', 'scipy.integrate', 'scipy.fft') if m in sys.modules))"
+        "('scipy.interpolate', 'scipy.integrate', 'scipy.fft', 'scipy.optimize', "
+        "'scipy.special') if m in sys.modules))"
     )
     src = os.path.dirname(os.path.dirname(hyperwave.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -36,7 +37,7 @@ def _scipy_loaded_after(code):
 
 
 def test_cli_import_leaves_scipy_interpolate_integrate_and_fft_unloaded():
-    # all three are slow to import; the functions that need them import them
+    # all five are slow to import; the functions that need them import them
     assert _scipy_loaded_after("import hyperwave.cli") == []
 
 
@@ -46,6 +47,15 @@ def test_freewave_leaves_scipy_interpolate_and_fft_unloaded(tmp_path):
     argv = ["freewave", "--d", "7", "--N", "24", "--s-end", "1", "--out", out]
     loaded = _scipy_loaded_after(f"import hyperwave.cli; hyperwave.cli.main({argv!r})")
     assert not {"scipy.interpolate", "scipy.fft"} & set(loaded)
+
+
+def test_blowup_leaves_scipy_interpolate_optimize_special_and_fft_unloaded(tmp_path):
+    # the Cauchy spline is built on the package's own B-spline basis; the
+    # pipeline needs numpy, scipy.sparse (with its gcrotmk) and scipy.linalg
+    out = str(tmp_path / "blowup")
+    argv = ["blowup", "--d", "7", "--N", "48", "--out", out]
+    loaded = _scipy_loaded_after(f"import hyperwave.cli; hyperwave.cli.main({argv!r})")
+    assert not {"scipy.interpolate", "scipy.optimize", "scipy.special", "scipy.fft"} & set(loaded)
 
 
 def test_traced_spans_resolve():
