@@ -8,8 +8,6 @@ composite descent lands on the odd module of the 1-d machinery.
 """
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import solve_banded
 
 from . import coeffs
 from .grids import Grid, GridFunction, StateVector
@@ -52,10 +50,16 @@ def descent_step(d, state: StateVector) -> StateVector:
     return StateVector(GridFunction(grid, out1, parity), GridFunction(grid, out2, parity))
 
 
-def _scaled_integral(grid: Grid, g_full, weight, power):
-    """At each positive node eta: integral_0^1 weight(t*eta) t^power g(t*eta) dt."""
-    tq, wq, pts, interp = grid.dilation_quadrature
-    gv = (interp @ np.asarray(g_full)).reshape(pts.shape)
+def _dilated(grid: Grid, g_full):
+    """g(t*eta) at the dilation quadrature points, from g's full-grid values."""
+    _, _, pts, interp = grid.dilation_quadrature
+    return (interp @ np.asarray(g_full)).reshape(pts.shape)
+
+
+def _scaled_integral(grid: Grid, gv, weight, power):
+    """At each positive node eta: integral_0^1 weight(t*eta) t^power g(t*eta) dt,
+    from gv = _dilated(grid, g)."""
+    tq, wq, pts, _ = grid.dilation_quadrature
     wv = weight(pts.ravel()).reshape(pts.shape) if weight is not None else 1.0
     return (gv * wv * tq**power) @ wq
 
@@ -73,18 +77,19 @@ def descent_step_inverse(d, state: StateVector) -> StateVector:
             raise ValueError("the 3 -> 1 inverse expects an odd pair")
         g1p = grid.D @ state.f1.full()
         g2p = grid.D @ state.f2.full()
-        f1 = _scaled_integral(grid, g1p, None, 0)
-        f2 = _scaled_integral(grid, g1p + g2p, None, 0)
+        f1 = _scaled_integral(grid, _dilated(grid, g1p), None, 0)
+        f2 = _scaled_integral(grid, _dilated(grid, g1p + g2p), None, 0)
         return StateVector(GridFunction(grid, f1, "even"), GridFunction(grid, f2, "even"))
     if state.f1.parity != "even":
         raise ValueError("descent inverses for d > 3 expect even pairs")
     h = HEIGHT.h(eta)
-    g1_full = state.f1.full()
-    g2_full = state.f2.full()
-    J11 = _scaled_integral(grid, g1_full, lambda x: coeffs.t11_fn(d, x), d - 3)
-    J12 = _scaled_integral(grid, g1_full, lambda x: coeffs.t12_fn(d, x), d - 3)
-    J21 = _scaled_integral(grid, g2_full, coeffs.t21_fn, d - 3)
-    J22 = _scaled_integral(grid, g2_full, coeffs.t22_fn, d - 3)
+    # each component is interpolated once and serves both of its kernels
+    g1 = _dilated(grid, state.f1.full())
+    g2 = _dilated(grid, state.f2.full())
+    J11 = _scaled_integral(grid, g1, lambda x: coeffs.t11_fn(d, x), d - 3)
+    J12 = _scaled_integral(grid, g1, lambda x: coeffs.t12_fn(d, x), d - 3)
+    J21 = _scaled_integral(grid, g2, coeffs.t21_fn, d - 3)
+    J22 = _scaled_integral(grid, g2, coeffs.t22_fn, d - 3)
     S = np.sqrt(2.0 + eta * eta)
     local = (3.0 - 2.0 * S) / (S - 1.0) * state.f1.values
     f1 = -h * J11 + J12 - h * J21 + J22
@@ -158,6 +163,8 @@ def _fd_operator(d, R, m):
     field mirrors into the other's ghost cells, and c is the dimensional
     coupling.
     """
+    from scipy import sparse
+
     if m < _UPWIND_WIDTH:
         raise ValueError(f"m must be at least {_UPWIND_WIDTH} (the upwind stencil width), got m={m}")
     dr = R / m
@@ -270,6 +277,8 @@ def _at_nodes(r, fields, eta):
     (de Boor, A Practical Guide to Splines, ch. IV); one banded solve fits
     every field.  Each interval then holds the cubic Hermite interpolant.
     """
+    from scipy.linalg import solve_banded
+
     m = r.size
     dr = (r[-1] - r[0]) / (m - 1)
     y = np.stack(fields, axis=1)

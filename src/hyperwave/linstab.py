@@ -5,10 +5,11 @@ the unstable mode, and the connection-determinant scan of the mode equation
 in standard similarity coordinates.
 """
 
+import importlib.util
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
 
 from . import coeffs
 from .grids import Grid, make_grid
@@ -26,6 +27,29 @@ __all__ = [
     "ssc_scan_roots",
 ]
 
+
+def _lazy_module(name):
+    """The module `name`, executed on its first attribute access: the one in
+    sys.modules if it is already imported, else a lazy one registered there.
+
+    Importing any scipy subpackage costs about 0.2 s (scipy's array-API shim
+    loads every lazy numpy submodule, numpy.f2py included), which `identities`
+    never needs.  A function-level import would keep the module
+    out of sys.modules until the first call, so a profiler that wraps
+    `scipy.linalg.eig` after `import hyperwave.cli` (bench/tracer.py) would
+    find nothing to wrap; the lazy module is there, and loads when read.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+linalg = _lazy_module("scipy.linalg")
 
 # smallest node count at which the generator is resolved well enough for
 # spectral work
@@ -149,7 +173,7 @@ def spectrum(op: OperatorMatrix) -> SpectrumResult:
     """
     raw = op.eig()[0]
     fine_grid = make_grid(op.grid.R, op.grid.N + REFINE_NODES)
-    raw_fine = assemble_L(op.params, fine_grid).eig()[0]
+    raw_fine = linalg.eigvals(assemble_L(op.params, fine_grid).matrix)
     kept = []
     for z in raw[raw.real >= SPECTRUM_WINDOW]:
         if np.min(np.abs(raw_fine - z)) < MATCH_TOL:

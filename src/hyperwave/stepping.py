@@ -8,8 +8,6 @@ matrix; `rk4_matrix` builds it once, so the finite-difference wave oracle
 takes each step as one sparse product.
 """
 
-from scipy import sparse
-
 __all__ = ["rk4", "rk4_matrix"]
 
 
@@ -42,6 +40,8 @@ def rk4_matrix(A, h):
     entries of A for the FD oracle's upwind operator), so it pays when many
     steps share one A.
     """
+    from scipy import sparse
+
     A = sparse.csr_array(A)
     eye = sparse.eye_array(A.shape[0], format="csr")
     P = eye

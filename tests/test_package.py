@@ -20,20 +20,46 @@ def test_star_import(name):
     exec(f"from hyperwave.{name} import *", {})
 
 
-def _scipy_loaded_after(code):
-    """The slow scipy subpackages in sys.modules after `code` runs in a fresh
-    interpreter."""
-    code += (
-        "; import sys; print(sorted(m for m in "
-        "('scipy.interpolate', 'scipy.integrate', 'scipy.fft', 'scipy.optimize', "
-        "'scipy.special') if m in sys.modules))"
-    )
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+SLOW_SCIPY = ("scipy.interpolate", "scipy.integrate", "scipy.fft", "scipy.optimize", "scipy.special")
+# what importing any scipy subpackage loads first: scipy's array-API shim,
+# which in turn loads numpy's lazy submodules, numpy.f2py among them
+SCIPY_SHIM = ("scipy._lib._util", "numpy.f2py")
+
+
+def _run_fresh(code):
+    """The last line `code` prints, run in a fresh interpreter, as a value."""
     src = os.path.dirname(os.path.dirname(hyperwave.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout
     return ast.literal_eval(out.strip().splitlines()[-1])
+
+
+def _scipy_loaded_after(code, modules=SLOW_SCIPY):
+    """The modules of `modules` in sys.modules after `code` runs in a fresh
+    interpreter."""
+    return _run_fresh(
+        f"{code}; import sys; print(sorted(m for m in {modules!r} if m in sys.modules))"
+    )
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import hyperwave.cli",
+        "import hyperwave.cli; hyperwave.cli.main(['identities', '--dims', '3,7', '--out', OUT])",
+        "import hyperwave.cli; assert hyperwave.cli.main(['blowup', '--eps', '-1']) == 2",
+    ],
+    ids=["import", "identities", "config-error"],
+)
+def test_runs_without_scipy_leave_its_array_api_shim_unloaded(code, tmp_path):
+    # scipy.linalg and scipy.sparse load on first use, so a run that calls
+    # neither pays for neither
+    out = str(tmp_path / "out")
+    assert _scipy_loaded_after(f"OUT = {out!r}; {code}", SCIPY_SHIM) == []
 
 
 def test_cli_import_leaves_scipy_interpolate_integrate_and_fft_unloaded():
@@ -58,11 +84,24 @@ def test_blowup_leaves_scipy_interpolate_optimize_special_and_fft_unloaded(tmp_p
     assert not {"scipy.interpolate", "scipy.optimize", "scipy.special", "scipy.fft"} & set(loaded)
 
 
+def test_tracer_wraps_scipy_eigensolvers_after_cli_import():
+    # the benchmark tracer installs after `import hyperwave.cli` and skips a
+    # module that is not in sys.modules; linstab's lazy scipy.linalg is there,
+    # so the `linstab.eig` span still sees every eigen-decomposition
+    bench = os.path.join(ROOT, "bench")
+    assert _run_fresh(
+        "import sys; import hyperwave.cli; from hyperwave import linstab; "
+        f"sys.path.insert(0, {bench!r}); import tracer; tracer.install(tracer.Tracer()); "
+        "import scipy.linalg; "
+        "print([linstab.linalg is scipy.linalg, hasattr(scipy.linalg.eig, '__wrapped__'), "
+        "hasattr(scipy.linalg.eigvals, '__wrapped__')])"
+    ) == [True, True, True]
+
+
 def test_traced_spans_resolve():
     # the benchmark tracer skips a target the package no longer defines, so a
     # rename would silently zero a per-layer metric; SPANS is read, not run
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(root, "bench", "tracer.py")) as fh:
+    with open(os.path.join(ROOT, "bench", "tracer.py")) as fh:
         tree = ast.parse(fh.read())
     [spans] = [
         ast.literal_eval(node.value)
