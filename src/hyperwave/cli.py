@@ -172,7 +172,9 @@ def cmd_freewave(args):
             weighted_state_norm(
                 StateVector(GridFunction(grid, v, "even"), GridFunction(grid, vs, "even")), 1, args.d
             )
-            for v, vs in fd_oracle_series(args.d, f1, f2, s_values, args.R, grid.eta)
+            for v, vs in fd_oracle_series(
+                args.d, f1, f2, args.s_end, s_values.size - 1, args.R, grid.eta
+            )
         ]
         rows = [
             (float(s), float(nv), float(fv))
@@ -257,7 +259,7 @@ def cmd_spectrum(args):
 def cmd_blowup(args):
     if not args.eps > 0.0:
         raise ConfigError(f"eps must be positive, got {args.eps}")
-    if args.dt is not None and not args.dt > 0.0:
+    if not args.dt > 0.0:
         raise ConfigError(f"dt must be positive, got {args.dt}")
     op = _spectral_operator(args)
     spec = spectrum(op)
@@ -369,7 +371,7 @@ _OPTIONS = {
     "scan_ssc": (bool, False, "also scan the mode equation in similarity coordinates"),
     "eps": (float, 0.05, "perturbation support radius"),
     "amp": (float, 1e-3, "perturbation amplitude"),
-    "dt": (float, None, f"fixed integrating-factor RK4 step (default {DEFAULT_STEP})"),
+    "dt": (float, DEFAULT_STEP, f"fixed integrating-factor RK4 step (default {DEFAULT_STEP})"),
     "seed": (int, 0, "seed of the random test functions"),
     "out": (str, None, "output path prefix (default: the command name)"),
 }
@@ -446,7 +448,7 @@ def main(argv=None):
         func, keys, _ = _COMMANDS[args.command]
         for key in keys:
             value = getattr(args, key)
-            if _OPTIONS[key][0] is float and value is not None and not math.isfinite(value):
+            if _OPTIONS[key][0] is float and not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}")
         if "d" in keys and (args.d % 2 == 0 or args.d < 1):
             raise ConfigError(f"dimension must be odd and positive, got {args.d}")

@@ -10,7 +10,7 @@ composite descent lands on the odd module of the 1-d machinery.
 import numpy as np
 
 from . import coeffs
-from .grids import Grid, GridFunction, StateVector
+from .grids import Grid, GridFunction, StateVector, _cubic_basis, _not_a_knot
 from .halfwave import evolve_S1
 from .model import HEIGHT
 from .stepping import rk4_matrix
@@ -123,7 +123,6 @@ def evolve_free_wave(d, state: StateVector, ds) -> StateVector:
     return up
 
 
-_UPWIND_WIDTH = 3  # cells spanned by the second-order upwind stencil
 FD_CFL = 0.4  # Courant number of the FD oracle's RK4 steps
 
 
@@ -165,8 +164,8 @@ def _fd_operator(d, R, m):
     """
     from scipy import sparse
 
-    if m < _UPWIND_WIDTH:
-        raise ValueError(f"m must be at least {_UPWIND_WIDTH} (the upwind stencil width), got m={m}")
+    if m < 4:
+        raise ValueError(f"m must be at least 4 for a not-a-knot cubic spline, got m={m}")
     dr = R / m
     r = (np.arange(m) + 0.5) * dr
     h = HEIGHT.h(r)
@@ -199,15 +198,15 @@ def _fd_operator(d, R, m):
     return r, A, np.max(np.maximum(np.abs(hp / hpd), np.abs(hm / hmd)))
 
 
-def _fd_start(d, f1, f2, s_end, R, m, cfl):
-    """The FD oracle's cells r, right-hand side A, step dt (the CFL step
-    shrunk to divide s_end) and initial state: v0 and w0 = (W1, W2), the
-    half-wave fields built from (v, d_s v) with d_eta v by 4th-order FD."""
+def _fd_start(d, f1, f2, span, R, m):
+    """The FD oracle's cells r, right-hand side A, step dt and its count per
+    span (the CFL step shrunk to divide `span` into equal steps), and initial
+    state: v0 and w0 = (W1, W2), the half-wave fields built from (v, d_s v)
+    with d_eta v by 4th-order FD."""
     r, A, speed = _fd_operator(d, R, m)
     dr = R / m
-    dt = cfl * dr / speed
-    nsteps = int(np.ceil(s_end / dt))
-    dt = s_end / nsteps
+    nsteps = int(np.ceil(span / (FD_CFL * dr / speed)))
+    dt = span / nsteps
 
     v0 = f1(r)
     vs0 = f2(r)
@@ -219,20 +218,20 @@ def _fd_start(d, f1, f2, s_end, R, m, cfl):
     u_scale = r * dh - h
     W1 = ((1.0 - dh) * vs0 + (r - h) * dv0) / u_scale
     W2 = ((1.0 + dh) * vs0 + (r + h) * dv0) / u_scale
-    return r, A, dt, v0, np.concatenate([W1, W2])
+    return r, A, dt, nsteps, v0, np.concatenate([W1, W2])
 
 
-def _fd_run(d, f1, f2, s_values, R, m, cfl):
+def _fd_run(d, f1, f2, s_end, legs, R, m):
     """March the characteristic first-order form of the radial wave system.
 
     Variables are v and the rescaled half-wave fields W1, W2 (the Cartesian
     d'Alembert fields dt u +- dr u composed with the coordinate map, times
     e^{-s}), which satisfy autonomous transport equations with speeds
     h_pm/h_pm' and a dimensional coupling; v itself integrates alongside.
-    Returns (r, [(v, d_s v), ...]) on the cells r: one snapshot per time in
-    `s_values`, in order, each at the step nearest to it.  The times must be
-    sorted and non-negative, the last one positive; a time repeated, or two
-    times that round to the same step, repeat the snapshot.
+    Returns (r, [(v, d_s v), ...]) on the cells r: the legs + 1 snapshots at
+    s = k s_end / legs, k = 0, ..., legs.  Every leg takes the same number of
+    steps, so each snapshot lands on its time, and snapshot k is bit for bit
+    the end of a k-leg run with legs of the same length.
 
     The right-hand side is the constant matrix A, so one classical RK4 step
     is the constant matrix P = `rk4_matrix(A, dt)`, built once.  No field
@@ -243,81 +242,63 @@ def _fd_run(d, f1, f2, s_values, R, m, cfl):
     iterates and d_s v are bit for bit those of the full step x <- P x, and
     v differs from it by rounding only.
     """
-    s_values = np.asarray(s_values, dtype=float)
-    if s_values.size and not s_values[-1] > 0.0:
-        raise ValueError(f"s_end must be positive, got s_end={s_values[-1]}")
-    if not (s_values.size and s_values[0] >= 0.0 and np.all(np.diff(s_values) >= 0.0)):
-        raise ValueError(f"s_values must be sorted, non-negative times, got {s_values.tolist()}")
-    if not cfl > 0.0:
-        raise ValueError(f"cfl must be positive, got cfl={cfl}")
-    r, A, dt, v0, w = _fd_start(d, f1, f2, s_values[-1], R, m, cfl)
+    if not s_end > 0.0:
+        raise ValueError(f"s_end must be positive, got s_end={s_end}")
+    r, A, dt, nsteps, v0, w = _fd_start(d, f1, f2, s_end / legs, R, m)
     P = rk4_matrix(A, dt)
     P_vw, P_ww, A_vw = P[:m, m:], P[m:, m:], A[:m, m:]
     acc = np.zeros_like(w)
-    series = []
-    step = 0
-    for target in np.round(s_values / dt).astype(int):
-        for _ in range(target - step):
+    series = [(v0 + P_vw @ acc, A_vw @ w)]
+    for _ in range(legs):
+        for _ in range(nsteps):
             acc += w
             w = P_ww @ w
-        step = target
         series.append((v0 + P_vw @ acc, A_vw @ w))
     return r, series
 
 
 def _at_nodes(r, fields, eta):
-    """Not-a-knot cubic-spline interpolants of FD fields on the uniform cells
-    r, at eta; the end cubics extend past the first and last cells.  These
-    are the values of scipy's `CubicSpline(r, f)(eta)`, to rounding.
+    """Not-a-knot cubic-spline interpolants of FD fields on the cells r, at
+    eta; the end cubics extend past the first and last cells.  These are the
+    values of scipy's `CubicSpline(r, f)(eta)`, to rounding.
 
-    In units of the cell width dr the spline's slopes sigma solve the
-    tridiagonal system sigma_{i-1} + 4 sigma_i + sigma_{i+1} =
-    3 (y_{i+1} - y_{i-1}), closed by the not-a-knot rows
-    sigma_0 + 2 sigma_1 = (-5 y_0 + 4 y_1 + y_2) / 2 and their mirror image
-    (de Boor, A Practical Guide to Splines, ch. IV); one banded solve fits
-    every field.  Each interval then holds the cubic Hermite interpolant.
+    The spline is fitted on the package's B-spline basis
+    (`grids._cubic_basis`): the collocation matrix at the cells has its
+    nonzeros within two diagonals of the main one, so one banded solve fits
+    every field.
     """
     from scipy.linalg import solve_banded
 
     m = r.size
-    dr = (r[-1] - r[0]) / (m - 1)
-    y = np.stack(fields, axis=1)
-    ab = np.ones((3, m))  # rows: super-, main and sub-diagonal
-    ab[1, 1:-1] = 4.0
-    ab[0, 1] = ab[2, -2] = 2.0
-    b = np.empty_like(y)
-    b[1:-1] = 3.0 * (y[2:] - y[:-2])
-    b[0] = (-5.0 * y[0] + 4.0 * y[1] + y[2]) / 2.0
-    b[-1] = (5.0 * y[-1] - 4.0 * y[-2] - y[-3]) / 2.0
-    if m == 3:
-        # both not-a-knot rows then say the spline is one parabola: the
-        # middle row becomes sigma_0 - 2 sigma_1 + sigma_2 = 0
-        ab[1, 1] = -2.0
-        b[1] = 0.0
-    sigma = solve_banded((1, 1), ab, b)
-    i = np.clip(np.searchsorted(r, eta, side="right") - 1, 0, m - 2)
-    t = ((eta - r[i]) / dr)[:, None]
-    dy = y[i + 1] - y[i]
-    s0, s1 = sigma[i], sigma[i + 1]
-    vals = y[i] + t * (s0 + t * (3.0 * dy - 2.0 * s0 - s1 + t * (s0 + s1 - 2.0 * dy)))
+    knots = _not_a_knot(r)
+    ell, b = _cubic_basis(knots, r)
+    rows = np.arange(m)[:, None]
+    cols = ell[:, None] + np.arange(-3, 1)
+    # each row's fourth entry, zero at the end cells, may fall outside the band
+    band = np.abs(rows - cols) <= 2
+    ab = np.zeros((5, m))  # ab[2 + i - j, j] holds entry (i, j)
+    ab[(2 + rows - cols)[band], cols[band]] = b[band]
+    coef = solve_banded((2, 2), ab, np.stack(fields, axis=1))
+    ell, b = _cubic_basis(knots, eta)
+    vals = sum(coef[ell - 3 + a] * b[:, a, None] for a in range(4))
     return tuple(np.ascontiguousarray(vals.T))
 
 
-def direct_fd_oracle(d, f1, f2, s_end, R, eta, m=400, cfl=FD_CFL):
+def direct_fd_oracle(d, f1, f2, s_end, R, eta, m=400):
     """Upwinded method-of-lines reference for the radial wave evolution in
     similarity coordinates, from callable initial data (v, d_s v):
     (v, d_s v) at time s_end and the nodes eta, Richardson-extrapolated on
     the m cells for the leading O(dr^2) error."""
-    r, [coarse] = _fd_run(d, f1, f2, [s_end], R, m, cfl)
-    r2, [fine] = _fd_run(d, f1, f2, [s_end], R, 2 * m, cfl)
+    r, [_, coarse] = _fd_run(d, f1, f2, s_end, 1, R, m)
+    r2, [_, fine] = _fd_run(d, f1, f2, s_end, 1, R, 2 * m)
     fine = _at_nodes(r2, fine, r)
     return _at_nodes(r, [(4 * f - c) / 3.0 for f, c in zip(fine, coarse)], eta)
 
 
-def fd_oracle_series(d, f1, f2, s_values, R, eta, m=300):
+def fd_oracle_series(d, f1, f2, s_end, legs, R, eta, m=300):
     """Snapshots [(v, d_s v), ...] of the reference solution at the nodes
-    eta, one per time in `s_values` and in the order given (see `_fd_run`);
-    no extrapolation."""
-    r, shots = _fd_run(d, f1, f2, s_values, R, m, FD_CFL)
+    eta, at s = k s_end / legs for k = 0, ..., legs (see `_fd_run`); no
+    extrapolation."""
+    r, shots = _fd_run(d, f1, f2, s_end, legs, R, m)
     vals = _at_nodes(r, [f for shot in shots for f in shot], eta)
     return list(zip(vals[::2], vals[1::2]))

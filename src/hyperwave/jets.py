@@ -99,9 +99,6 @@ class Taylor:
             return Taylor(self.coef / other)
         return self * other.reciprocal()
 
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
-
     def __pow__(self, n):
         if n != int(n) or n < 0:
             raise ValueError("only nonnegative integer powers")

@@ -223,18 +223,15 @@ def cubic_spline_at(r, f, eta):
     return CubicSpline(r, f)(eta)
 
 
-def fd_run_full_state(d, f1, f2, s_values, R, m, cfl):
+def fd_run_full_state(d, f1, f2, s_end, legs, R, m):
     """`descent._fd_run` stepping the whole state x = (v, W1, W2) with the
     full RK4 matrix P, one product x <- P x per step."""
-    s_values = np.asarray(s_values, dtype=float)
-    r, A, dt, v0, w0 = _fd_start(d, f1, f2, s_values[-1], R, m, cfl)
+    r, A, dt, nsteps, v0, w0 = _fd_start(d, f1, f2, s_end / legs, R, m)
     P = rk4_matrix(A, dt)
     x = np.concatenate([v0, w0])
-    series = []
-    step = 0
-    for target in np.round(s_values / dt).astype(int):
-        for _ in range(target - step):
+    series = [(x[:m].copy(), (A @ x)[:m])]
+    for _ in range(legs):
+        for _ in range(nsteps):
             x = P @ x
-        step = target
         series.append((x[:m].copy(), (A @ x)[:m]))
     return r, series

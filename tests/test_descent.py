@@ -12,6 +12,7 @@ from hyperwave.descent import (
     evolve_free_wave,
     fd_oracle_series,
     _at_nodes,
+    FD_CFL,
     _fd_operator,
     _fd_run,
 )
@@ -263,24 +264,22 @@ class TestFreeWave:
 
 class TestFDOracle:
     def test_steady_state(self):
-        _, [(v, vs)] = _fd_run(5, lambda r: np.ones_like(r), lambda r: 0 * r, [1.0], 2.0, 200, 0.4)
+        _, [_, (v, vs)] = _fd_run(5, lambda r: np.ones_like(r), lambda r: 0 * r, 1.0, 1, 2.0, 200)
         assert np.max(np.abs(v - 1.0)) == 0.0
         assert np.max(np.abs(vs)) == 0.0
 
     def test_reflection_symmetry_preserved(self):
         # even initial data stays even: the origin value never drifts relative
         # to its mirror ghost, checked through the first-node symmetry
-        _, [(v, vs)] = _fd_run(5, lambda r: np.exp(-3 * r * r), lambda r: 0 * r, [0.5], 2.0, 200, 0.4)
+        _, [_, (v, vs)] = _fd_run(5, lambda r: np.exp(-3 * r * r), lambda r: 0 * r, 0.5, 1, 2.0, 200)
         assert np.all(np.isfinite(v))
 
     def test_cfl_guard(self):
         f1, f2 = lambda r: np.exp(-(r**2)), lambda r: 0 * r
-        with pytest.raises(ValueError, match="m must be at least 3"):
+        with pytest.raises(ValueError, match="m must be at least 4"):
             direct_fd_oracle(5, f1, f2, 1.0, 2.0, ETA, m=-3)
-        with pytest.raises(ValueError, match="m must be at least 3"):
-            _fd_operator(5, 2.0, 2)
-        with pytest.raises(ValueError, match="cfl must be positive"):
-            direct_fd_oracle(5, f1, f2, 1.0, 2.0, ETA, cfl=0.0)
+        with pytest.raises(ValueError, match="m must be at least 4"):
+            _fd_operator(5, 2.0, 3)
 
     @pytest.mark.parametrize("s_end", [0.0, -1.0])
     def test_end_time_guard(self, s_end):
@@ -322,7 +321,7 @@ class TestFDOracle:
 
     def test_regression_pin(self):
         # values of the stencil-by-stencil upwind solver this operator replaced
-        _, [(v, vs)] = _fd_run(5, lambda r: np.exp(-2 * r * r), lambda r: 0 * r, [1.0], 2.0, 200, 0.4)
+        _, [_, (v, vs)] = _fd_run(5, lambda r: np.exp(-2 * r * r), lambda r: 0 * r, 1.0, 1, 2.0, 200)
         idx = [0, 1, 37, 100, 199]
         assert v[idx] == pytest.approx(
             [0.07410089909774671, 0.07402609232994271, 0.024621339800224476,
@@ -331,7 +330,7 @@ class TestFDOracle:
             [-0.716189235911018, -0.7160713995601833, -0.6401242385222106,
              -0.3869622825676523, -0.38546114240154483], rel=1e-12)
         _, shots = _fd_run(
-            7, lambda r: np.exp(-2 * r * r), lambda r: -0.3 * np.exp(-r * r), [0.0, 0.5, 1.0], 2.0, 100, 0.4
+            7, lambda r: np.exp(-2 * r * r), lambda r: -0.3 * np.exp(-r * r), 1.0, 2, 2.0, 100
         )
         assert len(shots) == 3
         v1, vs1 = shots[-1]
@@ -344,9 +343,9 @@ class TestFDOracle:
              -0.3439355526783216], rel=1e-12)
 
     def test_one_sparse_product_per_step(self, monkeypatch):
-        m, R, cfl, s_end = 200, 2.0, 0.4, 1.0
+        m, R, s_end = 200, 2.0, 1.0
         _, _, speed = _fd_operator(5, R, m)
-        nsteps = int(np.ceil(s_end / (cfl * (R / m) / speed)))
+        nsteps = int(np.ceil(s_end / (FD_CFL * (R / m) / speed)))
         products = []
         matmul = sparse.csr_array.__matmul__
 
@@ -356,22 +355,24 @@ class TestFDOracle:
             return matmul(self, other)
 
         monkeypatch.setattr(sparse.csr_array, "__matmul__", counting)
-        _fd_run(5, lambda r: np.exp(-2 * r * r), lambda r: 0 * r, [s_end], R, m, cfl)
+        _fd_run(5, lambda r: np.exp(-2 * r * r), lambda r: 0 * r, s_end, 1, R, m)
         # v is passive: one product P_ww w per step on w = (W1, W2) alone,
-        # plus two for the snapshot, v = v0 + P_vw acc and d_s v = A_vw w
-        assert products == [(2 * m,)] * (nsteps + 2)
+        # plus two for each of the snapshots at s = 0 and s_end,
+        # v = v0 + P_vw acc and d_s v = A_vw w
+        assert products == [(2 * m,)] * (nsteps + 4)
 
     @pytest.mark.parametrize(
         "d, f2, s_values, m",
         [
-            (5, lambda r: 0 * r, [1.0], 200),
+            (5, lambda r: 0 * r, [0.0, 1.0], 200),
             (7, lambda r: -0.3 * np.exp(-r * r), [0.0, 0.5, 1.0], 100),
         ],
     )
     def test_march_matches_full_state_loop(self, d, f2, s_values, m):
-        # the regression-pin runs.  The W iterates, hence d_s v, are those of
-        # x <- P x bit for bit; v sums the same increments in another order
-        case = (d, lambda r: np.exp(-2 * r * r), f2, s_values, 2.0, m, 0.4)
+        # the regression-pin runs, with their snapshot times.  The W
+        # iterates, hence d_s v, are those of x <- P x bit for bit; v sums
+        # the same increments in another order
+        case = (d, lambda r: np.exp(-2 * r * r), f2, s_values[-1], len(s_values) - 1, 2.0, m)
         _, got = _fd_run(*case)
         _, want = fd_run_full_state(*case)
         assert len(got) == len(want)
@@ -379,10 +380,10 @@ class TestFDOracle:
             assert np.array_equal(vs, vs_ref)
             assert np.max(np.abs(v - v_ref)) <= 1e-13 * np.max(np.abs(v_ref))
 
-    @pytest.mark.parametrize("m", [3, 100, 300, 400, 800])
+    @pytest.mark.parametrize("m", [4, 100, 300, 400, 800])
     def test_spline_matches_scipy_cubic_spline(self, grid64, m):
         # the nodes reach past the last cell centre, so the end cubics are
-        # extended; m = 3 is the parabola both not-a-knot rows then describe
+        # extended; at m = 4 the spline is the one interpolating cubic
         r = (np.arange(m) + 0.5) * (2.0 / m)
         fields = [np.exp(-2 * r * r), -0.3 * smooth_bump(r / 0.6), np.sin(3 * r) * r]
         assert grid64.eta[-1] > r[-1]
@@ -392,22 +393,28 @@ class TestFDOracle:
 
     def test_series_one_snapshot_per_time(self):
         f1, f2 = lambda r: np.exp(-2 * r * r), lambda r: -0.3 * np.exp(-r * r)
-        r, shots = _fd_run(7, f1, f2, [0.0, 0.5, 0.5, 1.0], 2.0, 100, 0.4)
-        assert len(shots) == 4
+        r, shots = _fd_run(7, f1, f2, 1.0, 4, 2.0, 100)
+        assert len(shots) == 5
         assert np.array_equal(shots[0][0], f1(r))
-        assert all(np.array_equal(a, b) for a, b in zip(shots[1], shots[2]))
-        assert not np.array_equal(shots[1][0], shots[3][0])
+        assert not any(np.array_equal(a[0], b[0]) for a, b in zip(shots, shots[1:]))
 
-    @pytest.mark.parametrize("s_values", [[1.0, 0.5], [-0.5, 1.0], []])
-    def test_series_times_guard(self, s_values):
-        with pytest.raises(ValueError, match="sorted, non-negative"):
-            fd_oracle_series(7, lambda r: np.exp(-(r**2)), lambda r: 0 * r, s_values, 2.0, ETA, m=100)
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_series_snapshots_land_on_their_times(self, k):
+        # snapshot k of the freewave series (d = 7, 10 legs to s = 5) is the
+        # end of a k-leg run to s = k/2 bit for bit: every leg takes the same
+        # steps, so no snapshot is read off its time
+        f1 = lambda r: smooth_bump(np.asarray(r) / 0.5)
+        f2 = lambda r: -0.3 * smooth_bump(np.asarray(r) / 0.6)
+        _, series = _fd_run(7, f1, f2, 5.0, 10, 2.0, 300)
+        _, short = _fd_run(7, f1, f2, k / 2, k, 2.0, 300)
+        for got, want in zip(series[k], short[-1], strict=True):
+            assert np.array_equal(got, want)
 
     def test_convergence_order(self):
         f1 = lambda r: np.exp(-2 * r * r)
         f2 = lambda r: 0 * r
         probe = np.linspace(0.1, 1.8, 50)
-        vals = {m: fd_oracle_series(5, f1, f2, [1.0], 2.0, probe, m=m)[0][0] for m in (100, 200, 400)}
+        vals = {m: fd_oracle_series(5, f1, f2, 1.0, 1, 2.0, probe, m=m)[-1][0] for m in (100, 200, 400)}
         e1 = np.max(np.abs(vals[100] - vals[200]))
         e2 = np.max(np.abs(vals[200] - vals[400]))
         order = np.log2(e1 / e2)

@@ -7,6 +7,7 @@ from hyperwave.grids import GridFunction, StateVector, weighted_sobolev_norm
 from hyperwave.linstab import spectrum
 from hyperwave.model import HEIGHT, initial_time_s0, symmetry_mode
 from hyperwave.nonlinear import (
+    CauchySolution,
     HyperboloidalIC,
     PerturbationSpec,
     adjust_blowup_time,
@@ -138,7 +139,8 @@ class TestCauchySolver:
     def test_collocation_matrix_is_scipys_design_matrix(self, params7, pert, m):
         from scipy.interpolate import NdBSpline
 
-        from hyperwave.nonlinear import _collocation_matrix, _not_a_knot
+        from hyperwave.grids import _not_a_knot
+        from hyperwave.nonlinear import _collocation_matrix
 
         sol = cauchy_tr_solver(params7, pert, m=m)
         knots = (_not_a_knot(sol.times), _not_a_knot(sol.r))
@@ -154,7 +156,7 @@ class TestCauchySolver:
     def test_cubic_basis_is_scipys_design_matrix(self, cauchy, axis):
         from scipy.interpolate import BSpline
 
-        from hyperwave.nonlinear import _cubic_basis, _not_a_knot
+        from hyperwave.grids import _cubic_basis, _not_a_knot
 
         nodes = getattr(cauchy, axis)
         knots = _not_a_knot(nodes)
@@ -177,6 +179,17 @@ class TestCauchySolver:
 
 
 class TestInitialData:
+    def test_cauchy_solution_truncated_in_t_raises(self, params7, cauchy, grid64):
+        # the hyperboloid at T = 1 meets the perturbation's light cone near
+        # t = -0.1, before a solution that starts at t = -0.09; its values
+        # do not matter, only its rectangle
+        times = cauchy.times[cauchy.times >= -0.09]
+        short = CauchySolution(
+            params7, cauchy.pert, times, cauchy.r, np.zeros((times.size, cauchy.r.size, 3))
+        )
+        with pytest.raises(ValueError):
+            initial_data_operator(params7, short, 1.0, grid64)
+
     def test_zero_perturbation_reference_time(self, params7, cauchy_zero, grid64):
         ic = initial_data_operator(params7, cauchy_zero, 1.0, grid64)
         assert np.max(np.abs(ic.state.stacked())) == 0.0
