@@ -187,7 +187,7 @@ def cmd_freewave(args):
             GridFunction.from_callable(grid, lambda e: np.exp(-2 * e * e), "even"),
             GridFunction.from_callable(grid, lambda e: np.zeros_like(e), "even"),
         )
-        o1, _ = direct_fd_oracle(
+        o1 = direct_fd_oracle(
             args.d, lambda r: np.exp(-2 * r * r), lambda r: np.zeros_like(r), 1.0, args.R, grid.eta
         )
         ev = evolve_free_wave(args.d, gauss, 1.0)

@@ -257,6 +257,36 @@ def _fd_run(d, f1, f2, s_end, legs, R, m):
     return r, series
 
 
+def _band_solve(ab, rhs):
+    """Solve A x = rhs, every column of rhs at once, for the m x m matrix A
+    with two diagonals each side in band storage, ab[2 + i - j, j] = A[i, j].
+
+    Gaussian elimination along the band without pivoting, so the band does
+    not fill and memory is O(m).  It is backward stable for a totally
+    positive A (de Boor & Pinkus, Numer. Math. 27, 1977), as the collocation
+    matrix of a B-spline basis at increasing points is (de Boor, Indiana
+    Univ. Math. J. 25, 1976).  Each column's arithmetic is independent of
+    the others.
+    """
+    m = ab.shape[1]
+    # the factorization runs on Python floats; two zero entries past the end
+    # of each diagonal, and two zero rows of x, take the last pivots' updates
+    up2, up1, diag, low1, low2 = (row + [0.0, 0.0] for row in ab.tolist())
+    x = np.zeros((m + 2,) + rhs.shape[1:])
+    x[:m] = rhs
+    for k in range(m - 1):
+        l1, l2 = low1[k] / diag[k], low2[k] / diag[k]  # multipliers of rows k + 1, k + 2
+        diag[k + 1] -= l1 * up1[k + 1]
+        low1[k + 1] -= l2 * up1[k + 1]
+        up1[k + 2] -= l1 * up2[k + 2]
+        diag[k + 2] -= l2 * up2[k + 2]
+        x[k + 1] -= l1 * x[k]
+        x[k + 2] -= l2 * x[k]
+    for k in range(m - 1, -1, -1):
+        x[k] = (x[k] - up1[k + 1] * x[k + 1] - up2[k + 2] * x[k + 2]) / diag[k]
+    return x[:m]
+
+
 def _at_nodes(r, fields, eta):
     """Not-a-knot cubic-spline interpolants of FD fields on the cells r, at
     eta; the end cubics extend past the first and last cells.  These are the
@@ -264,11 +294,9 @@ def _at_nodes(r, fields, eta):
 
     The spline is fitted on the package's B-spline basis
     (`grids._cubic_basis`): the collocation matrix at the cells has its
-    nonzeros within two diagonals of the main one, so one banded solve fits
-    every field.
+    nonzeros within two diagonals of the main one, so one banded solve
+    (`_band_solve`) fits every field.
     """
-    from scipy.linalg import solve_banded
-
     m = r.size
     knots = _not_a_knot(r)
     ell, b = _cubic_basis(knots, r)
@@ -278,7 +306,7 @@ def _at_nodes(r, fields, eta):
     band = np.abs(rows - cols) <= 2
     ab = np.zeros((5, m))  # ab[2 + i - j, j] holds entry (i, j)
     ab[(2 + rows - cols)[band], cols[band]] = b[band]
-    coef = solve_banded((2, 2), ab, np.stack(fields, axis=1))
+    coef = _band_solve(ab, np.stack(fields, axis=1))
     ell, b = _cubic_basis(knots, eta)
     vals = sum(coef[ell - 3 + a] * b[:, a, None] for a in range(4))
     return tuple(np.ascontiguousarray(vals.T))
@@ -286,13 +314,14 @@ def _at_nodes(r, fields, eta):
 
 def direct_fd_oracle(d, f1, f2, s_end, R, eta, m=400):
     """Upwinded method-of-lines reference for the radial wave evolution in
-    similarity coordinates, from callable initial data (v, d_s v):
-    (v, d_s v) at time s_end and the nodes eta, Richardson-extrapolated on
-    the m cells for the leading O(dr^2) error."""
-    r, [_, coarse] = _fd_run(d, f1, f2, s_end, 1, R, m)
-    r2, [_, fine] = _fd_run(d, f1, f2, s_end, 1, R, 2 * m)
-    fine = _at_nodes(r2, fine, r)
-    return _at_nodes(r, [(4 * f - c) / 3.0 for f, c in zip(fine, coarse)], eta)
+    similarity coordinates, from callable initial data (v, d_s v): v at time
+    s_end and the nodes eta, Richardson-extrapolated on the m cells for the
+    leading O(dr^2) error."""
+    r, [_, (coarse, _)] = _fd_run(d, f1, f2, s_end, 1, R, m)
+    r2, [_, (fine, _)] = _fd_run(d, f1, f2, s_end, 1, R, 2 * m)
+    [fine] = _at_nodes(r2, [fine], r)
+    [v] = _at_nodes(r, [(4 * fine - coarse) / 3.0], eta)
+    return v
 
 
 def fd_oracle_series(d, f1, f2, s_end, legs, R, eta, m=300):

@@ -176,8 +176,7 @@ class Grid:
         """Gauss-Legendre nodes `t` and weights `w` on [0, 1] (order N + 16),
         the points outer(eta, t) and the interpolation matrix onto them, for
         the integrals int_0^1 weight(t eta) t^p g(t eta) dt of the descent
-        inverses.  Built once per grid; all arrays are read-only, so threads
-        that race on the first access only build identical copies."""
+        inverses.  Built once per grid; all arrays are read-only."""
         t, w = leggauss(self.N + 16)
         t = 0.5 * (t + 1.0)
         w = 0.5 * w

@@ -451,12 +451,14 @@ def adjust_blowup_time(op: OperatorMatrix, pert: PerturbationSpec, dt=DEFAULT_ST
     s0 = initial_time_s0(pert.eps)
     s_mid = s0 + SHOOT_SPAN
 
+    shots = {}  # a(T) by T: a secant step below one ulp asks again for the T it has
+
     def observable(T):
-        ic = initial_data_operator(params, cauchy, T, grid)
-        traj = evolve_nonlinear(op, ic, s_mid, dt=dt, n_record=2, projector=proj)
-        if traj.unstable:
-            return None
-        return traj.projection_coeff[-1]
+        if T not in shots:
+            ic = initial_data_operator(params, cauchy, T, grid)
+            traj = evolve_nonlinear(op, ic, s_mid, dt=dt, n_record=2, projector=proj)
+            shots[T] = None if traj.unstable else traj.projection_coeff[-1]
+        return shots[T]
 
     c_eps = 2.0 * params.a * params.b * np.exp(s0)
     growth = np.exp(SHOOT_SPAN)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import solve_banded
 
 from hyperwave.coeffs import c1_fn
 from hyperwave.descent import (
@@ -12,6 +13,7 @@ from hyperwave.descent import (
     evolve_free_wave,
     fd_oracle_series,
     _at_nodes,
+    _band_solve,
     FD_CFL,
     _fd_operator,
     _fd_run,
@@ -19,6 +21,8 @@ from hyperwave.descent import (
 from hyperwave.grids import (
     GridFunction,
     StateVector,
+    _cubic_basis,
+    _not_a_knot,
     make_grid,
     odd_state_norm,
     weighted_sobolev_norm,
@@ -391,6 +395,25 @@ class TestFDOracle:
             want = cubic_spline_at(r, f, grid64.eta)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("m", [4, 5, 100, 300, 800])
+    def test_band_solve_matches_scipy_solve_banded(self, m):
+        # the not-a-knot collocation system `_at_nodes` solves at the cells,
+        # banded from its dense matrix, with several right-hand sides
+        r = (np.arange(m) + 0.5) * (2.0 / m)
+        ell, b = _cubic_basis(_not_a_knot(r), r)
+        A = np.zeros((m, m))
+        for a in range(4):
+            A[np.arange(m), ell - 3 + a] = b[:, a]
+        assert not np.any(np.triu(A, 3)) and not np.any(np.tril(A, -3))
+        ab = np.zeros((5, m))  # ab[2 + i - j, j] holds entry (i, j)
+        for k in range(-2, 3):
+            ab[2 - k, max(k, 0) : m + min(k, 0)] = np.diagonal(A, k)
+        rhs = np.random.default_rng(m).standard_normal((m, 5))
+        rhs[:, 0] = np.exp(-2 * r * r)
+        got = _band_solve(ab, rhs)
+        want = solve_banded((2, 2), ab, rhs)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
     def test_series_one_snapshot_per_time(self):
         f1, f2 = lambda r: np.exp(-2 * r * r), lambda r: -0.3 * np.exp(-r * r)
         r, shots = _fd_run(7, f1, f2, 1.0, 4, 2.0, 100)
@@ -424,7 +447,7 @@ class TestFDOracle:
     def test_cross_check_spectral(self, grid64, d):
         f1 = lambda r: np.exp(-2 * r * r)
         f2 = lambda r: 0 * r
-        o1, _ = direct_fd_oracle(d, f1, f2, 1.0, 2.0, grid64.eta, m=400)
+        o1 = direct_fd_oracle(d, f1, f2, 1.0, 2.0, grid64.eta, m=400)
         st = even_state(grid64, f1, f2)
         ev = evolve_free_wave(d, st, 1.0)
         w = grid64.w_half * grid64.eta ** (d - 1)

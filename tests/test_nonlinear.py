@@ -349,6 +349,23 @@ class TestBlowupAdjustment:
         # sign change verified inside; projection coefficient small at the end
         assert abs(report.projection_coeff[-1]) < 1e-4
 
+    def test_no_shooting_time_evolved_twice(self, pert, op64, monkeypatch):
+        from hyperwave import nonlinear
+
+        times = []
+        evolve = nonlinear.evolve_nonlinear
+
+        def recording(op, ic, s_end, **kwargs):
+            times.append(ic.T)
+            return evolve(op, ic, s_end, **kwargs)
+
+        monkeypatch.setattr(nonlinear, "evolve_nonlinear", recording)
+        t_star, _ = adjust_blowup_time(op64, pert)
+        # every evolution but the last is a shooting run; the last runs at T*
+        shooting = times[:-1]
+        assert times[-1] == t_star and t_star in shooting
+        assert len(set(shooting)) == len(shooting)
+
     def test_zero_amplitude_control(self, op64):
         t_star, report = adjust_blowup_time(op64, PerturbationSpec(0.0))
         assert t_star == 1.0

@@ -67,12 +67,24 @@ def test_cli_import_leaves_scipy_interpolate_integrate_and_fft_unloaded():
     assert _scipy_loaded_after("import hyperwave.cli") == []
 
 
-def test_freewave_leaves_scipy_interpolate_and_fft_unloaded(tmp_path):
-    # the pipeline needs numpy, scipy.sparse and scipy.linalg only
-    out = str(tmp_path / "freewave")
+@pytest.fixture(scope="module")
+def freewave_loaded(tmp_path_factory):
+    """The scipy modules of interest in sys.modules after one freewave run."""
+    out = str(tmp_path_factory.mktemp("freewave") / "freewave")
     argv = ["freewave", "--d", "7", "--N", "24", "--s-end", "1", "--out", out]
-    loaded = _scipy_loaded_after(f"import hyperwave.cli; hyperwave.cli.main({argv!r})")
-    assert not {"scipy.interpolate", "scipy.fft"} & set(loaded)
+    modules = SLOW_SCIPY + ("scipy.linalg._basic", "scipy.linalg._flapack")
+    return set(_scipy_loaded_after(f"import hyperwave.cli; hyperwave.cli.main({argv!r})", modules))
+
+
+def test_freewave_leaves_scipy_interpolate_and_fft_unloaded(freewave_loaded):
+    # the pipeline needs numpy and scipy.sparse only
+    assert not {"scipy.interpolate", "scipy.fft"} & freewave_loaded
+
+
+def test_freewave_leaves_scipy_linalg_unexecuted(freewave_loaded):
+    # the FD oracle's spline solves its band in numpy; "scipy.linalg" itself is
+    # always in sys.modules, as linstab's lazy module, executed on first use
+    assert not {"scipy.linalg._basic", "scipy.linalg._flapack"} & freewave_loaded
 
 
 def test_blowup_leaves_scipy_interpolate_optimize_special_and_fft_unloaded(tmp_path):
