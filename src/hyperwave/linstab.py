@@ -1,8 +1,8 @@
 """Assembly and spectral analysis of the linearized wave evolution: dense
 collocation matrices with one cached eigen-decomposition and cached matrix
 exponentials each, filtered spectra, the rank-one spectral projection onto
-the unstable mode, and the connection-determinant scan of the mode equation
-in standard similarity coordinates.
+the unstable mode, and the argument-principle count of the eigenvalues of
+the mode equation in standard similarity coordinates.
 """
 
 import importlib.util
@@ -227,14 +227,20 @@ def riesz_projection(op: OperatorMatrix) -> np.ndarray:
 # ----------------------------------------------------------------------
 # standard-similarity-coordinate mode scan
 
-# Frobenius series order of each branch, and the |det| below which a scan
-# grid minimum seeds a secant polish
+# Frobenius series order of each branch
 SSC_SERIES_ORDER = 220
-SSC_SEED_THRESHOLD = 0.05
 
-
-def _poly_mul(a, b):
-    return np.convolve(a, b)
+# the window (re range, im range) whose boundary the connection function
+# winds around, sampled at SSC_SIDE_POINTS per side.  It holds the
+# eigenvalue 1 but not the gap eigenvalue (-0.59 at d = 7), and its edges
+# keep clear of the integers where the series cannot be launched (a right
+# edge at 2 meets one at d = 11)
+SSC_WINDOW = ((-0.3, 2.5), (-2.0, 2.0))
+SSC_SIDE_POINTS = 50
+# the circle about each seed that locates its zero: radius and points
+SSC_CIRCLE = (0.15, 16)
+# largest phase step of a sampled contour whose winding number is trusted
+SSC_MAX_PHASE_STEP = np.pi / 4
 
 
 def _poly_shift(a):
@@ -255,14 +261,14 @@ def _ssc_polynomials(params: DimensionParams, lam):
     standard similarity coordinates, cleared of denominators."""
     a, b = params.a, params.b
     d = params.d
-    bq2 = _poly_mul(np.array([b, 0, 1.0], dtype=complex), np.array([b, 0, 1.0], dtype=complex))
+    bq2 = np.convolve(np.array([b, 0, 1.0], dtype=complex), np.array([b, 0, 1.0], dtype=complex))
     vnum = np.array([6.0 * (d - 4) * a * b, 0.0, -3.0 * (d - 4) * a * (a - 2.0)], dtype=complex)
-    A = _poly_mul(np.array([0.0, 1.0, 0.0, -1.0], dtype=complex), bq2)
-    B = _poly_mul(np.array([d - 1.0, 0.0, -2.0 * (lam + 3.0)], dtype=complex), bq2)
+    A = np.convolve(np.array([0.0, 1.0, 0.0, -1.0], dtype=complex), bq2)
+    B = np.convolve(np.array([d - 1.0, 0.0, -2.0 * (lam + 3.0)], dtype=complex), bq2)
     m = max(len(vnum), len(bq2))
     vp = np.pad(vnum, (0, m - len(vnum)))
     bp = np.pad(bq2, (0, m - len(bq2)))
-    C = _poly_mul(np.array([0.0, 1.0], dtype=complex), vp - (lam + 2.0) * (lam + 3.0) * bp)
+    C = np.convolve(np.array([0.0, 1.0], dtype=complex), vp - (lam + 2.0) * (lam + 3.0) * bp)
     return A, B, C
 
 
@@ -305,12 +311,18 @@ def _series_branch(A, B, C, x_eval):
 
 
 def ssc_mode_scan(params: DimensionParams, lam):
-    """Normalized connection determinant of the mode equation in standard
-    similarity coordinates.
+    """Connection function F of the mode equation in standard similarity
+    coordinates, analytic in lambda on the scan window.
 
-    Analytic Frobenius branches are launched from both regular singular
-    endpoints (rho = 0 and rho = 1) and matched at rho = 1/2; the normalized
-    Wronskian vanishes exactly at the eigenvalues.
+    Analytic Frobenius branches (each with c0 = 1) are launched from both
+    regular singular endpoints (rho = 0 and rho = 1) and matched at
+    rho = 1/2.  Their Wronskian det vanishes at the eigenvalues and has
+    simple poles at the integers lambda <= (d - 7)/2, where the rho = 1
+    indices differ by a positive integer (Costin, Donninger & Glogic, Comm.
+    Math. Phys. 351, 2017).  F = det * prod_{k=0}^{(d-7)/2} (lambda - k)
+    removes the poles in the window, so at d >= 9 the eigenvalue 1, which
+    the pole there cancels in det, is a zero of F.  The series cannot be
+    launched at those integers (ValueError).
     """
     lam = complex(lam)
     A, B, C = _ssc_polynomials(params, lam)
@@ -322,72 +334,45 @@ def ssc_mode_scan(params: DimensionParams, lam):
     g1, dg1x = _series_branch(At, -Bt, Ct, 0.5)
     dg1 = -dg1x
     det = g0 * dg1 - dg0 * g1
-    norm = (abs(g0) + abs(dg0)) * (abs(g1) + abs(dg1))
-    return det / norm
+    return det * np.prod([lam - k for k in range((params.d - 7) // 2 + 1)])
 
 
-def ssc_scan_roots(
-    params: DimensionParams,
-    re_range=(0.0, 2.0),
-    im_range=(-2.0, 2.0),
-    n_re=21,
-    n_im=21,
-):
-    """Zeros of the connection determinant inside a rectangular window.
+def _winding(params, z):
+    """Winding number about 0 of F on the closed polygon through the points
+    z.  A phase step above SSC_MAX_PHASE_STEP could hide a turn: ValueError."""
+    f = np.array([ssc_mode_scan(params, zj) for zj in z])
+    steps = np.angle(np.roll(f, -1) / f)
+    worst = float(np.max(np.abs(steps)))
+    if worst > SSC_MAX_PHASE_STEP:
+        raise ValueError(f"contour under-resolved: phase step {worst:.2f} rad")
+    return round(float(np.sum(steps)) / (2.0 * np.pi)), f
 
-    Grid local minima of |det| below SSC_SEED_THRESHOLD seed a complex
-    secant polish; polished roots are deduplicated and validated.
+
+def ssc_scan_roots(params: DimensionParams, seeds):
+    """(count, roots): the zeros of the connection function F inside
+    SSC_WINDOW, counted by the argument principle and located from seeds.
+
+    count is the winding number of F along the window's boundary, which
+    does not use the seeds (Henrici, Applied and Computational Complex
+    Analysis I).  Each seed inside the window (a filtered collocation
+    eigenvalue) gets a circle of radius SSC_CIRCLE[0]; where F winds once
+    about it, its zero is the ratio of the trapezoid-rule integrals of z/F
+    and 1/F on the circle, which needs no evaluation at the zero or at a
+    resonance.
     """
-    res = np.linspace(re_range[0], re_range[1], n_re)
-    ims = np.linspace(im_range[0], im_range[1], n_im)
-    vals = np.empty((n_re, n_im), dtype=complex)
-    for i, re in enumerate(res):
-        for j, im in enumerate(ims):
-            try:
-                vals[i, j] = ssc_mode_scan(params, re + 1j * im)
-            except ValueError:
-                vals[i, j] = np.nan
-    mags = np.abs(vals)
+    (re0, re1), (im0, im1) = SSC_WINDOW
+    corners = [complex(re0, im0), complex(re1, im0), complex(re1, im1), complex(re0, im1)]
+    t = np.arange(SSC_SIDE_POINTS) / SSC_SIDE_POINTS
+    edges = [a + (b - a) * t for a, b in zip(corners, corners[1:] + corners[:1])]
+    count, _ = _winding(params, np.concatenate(edges))
+    radius, n = SSC_CIRCLE
     roots = []
-    for i in range(n_re):
-        for j in range(n_im):
-            m = mags[i, j]
-            if not np.isfinite(m) or m > SSC_SEED_THRESHOLD:
-                continue
-            neigh = mags[max(i - 1, 0) : i + 2, max(j - 1, 0) : j + 2]
-            if m > np.nanmin(neigh):
-                continue
-            root = _secant_polish(params, res[i] + 1j * ims[j])
-            if root is None:
-                continue
-            if not (
-                re_range[0] - 0.05 <= root.real <= re_range[1] + 0.05
-                and im_range[0] - 0.05 <= root.imag <= im_range[1] + 0.05
-            ):
-                continue
-            if not any(abs(root - r) < 1e-4 for r in roots):
-                roots.append(root)
-    return sorted(roots, key=lambda z: (-z.real, abs(z.imag)))
-
-
-def _secant_polish(params, z0):
-    z1 = z0 + 1e-3
-    try:
-        f0 = ssc_mode_scan(params, z0)
-        f1 = ssc_mode_scan(params, z1)
-    except ValueError:
-        return None
-    for _ in range(40):
-        denom = f1 - f0
-        if denom == 0:
-            break
-        z2 = z1 - f1 * (z1 - z0) / denom
-        z0, f0 = z1, f1
-        z1 = z2
-        try:
-            f1 = ssc_mode_scan(params, z1)
-        except ValueError:
-            return None
-        if abs(f1) < 1e-10:
-            return complex(z1)
-    return complex(z1) if abs(f1) < 1e-8 else None
+    for c in seeds:
+        if not (re0 < c.real < re1 and im0 < c.imag < im1):
+            continue
+        z = c + radius * np.exp(2j * np.pi * np.arange(n) / n)
+        turns, f = _winding(params, z)
+        if turns == 1:
+            w = (z - c) / f
+            roots.append(complex(np.sum(z * w) / np.sum(w)))
+    return count, sorted(roots, key=lambda z: (-z.real, abs(z.imag)))

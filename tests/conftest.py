@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hyperwave.grids import GridFunction, StateVector, make_grid
-from hyperwave.linstab import assemble_L, riesz_projection, spectrum
+from hyperwave.linstab import assemble_L, riesz_projection, spectrum, ssc_scan_roots
 from hyperwave.model import make_params
 
 
@@ -29,6 +29,13 @@ def op96(params7, grid96):
 @pytest.fixture(scope="session")
 def spec96(op96):
     return spectrum(op96)
+
+
+@pytest.fixture(scope="session")
+def ssc7(params7, spec96):
+    """(count, roots) of the similarity-coordinate scan at d = 7, seeded by
+    the filtered spectrum."""
+    return ssc_scan_roots(params7, spec96.eigenvalues)
 
 
 @pytest.fixture(scope="session")

@@ -279,6 +279,61 @@ class TestCommands:
         assert run(["norms", "--dims", "3", "--N", "24", "--seed", "7", "--out", str(b)]) == 0
         assert a.with_suffix(".csv").read_bytes() == b.with_suffix(".csv").read_bytes()
 
+    @pytest.mark.parametrize("d", [9, 11])
+    def test_spectrum_scan_ssc_beyond_d7(self, tmp_path, d):
+        # the connection function cancels the pole at 1 that hides the
+        # eigenvalue from the bare determinant at d >= 9
+        out = tmp_path / "spec"
+        assert run(["spectrum", "--d", str(d), "--N", "96", "--scan-ssc", "--out", str(out)]) == 0
+        doc = json.loads(out.with_suffix(".json").read_text())
+        assert doc["ssc_count"] == len(doc["ssc_roots"]) == 1
+        assert abs(complex(doc["ssc_roots"][0]["re"], doc["ssc_roots"][0]["im"]) - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("result", [(1, []), (2, [1.0])])
+    def test_spectrum_gate_rejects_count_mismatch(self, tmp_path, monkeypatch, result):
+        # (1, []) is the unseeded scan at d = 7 (TestSSCScan); (2, [1.0]) a
+        # second zero in the window that no seed located
+        import hyperwave.cli
+
+        monkeypatch.setattr(hyperwave.cli, "ssc_scan_roots", lambda params, seeds: result)
+        out = tmp_path / "spec"
+        assert run(["spectrum", "--d", "7", "--N", "48", "--scan-ssc", "--out", str(out)]) == 1
+        doc = json.loads(out.with_suffix(".json").read_text())
+        assert (doc["ssc_count"], len(doc["ssc_roots"])) == (result[0], len(result[1]))
+
+    def test_spectrum_under_resolved_contour_exits_1(self, tmp_path, capsys, monkeypatch):
+        from hyperwave import linstab
+
+        monkeypatch.setattr(linstab, "SSC_MAX_PHASE_STEP", 1e-3)
+        out = tmp_path / "spec"
+        assert run(["spectrum", "--d", "7", "--N", "48", "--scan-ssc", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("spectrum: similarity-coordinate scan failed: contour under-resolved")
+        assert len(err.splitlines()) == 1
+        assert "ssc_count" not in json.loads(out.with_suffix(".json").read_text())
+
+    def test_norms_ratios_match_adaptive_quadrature(self, tmp_path):
+        # ratio_N of the README command as scipy's adaptive `quad` on
+        # finite-difference derivatives gave it (accurate to about 1e-8): the
+        # closed-form derivatives and the Gauss-Legendre rule must agree
+        out = tmp_path / "norms"
+        assert run(["norms", "--dims", "3,5,7", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.with_suffix(".csv").read_text().splitlines()[1:10]]
+        assert {(int(d), int(k)): float(r) for d, k, r, *_ in rows} == pytest.approx(
+            {
+                (3, 0): 2.5066282746309998,
+                (3, 1): 2.4853550213772952,
+                (3, 2): 2.4607407947399671,
+                (5, 0): 3.6275987284684352,
+                (5, 1): 4.6053315671416302,
+                (5, 2): 4.6209500611870586,
+                (7, 0): 4.0665318019363754,
+                (7, 1): 5.643374646273613,
+                (7, 2): 6.7926848398290529,
+            },
+            rel=1e-7,
+        )
+
     def test_spectrum_document(self, tmp_path):
         out = tmp_path / "spec"
         assert run(["spectrum", "--d", "7", "--N", "64", "--out", str(out)]) == 0

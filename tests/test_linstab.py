@@ -6,6 +6,7 @@ from hyperwave import coeffs
 from hyperwave.grids import GridFunction, StateVector, make_grid
 from hyperwave.jets import jet_seed, jsqrt
 from hyperwave.linstab import (
+    SSC_WINDOW,
     assemble_L,
     generator_matrix,
     mode_angle,
@@ -272,24 +273,28 @@ class TestSSCScan:
         assert abs(ssc_mode_scan(params7, 0.5)) > 0.1
         assert abs(ssc_mode_scan(params7, 1.5)) > 0.1
 
-    def test_unique_root_in_window(self, params7):
-        roots = ssc_scan_roots(params7)
-        assert len(roots) == 1
-        assert abs(roots[0] - 1.0) < 1e-6
+    def test_unique_root_in_window(self, ssc7):
+        count, roots = ssc7
+        assert count == len(roots) == 1
+        assert abs(roots[0] - 1.0) < 1e-12
 
-    def test_no_roots_in_gap_strip(self, params7, spec96):
-        # oracle for the spectral gap: nothing between -gap/2 and 0
-        roots = ssc_scan_roots(
-            params7, re_range=(-spec96.gap / 2.0, -1e-3), im_range=(-1.0, 1.0), n_re=9, n_im=9
-        )
-        assert roots == []
+    def test_no_roots_in_gap_strip(self, ssc7, spec96):
+        # oracle for the spectral gap: nothing between -gap/2 and 0.  The
+        # window holds that strip, and its one zero is the eigenvalue 1
+        (re0, re1), (im0, im1) = SSC_WINDOW
+        assert re0 < -spec96.gap / 2.0 and im0 < -1.0 and 1.0 < im1
+        count, roots = ssc7
+        assert count == 1 and abs(roots[0] - 1.0) < 1e-12
+
+    def test_count_does_not_use_seeds(self, params7):
+        assert ssc_scan_roots(params7, []) == (1, [])
 
     def test_resonant_lambda_raises(self, params7):
         with pytest.raises(ValueError):
             ssc_mode_scan(params7, 0.0)
 
-    def test_scan_matches_matrix_spectrum(self, params7, spec96):
+    def test_scan_matches_matrix_spectrum(self, ssc7, spec96):
         # both routes agree that the only unstable eigenvalue is 1
-        roots = ssc_scan_roots(params7)
+        _, roots = ssc7
         assert len(roots) == len(spec96.unstable) == 1
         assert abs(roots[0] - spec96.unstable[0]) < 1e-6

@@ -67,6 +67,15 @@ def test_cli_import_leaves_scipy_interpolate_integrate_and_fft_unloaded():
     assert _scipy_loaded_after("import hyperwave.cli") == []
 
 
+def test_norms_leaves_scipy_integrate_unloaded(tmp_path):
+    # the norm oracle integrates by Gauss-Legendre in numpy, so the run loads
+    # no scipy subpackage at all
+    out = str(tmp_path / "norms")
+    argv = ["norms", "--dims", "3,7", "--N", "16", "--out", out]
+    code = f"import hyperwave.cli; hyperwave.cli.main({argv!r})"
+    assert _scipy_loaded_after(code, SLOW_SCIPY + SCIPY_SHIM) == []
+
+
 @pytest.fixture(scope="module")
 def freewave_loaded(tmp_path_factory):
     """The scipy modules of interest in sys.modules after one freewave run."""
