@@ -8,12 +8,12 @@ composite descent lands on the odd module of the 1-d machinery.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import coeffs
 from .grids import Grid, GridFunction, StateVector, _cubic_basis, _not_a_knot
 from .halfwave import evolve_S1
 from .model import HEIGHT
-from .stepping import rk4_matrix
 
 __all__ = [
     "descent_step",
@@ -126,44 +126,57 @@ def evolve_free_wave(d, state: StateVector, ds) -> StateVector:
 FD_CFL = 0.4  # Courant number of the FD oracle's RK4 steps
 
 
-def _upwind_entries(coef, speed, row0, own0, ghost0):
-    """COO entries of coef * (second-order upwind derivative) on a staggered
-    uniform grid, for the field stored from column `own0` on.
+def _band_product(X, Y):
+    """X @ Y for n x n band matrices in row-window storage: B[i, k] holds
+    entry (i, i + k - p) of a matrix with p diagonals each side, and the
+    cells that fall outside the matrix hold zero.  The product, stored the
+    same way, has p + q diagonals each side."""
+    n, p, q = X.shape[0], X.shape[1] // 2, Y.shape[1] // 2
+    Ypad = np.pad(Y, ((p, p), (0, 0)))
+    Z = np.zeros((n, 2 * (p + q) + 1))
+    for a in range(2 * p + 1):  # entry (i, i + a - p) of X meets row i + a - p of Y
+        Z[:, a : a + 2 * q + 1] += X[:, a, None] * Ypad[a : a + n]
+    return Z
 
-    Cells -1 and -2 below the origin are mirror ghosts read from cells 0 and
-    1 of the partner field stored from column `ghost0` on.  Rightward speeds
-    use backward stencils (the outflow side at eta = R needs no closure);
-    leftward speeds occur only away from the right boundary, so the phantom
-    cells above eta = R carry no entries.
-    """
-    m = coef.size
-    i = np.arange(m)
-    step = np.where(speed >= 0.0, -1, 1)  # backward or forward stencil
-    rows, cols, vals = [], [], []
-    for k, weight in ((0, 3.0), (1, -4.0), (2, 1.0)):
-        j = i + k * step
-        keep = j < m
-        rows.append(row0 + i[keep])
-        cols.append(np.where(j >= 0, own0 + j, ghost0 - 1 - j)[keep])
-        vals.append((-step * weight * coef)[keep])
-    return rows, cols, vals
+
+def _band_matvec(B, x):
+    """B @ x for B in row-window storage (`_band_product`): each row of B
+    against its window of the zero-padded x, as one strided product."""
+    p = B.shape[1] // 2
+    return np.einsum("ij,ij->i", B, sliding_window_view(np.pad(x, p), 2 * p + 1))
+
+
+def _rk4_band(A, h):
+    """(P, Q) for the classical RK4 step of size h of x' = A x, A banded in
+    row-window storage: P = I + hA Q, Q = I + hA/2 (I + hA/3 (I + hA/4)), the
+    degree-4 Taylor polynomial of exp(hA) in nested form, built by band
+    products.  A step by P agrees with the four-stage step to rounding."""
+    hA = h * A
+    P = np.ones((A.shape[0], 1))
+    for k in (4.0, 3.0, 2.0, 1.0):
+        Q, P = P, _band_product(hA / k, P)
+        P[:, P.shape[1] // 2] += 1.0
+    return P, Q
 
 
 def _fd_operator(d, R, m):
-    """The FD grid of m staggered cells on [0, R], and on it the right-hand
-    side as one sparse 3m x 3m matrix on the stacked state (v, W1, W2); it is
-    linear and does not depend on time.  Returns (r, A, largest speed).
+    """The FD grid of m staggered cells on [0, R], and on it the linear,
+    time-independent right-hand side of the state (v, w), where w interleaves
+    the half-wave fields, W1 of cell i at 2i and W2 at 2i + 1.  Returns
+    (r, (A_vw, A_ww), largest speed): v' = a1 W1 + a2 W2 with A_vw = (a1, a2),
+    and w' = A_ww w, four diagonals each side in row-window storage.
 
         v'  = -((h + r) W1 + (h - r) W2) / 2
         W1' = (-h_+ dW1 + c (W1 - W2)) / h_+' - W1
         W2' = (-h_- dW2 + c (W1 - W2)) / h_-' - W2
 
-    where dW is the upwind derivative along the speed h_pm / h_pm', each
-    field mirrors into the other's ghost cells, and c is the dimensional
-    coupling.
+    where dW is the second-order upwind derivative along the speed
+    h_pm / h_pm', and c is the dimensional coupling.  Cells -1 and -2 below
+    the origin are mirror ghosts of the partner field's cells 0 and 1, next
+    to the diagonal in w.  Rightward speeds use backward stencils (the
+    outflow side at eta = R needs no closure); leftward speeds occur only
+    away from eta = R, so the phantom cells above it carry no entries.
     """
-    from scipy import sparse
-
     if m < 4:
         raise ValueError(f"m must be at least 4 for a not-a-knot cubic spline, got m={m}")
     dr = R / m
@@ -174,35 +187,34 @@ def _fd_operator(d, R, m):
     hpd, hmd = 1.0 + dh, 1.0 - dh
     couple = (r * dh - h) * (d - 1.0) / (2.0 * r)
     i = np.arange(m)
-    V, W1, W2 = i, m + i, 2 * m + i  # row and column indices of each block
-    rows = [V, V, W1, W1, W2, W2]
-    cols = [W1, W2, W1, W2, W1, W2]
-    vals = [
-        -(h + r) / 2.0,
-        -(h - r) / 2.0,
-        couple / hpd - 1.0,
-        -couple / hpd,
-        couple / hmd,
-        -couple / hmd - 1.0,
-    ]
-    for coef, speed, row0, own0, ghost0 in (
-        (-hp / (hpd * 2 * dr), hp / hpd, m, m, 2 * m),
-        (-hm / (hmd * 2 * dr), hm / hmd, 2 * m, 2 * m, m),
+    W1, W2 = 2 * i, 2 * i + 1  # row and column of each field in w
+    rows = [W1, W1, W2, W2]
+    cols = [W1, W2, W1, W2]
+    vals = [couple / hpd - 1.0, -couple / hpd, couple / hmd, -couple / hmd - 1.0]
+    for coef, speed, own, ghost in (
+        (-hp / (hpd * 2 * dr), hp / hpd, 0, 1),
+        (-hm / (hmd * 2 * dr), hm / hmd, 1, 0),
     ):
-        more = _upwind_entries(coef, speed, row0, own0, ghost0)
-        for acc, new in zip((rows, cols, vals), more):
-            acc.extend(new)
-    entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+        step = np.where(speed >= 0.0, -1, 1)  # backward or forward stencil
+        for k, weight in ((0, 3.0), (1, -4.0), (2, 1.0)):
+            j = i + k * step
+            keep = j < m
+            rows.append(2 * i[keep] + own)
+            cols.append(np.where(j >= 0, 2 * j + own, 2 * (-1 - j) + ghost)[keep])
+            vals.append((-step * weight * coef)[keep])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    A_ww = np.zeros((2 * m, 9))
     # coincident entries (stencil centre and diagonal, ghost and coupling) are summed
-    A = sparse.coo_array(entries, shape=(3 * m, 3 * m)).tocsr()
-    return r, A, np.max(np.maximum(np.abs(hp / hpd), np.abs(hm / hmd)))
+    np.add.at(A_ww, (rows, cols - rows + 4), np.concatenate(vals))
+    A_vw = (-(h + r) / 2.0, -(h - r) / 2.0)
+    return r, (A_vw, A_ww), np.max(np.maximum(np.abs(hp / hpd), np.abs(hm / hmd)))
 
 
 def _fd_start(d, f1, f2, span, R, m):
-    """The FD oracle's cells r, right-hand side A, step dt and its count per
-    span (the CFL step shrunk to divide `span` into equal steps), and initial
-    state: v0 and w0 = (W1, W2), the half-wave fields built from (v, d_s v)
-    with d_eta v by 4th-order FD."""
+    """The FD oracle's cells r, right-hand side A = (A_vw, A_ww), step dt and
+    its count per span (the CFL step shrunk to divide `span` into equal
+    steps), and initial state: v0 and the interleaved w0 of the half-wave
+    fields W1, W2 built from (v, d_s v) with d_eta v by 4th-order FD."""
     r, A, speed = _fd_operator(d, R, m)
     dr = R / m
     nsteps = int(np.ceil(span / (FD_CFL * dr / speed)))
@@ -218,7 +230,7 @@ def _fd_start(d, f1, f2, span, R, m):
     u_scale = r * dh - h
     W1 = ((1.0 - dh) * vs0 + (r - h) * dv0) / u_scale
     W2 = ((1.0 + dh) * vs0 + (r + h) * dv0) / u_scale
-    return r, A, dt, nsteps, v0, np.concatenate([W1, W2])
+    return r, A, dt, nsteps, v0, np.stack([W1, W2], axis=1).ravel()
 
 
 def _fd_run(d, f1, f2, s_end, legs, R, m):
@@ -233,33 +245,44 @@ def _fd_run(d, f1, f2, s_end, legs, R, m):
     steps, so each snapshot lands on its time, and snapshot k is bit for bit
     the end of a k-leg run with legs of the same length.
 
-    The right-hand side is the constant matrix A, so one classical RK4 step
-    is the constant matrix P = `rk4_matrix(A, dt)`, built once.  No field
-    depends on v (A has no entries in its v columns), so v is a passive
-    integral: P = [[I, P_vw], [0, P_ww]].  Each step is one sparse product
-    w <- P_ww w on w = (W1, W2) and a running sum acc of the iterates; a
-    snapshot takes two more, v = v0 + P_vw acc and d_s v = A_vw w.  The w
-    iterates and d_s v are bit for bit those of the full step x <- P x, and
-    v differs from it by rounding only.
+    The right-hand side is constant and no field depends on v, so one
+    classical RK4 step on (v, w) is [[I, dt A_vw Q], [0, P]] with
+    (P, Q) = `_rk4_band(A_ww, dt)`, built once, and v is a passive integral.
+    Each step is one band product w <- P w, every row of P (33 entries)
+    against its window of w in a zero-padded buffer, written into the other
+    of two such buffers, and a running sum acc of the iterates.  A snapshot
+    takes v = v0 + dt A_vw (Q acc) and d_s v = A_vw w.  These agree with
+    the full step x <- P x to rounding.
     """
     if not s_end > 0.0:
         raise ValueError(f"s_end must be positive, got s_end={s_end}")
-    r, A, dt, nsteps, v0, w = _fd_start(d, f1, f2, s_end / legs, R, m)
-    P = rk4_matrix(A, dt)
-    P_vw, P_ww, A_vw = P[:m, m:], P[m:, m:], A[:m, m:]
+    r, ((a1, a2), A_ww), dt, nsteps, v0, w = _fd_start(d, f1, f2, s_end / legs, R, m)
+    P, Q = _rk4_band(A_ww, dt)
+    pad = P.shape[1] // 2
+    bufs = np.zeros((2, w.size + 2 * pad))
+    bufs[0, pad:-pad] = w
+    x, y = bufs[:, pad:-pad]
+    xwin, ywin = (sliding_window_view(buf, P.shape[1]) for buf in bufs)
     acc = np.zeros_like(w)
-    series = [(v0 + P_vw @ acc, A_vw @ w)]
+
+    def snapshot(w):
+        q = _band_matvec(Q, acc)
+        return v0 + dt * (a1 * q[0::2] + a2 * q[1::2]), a1 * w[0::2] + a2 * w[1::2]
+
+    series = [snapshot(x)]
     for _ in range(legs):
         for _ in range(nsteps):
-            acc += w
-            w = P_ww @ w
-        series.append((v0 + P_vw @ acc, A_vw @ w))
+            acc += x
+            np.einsum("ij,ij->i", P, xwin, out=y)
+            x, y, xwin, ywin = y, x, ywin, xwin
+        series.append(snapshot(x))
     return r, series
 
 
 def _band_solve(ab, rhs):
     """Solve A x = rhs, every column of rhs at once, for the m x m matrix A
-    with two diagonals each side in band storage, ab[2 + i - j, j] = A[i, j].
+    with two diagonals each side in row-window storage, ab[i, j - i + 2] =
+    A[i, j] (`_band_product`).
 
     Gaussian elimination along the band without pivoting, so the band does
     not fill and memory is O(m).  It is backward stable for a totally
@@ -268,22 +291,23 @@ def _band_solve(ab, rhs):
     Univ. Math. J. 25, 1976).  Each column's arithmetic is independent of
     the others.
     """
-    m = ab.shape[1]
-    # the factorization runs on Python floats; two zero entries past the end
-    # of each diagonal, and two zero rows of x, take the last pivots' updates
-    up2, up1, diag, low1, low2 = (row + [0.0, 0.0] for row in ab.tolist())
+    m = ab.shape[0]
+    # the factorization runs on Python floats, one list per diagonal indexed
+    # by row; two zeros past the end of each, and two zero rows of x, take
+    # the last pivots' updates
+    low2, low1, diag, up1, up2 = (col + [0.0, 0.0] for col in ab.T.tolist())
     x = np.zeros((m + 2,) + rhs.shape[1:])
     x[:m] = rhs
     for k in range(m - 1):
-        l1, l2 = low1[k] / diag[k], low2[k] / diag[k]  # multipliers of rows k + 1, k + 2
-        diag[k + 1] -= l1 * up1[k + 1]
-        low1[k + 1] -= l2 * up1[k + 1]
-        up1[k + 2] -= l1 * up2[k + 2]
-        diag[k + 2] -= l2 * up2[k + 2]
+        l1, l2 = low1[k + 1] / diag[k], low2[k + 2] / diag[k]  # multipliers of rows k + 1, k + 2
+        diag[k + 1] -= l1 * up1[k]
+        low1[k + 2] -= l2 * up1[k]
+        up1[k + 1] -= l1 * up2[k]
+        diag[k + 2] -= l2 * up2[k]
         x[k + 1] -= l1 * x[k]
         x[k + 2] -= l2 * x[k]
     for k in range(m - 1, -1, -1):
-        x[k] = (x[k] - up1[k + 1] * x[k + 1] - up2[k + 2] * x[k + 2]) / diag[k]
+        x[k] = (x[k] - up1[k] * x[k + 1] - up2[k] * x[k + 2]) / diag[k]
     return x[:m]
 
 
@@ -300,12 +324,11 @@ def _at_nodes(r, fields, eta):
     m = r.size
     knots = _not_a_knot(r)
     ell, b = _cubic_basis(knots, r)
-    rows = np.arange(m)[:, None]
     cols = ell[:, None] + np.arange(-3, 1)
     # each row's fourth entry, zero at the end cells, may fall outside the band
-    band = np.abs(rows - cols) <= 2
-    ab = np.zeros((5, m))  # ab[2 + i - j, j] holds entry (i, j)
-    ab[(2 + rows - cols)[band], cols[band]] = b[band]
+    i, a = np.nonzero(np.abs(cols - np.arange(m)[:, None]) <= 2)
+    ab = np.zeros((m, 5))  # ab[i, j - i + 2] holds entry (i, j)
+    ab[i, cols[i, a] - i + 2] = b[i, a]
     coef = _band_solve(ab, np.stack(fields, axis=1))
     ell, b = _cubic_basis(knots, eta)
     vals = sum(coef[ell - 3 + a] * b[:, a, None] for a in range(4))

@@ -157,12 +157,13 @@ class Grid:
     def interp_matrix(self, pts):
         pts = np.atleast_1d(np.asarray(pts, dtype=float))
         lam = self._bary[::-1]
-        diff = pts[:, None] - self.y[None, :]
-        out = np.empty((pts.size, self.y.size))
+        # one pts x nodes buffer: the differences, then the barycentric terms
+        # lam / diff, then their row-normalized values
+        out = np.subtract.outer(pts, self.y)
+        hit_rows, hit_cols = np.nonzero(out == 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            terms = lam[None, :] / diff
-            out[:] = terms / np.sum(terms, axis=1)[:, None]
-        hit_rows, hit_cols = np.nonzero(diff == 0.0)
+            np.divide(lam, out, out=out)
+            out /= np.sum(out, axis=1)[:, None]
         for r, c in zip(hit_rows, hit_cols):
             out[r, :] = 0.0
             out[r, c] = 1.0

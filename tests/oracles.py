@@ -3,7 +3,7 @@ package against, and the library calls and loops that faster package code
 replaced.  None of them runs in a CLI pipeline; any other reference that only
 one test module uses lives in that module.
 
-- `classical_loop`: classical RK4, the reference for `stepping.rk4_matrix`
+- `classical_loop`: classical RK4, the reference for `descent._rk4_band`
   and the stepper of the half-wave method-of-lines oracle.
 - `jexp` and the Taylor-series pipeline: the operator intertwining
   identities, evaluated in truncated Taylor arithmetic through the
@@ -16,8 +16,11 @@ one test module uses lives in that module.
   matrix exponential and the growth exponent of its norm.
 - `cheb_coeffs_dct`, `cubic_spline_at`, `fd_run_full_state`: scipy's DCT-I
   behind `Grid.cheb_coeffs`, scipy's not-a-knot `CubicSpline` behind
-  `descent._at_nodes`, and the FD oracle's march on the full state
-  (v, W1, W2), one step x <- P x, behind `descent._fd_run`.
+  `descent._at_nodes`, and the FD oracle's march on the full state (v, w),
+  one scipy CSR product x <- P x per step (`rk4_matrix`), behind
+  `descent._fd_run`.
+- `band_dense`, `dense_band`: a row-window band matrix (`descent`'s
+  storage) as a dense one, and back.
 """
 
 import numpy as np
@@ -27,7 +30,6 @@ from hyperwave.descent import _descent_pair, _fd_start
 from hyperwave.grids import Grid, StateVector, weighted_state_norm
 from hyperwave.jets import Taylor, jet_seed
 from hyperwave.model import HEIGHT
-from hyperwave.stepping import rk4_matrix
 
 
 def classical_loop(rhs, x, h, nsteps):
@@ -223,10 +225,52 @@ def cubic_spline_at(r, f, eta):
     return CubicSpline(r, f)(eta)
 
 
+def band_dense(B):
+    """The n x n matrix held in row-window storage B, B[i, k] = entry
+    (i, i + k - p) for p diagonals each side."""
+    n, p = B.shape[0], B.shape[1] // 2
+    out = np.zeros((n, n + 2 * p))
+    rows = np.arange(n)[:, None]
+    out[rows, rows + np.arange(2 * p + 1)] = B
+    return out[:, p : p + n]
+
+
+def dense_band(A, p):
+    """The n x n matrix A in row-window storage with p diagonals each side;
+    the cells outside the matrix hold zero."""
+    n = A.shape[0]
+    padded = np.zeros((n, n + 2 * p))
+    padded[:, p : p + n] = A
+    rows = np.arange(n)[:, None]
+    return padded[rows, rows + np.arange(2 * p + 1)]
+
+
+def rk4_matrix(A, h):
+    """The classical RK4 step of size h for x' = A x, as one scipy CSR
+    matrix: the degree-4 Taylor polynomial of exp(hA) in nested form,
+    P = I + hA (I + hA/2 (I + hA/3 (I + hA/4)))."""
+    from scipy import sparse
+
+    A = sparse.csr_array(A)
+    eye = sparse.eye_array(A.shape[0], format="csr")
+    P = eye
+    for k in (4.0, 3.0, 2.0, 1.0):
+        P = eye + (h / k) * (A @ P)
+    return P
+
+
 def fd_run_full_state(d, f1, f2, s_end, legs, R, m):
-    """`descent._fd_run` stepping the whole state x = (v, W1, W2) with the
-    full RK4 matrix P, one product x <- P x per step."""
-    r, A, dt, nsteps, v0, w0 = _fd_start(d, f1, f2, s_end / legs, R, m)
+    """`descent._fd_run` stepping the whole state x = (v, w) with the full
+    RK4 matrix P in scipy's CSR form, one product x <- P x per step."""
+    from scipy import sparse
+
+    r, ((a1, a2), A_ww), dt, nsteps, v0, w0 = _fd_start(d, f1, f2, s_end / legs, R, m)
+    A = np.zeros((3 * m, 3 * m))
+    cells = np.arange(m)
+    A[cells, m + 2 * cells] = a1
+    A[cells, m + 2 * cells + 1] = a2
+    A[m:, m:] = band_dense(A_ww)
+    A = sparse.csr_array(A)
     P = rk4_matrix(A, dt)
     x = np.concatenate([v0, w0])
     series = [(x[:m].copy(), (A @ x)[:m])]

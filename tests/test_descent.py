@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy import sparse
 from scipy.linalg import solve_banded
 
 from hyperwave.coeffs import c1_fn
@@ -13,6 +12,7 @@ from hyperwave.descent import (
     evolve_free_wave,
     fd_oracle_series,
     _at_nodes,
+    _band_matvec,
     _band_solve,
     FD_CFL,
     _fd_operator,
@@ -37,6 +37,7 @@ from conftest import even_state
 from oracles import (
     apply_Ld_series,
     cubic_spline_at,
+    dense_band,
     descent_step_series,
     fd_run_full_state,
     intertwining_residual,
@@ -292,10 +293,14 @@ class TestFDOracle:
 
     def test_operator_matches_stencil_loop(self):
         m, R, d = 40, 2.0, 7
-        r, A, speed = _fd_operator(d, R, m)
+        r, ((a1, a2), A_ww), speed = _fd_operator(d, R, m)
         dr = R / m
         assert np.array_equal(r, (np.arange(m) + 0.5) * dr)
-        assert A.nnz <= 10 * m
+        # at most four diagonals each side of the interleaved w, and the band
+        # cells that fall outside the matrix hold zero
+        assert A_ww.shape == (2 * m, 9)
+        i, k = np.nonzero(A_ww)
+        assert np.all((i + k - 4 >= 0) & (i + k - 4 < 2 * m))
 
         # the per-cell reference: the height, speeds and coupling on the cells
         h, dh = HEIGHT.h(r), HEIGHT.dh(r)
@@ -303,8 +308,7 @@ class TestFDOracle:
         couple = (r * dh - h) * (d - 1.0) / (2.0 * r)
         assert speed == np.max(np.maximum(np.abs(hp / hpd), np.abs(hm / hmd)))
 
-        x = np.random.default_rng(3).standard_normal(3 * m)
-        w1, w2 = x[m : 2 * m], x[2 * m :]
+        w1, w2 = np.random.default_rng(3).standard_normal((2, m))
 
         def cell(f, ghost, j):
             # mirror ghosts below the origin, zero phantoms above eta = R
@@ -321,7 +325,9 @@ class TestFDOracle:
             want[i] = -(h[i] * (w1[i] + w2[i]) + r[i] * (w1[i] - w2[i])) / 2.0
             want[m + i] = (-hp[i] * upwind(w1, w2, hp[i] / hpd[i], i) + src) / hpd[i] - w1[i]
             want[2 * m + i] = (-hm[i] * upwind(w2, w1, hm[i] / hmd[i], i) + src) / hmd[i] - w2[i]
-        assert np.max(np.abs(A @ x - want)) < 1e-12 * np.max(np.abs(want))
+        dw = _band_matvec(A_ww, np.stack([w1, w2], axis=1).ravel())
+        got = np.concatenate([a1 * w1 + a2 * w2, dw[0::2], dw[1::2]])
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
     def test_regression_pin(self):
         # values of the stencil-by-stencil upwind solver this operator replaced
@@ -351,19 +357,19 @@ class TestFDOracle:
         _, _, speed = _fd_operator(5, R, m)
         nsteps = int(np.ceil(s_end / (FD_CFL * (R / m) / speed)))
         products = []
-        matmul = sparse.csr_array.__matmul__
+        einsum = np.einsum
 
-        def counting(self, other):
-            if isinstance(other, np.ndarray):  # matrix-vector products only
-                products.append(other.shape)
-            return matmul(self, other)
+        def counting(subscripts, band, *rest, **kwargs):
+            products.append(band.shape)
+            return einsum(subscripts, band, *rest, **kwargs)
 
-        monkeypatch.setattr(sparse.csr_array, "__matmul__", counting)
+        monkeypatch.setattr(np, "einsum", counting)
         _fd_run(5, lambda r: np.exp(-2 * r * r), lambda r: 0 * r, s_end, 1, R, m)
-        # v is passive: one product P_ww w per step on w = (W1, W2) alone,
-        # plus two for each of the snapshots at s = 0 and s_end,
-        # v = v0 + P_vw acc and d_s v = A_vw w
-        assert products == [(2 * m,)] * (nsteps + 4)
+        # v is passive: one band product P_ww w per step on w = (W1, W2)
+        # alone (16 diagonals each side), plus one Q acc (12 each side) for
+        # each of the snapshots at s = 0 and s_end, v = v0 + dt A_vw (Q acc);
+        # d_s v = A_vw w is two diagonals, taken elementwise
+        assert products == [(2 * m, 25)] + [(2 * m, 33)] * nsteps + [(2 * m, 25)]
 
     @pytest.mark.parametrize(
         "d, f2, s_values, m",
@@ -373,15 +379,15 @@ class TestFDOracle:
         ],
     )
     def test_march_matches_full_state_loop(self, d, f2, s_values, m):
-        # the regression-pin runs, with their snapshot times.  The W
-        # iterates, hence d_s v, are those of x <- P x bit for bit; v sums
-        # the same increments in another order
+        # the regression-pin runs, with their snapshot times, against the
+        # full state stepped by scipy's CSR product.  The band product and the
+        # CSR one sum each row in different orders, so they agree to rounding
         case = (d, lambda r: np.exp(-2 * r * r), f2, s_values[-1], len(s_values) - 1, 2.0, m)
         _, got = _fd_run(*case)
         _, want = fd_run_full_state(*case)
         assert len(got) == len(want)
         for (v, vs), (v_ref, vs_ref) in zip(got, want):
-            assert np.array_equal(vs, vs_ref)
+            assert np.max(np.abs(vs - vs_ref)) <= 1e-12 * np.max(np.abs(vs_ref))
             assert np.max(np.abs(v - v_ref)) <= 1e-13 * np.max(np.abs(v_ref))
 
     @pytest.mark.parametrize("m", [4, 100, 300, 400, 800])
@@ -405,13 +411,14 @@ class TestFDOracle:
         for a in range(4):
             A[np.arange(m), ell - 3 + a] = b[:, a]
         assert not np.any(np.triu(A, 3)) and not np.any(np.tril(A, -3))
-        ab = np.zeros((5, m))  # ab[2 + i - j, j] holds entry (i, j)
+        ab = dense_band(A, 2)  # ab[i, j - i + 2] holds entry (i, j)
+        lapack = np.zeros((5, m))  # LAPACK's band storage: [2 + i - j, j]
         for k in range(-2, 3):
-            ab[2 - k, max(k, 0) : m + min(k, 0)] = np.diagonal(A, k)
+            lapack[2 - k, max(k, 0) : m + min(k, 0)] = np.diagonal(A, k)
         rhs = np.random.default_rng(m).standard_normal((m, 5))
         rhs[:, 0] = np.exp(-2 * r * r)
         got = _band_solve(ab, rhs)
-        want = solve_banded((2, 2), ab, rhs)
+        want = solve_banded((2, 2), lapack, rhs)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_series_one_snapshot_per_time(self):

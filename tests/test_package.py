@@ -81,12 +81,11 @@ def freewave_loaded(tmp_path_factory):
     """The scipy modules of interest in sys.modules after one freewave run."""
     out = str(tmp_path_factory.mktemp("freewave") / "freewave")
     argv = ["freewave", "--d", "7", "--N", "24", "--s-end", "1", "--out", out]
-    modules = SLOW_SCIPY + ("scipy.linalg._basic", "scipy.linalg._flapack")
+    modules = SLOW_SCIPY + SCIPY_SHIM + ("scipy.sparse", "scipy.linalg._basic", "scipy.linalg._flapack")
     return set(_scipy_loaded_after(f"import hyperwave.cli; hyperwave.cli.main({argv!r})", modules))
 
 
 def test_freewave_leaves_scipy_interpolate_and_fft_unloaded(freewave_loaded):
-    # the pipeline needs numpy and scipy.sparse only
     assert not {"scipy.interpolate", "scipy.fft"} & freewave_loaded
 
 
@@ -94,6 +93,12 @@ def test_freewave_leaves_scipy_linalg_unexecuted(freewave_loaded):
     # the FD oracle's spline solves its band in numpy; "scipy.linalg" itself is
     # always in sys.modules, as linstab's lazy module, executed on first use
     assert not {"scipy.linalg._basic", "scipy.linalg._flapack"} & freewave_loaded
+
+
+def test_freewave_loads_no_scipy_subpackage(freewave_loaded):
+    # the FD oracle steps its band and solves its spline in numpy, so the run
+    # loads no scipy subpackage at all, nor scipy's array-API shim
+    assert freewave_loaded == set()
 
 
 def test_blowup_leaves_scipy_interpolate_optimize_special_and_fft_unloaded(tmp_path):

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-from scipy import sparse
 from scipy.linalg import expm
 
-from hyperwave.descent import _fd_operator
-from hyperwave.stepping import rk4, rk4_matrix
+from hyperwave.descent import _band_matvec, _fd_operator, _rk4_band
+from hyperwave.stepping import rk4
 
-from oracles import classical_loop
+from oracles import band_dense, classical_loop, dense_band
 
 A = np.array([[-3.0, 1.0, 0.0], [0.5, -20.0, 2.0], [0.0, 1.0, -0.5]])
 
@@ -50,24 +49,33 @@ def test_zero_steps_return_input():
 
 
 def fd_operator_and_step(d=7, R=2.0, m=50, cfl=0.4):
-    """The FD oracle's operator and its CFL step, as `_fd_run` takes them."""
-    _, A, speed = _fd_operator(d, R, m)
+    """The FD oracle's band operator on its half-wave fields and its CFL
+    step, as `_fd_run` takes them."""
+    _, (_, A), speed = _fd_operator(d, R, m)
     return A, cfl * (R / m) / speed
 
 
 @pytest.mark.parametrize("n", [1, 50])
 @pytest.mark.parametrize("case", ["dense", "fd"])
 def test_rk4_matrix_matches_stages(case, n):
+    # the band RK4 polynomial of `descent`, against the four stages on the
+    # dense matrix
     if case == "dense":
-        # entries of variance 1/12: spectral radius about 1
+        # entries of variance 1/12: spectral radius about 1, as a full band
         A, h = np.random.default_rng(5).standard_normal((12, 12)) / np.sqrt(12.0), 0.02
+        A = dense_band(A, 11)
     else:
         A, h = fd_operator_and_step()
     x = np.random.default_rng(6).standard_normal(A.shape[0])
-    P = rk4_matrix(A, h)
-    assert isinstance(P, sparse.csr_array)
+    P, Q = _rk4_band(A, h)
+    p = A.shape[1] // 2
+    assert P.shape == (A.shape[0], 8 * p + 1) and Q.shape == (A.shape[0], 6 * p + 1)
     got = x
     for _ in range(n):
-        got = P @ got
-    want = classical_loop(A.__matmul__, x, h, n)
+        got = _band_matvec(P, got)
+    dense = band_dense(A)
+    want = classical_loop(dense.__matmul__, x, h, n)
     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+    # P = I + hA Q
+    Px = x + h * (dense @ (band_dense(Q) @ x))
+    assert np.linalg.norm(_band_matvec(P, x) - Px) <= 1e-14 * np.linalg.norm(Px)
