@@ -11,7 +11,7 @@ Layers:
     descent     descent operators, the free wave propagator, the FD oracle
     linstab     linearized operator, spectrum, rank-one projection, mode scan
     nonlinear   Cauchy data preparation and the blowup-stability experiment
-    stepping    the Lawson RK4 step and the classical RK4 step as a matrix
+    stepping    the integrating-factor (Lawson) RK4 step
     jets        truncated Taylor arithmetic for the identity residuals
     cli         command-line front end emitting CSV/JSON artifacts
 """

@@ -417,10 +417,10 @@ def hardy_check(grid: Grid, full_values, s):
     return float(lhs), float(rhs)
 
 
-def integral_op_T(grid: Grid, full_values, m, n, phi=None):
-    """Smooth extension of x -> x^-m int_0^x y^n phi(y) f(y) dy.
+def integral_op_T(grid: Grid, full_values, m, n):
+    """Smooth extension of x -> x^-m int_0^x y^n f(y) dy.
 
-    Implemented in the rescaled form x^(n+1-m) int_0^1 t^n phi(tx) f(tx) dt
+    Implemented in the rescaled form x^(n+1-m) int_0^1 t^n f(tx) dt
     (Gauss-Legendre order N + 8), which is regular at the origin whenever
     n + 1 - m >= 0.
     """
@@ -431,6 +431,4 @@ def integral_op_T(grid: Grid, full_values, m, n, phi=None):
     wq = 0.5 * wq
     pts = np.outer(grid.y, tq).ravel()
     fvals = grid.interpolate(np.asarray(full_values, dtype=float), pts).reshape(grid.y.size, -1)
-    phivals = np.ones_like(fvals) if phi is None else phi(pts).reshape(grid.y.size, -1)
-    integrand = (tq**n)[None, :] * phivals * fvals
-    return grid.y ** (n + 1 - m) * (integrand @ wq)
+    return grid.y ** (n + 1 - m) * ((tq**n * fvals) @ wq)

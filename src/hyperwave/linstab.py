@@ -3,10 +3,11 @@ collocation matrices with one cached eigen-decomposition and cached matrix
 exponentials each, filtered spectra, the rank-one spectral projection onto
 the unstable mode, and the argument-principle count of the eigenvalues of
 the mode equation in standard similarity coordinates.
+
+The eigen-decompositions are numpy's; only the matrix exponential, which
+`blowup` alone needs, imports scipy, inside the function that calls it.
 """
 
-import importlib.util
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,29 +28,6 @@ __all__ = [
     "ssc_scan_roots",
 ]
 
-
-def _lazy_module(name):
-    """The module `name`, executed on its first attribute access: the one in
-    sys.modules if it is already imported, else a lazy one registered there.
-
-    Importing any scipy subpackage costs about 0.2 s (scipy's array-API shim
-    loads every lazy numpy submodule, numpy.f2py included), which `identities`
-    never needs.  A function-level import would keep the module
-    out of sys.modules until the first call, so a profiler that wraps
-    `scipy.linalg.eig` after `import hyperwave.cli` (bench/tracer.py) would
-    find nothing to wrap; the lazy module is there, and loads when read.
-    """
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-linalg = _lazy_module("scipy.linalg")
 
 # smallest node count at which the generator is resolved well enough for
 # spectral work
@@ -72,11 +50,11 @@ class OperatorMatrix:
     _propagators: dict = field(default_factory=dict, repr=False)
 
     def eig(self):
-        """(eigenvalues, left eigenvectors, right eigenvectors), computed once.
-        Only single eigenpairs are read: the eigenvector matrix as a whole
-        (cond ~ 3e17 at N = 64) is useless for diagonalizing L."""
+        """(eigenvalues, right eigenvectors), computed once.  Only single
+        eigenpairs are read: the eigenvector matrix as a whole (cond ~ 3e17
+        at N = 64) is useless for diagonalizing L."""
         if self._eig is None:
-            self._eig = linalg.eig(self.matrix, left=True, right=True)
+            self._eig = np.linalg.eig(self.matrix)
         return self._eig
 
     def propagator(self, t):
@@ -84,7 +62,9 @@ class OperatorMatrix:
         evolutions with the same step share one matrix exponential."""
         E = self._propagators.get(t)
         if E is None:
-            E = self._propagators[t] = linalg.expm(t * self.matrix)
+            from scipy.linalg import expm
+
+            E = self._propagators[t] = expm(t * self.matrix)
         return E
 
 
@@ -173,7 +153,7 @@ def spectrum(op: OperatorMatrix) -> SpectrumResult:
     """
     raw = op.eig()[0]
     fine_grid = make_grid(op.grid.R, op.grid.N + REFINE_NODES)
-    raw_fine = linalg.eigvals(assemble_L(op.params, fine_grid).matrix)
+    raw_fine = np.linalg.eigvals(assemble_L(op.params, fine_grid).matrix)
     kept = []
     for z in raw[raw.real >= SPECTRUM_WINDOW]:
         if np.min(np.abs(raw_fine - z)) < MATCH_TOL:
@@ -202,7 +182,7 @@ def _state_inner(grid: Grid, d, u, v):
 def mode_angle(op: OperatorMatrix):
     """Angle between the discrete eigenvector at eigenvalue 1 and the
     analytic symmetry mode, in the radially weighted inner product."""
-    values, _, right = op.eig()
+    values, right = op.eig()
     vec = np.real(right[:, np.argmin(np.abs(values - 1.0))])
     mode = symmetry_mode(op.params, op.grid.eta).ravel()
     d = op.params.d
@@ -215,12 +195,15 @@ def mode_angle(op: OperatorMatrix):
 
 def riesz_projection(op: OperatorMatrix) -> np.ndarray:
     """Spectral projection P = v w^H / (w^H v) onto the eigenvalue 1, from
-    its right and left eigenvectors.  That eigenvalue (the symmetry mode) is
+    its right eigenvector v and left eigenvector w, the eigenvector of L^H
+    at the conjugate eigenvalue.  That eigenvalue (the symmetry mode) is
     simple and isolated, so this rank-one form is exactly the Riesz
     projector (Kato, Perturbation Theory, I.5)."""
-    values, left, right = op.eig()
+    values, right = op.eig()
     i = np.argmin(np.abs(values - 1.0))
-    v, w = right[:, i], left[:, i].conj()
+    values_h, right_h = np.linalg.eig(op.matrix.conj().T)
+    j = np.argmin(np.abs(values_h - np.conj(values[i])))
+    v, w = right[:, i], right_h[:, j].conj()
     return np.real(np.outer(v, w) / (w @ v))
 
 

@@ -179,8 +179,9 @@ class TestRieszProjection:
         spectrum(op)
         mode_angle(op)
         riesz_projection(op)
-        # one for op, one for its N + 16 companion in `spectrum`
-        assert sorted(sizes) == [2 * 64, 2 * 80]
+        # one eig of L, shared by all three; one eig of L^H for the left
+        # eigenvector; one eigvals of the N + 16 companion in `spectrum`
+        assert sorted(sizes) == [2 * 64, 2 * 64, 2 * 80]
         assert solves == []
 
     def test_commutes_with_evolution_map(self, grid96, op96, proj96):

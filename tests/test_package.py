@@ -22,11 +22,6 @@ def test_star_import(name):
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-SLOW_SCIPY = ("scipy.interpolate", "scipy.integrate", "scipy.fft", "scipy.optimize", "scipy.special")
-# what importing any scipy subpackage loads first: scipy's array-API shim,
-# which in turn loads numpy's lazy submodules, numpy.f2py among them
-SCIPY_SHIM = ("scipy._lib._util", "numpy.f2py")
-
 
 def _run_fresh(code):
     """The last line `code` prints, run in a fresh interpreter, as a value."""
@@ -38,51 +33,53 @@ def _run_fresh(code):
     return ast.literal_eval(out.strip().splitlines()[-1])
 
 
-def _scipy_loaded_after(code, modules=SLOW_SCIPY):
-    """The modules of `modules` in sys.modules after `code` runs in a fresh
+def _scipy_loaded_after(code):
+    """The scipy modules in sys.modules after `code` runs in a fresh
     interpreter."""
     return _run_fresh(
-        f"{code}; import sys; print(sorted(m for m in {modules!r} if m in sys.modules))"
+        f"{code}; import sys; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
+
+
+def _main(*argv):
+    """Code that runs the CLI on argv, writing to the path OUT."""
+    return f"import hyperwave.cli; hyperwave.cli.main({list(argv)!r} + ['--out', OUT])"
 
 
 @pytest.mark.parametrize(
     "code",
     [
         "import hyperwave.cli",
-        "import hyperwave.cli; hyperwave.cli.main(['identities', '--dims', '3,7', '--out', OUT])",
+        _main("identities", "--dims", "3,7"),
         "import hyperwave.cli; assert hyperwave.cli.main(['blowup', '--eps', '-1']) == 2",
+        _main("norms", "--dims", "3,7", "--N", "16"),
+        _main("spectrum", "--d", "7", "--N", "48"),
     ],
-    ids=["import", "identities", "config-error"],
+    ids=["import", "identities", "config-error", "norms", "spectrum"],
 )
 def test_runs_without_scipy_leave_its_array_api_shim_unloaded(code, tmp_path):
-    # scipy.linalg and scipy.sparse load on first use, so a run that calls
-    # neither pays for neither
+    # only `blowup` needs scipy (expm, and the Cauchy spline fit), and each
+    # function that calls it imports it where it runs; every other run loads
+    # no scipy module at all, not even scipy's array-API shim, whose import
+    # alone costs about 0.2 s
     out = str(tmp_path / "out")
-    assert _scipy_loaded_after(f"OUT = {out!r}; {code}", SCIPY_SHIM) == []
+    assert _scipy_loaded_after(f"OUT = {out!r}; {code}") == []
 
 
 def test_cli_import_leaves_scipy_interpolate_integrate_and_fft_unloaded():
-    # all five are slow to import; the functions that need them import them
-    assert _scipy_loaded_after("import hyperwave.cli") == []
-
-
-def test_norms_leaves_scipy_integrate_unloaded(tmp_path):
-    # the norm oracle integrates by Gauss-Legendre in numpy, so the run loads
-    # no scipy subpackage at all
-    out = str(tmp_path / "norms")
-    argv = ["norms", "--dims", "3,7", "--N", "16", "--out", out]
-    code = f"import hyperwave.cli; hyperwave.cli.main({argv!r})"
-    assert _scipy_loaded_after(code, SLOW_SCIPY + SCIPY_SHIM) == []
+    # all three are slow to import; the `blowup` functions that need scipy
+    # import it where they run
+    loaded = set(_scipy_loaded_after("import hyperwave.cli"))
+    assert not {"scipy.interpolate", "scipy.integrate", "scipy.fft"} & loaded
 
 
 @pytest.fixture(scope="module")
 def freewave_loaded(tmp_path_factory):
-    """The scipy modules of interest in sys.modules after one freewave run."""
+    """The scipy modules in sys.modules after one freewave run."""
     out = str(tmp_path_factory.mktemp("freewave") / "freewave")
-    argv = ["freewave", "--d", "7", "--N", "24", "--s-end", "1", "--out", out]
-    modules = SLOW_SCIPY + SCIPY_SHIM + ("scipy.sparse", "scipy.linalg._basic", "scipy.linalg._flapack")
-    return set(_scipy_loaded_after(f"import hyperwave.cli; hyperwave.cli.main({argv!r})", modules))
+    code = _main("freewave", "--d", "7", "--N", "24", "--s-end", "1")
+    return set(_scipy_loaded_after(f"OUT = {out!r}; {code}"))
 
 
 def test_freewave_leaves_scipy_interpolate_and_fft_unloaded(freewave_loaded):
@@ -90,14 +87,14 @@ def test_freewave_leaves_scipy_interpolate_and_fft_unloaded(freewave_loaded):
 
 
 def test_freewave_leaves_scipy_linalg_unexecuted(freewave_loaded):
-    # the FD oracle's spline solves its band in numpy; "scipy.linalg" itself is
-    # always in sys.modules, as linstab's lazy module, executed on first use
-    assert not {"scipy.linalg._basic", "scipy.linalg._flapack"} & freewave_loaded
+    # the FD oracle's spline solves its band in numpy, and no module holds a
+    # lazy scipy.linalg any more, so the name is not even registered
+    assert "scipy.linalg" not in freewave_loaded
 
 
 def test_freewave_loads_no_scipy_subpackage(freewave_loaded):
     # the FD oracle steps its band and solves its spline in numpy, so the run
-    # loads no scipy subpackage at all, nor scipy's array-API shim
+    # loads no scipy module at all, nor scipy's array-API shim
     assert freewave_loaded == set()
 
 
@@ -110,18 +107,17 @@ def test_blowup_leaves_scipy_interpolate_optimize_special_and_fft_unloaded(tmp_p
     assert not {"scipy.interpolate", "scipy.optimize", "scipy.special", "scipy.fft"} & set(loaded)
 
 
-def test_tracer_wraps_scipy_eigensolvers_after_cli_import():
-    # the benchmark tracer installs after `import hyperwave.cli` and skips a
-    # module that is not in sys.modules; linstab's lazy scipy.linalg is there,
-    # so the `linstab.eig` span still sees every eigen-decomposition
+def test_tracer_wraps_eigensolvers_after_cli_import(tmp_path):
+    # the benchmark tracer installs after `import hyperwave.cli`; its
+    # `linstab.eig` span sees the eig of L, the eig of L^H for the left
+    # eigenvector and the eigvals of the N + 16 companion
     bench = os.path.join(ROOT, "bench")
+    argv = ["spectrum", "--d", "7", "--N", "48", "--out", str(tmp_path / "spectrum")]
     assert _run_fresh(
-        "import sys; import hyperwave.cli; from hyperwave import linstab; "
-        f"sys.path.insert(0, {bench!r}); import tracer; tracer.install(tracer.Tracer()); "
-        "import scipy.linalg; "
-        "print([linstab.linalg is scipy.linalg, hasattr(scipy.linalg.eig, '__wrapped__'), "
-        "hasattr(scipy.linalg.eigvals, '__wrapped__')])"
-    ) == [True, True, True]
+        f"import sys; import hyperwave.cli; sys.path.insert(0, {bench!r}); import tracer; "
+        f"t = tracer.Tracer(); tracer.install(t); hyperwave.cli.main({argv!r}); "
+        "print(tracer.summarize(t.spans)['linstab.eig']['calls'])"
+    ) == 3
 
 
 def test_traced_spans_resolve():
