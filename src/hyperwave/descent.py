@@ -1,7 +1,8 @@
-"""Descent operators between odd space dimensions, their integral-kernel
-inverses, the composite reduction to the 1-d wave equation, the free radial
-wave propagator built from it, and the upwind finite-difference reference
-solver that `freewave` checks the propagator against.
+"""Descent operators between odd space dimensions, their inverses (integral
+kernels on the grid's dilation rule for d > 3, a division by eta for the
+terminal 3 -> 1 step), the composite reduction to the 1-d wave equation, the
+free radial wave propagator built from it, and the upwind finite-difference
+reference solver that `freewave` checks the propagator against.
 
 States in d dimensions are even two-component half-grid functions; the
 composite descent lands on the odd module of the 1-d machinery.
@@ -11,7 +12,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import coeffs
-from .grids import Grid, GridFunction, StateVector, _cubic_basis, _not_a_knot
+from .grids import GridFunction, StateVector, _cubic_basis, _not_a_knot
 from .halfwave import evolve_S1
 from .model import HEIGHT
 
@@ -50,20 +51,6 @@ def descent_step(d, state: StateVector) -> StateVector:
     return StateVector(GridFunction(grid, out1, parity), GridFunction(grid, out2, parity))
 
 
-def _dilated(grid: Grid, g_full):
-    """g(t*eta) at the dilation quadrature points, from g's full-grid values."""
-    _, _, pts, interp = grid.dilation_quadrature
-    return (interp @ np.asarray(g_full)).reshape(pts.shape)
-
-
-def _scaled_integral(grid: Grid, gv, weight, power):
-    """At each positive node eta: integral_0^1 weight(t*eta) t^power g(t*eta) dt,
-    from gv = _dilated(grid, g)."""
-    tq, wq, pts, _ = grid.dilation_quadrature
-    wv = weight(pts.ravel()).reshape(pts.shape) if weight is not None else 1.0
-    return (gv * wv * tq**power) @ wq
-
-
 def descent_step_inverse(d, state: StateVector) -> StateVector:
     """Inverse of one descent step, by the integrated-by-parts kernel form.
 
@@ -75,21 +62,21 @@ def descent_step_inverse(d, state: StateVector) -> StateVector:
     if d == 3:
         if state.f1.parity != "odd":
             raise ValueError("the 3 -> 1 inverse expects an odd pair")
-        g1p = grid.D @ state.f1.full()
-        g2p = grid.D @ state.f2.full()
-        f1 = _scaled_integral(grid, _dilated(grid, g1p), None, 0)
-        f2 = _scaled_integral(grid, _dilated(grid, g1p + g2p), None, 0)
-        return StateVector(GridFunction(grid, f1, "even"), GridFunction(grid, f2, "even"))
+        # D_3 (F1, F2) = (eta F1, eta (F2 - F1))
+        g1, g2 = state.f1.values, state.f2.values
+        return StateVector(
+            GridFunction(grid, g1 / eta, "even"), GridFunction(grid, (g1 + g2) / eta, "even")
+        )
     if state.f1.parity != "even":
         raise ValueError("descent inverses for d > 3 expect even pairs")
     h = HEIGHT.h(eta)
     # each component is interpolated once and serves both of its kernels
-    g1 = _dilated(grid, state.f1.full())
-    g2 = _dilated(grid, state.f2.full())
-    J11 = _scaled_integral(grid, g1, lambda x: coeffs.t11_fn(d, x), d - 3)
-    J12 = _scaled_integral(grid, g1, lambda x: coeffs.t12_fn(d, x), d - 3)
-    J21 = _scaled_integral(grid, g2, coeffs.t21_fn, d - 3)
-    J22 = _scaled_integral(grid, g2, coeffs.t22_fn, d - 3)
+    g1 = grid.dilated(state.f1.full())
+    g2 = grid.dilated(state.f2.full())
+    J11 = grid.dilation_integral(g1, lambda x: coeffs.t11_fn(d, x), d - 3)
+    J12 = grid.dilation_integral(g1, lambda x: coeffs.t12_fn(d, x), d - 3)
+    J21 = grid.dilation_integral(g2, coeffs.t21_fn, d - 3)
+    J22 = grid.dilation_integral(g2, coeffs.t22_fn, d - 3)
     S = np.sqrt(2.0 + eta * eta)
     local = (3.0 - 2.0 * S) / (S - 1.0) * state.f1.values
     f1 = -h * J11 + J12 - h * J21 + J22

@@ -1,16 +1,15 @@
 """Spectral collocation infrastructure: Chebyshev-Lobatto grids on [-R, R]
 symmetrised to radial half-grids, differentiation and quadrature, barycentric
-interpolation, spectral antiderivatives, the not-a-knot cubic B-spline
-basis that every spline in the package is built on, the weighted radial
-Sobolev norms and their brute-force oracle, and the Hardy and
-integral-operator checks.
+interpolation, the dilation rule behind every radial integral of the free
+propagator, the not-a-knot cubic B-spline basis that every spline in the
+package is built on, the weighted radial Sobolev norms and their brute-force
+oracle, and the Hardy and integral-operator checks.
 
 The full grid deliberately contains an even number of nodes so that eta = 0
 is never a collocation point; all coefficient functions with 1/eta poles can
 then be evaluated directly.
 
-The grid machinery needs numpy alone: the Chebyshev coefficients come from
-numpy's FFT.
+The grid machinery needs numpy alone.
 """
 
 import math
@@ -65,20 +64,15 @@ class DilationQuadrature(NamedTuple):
 
 
 def _clencurt(M):
-    """Clenshaw-Curtis weights for the M+1 Lobatto nodes on [-1, 1]."""
+    """Clenshaw-Curtis weights for the M+1 Lobatto nodes on [-1, 1], M odd
+    (the grid's 2N nodes)."""
     th = np.pi * np.arange(M + 1) / M
     w = np.zeros(M + 1)
     ii = np.arange(1, M)
     v = np.ones(M - 1)
-    if M % 2 == 0:
-        w[0] = w[M] = 1.0 / (M**2 - 1)
-        for kk in range(1, M // 2):
-            v -= 2.0 * np.cos(2.0 * kk * th[ii]) / (4.0 * kk**2 - 1)
-        v -= np.cos(M * th[ii]) / (M**2 - 1)
-    else:
-        w[0] = w[M] = 1.0 / M**2
-        for kk in range(1, (M - 1) // 2 + 1):
-            v -= 2.0 * np.cos(2.0 * kk * th[ii]) / (4.0 * kk**2 - 1)
+    w[0] = w[M] = 1.0 / M**2
+    for kk in range(1, (M - 1) // 2 + 1):
+        v -= 2.0 * np.cos(2.0 * kk * th[ii]) / (4.0 * kk**2 - 1)
     w[ii] = 2.0 * v / M
     return w
 
@@ -153,7 +147,7 @@ class Grid:
         return self.w_half * self.eta ** (d - 1)
 
     # ------------------------------------------------------------------
-    # interpolation and antiderivative
+    # interpolation and the dilation rule
     def interp_matrix(self, pts):
         pts = np.atleast_1d(np.asarray(pts, dtype=float))
         lam = self._bary[::-1]
@@ -177,7 +171,9 @@ class Grid:
         """Gauss-Legendre nodes `t` and weights `w` on [0, 1] (order N + 16),
         the points outer(eta, t) and the interpolation matrix onto them, for
         the integrals int_0^1 weight(t eta) t^p g(t eta) dt of the descent
-        inverses.  Built once per grid; all arrays are read-only."""
+        inverses and of the half-wave recomposition (`dilated`,
+        `dilation_integral`).  Built once per grid; all arrays are
+        read-only."""
         t, w = leggauss(self.N + 16)
         t = 0.5 * (t + 1.0)
         w = 0.5 * w
@@ -187,31 +183,17 @@ class Grid:
             a.setflags(write=False)
         return DilationQuadrature(t, w, pts, interp)
 
-    def cheb_coeffs(self, full_values):
-        """Chebyshev coefficients of the interpolant through the full-grid
-        values.  The DCT-I they need is the real FFT of the values' even
-        extension about both end nodes (Trefethen, Spectral Methods in
-        MATLAB, ch. 8); it equals scipy's `dct(type=1)` bit for bit."""
-        v_desc = np.asarray(full_values)[::-1]
-        M = self.y.size - 1
-        a = np.fft.rfft(np.concatenate([v_desc, v_desc[-2:0:-1]])).real / M
-        a[0] *= 0.5
-        a[M] *= 0.5
-        return a
+    def dilated(self, g_full):
+        """g(t*eta) at the dilation quadrature points, from g's full-grid values."""
+        _, _, pts, interp = self.dilation_quadrature
+        return (interp @ np.asarray(g_full)).reshape(pts.shape)
 
-    def antiderivative(self, full_values):
-        """Values of  x -> integral_0^x f  at the grid nodes, spectrally."""
-        a = self.cheb_coeffs(full_values)
-        M = self.y.size - 1
-        b = np.zeros(M + 2)
-        a_pad = np.concatenate([a, [0.0, 0.0]])
-        kk = np.arange(2, M + 2)
-        b[2:] = (a_pad[kk - 1] - a_pad[kk + 1]) / (2.0 * kk)
-        b[1] = a_pad[0] - 0.5 * a_pad[2]
-        theta = np.arccos(np.clip(self.y / self.R, -1.0, 1.0))
-        vals = np.cos(np.outer(theta, np.arange(M + 2))) @ b
-        at_zero = np.cos(np.arange(M + 2) * np.pi / 2.0) @ b
-        return self.R * (vals - at_zero)
+    def dilation_integral(self, gv, weight=None, power=0):
+        """At each positive node eta: integral_0^1 weight(t*eta) t^power g(t*eta) dt,
+        from gv = self.dilated(g)."""
+        tq, wq, pts, _ = self.dilation_quadrature
+        wv = weight(pts.ravel()).reshape(pts.shape) if weight is not None else 1.0
+        return (gv * wv * tq**power) @ wq
 
     def __repr__(self):
         return f"Grid(R={self.R}, N={self.N})"

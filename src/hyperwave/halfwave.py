@@ -1,6 +1,6 @@
-"""One-dimensional machinery: half-wave decomposition, exact characteristic
-evolution of the half-waves, and the rescaled wave propagator on the odd
-module.
+"""One-dimensional machinery: half-wave decomposition and its inverse (whose
+antiderivative is the grid's dilation rule), exact characteristic evolution
+of the half-waves, and the rescaled wave propagator on the odd module.
 
 Half-wave pairs (v-, v+) live on the full [-R, R] grid and satisfy the
 reflection constraint v-(-y) = -v+(y).  The transport evolution is exact:
@@ -73,11 +73,12 @@ def halfwave_recompose(w: HalfWaveState) -> StateVector:
     y = grid.y
     h = HEIGHT.h(y)
     dh = HEIGHT.dh(y)
+    # the constraint makes the integrand even, so f1 = int_0^eta is odd
     integrand = -(1.0 - dh) * w.vm + (1.0 + dh) * w.vp
-    f1_full = 0.5 * grid.antiderivative(integrand)
+    f1 = 0.5 * grid.eta * grid.dilation_integral(grid.dilated(integrand))
     f2_full = 0.5 * ((y - h) * w.vm - (y + h) * w.vp)
     return StateVector(
-        GridFunction.from_full(grid, f1_full, "odd", tol=1e-9),
+        GridFunction(grid, f1, "odd"),
         GridFunction.from_full(grid, f2_full, "odd", tol=1e-9),
     )
 

@@ -1,7 +1,7 @@
 """Reference implementations that more than one test module compares the
-package against, and the library calls and loops that faster package code
-replaced.  None of them runs in a CLI pipeline; any other reference that only
-one test module uses lives in that module.
+package against, exact solutions, and the library calls and loops that
+faster package code replaced.  None of them runs in a CLI pipeline; any
+other reference that only one test module uses lives in that module.
 
 - `classical_loop`: classical RK4, the reference for `descent._rk4_band`
   and the stepper of the half-wave method-of-lines oracle.
@@ -14,10 +14,11 @@ one test module uses lives in that module.
 - `blowup_profile_hsc`: the blowup profile along the similarity coordinates.
 - `evolve_linear`, `linear_decay_fit`: exact linear propagation by the
   matrix exponential and the growth exponent of its norm.
-- `cheb_coeffs_dct`, `cubic_spline_at`, `fd_run_full_state`: scipy's DCT-I
-  behind `Grid.cheb_coeffs`, scipy's not-a-knot `CubicSpline` behind
-  `descent._at_nodes`, and the FD oracle's march on the full state (v, w),
-  one scipy CSR product x <- P x per step (`rk4_matrix`), behind
+- `exact_radial_wave`: a closed-form smooth radial free wave in every odd
+  dimension, on the similarity slices the free propagator evolves between.
+- `cubic_spline_at`, `fd_run_full_state`: scipy's not-a-knot `CubicSpline`
+  behind `descent._at_nodes`, and the FD oracle's march on the full state
+  (v, w), one scipy CSR product x <- P x per step (`rk4_matrix`), behind
   `descent._fd_run`.
 - `band_dense`, `dense_band`: a row-window band matrix (`descent`'s
   storage) as a dense one, and back.
@@ -204,19 +205,30 @@ def linear_decay_fit(op, state: StateVector, s_values=None):
 
 
 # ----------------------------------------------------------------------
+# exact free waves
+
+
+def exact_radial_wave(d, eta, s, a):
+    """(u, d_s u) on the slice t = e^{-s} h(eta), r = e^{-s} eta, for the
+    radial free wave u = Re Q^{-(d-1)/2}, Q = (t + i a)^2 - r^2.
+
+    Q^{-(d-1)/2} is the Lorentz-invariant solution of the wave equation in d
+    odd space dimensions; shifting t by i a (a > 0) keeps Q off zero, so u
+    is smooth and radial everywhere.  d_s u = -e^{-s} (h u_t + eta u_r).
+    """
+    k = (d - 1) // 2
+    e = np.exp(-s)
+    h = HEIGHT.h(eta)
+    z = e * h + 1j * a
+    r = e * eta
+    Q = z * z - r * r
+    # u_t = 2 z dQ and u_r = -2 r dQ, with dQ the derivative of Q^-k in Q
+    dQ = -k * Q ** (-k - 1)
+    return (Q**-k).real, (-2.0 * e * dQ * (h * z - eta * r)).real
+
+
+# ----------------------------------------------------------------------
 # replaced library calls and loops
-
-
-def cheb_coeffs_dct(full_values):
-    """`Grid.cheb_coeffs` by scipy's DCT-I."""
-    from scipy.fft import dct
-
-    v_desc = np.asarray(full_values)[::-1]
-    M = v_desc.size - 1
-    a = dct(v_desc, type=1) / M
-    a[0] *= 0.5
-    a[M] *= 0.5
-    return a
 
 
 def cubic_spline_at(r, f, eta):

@@ -39,6 +39,7 @@ from oracles import (
     cubic_spline_at,
     dense_band,
     descent_step_series,
+    exact_radial_wave,
     fd_run_full_state,
     intertwining_residual,
     jexp,
@@ -257,6 +258,24 @@ class TestFreeWave:
             norms.append(weighted_state_norm(evolve_free_wave(7, st, s), 3, 7))
         slope = np.polyfit(svals, np.log(norms), 1)[0]
         assert slope <= 0.55
+
+    @pytest.mark.parametrize(
+        "N, d, f1_tol",
+        [(64, d, 1e-12) for d in (3, 5, 7)] + [(96, d, 1e-11) for d in (3, 5, 7, 9, 11)],
+    )
+    def test_matches_exact_radial_wave(self, N, d, f1_tol):
+        # from s = 0 to s = 1 on an exact smooth solution of the free wave
+        # equation; d_s u is gated only for d <= 7, where it is resolved
+        # to about 2e-10 (it reaches 1.5e-6 at d = 11, N = 96)
+        g = make_grid(2.0, N)
+        f1, f2 = exact_radial_wave(d, g.eta, 0.0, 1.0)
+        st = StateVector(GridFunction(g, f1, "even"), GridFunction(g, f2, "even"))
+        out = evolve_free_wave(d, st, 1.0)
+        u, us = exact_radial_wave(d, g.eta, 1.0, 1.0)
+        w = g.radial_weights(d)
+        assert np.sqrt(w @ (out.f1.values - u) ** 2 / (w @ u**2)) <= f1_tol
+        if d <= 7:
+            assert np.max(np.abs(out.f2.values - us)) <= 2.3e-10 * np.max(np.abs(us))
 
     def test_norm_ratio_stable_under_doubling(self):
         ratios = []

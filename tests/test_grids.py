@@ -12,7 +12,7 @@ from hyperwave.grids import (
     weighted_sobolev_norm,
 )
 
-from oracles import cheb_coeffs_dct, hpm_inner
+from oracles import hpm_inner
 
 
 class TestGridBasics:
@@ -72,16 +72,12 @@ class TestGridBasics:
             quad.interp[0, 0] = 1.0
 
     def test_antiderivative(self, grid64):
-        F = grid64.antiderivative(np.cos(grid64.y))
-        assert np.max(np.abs(F - np.sin(grid64.y))) < 1e-13
-        F5 = grid64.antiderivative(grid64.y**5)
-        assert np.max(np.abs(F5 - grid64.y**6 / 6.0)) < 1e-12
-
-    @pytest.mark.parametrize("N", [8, 24, 64, 96])
-    def test_cheb_coeffs_match_scipy_dct(self, N, rng):
-        grid = make_grid(2.0, N)
-        v = rng.standard_normal(2 * N)
-        assert np.array_equal(grid.cheb_coeffs(v), cheb_coeffs_dct(v))
+        # int_0^eta f = eta int_0^1 f(t eta) dt, on the dilation rule
+        eta = grid64.eta
+        F = eta * grid64.dilation_integral(grid64.dilated(np.cos(grid64.y)))
+        assert np.max(np.abs(F - np.sin(eta))) < 1e-13
+        F5 = eta * grid64.dilation_integral(grid64.dilated(grid64.y**5))
+        assert np.max(np.abs(F5 - eta**6 / 6.0)) < 1e-12
 
     def test_parity_derivatives(self, grid64):
         eta = grid64.eta
