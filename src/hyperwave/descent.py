@@ -111,6 +111,7 @@ def evolve_free_wave(d, state: StateVector, ds) -> StateVector:
 
 
 FD_CFL = 0.4  # Courant number of the FD oracle's RK4 steps
+_FD_BLOCK = 16  # iterates of the FD march held at once, summed together
 
 
 def _band_product(X, Y):
@@ -128,9 +129,9 @@ def _band_product(X, Y):
 
 def _band_matvec(B, x):
     """B @ x for B in row-window storage (`_band_product`): each row of B
-    against its window of the zero-padded x, as one strided product."""
+    against its window of the zero-padded x, one BLAS dot product a row."""
     p = B.shape[1] // 2
-    return np.einsum("ij,ij->i", B, sliding_window_view(np.pad(x, p), 2 * p + 1))
+    return np.vecdot(B, sliding_window_view(np.pad(x, p), 2 * p + 1))
 
 
 def _rk4_band(A, h):
@@ -234,68 +235,87 @@ def _fd_run(d, f1, f2, s_end, legs, R, m):
 
     The right-hand side is constant and no field depends on v, so one
     classical RK4 step on (v, w) is [[I, dt A_vw Q], [0, P]] with
-    (P, Q) = `_rk4_band(A_ww, dt)`, built once, and v is a passive integral.
-    Each step is one band product w <- P w, every row of P (33 entries)
-    against its window of w in a zero-padded buffer, written into the other
-    of two such buffers, and a running sum acc of the iterates.  A snapshot
-    takes v = v0 + dt A_vw (Q acc) and d_s v = A_vw w.  These agree with
-    the full step x <- P x to rounding.
+    (P, Q) = `_rk4_band(A_ww, dt)`, built once, and v is a passive integral:
+    a snapshot takes v = v0 + dt A_vw (Q acc), with acc the sum of the
+    iterates before it, and d_s v = A_vw w.  These agree with the full step
+    x <- P x to rounding.
+
+    The iterates go into a block of `_FD_BLOCK` + 1 zero-padded rows.  Each
+    step is one band product w <- P w, every row of P (33 entries) against
+    its window of block row j, one BLAS dot product a row, written into
+    row j + 1.  A full block is added to acc in one sum and its last row
+    starts the next one; every leg starts a new block, so the legs before a
+    snapshot do the same arithmetic in any run.
     """
     if not s_end > 0.0:
         raise ValueError(f"s_end must be positive, got s_end={s_end}")
     r, ((a1, a2), A_ww), dt, nsteps, v0, w = _fd_start(d, f1, f2, s_end / legs, R, m)
     P, Q = _rk4_band(A_ww, dt)
     pad = P.shape[1] // 2
-    bufs = np.zeros((2, w.size + 2 * pad))
-    bufs[0, pad:-pad] = w
-    x, y = bufs[:, pad:-pad]
-    xwin, ywin = (sliding_window_view(buf, P.shape[1]) for buf in bufs)
+    block = np.zeros((_FD_BLOCK + 1, w.size + 2 * pad))
+    rows = block[:, pad:-pad]
+    # step j of a block reads the windows of row j and writes row j + 1
+    steps = list(zip(sliding_window_view(block, P.shape[1], axis=1), rows[1:]))
+    rows[0] = w
     acc = np.zeros_like(w)
 
     def snapshot(w):
         q = _band_matvec(Q, acc)
         return v0 + dt * (a1 * q[0::2] + a2 * q[1::2]), a1 * w[0::2] + a2 * w[1::2]
 
-    series = [snapshot(x)]
+    series = [snapshot(w)]
     for _ in range(legs):
-        for _ in range(nsteps):
-            acc += x
-            np.einsum("ij,ij->i", P, xwin, out=y)
-            x, y, xwin, ywin = y, x, ywin, xwin
-        series.append(snapshot(x))
+        for start in range(0, nsteps, _FD_BLOCK):
+            k = min(_FD_BLOCK, nsteps - start)
+            for win, out in steps[:k]:
+                np.vecdot(P, win, out=out)
+            acc += rows[:k].sum(axis=0)
+            block[0] = block[k]
+        series.append(snapshot(rows[0]))
     return r, series
 
 
 def _band_solve(ab, rhs):
-    """Solve A x = rhs, every column of rhs at once, for the m x m matrix A
-    with two diagonals each side in row-window storage, ab[i, j - i + 2] =
-    A[i, j] (`_band_product`).
+    """Solve A x = rhs for the m x k array rhs, column by column, for the
+    m x m matrix A with two diagonals each side in row-window storage,
+    ab[i, j - i + 2] = A[i, j] (`_band_product`).
 
     Gaussian elimination along the band without pivoting, so the band does
     not fill and memory is O(m).  It is backward stable for a totally
     positive A (de Boor & Pinkus, Numer. Math. 27, 1977), as the collocation
     matrix of a B-spline basis at increasing points is (de Boor, Indiana
-    Univ. Math. J. 25, 1976).  Each column's arithmetic is independent of
-    the others.
+    Univ. Math. J. 25, 1976).  The factorization and each column's forward
+    and back substitution run on Python floats, one list per diagonal or
+    column indexed by row.  A product with an entry of the outer diagonals
+    that is exactly zero (all but the end rows of a spline collocation
+    matrix) is skipped, which leaves the solution of finite data as it was.
     """
     m = ab.shape[0]
-    # the factorization runs on Python floats, one list per diagonal indexed
-    # by row; two zeros past the end of each, and two zero rows of x, take
-    # the last pivots' updates
+    # two zeros past the end of each list take the last pivots' updates
     low2, low1, diag, up1, up2 = (col + [0.0, 0.0] for col in ab.T.tolist())
-    x = np.zeros((m + 2,) + rhs.shape[1:])
-    x[:m] = rhs
+    l1s, l2s = [], []  # the multipliers of rows k + 1, k + 2 by pivot k
     for k in range(m - 1):
-        l1, l2 = low1[k + 1] / diag[k], low2[k + 2] / diag[k]  # multipliers of rows k + 1, k + 2
+        l1, l2 = low1[k + 1] / diag[k], low2[k + 2] / diag[k]
         diag[k + 1] -= l1 * up1[k]
         low1[k + 2] -= l2 * up1[k]
         up1[k + 1] -= l1 * up2[k]
         diag[k + 2] -= l2 * up2[k]
-        x[k + 1] -= l1 * x[k]
-        x[k + 2] -= l2 * x[k]
-    for k in range(m - 1, -1, -1):
-        x[k] = (x[k] - up1[k] * x[k + 1] - up2[k] * x[k + 2]) / diag[k]
-    return x[:m]
+        l1s.append(l1)
+        l2s.append(l2)
+    cols = []
+    for x in rhs.T.tolist():
+        x += [0.0, 0.0]
+        for k in range(m - 1):
+            x[k + 1] -= l1s[k] * x[k]
+            if l2s[k]:
+                x[k + 2] -= l2s[k] * x[k]
+        for k in range(m - 1, -1, -1):
+            xk = x[k] - up1[k] * x[k + 1]
+            if up2[k]:
+                xk -= up2[k] * x[k + 2]
+            x[k] = xk / diag[k]
+        cols.append(x[:m])
+    return np.array(cols).T
 
 
 def _at_nodes(r, fields, eta):

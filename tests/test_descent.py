@@ -15,8 +15,10 @@ from hyperwave.descent import (
     _band_matvec,
     _band_solve,
     FD_CFL,
+    _FD_BLOCK,
     _fd_operator,
     _fd_run,
+    _fd_start,
 )
 from hyperwave.grids import (
     GridFunction,
@@ -36,6 +38,7 @@ from hyperwave.nonlinear import smooth_bump
 from conftest import even_state
 from oracles import (
     apply_Ld_series,
+    band_solve_rows,
     cubic_spline_at,
     dense_band,
     descent_step_series,
@@ -376,13 +379,13 @@ class TestFDOracle:
         _, _, speed = _fd_operator(5, R, m)
         nsteps = int(np.ceil(s_end / (FD_CFL * (R / m) / speed)))
         products = []
-        einsum = np.einsum
+        vecdot = np.vecdot
 
-        def counting(subscripts, band, *rest, **kwargs):
+        def counting(band, *rest, **kwargs):
             products.append(band.shape)
-            return einsum(subscripts, band, *rest, **kwargs)
+            return vecdot(band, *rest, **kwargs)
 
-        monkeypatch.setattr(np, "einsum", counting)
+        monkeypatch.setattr(np, "vecdot", counting)
         _fd_run(5, lambda r: np.exp(-2 * r * r), lambda r: 0 * r, s_end, 1, R, m)
         # v is passive: one band product P_ww w per step on w = (W1, W2)
         # alone (16 diagonals each side), plus one Q acc (12 each side) for
@@ -405,6 +408,25 @@ class TestFDOracle:
         _, got = _fd_run(*case)
         _, want = fd_run_full_state(*case)
         assert len(got) == len(want)
+        for (v, vs), (v_ref, vs_ref) in zip(got, want):
+            assert np.max(np.abs(vs - vs_ref)) <= 1e-12 * np.max(np.abs(vs_ref))
+            assert np.max(np.abs(v - v_ref)) <= 1e-13 * np.max(np.abs(v_ref))
+
+    @pytest.mark.parametrize(
+        "nsteps", [1, _FD_BLOCK - 1, _FD_BLOCK, _FD_BLOCK + 1, 2 * _FD_BLOCK + 3]
+    )
+    def test_march_matches_full_state_loop_across_blocks(self, nsteps):
+        # legs of one step, part of a block, a full block, and one or more
+        # blocks and a remainder, against the full-state CSR march
+        d, R, m, legs = 7, 2.0, 60, 2
+        f1, f2 = lambda r: np.exp(-2 * r * r), lambda r: -0.3 * np.exp(-r * r)
+        _, _, speed = _fd_operator(d, R, m)
+        s_end = legs * (nsteps - 0.5) * FD_CFL * (R / m) / speed
+        assert _fd_start(d, f1, f2, s_end / legs, R, m)[3] == nsteps
+        case = (d, f1, f2, s_end, legs, R, m)
+        _, got = _fd_run(*case)
+        _, want = fd_run_full_state(*case)
+        assert len(got) == len(want) == legs + 1
         for (v, vs), (v_ref, vs_ref) in zip(got, want):
             assert np.max(np.abs(vs - vs_ref)) <= 1e-12 * np.max(np.abs(vs_ref))
             assert np.max(np.abs(v - v_ref)) <= 1e-13 * np.max(np.abs(v_ref))
@@ -439,6 +461,20 @@ class TestFDOracle:
         got = _band_solve(ab, rhs)
         want = solve_banded((2, 2), lapack, rhs)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("m", [4, 5, 300])
+    @pytest.mark.parametrize("ncols", [1, 22])
+    def test_band_solve_matches_row_loop_bit_for_bit(self, m, ncols):
+        # the FD cells' collocation system, against elimination by numpy
+        # rows: the same arithmetic, so the same bits
+        r = (np.arange(m) + 0.5) * (2.0 / m)
+        ell, b = _cubic_basis(_not_a_knot(r), r)
+        A = np.zeros((m, m))
+        for a in range(4):
+            A[np.arange(m), ell - 3 + a] = b[:, a]
+        ab = dense_band(A, 2)
+        rhs = np.random.default_rng(m + ncols).standard_normal((m, ncols))
+        assert np.array_equal(_band_solve(ab, rhs), band_solve_rows(ab, rhs))
 
     def test_series_one_snapshot_per_time(self):
         f1, f2 = lambda r: np.exp(-2 * r * r), lambda r: -0.3 * np.exp(-r * r)
