@@ -167,7 +167,8 @@ def cmd_freewave(args):
         for s in s_values[1:]:
             norms.append(weighted_state_norm(evolve_free_wave(args.d, state, s), k, args.d))
         # companion series from the upwind reference solver, measured in the
-        # k = 1 norm (splined data do not support higher derivatives)
+        # k = 1 norm (data interpolated from the FD cells do not support
+        # higher derivatives)
         fd_norms = [
             weighted_state_norm(
                 StateVector(GridFunction(grid, v, "even"), GridFunction(grid, vs, "even")), 1, args.d
@@ -406,7 +407,8 @@ _COMMANDS = {
     "freewave": (
         cmd_freewave,
         ("d", "R", "N", "s_end", "out"),
-        "columns: s, norm[, fd_norm] (fd series measured in the k=1 norm)",
+        "columns: s, norm[, fd_norm] (fd series measured in the k=1 norm, not "
+        "converged in its cell count at late s); the cross-check needs R >= 1",
     ),
     "spectrum": (
         cmd_spectrum,

@@ -2,7 +2,8 @@
 kernels on the grid's dilation rule for d > 3, a division by eta for the
 terminal 3 -> 1 step), the composite reduction to the 1-d wave equation, the
 free radial wave propagator built from it, and the upwind finite-difference
-reference solver that `freewave` checks the propagator against.
+reference solver that `freewave` checks the propagator against, read at the
+nodes by the cubic through the four nearest cells.
 
 States in d dimensions are even two-component half-grid functions; the
 composite descent lands on the odd module of the 1-d machinery.
@@ -12,7 +13,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import coeffs
-from .grids import GridFunction, StateVector, _cubic_basis, _not_a_knot
+from .grids import GridFunction, StateVector
 from .halfwave import evolve_S1
 from .model import HEIGHT
 
@@ -166,7 +167,7 @@ def _fd_operator(d, R, m):
     away from eta = R, so the phantom cells above it carry no entries.
     """
     if m < 4:
-        raise ValueError(f"m must be at least 4 for a not-a-knot cubic spline, got m={m}")
+        raise ValueError(f"m must be at least 4 for a four-cell cubic, got m={m}")
     dr = R / m
     r = (np.arange(m) + 0.5) * dr
     h = HEIGHT.h(r)
@@ -275,83 +276,34 @@ def _fd_run(d, f1, f2, s_end, legs, R, m):
     return r, series
 
 
-def _band_solve(ab, rhs):
-    """Solve A x = rhs for the m x k array rhs, column by column, for the
-    m x m matrix A with two diagonals each side in row-window storage,
-    ab[i, j - i + 2] = A[i, j] (`_band_product`).
-
-    Gaussian elimination along the band without pivoting, so the band does
-    not fill and memory is O(m).  It is backward stable for a totally
-    positive A (de Boor & Pinkus, Numer. Math. 27, 1977), as the collocation
-    matrix of a B-spline basis at increasing points is (de Boor, Indiana
-    Univ. Math. J. 25, 1976).  The factorization and each column's forward
-    and back substitution run on Python floats, one list per diagonal or
-    column indexed by row.  A product with an entry of the outer diagonals
-    that is exactly zero (all but the end rows of a spline collocation
-    matrix) is skipped, which leaves the solution of finite data as it was.
-    """
-    m = ab.shape[0]
-    # two zeros past the end of each list take the last pivots' updates
-    low2, low1, diag, up1, up2 = (col + [0.0, 0.0] for col in ab.T.tolist())
-    l1s, l2s = [], []  # the multipliers of rows k + 1, k + 2 by pivot k
-    for k in range(m - 1):
-        l1, l2 = low1[k + 1] / diag[k], low2[k + 2] / diag[k]
-        diag[k + 1] -= l1 * up1[k]
-        low1[k + 2] -= l2 * up1[k]
-        up1[k + 1] -= l1 * up2[k]
-        diag[k + 2] -= l2 * up2[k]
-        l1s.append(l1)
-        l2s.append(l2)
-    cols = []
-    for x in rhs.T.tolist():
-        x += [0.0, 0.0]
-        for k in range(m - 1):
-            x[k + 1] -= l1s[k] * x[k]
-            if l2s[k]:
-                x[k + 2] -= l2s[k] * x[k]
-        for k in range(m - 1, -1, -1):
-            xk = x[k] - up1[k] * x[k + 1]
-            if up2[k]:
-                xk -= up2[k] * x[k + 2]
-            x[k] = xk / diag[k]
-        cols.append(x[:m])
-    return np.array(cols).T
-
-
 def _at_nodes(r, fields, eta):
-    """Not-a-knot cubic-spline interpolants of FD fields on the cells r, at
-    eta; the end cubics extend past the first and last cells.  These are the
-    values of scipy's `CubicSpline(r, f)(eta)`, to rounding.
-
-    The spline is fitted on the package's B-spline basis
-    (`grids._cubic_basis`): the collocation matrix at the cells has its
-    nonzeros within two diagonals of the main one, so one banded solve
-    (`_band_solve`) fits every field.
-    """
-    m = r.size
-    knots = _not_a_knot(r)
-    ell, b = _cubic_basis(knots, r)
-    cols = ell[:, None] + np.arange(-3, 1)
-    # each row's fourth entry, zero at the end cells, may fall outside the band
-    i, a = np.nonzero(np.abs(cols - np.arange(m)[:, None]) <= 2)
-    ab = np.zeros((m, 5))  # ab[i, j - i + 2] holds entry (i, j)
-    ab[i, cols[i, a] - i + 2] = b[i, a]
-    coef = _band_solve(ab, np.stack(fields, axis=1))
-    ell, b = _cubic_basis(knots, eta)
-    vals = sum(coef[ell - 3 + a] * b[:, a, None] for a in range(4))
-    return tuple(np.ascontiguousarray(vals.T))
+    """The FD fields on the cells r at the nodes eta, each by the cubic
+    through the four cells nearest the node; the end cubics extend past the
+    first and last cells.  The cells are uniform, r_i = (i + 1/2) dr, so in
+    the cell coordinate u = eta/dr - 1/2 the cubic through cells j, ..., j + 3
+    has the four-point Lagrange weights in t = u - j."""
+    dr = 2.0 * r[0]
+    u = eta / dr - 0.5
+    j = np.clip(np.floor(u).astype(int) - 1, 0, r.size - 4)
+    t = u - j
+    weights = (
+        -(t - 1.0) * (t - 2.0) * (t - 3.0) / 6.0,
+        t * (t - 2.0) * (t - 3.0) / 2.0,
+        -t * (t - 1.0) * (t - 3.0) / 2.0,
+        t * (t - 1.0) * (t - 2.0) / 6.0,
+    )
+    F = np.stack(fields)
+    return tuple(sum(w * F[:, j + k] for k, w in enumerate(weights)))
 
 
 def direct_fd_oracle(d, f1, f2, s_end, R, eta, m=400):
     """Upwinded method-of-lines reference for the radial wave evolution in
     similarity coordinates, from callable initial data (v, d_s v): v at time
-    s_end and the nodes eta, Richardson-extrapolated on the m cells for the
-    leading O(dr^2) error."""
-    r, [_, (coarse, _)] = _fd_run(d, f1, f2, s_end, 1, R, m)
-    r2, [_, (fine, _)] = _fd_run(d, f1, f2, s_end, 1, R, 2 * m)
-    [fine] = _at_nodes(r2, [fine], r)
-    [v] = _at_nodes(r, [(4 * fine - coarse) / 3.0], eta)
-    return v
+    s_end and the nodes eta, Richardson-extrapolated over the m and 2m cells
+    for the leading O(dr^2) error."""
+    [_, (coarse, _)] = fd_oracle_series(d, f1, f2, s_end, 1, R, eta, m)
+    [_, (fine, _)] = fd_oracle_series(d, f1, f2, s_end, 1, R, eta, 2 * m)
+    return (4 * fine - coarse) / 3.0
 
 
 def fd_oracle_series(d, f1, f2, s_end, legs, R, eta, m=300):

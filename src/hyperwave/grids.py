@@ -1,9 +1,8 @@
 """Spectral collocation infrastructure: Chebyshev-Lobatto grids on [-R, R]
 symmetrised to radial half-grids, differentiation and quadrature, barycentric
 interpolation, the dilation rule behind every radial integral of the free
-propagator, the not-a-knot cubic B-spline basis that every spline in the
-package is built on, the weighted radial Sobolev norms and their brute-force
-oracle, and the Hardy and integral-operator checks.
+propagator, the weighted radial Sobolev norms and their brute-force oracle,
+and the Hardy and integral-operator checks.
 
 The full grid deliberately contains an even number of nodes so that eta = 0
 is never a collocation point; all coefficient functions with 1/eta poles can
@@ -197,41 +196,6 @@ class Grid:
 
     def __repr__(self):
         return f"Grid(R={self.R}, N={self.N})"
-
-
-def _not_a_knot(x):
-    """Knots of the not-a-knot cubic spline interpolating at the nodes x: the
-    end nodes fourfold, and no knot at x[1] or x[-2] (de Boor, A Practical
-    Guide to Splines, ch. XIII).  There are x.size B-splines."""
-    return np.concatenate([np.full(4, x[0]), x[2:-2], np.full(4, x[-1])])
-
-
-def _cubic_basis(knots, x):
-    """The knot interval ell of each point (knots[ell] <= x < knots[ell + 1],
-    the last interval closed at its right end; points beyond the end knots
-    take the end intervals, whose cubics extend past them) and the values of
-    the 4 cubic B-splines B_{ell-3}, ..., B_ell that are nonzero there, shape
-    (x.size, 4).
-
-    de Boor's recursion, in the operation order of scipy's `_deBoor_D`, so the
-    values are those of `BSpline.design_matrix` bit for bit.  In the
-    intervals of a not-a-knot knot vector no two knots of a divided
-    difference coincide, so the recursion never divides by zero.
-    """
-    n = knots.size - 4
-    ell = np.clip(np.searchsorted(knots, x, side="right") - 1, 3, n - 1)
-    b = np.zeros((4, x.size))
-    b[0] = 1.0
-    for j in range(1, 4):
-        prev = b[:j].copy()
-        b[0] = 0.0
-        for i in range(1, j + 1):
-            right = knots[ell + i]
-            left = knots[ell + i - j]
-            w = prev[i - 1] / (right - left)
-            b[i - 1] += w * (right - x)
-            b[i] = w * (x - left)
-    return ell, b.T
 
 
 def make_grid(R, N) -> Grid:

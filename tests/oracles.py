@@ -16,15 +16,11 @@ other reference that only one test module uses lives in that module.
   matrix exponential and the growth exponent of its norm.
 - `exact_radial_wave`: a closed-form smooth radial free wave in every odd
   dimension, on the similarity slices the free propagator evolves between.
-- `cubic_spline_at`, `fd_run_full_state`: scipy's not-a-knot `CubicSpline`
-  behind `descent._at_nodes`, and the FD oracle's march on the full state
-  (v, w), one scipy CSR product x <- P x per step (`rk4_matrix`), behind
+- `fd_run_full_state`: the FD oracle's march on the full state (v, w), one
+  scipy CSR product x <- P x per step (`rk4_matrix`), behind
   `descent._fd_run`.
 - `band_dense`, `dense_band`: a row-window band matrix (`descent`'s
   storage) as a dense one, and back.
-- `band_solve_rows`: banded Gaussian elimination without pivoting, one
-  numpy row update per row for every column at once, behind
-  `descent._band_solve`.
 """
 
 import numpy as np
@@ -234,12 +230,6 @@ def exact_radial_wave(d, eta, s, a):
 # replaced library calls and loops
 
 
-def cubic_spline_at(r, f, eta):
-    from scipy.interpolate import CubicSpline
-
-    return CubicSpline(r, f)(eta)
-
-
 def band_dense(B):
     """The n x n matrix held in row-window storage B, B[i, k] = entry
     (i, i + k - p) for p diagonals each side."""
@@ -258,27 +248,6 @@ def dense_band(A, p):
     padded[:, p : p + n] = A
     rows = np.arange(n)[:, None]
     return padded[rows, rows + np.arange(2 * p + 1)]
-
-
-def band_solve_rows(ab, rhs):
-    """Solve A x = rhs, every column of rhs at once, for A with two diagonals
-    each side in row-window storage, ab[i, j - i + 2] = A[i, j]: elimination
-    along the band without pivoting, each row of x updated as a numpy row."""
-    m = ab.shape[0]
-    low2, low1, diag, up1, up2 = (col + [0.0, 0.0] for col in ab.T.tolist())
-    x = np.zeros((m + 2,) + rhs.shape[1:])
-    x[:m] = rhs
-    for k in range(m - 1):
-        l1, l2 = low1[k + 1] / diag[k], low2[k + 2] / diag[k]
-        diag[k + 1] -= l1 * up1[k]
-        low1[k + 2] -= l2 * up1[k]
-        up1[k + 1] -= l1 * up2[k]
-        diag[k + 2] -= l2 * up2[k]
-        x[k + 1] -= l1 * x[k]
-        x[k + 2] -= l2 * x[k]
-    for k in range(m - 1, -1, -1):
-        x[k] = (x[k] - up1[k] * x[k + 1] - up2[k] * x[k + 2]) / diag[k]
-    return x[:m]
 
 
 def rk4_matrix(A, h):

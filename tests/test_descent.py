@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
 
 from hyperwave.coeffs import c1_fn
 from hyperwave.descent import (
@@ -13,7 +12,6 @@ from hyperwave.descent import (
     fd_oracle_series,
     _at_nodes,
     _band_matvec,
-    _band_solve,
     FD_CFL,
     _FD_BLOCK,
     _fd_operator,
@@ -23,8 +21,6 @@ from hyperwave.descent import (
 from hyperwave.grids import (
     GridFunction,
     StateVector,
-    _cubic_basis,
-    _not_a_knot,
     make_grid,
     odd_state_norm,
     weighted_sobolev_norm,
@@ -38,9 +34,6 @@ from hyperwave.nonlinear import smooth_bump
 from conftest import even_state
 from oracles import (
     apply_Ld_series,
-    band_solve_rows,
-    cubic_spline_at,
-    dense_band,
     descent_step_series,
     exact_radial_wave,
     fd_run_full_state,
@@ -431,50 +424,52 @@ class TestFDOracle:
             assert np.max(np.abs(vs - vs_ref)) <= 1e-12 * np.max(np.abs(vs_ref))
             assert np.max(np.abs(v - v_ref)) <= 1e-13 * np.max(np.abs(v_ref))
 
-    @pytest.mark.parametrize("m", [4, 100, 300, 400, 800])
-    def test_spline_matches_scipy_cubic_spline(self, grid64, m):
-        # the nodes reach past the last cell centre, so the end cubics are
-        # extended; at m = 4 the spline is the one interpolating cubic
+    def test_at_nodes_reproduces_cubics(self, grid64):
+        # the nodes reach past both end cells, where the end cubics extend;
+        # every field is read at once
+        m = 10
         r = (np.arange(m) + 0.5) * (2.0 / m)
-        fields = [np.exp(-2 * r * r), -0.3 * smooth_bump(r / 0.6), np.sin(3 * r) * r]
-        assert grid64.eta[-1] > r[-1]
-        for got, f in zip(_at_nodes(r, fields, grid64.eta), fields, strict=True):
-            want = cubic_spline_at(r, f, grid64.eta)
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        eta = np.concatenate([[0.0], grid64.eta, [2.3]])
+        assert eta[1] < r[0] and eta[-2] > r[-1]
+        cubic = lambda x: 1.0 - 2.0 * x + 0.5 * x**2 - 0.3 * x**3
+        fields = [cubic(r), 3.0 * cubic(r) + r**2, np.ones(m)]
+        want = [cubic(eta), 3.0 * cubic(eta) + eta**2, np.ones_like(eta)]
+        got = _at_nodes(r, fields, eta)
+        assert len(got) == len(fields)
+        for g, w in zip(got, want, strict=True):
+            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
 
-    @pytest.mark.parametrize("m", [4, 5, 100, 300, 800])
-    def test_band_solve_matches_scipy_solve_banded(self, m):
-        # the not-a-knot collocation system `_at_nodes` solves at the cells,
-        # banded from its dense matrix, with several right-hand sides
-        r = (np.arange(m) + 0.5) * (2.0 / m)
-        ell, b = _cubic_basis(_not_a_knot(r), r)
-        A = np.zeros((m, m))
-        for a in range(4):
-            A[np.arange(m), ell - 3 + a] = b[:, a]
-        assert not np.any(np.triu(A, 3)) and not np.any(np.tril(A, -3))
-        ab = dense_band(A, 2)  # ab[i, j - i + 2] holds entry (i, j)
-        lapack = np.zeros((5, m))  # LAPACK's band storage: [2 + i - j, j]
-        for k in range(-2, 3):
-            lapack[2 - k, max(k, 0) : m + min(k, 0)] = np.diagonal(A, k)
-        rhs = np.random.default_rng(m).standard_normal((m, 5))
-        rhs[:, 0] = np.exp(-2 * r * r)
-        got = _band_solve(ab, rhs)
-        want = solve_banded((2, 2), lapack, rhs)
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    def test_at_nodes_fourth_order(self):
+        f = lambda x: np.exp(-2 * x * x)
+        probe = np.linspace(0.0, 2.0, 4001)
+        err = []
+        for m in (50, 100, 200):
+            r = (np.arange(m) + 0.5) * (2.0 / m)
+            [v] = _at_nodes(r, [f(r)], probe)
+            err.append(np.max(np.abs(v - f(probe))))
+        orders = np.log2(np.array(err[:-1]) / err[1:])
+        assert np.all((3.8 < orders) & (orders < 4.2))
 
-    @pytest.mark.parametrize("m", [4, 5, 300])
-    @pytest.mark.parametrize("ncols", [1, 22])
-    def test_band_solve_matches_row_loop_bit_for_bit(self, m, ncols):
-        # the FD cells' collocation system, against elimination by numpy
-        # rows: the same arithmetic, so the same bits
-        r = (np.arange(m) + 0.5) * (2.0 / m)
-        ell, b = _cubic_basis(_not_a_knot(r), r)
-        A = np.zeros((m, m))
-        for a in range(4):
-            A[np.arange(m), ell - 3 + a] = b[:, a]
-        ab = dense_band(A, 2)
-        rhs = np.random.default_rng(m + ncols).standard_normal((m, ncols))
-        assert np.array_equal(_band_solve(ab, rhs), band_solve_rows(ab, rhs))
+    def test_direct_oracle_is_richardson_over_series(self, grid64):
+        f1, f2 = lambda r: np.exp(-2 * r * r), lambda r: -0.3 * np.exp(-r * r)
+        case = (7, f1, f2, 1.0, 1, 2.0, grid64.eta)
+        [_, (coarse, _)] = fd_oracle_series(*case, m=100)
+        [_, (fine, _)] = fd_oracle_series(*case, m=200)
+        got = direct_fd_oracle(7, f1, f2, 1.0, 2.0, grid64.eta, m=100)
+        assert np.array_equal(got, (4 * fine - coarse) / 3.0)
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    @pytest.mark.parametrize("R", [1.0, 2.0])
+    def test_direct_oracle_matches_exact_radial_wave(self, d, R):
+        # from s = 0 to s = 1 on an exact smooth solution; the weighted error
+        # is 2.7e-9 (d = 3, R = 1) to 9.6e-7 (d = 7, R = 2)
+        g = make_grid(R, 64)
+        f1 = lambda r: exact_radial_wave(d, r, 0.0, 1.0)[0]
+        f2 = lambda r: exact_radial_wave(d, r, 0.0, 1.0)[1]
+        v = direct_fd_oracle(d, f1, f2, 1.0, R, g.eta)
+        u, _ = exact_radial_wave(d, g.eta, 1.0, 1.0)
+        w = g.radial_weights(d)
+        assert np.sqrt(w @ (v - u) ** 2 / (w @ u**2)) < 2e-6
 
     def test_series_one_snapshot_per_time(self):
         f1, f2 = lambda r: np.exp(-2 * r * r), lambda r: -0.3 * np.exp(-r * r)
@@ -514,4 +509,4 @@ class TestFDOracle:
         ev = evolve_free_wave(d, st, 1.0)
         w = grid64.w_half * grid64.eta ** (d - 1)
         rel = np.sqrt(np.sum((ev.f1.values - o1) ** 2 * w) / np.sum(o1**2 * w))
-        assert rel < 1e-4
+        assert rel < 1e-6

@@ -139,8 +139,7 @@ class TestCauchySolver:
     def test_collocation_matrix_is_scipys_design_matrix(self, params7, pert, m):
         from scipy.interpolate import NdBSpline
 
-        from hyperwave.grids import _not_a_knot
-        from hyperwave.nonlinear import _collocation_matrix
+        from hyperwave.nonlinear import _collocation_matrix, _not_a_knot
 
         sol = cauchy_tr_solver(params7, pert, m=m)
         knots = (_not_a_knot(sol.times), _not_a_knot(sol.r))
@@ -156,7 +155,7 @@ class TestCauchySolver:
     def test_cubic_basis_is_scipys_design_matrix(self, cauchy, axis):
         from scipy.interpolate import BSpline
 
-        from hyperwave.grids import _cubic_basis, _not_a_knot
+        from hyperwave.nonlinear import _cubic_basis, _not_a_knot
 
         nodes = getattr(cauchy, axis)
         knots = _not_a_knot(nodes)

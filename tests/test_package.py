@@ -87,14 +87,14 @@ def test_freewave_leaves_scipy_interpolate_and_fft_unloaded(freewave_loaded):
 
 
 def test_freewave_leaves_scipy_linalg_unexecuted(freewave_loaded):
-    # the FD oracle's spline solves its band in numpy, and no module holds a
-    # lazy scipy.linalg any more, so the name is not even registered
+    # the FD oracle interpolates its cells without a solve, and no module
+    # holds a lazy scipy.linalg any more, so the name is not even registered
     assert "scipy.linalg" not in freewave_loaded
 
 
 def test_freewave_loads_no_scipy_subpackage(freewave_loaded):
-    # the FD oracle steps its band and solves its spline in numpy, so the run
-    # loads no scipy module at all, nor scipy's array-API shim
+    # the FD oracle steps its band and interpolates its cells in numpy, so the
+    # run loads no scipy module at all, nor scipy's array-API shim
     assert freewave_loaded == set()
 
 
