@@ -119,26 +119,26 @@ def _cubic_basis(knots, x):
     return ell, b.T
 
 
-def _collocation_matrix(knots_t, times, knots_r, r):
-    """kron(B_t, B_r) of the tensor spline at the grid nodes, as CSR: row
-    i * r.size + j holds B_t[i, a] * B_r[j, c] for the 16 products, t-index
-    outer and r-index inner, so its columns ascend; zero products are
-    dropped.  This is scipy's `NdBSpline.design_matrix` after
-    `eliminate_zeros()`, entry for entry, with 32-bit indices."""
+def _collocation_operator(knots_t, times, knots_r, r):
+    """kron(B_t, B_r) at the grid nodes, applied as vec(B_t C B_r^T) with the
+    1-D CSR collocation matrices, so it is never formed (de Boor, ch. XVII)."""
     from scipy.sparse import csr_array
+    from scipy.sparse.linalg import LinearOperator
 
-    lt, bt = _cubic_basis(knots_t, times)
-    lr, br = _cubic_basis(knots_r, r)
-    size = times.size * r.size
-    cols_t = (lt[:, None] + np.arange(-3, 1)).astype(np.int32) * r.size
-    cols_r = (lr[:, None] + np.arange(-3, 1)).astype(np.int32)
-    # (node, 16) tables: the t factors repeat over c, the r factors tile over a
-    data = (np.repeat(bt, 4, axis=1)[:, None] * np.tile(br, 4)).ravel()
-    cols = (np.repeat(cols_t, 4, axis=1)[:, None] + np.tile(cols_r, 4)).ravel()
-    keep = data != 0.0
-    indptr = np.zeros(size + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(keep.reshape(size, 16), axis=1), out=indptr[1:])
-    return csr_array((data[keep], cols[keep], indptr), shape=(size, size))
+    def collocation(knots, x):
+        ell, vals = _cubic_basis(knots, x)
+        cols = (ell[:, None] + np.arange(-3, 1)).ravel()
+        return csr_array((vals.ravel(), cols, 4 * np.arange(x.size + 1)), shape=(x.size,) * 2)
+
+    bt, br = collocation(knots_t, times), collocation(knots_r, r)
+    # B_r acts with r outermost; one kept buffer saves a page-faulting array per call
+    transposed = np.empty((r.size, times.size))
+
+    def matvec(c):
+        transposed[...] = (bt @ c.reshape(times.size, r.size)).T
+        return (br @ transposed).T.ravel()
+
+    return LinearOperator((transposed.size,) * 2, matvec=matvec, dtype=float)
 
 
 class CauchySolution:
@@ -147,9 +147,9 @@ class CauchySolution:
     `fields[i, j]` holds (w, w_t, w_r) at (times[i], r[j]); `w` and `wt` are
     views into it.  Each field is interpolated by the not-a-knot cubic tensor
     spline that scipy's `RegularGridInterpolator(method="cubic")` builds, with
-    the same numbers: one collocation matrix serves all three fields, and
-    scipy's solver for it (`gcrotmk`, atol = 1e-6) runs once per field, so
-    each gets the coefficients of a fit of its own, bit for bit.
+    the same solver: one collocation operator serves all three fields, and
+    `gcrotmk` (atol = 1e-6) runs on it once per field; the operator's sums are
+    reordered, so the fits agree with scipy's to rounding, not bit for bit.
     """
 
     def __init__(self, params, pert, times, r, fields):
@@ -162,11 +162,11 @@ class CauchySolution:
         self.w = fields[..., 0]
         self.wt = fields[..., 1]
         self._knots = (_not_a_knot(times), _not_a_knot(r))
-        matrix = _collocation_matrix(self._knots[0], times, self._knots[1], r)
+        operator = _collocation_operator(self._knots[0], times, self._knots[1], r)
         rhs = fields.reshape(-1, 3)
         coef = np.empty_like(rhs)
         for k in range(3):
-            coef[:, k], info = gcrotmk(matrix, rhs[:, k], atol=1e-6)
+            coef[:, k], info = gcrotmk(operator, rhs[:, k], atol=1e-6)
             if info != 0:
                 raise RuntimeError(
                     f"Cauchy spline fit: gcrotmk returned info={info} for field {k}"

@@ -244,6 +244,10 @@ class TestCommands:
         # reference values of the explicit-RK4 solver (ROADMAP baseline)
         assert doc["T_star"] == pytest.approx(0.99999998641799659, rel=1e-6)
         assert doc["omega0_fit"] == pytest.approx(0.58570981465673055, rel=1e-6)
+        # the README command's certified outputs (ROADMAP "Measured now")
+        assert doc["T_star"] == pytest.approx(0.99999998641799659, rel=1e-9)
+        assert doc["omega0_fit"] == pytest.approx(0.58570981720474957, rel=1e-9)
+        assert doc["gap"] == pytest.approx(0.58890482382738507, rel=1e-9)
         for suffix in (".csv", ".json"):
             assert a.with_suffix(suffix).read_bytes() == b.with_suffix(suffix).read_bytes()
 
