@@ -1,13 +1,16 @@
-"""Descent operators between odd space dimensions, their inverses (integral
-kernels on the grid's dilation rule for d > 3, a division by eta for the
-terminal 3 -> 1 step), the composite reduction to the 1-d wave equation, the
-free radial wave propagator built from it, and the upwind finite-difference
-reference solver that `freewave` checks the propagator against, read at the
-nodes by the cubic through the four nearest cells.
+"""Descent operators between odd space dimensions, their inverses (four
+N x N dilation kernels of the grid for each d > 3, built once per grid and
+dimension, and a division by eta for the terminal 3 -> 1 step), the
+composite reduction to the 1-d wave equation, the free radial wave
+propagator built from it, and the upwind finite-difference reference solver
+that `freewave` checks the propagator against, read at the nodes by the
+cubic through the four nearest cells.
 
 States in d dimensions are even two-component half-grid functions; the
 composite descent lands on the odd module of the 1-d machinery.
 """
+
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -52,6 +55,22 @@ def descent_step(d, state: StateVector) -> StateVector:
     return StateVector(GridFunction(grid, out1, parity), GridFunction(grid, out2, parity))
 
 
+@lru_cache(maxsize=16)
+def _inverse_kernels(grid, d):
+    """The four kernels of the d -> d - 2 inverse (d > 3) on `grid`:
+    int_0^1 t^(d-3) w(t eta) g(t eta) dt for the weights t11, t12 (applied
+    to the first component) and t21, t22 (the second)."""
+    return grid.dilation_kernels(
+        (
+            lambda x: coeffs.t11_fn(d, x),
+            lambda x: coeffs.t12_fn(d, x),
+            coeffs.t21_fn,
+            coeffs.t22_fn,
+        ),
+        d - 3,
+    )
+
+
 def descent_step_inverse(d, state: StateVector) -> StateVector:
     """Inverse of one descent step, by the integrated-by-parts kernel form.
 
@@ -71,13 +90,9 @@ def descent_step_inverse(d, state: StateVector) -> StateVector:
     if state.f1.parity != "even":
         raise ValueError("descent inverses for d > 3 expect even pairs")
     h = HEIGHT.h(eta)
-    # each component is interpolated once and serves both of its kernels
-    g1 = grid.dilated(state.f1.full())
-    g2 = grid.dilated(state.f2.full())
-    J11 = grid.dilation_integral(g1, lambda x: coeffs.t11_fn(d, x), d - 3)
-    J12 = grid.dilation_integral(g1, lambda x: coeffs.t12_fn(d, x), d - 3)
-    J21 = grid.dilation_integral(g2, coeffs.t21_fn, d - 3)
-    J22 = grid.dilation_integral(g2, coeffs.t22_fn, d - 3)
+    K11, K12, K21, K22 = _inverse_kernels(grid, d)
+    g1, g2 = state.f1.values, state.f2.values
+    J11, J12, J21, J22 = K11 @ g1, K12 @ g1, K21 @ g2, K22 @ g2
     S = np.sqrt(2.0 + eta * eta)
     local = (3.0 - 2.0 * S) / (S - 1.0) * state.f1.values
     f1 = -h * J11 + J12 - h * J21 + J22

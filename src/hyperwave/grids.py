@@ -1,8 +1,9 @@
 """Spectral collocation infrastructure: Chebyshev-Lobatto grids on [-R, R]
 symmetrised to radial half-grids, differentiation and quadrature, barycentric
-interpolation, the dilation rule behind every radial integral of the free
-propagator, the weighted radial Sobolev norms and their brute-force oracle,
-and the Hardy and integral-operator checks.
+interpolation, the N x N dilation kernels behind every radial integral of
+the free propagator (int_0^1 w(t eta) t^p g(t eta) dt on even half-grid
+data), the weighted radial Sobolev norms and their brute-force oracle, and
+the Hardy and integral-operator checks.
 
 The full grid deliberately contains an even number of nodes so that eta = 0
 is never a collocation point; all coefficient functions with 1/eta poles can
@@ -13,8 +14,6 @@ The grid machinery needs numpy alone.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -53,13 +52,6 @@ def _chebdif(M):
     np.fill_diagonal(D, 0.0)
     np.fill_diagonal(D, -np.sum(D, axis=1))
     return x, D
-
-
-class DilationQuadrature(NamedTuple):
-    t: np.ndarray
-    w: np.ndarray
-    pts: np.ndarray
-    interp: np.ndarray
 
 
 def _clencurt(M):
@@ -146,7 +138,7 @@ class Grid:
         return self.w_half * self.eta ** (d - 1)
 
     # ------------------------------------------------------------------
-    # interpolation and the dilation rule
+    # interpolation and the dilation kernels
     def interp_matrix(self, pts):
         pts = np.atleast_1d(np.asarray(pts, dtype=float))
         lam = self._bary[::-1]
@@ -165,34 +157,29 @@ class Grid:
     def interpolate(self, full_values, pts):
         return self.interp_matrix(pts) @ np.asarray(full_values)
 
-    @cached_property
-    def dilation_quadrature(self):
-        """Gauss-Legendre nodes `t` and weights `w` on [0, 1] (order N + 16),
-        the points outer(eta, t) and the interpolation matrix onto them, for
-        the integrals int_0^1 weight(t eta) t^p g(t eta) dt of the descent
-        inverses and of the half-wave recomposition (`dilated`,
-        `dilation_integral`).  Built once per grid; all arrays are
-        read-only."""
-        t, w = leggauss(self.N + 16)
+    def dilation_kernels(self, weights, power=0):
+        """N x N kernels K_k, one per callable `weights[k]`, with
+
+            (K_k g)_i = int_0^1 weights[k](t eta_i) t^power g(t eta_i) dt
+
+        for the even interpolant g of half-grid values, on the Gauss-Legendre
+        rule of order N + 16 on [0, 1]: the integrals of the descent inverses
+        and of the half-wave recomposition.  Each node eta_i takes the
+        barycentric rows onto its own N + 16 points t eta_i, and each mirror
+        column is added onto its partner, so the memory is O(N^2): the
+        N (N + 16) x 2N interpolation matrix onto all the points is never
+        built.  The kernels are read-only."""
+        N = self.N
+        t, w = leggauss(N + 16)
         t = 0.5 * (t + 1.0)
-        w = 0.5 * w
         pts = np.outer(self.eta, t)
-        interp = self.interp_matrix(pts.ravel())
-        for a in (t, w, pts, interp):
-            a.setflags(write=False)
-        return DilationQuadrature(t, w, pts, interp)
-
-    def dilated(self, g_full):
-        """g(t*eta) at the dilation quadrature points, from g's full-grid values."""
-        _, _, pts, interp = self.dilation_quadrature
-        return (interp @ np.asarray(g_full)).reshape(pts.shape)
-
-    def dilation_integral(self, gv, weight=None, power=0):
-        """At each positive node eta: integral_0^1 weight(t*eta) t^power g(t*eta) dt,
-        from gv = self.dilated(g)."""
-        tq, wq, pts, _ = self.dilation_quadrature
-        wv = weight(pts.ravel()).reshape(pts.shape) if weight is not None else 1.0
-        return (gv * wv * tq**power) @ wq
+        W = np.stack([weight(pts) for weight in weights]) * (0.5 * w * t**power)
+        K = np.empty((len(weights), N, N))
+        for i in range(N):
+            L = self.interp_matrix(pts[i])
+            K[:, i, :] = W[:, i, :] @ (L[:, N:] + L[:, N - 1 :: -1])
+        K.setflags(write=False)
+        return tuple(K)
 
     def __repr__(self):
         return f"Grid(R={self.R}, N={self.N})"

@@ -1,6 +1,7 @@
 """One-dimensional machinery: half-wave decomposition and its inverse (whose
-antiderivative is the grid's dilation rule), exact characteristic evolution
-of the half-waves, and the rescaled wave propagator on the odd module.
+antiderivative is one N x N dilation kernel of the grid on the even
+integrand, built once per grid), exact characteristic evolution of the
+half-waves, and the rescaled wave propagator on the odd module.
 
 Half-wave pairs (v-, v+) live on the full [-R, R] grid and satisfy the
 reflection constraint v-(-y) = -v+(y).  The transport evolution is exact:
@@ -9,6 +10,7 @@ which for forward evolution never leave [-R, R] once R >= 1/2.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,6 +68,13 @@ def halfwave_decompose(state: StateVector) -> HalfWaveState:
     return HalfWaveState(grid, vm, vp).require_constraint()
 
 
+@lru_cache(maxsize=8)
+def _antiderivative_kernel(grid):
+    """int_0^1 g(t eta) dt of even half-grid data g, so that
+    int_0^eta g = eta times it."""
+    return grid.dilation_kernels((np.ones_like,))[0]
+
+
 def halfwave_recompose(w: HalfWaveState) -> StateVector:
     """Invert the half-wave map back to an odd state."""
     w.require_constraint()
@@ -75,7 +84,7 @@ def halfwave_recompose(w: HalfWaveState) -> StateVector:
     dh = HEIGHT.dh(y)
     # the constraint makes the integrand even, so f1 = int_0^eta is odd
     integrand = -(1.0 - dh) * w.vm + (1.0 + dh) * w.vp
-    f1 = 0.5 * grid.eta * grid.dilation_integral(grid.dilated(integrand))
+    f1 = 0.5 * grid.eta * (_antiderivative_kernel(grid) @ integrand[grid.N :])
     f2_full = 0.5 * ((y - h) * w.vm - (y + h) * w.vp)
     return StateVector(
         GridFunction(grid, f1, "odd"),

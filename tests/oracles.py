@@ -21,9 +21,13 @@ other reference that only one test module uses lives in that module.
   `descent._fd_run`.
 - `band_dense`, `dense_band`: a row-window band matrix (`descent`'s
   storage) as a dense one, and back.
+- `dilation_quadrature`, `dilated`, `dilation_integral`: the dilation rule
+  on one (N + 16) N x 2N barycentric matrix onto all the points t eta, read
+  on full-grid data, behind `Grid.dilation_kernels`.
 """
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from hyperwave import coeffs
 from hyperwave.descent import _descent_pair, _fd_start
@@ -284,3 +288,27 @@ def fd_run_full_state(d, f1, f2, s_end, legs, R, m):
             x = P @ x
         series.append((x[:m].copy(), (A @ x)[:m]))
     return r, series
+
+
+def dilation_quadrature(grid):
+    """Gauss-Legendre nodes t and weights w on [0, 1] (order N + 16), the
+    points outer(eta, t), and the interpolation matrix onto all of them."""
+    t, w = leggauss(grid.N + 16)
+    t = 0.5 * (t + 1.0)
+    w = 0.5 * w
+    pts = np.outer(grid.eta, t)
+    return t, w, pts, grid.interp_matrix(pts.ravel())
+
+
+def dilated(grid, g_full):
+    """g(t eta) at the dilation rule's points, from g's full-grid values."""
+    _, _, pts, interp = dilation_quadrature(grid)
+    return (interp @ np.asarray(g_full)).reshape(pts.shape)
+
+
+def dilation_integral(grid, gv, weight=None, power=0):
+    """At each positive node eta: int_0^1 weight(t eta) t^power g(t eta) dt,
+    from gv = dilated(grid, g)."""
+    tq, wq, pts, _ = dilation_quadrature(grid)
+    wv = weight(pts.ravel()).reshape(pts.shape) if weight is not None else 1.0
+    return (gv * wv * tq**power) @ wq

@@ -273,6 +273,23 @@ class TestFreeWave:
         if d <= 7:
             assert np.max(np.abs(out.f2.values - us)) <= 2.3e-10 * np.max(np.abs(us))
 
+    @pytest.mark.parametrize("N, limit", [(64, 1.5e6), (128, 4e6)])
+    def test_memory_peak(self, N, limit):
+        # the dilation kernels are N x N, built one block of N + 16 points
+        # per node; one (N + 16) N x 2N interpolation matrix peaked at 5.95 MB
+        # (N = 64) and 42.6 MB (N = 128)
+        import tracemalloc
+
+        g = make_grid(2.0, N)
+        st = even_state(g, lambda e: np.exp(-2 * e * e), np.zeros_like)
+        tracemalloc.start()
+        try:
+            evolve_free_wave(7, st, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit
+
     def test_norm_ratio_stable_under_doubling(self):
         ratios = []
         for N in (48, 96):

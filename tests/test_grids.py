@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from hyperwave.coeffs import t11_fn, t12_fn, t21_fn, t22_fn
+from hyperwave.descent import _inverse_kernels
 from hyperwave.grids import (
     GridFunction,
     StateVector,
@@ -11,8 +13,9 @@ from hyperwave.grids import (
     sobolev_norm_full,
     weighted_sobolev_norm,
 )
+from hyperwave.halfwave import _antiderivative_kernel
 
-from oracles import hpm_inner
+from oracles import dilated, dilation_integral, hpm_inner
 
 
 class TestGridBasics:
@@ -57,27 +60,45 @@ class TestGridBasics:
         got = grid64.interpolate(np.sin(grid64.y), pts)
         assert got == pytest.approx(np.sin(pts), abs=1e-13)
 
-    def test_dilation_quadrature_cached_read_only(self):
+    def test_dilation_kernels_cached_read_only(self):
         grid = make_grid(2.0, 24)
-        quad = grid.dilation_quadrature
-        assert grid.dilation_quadrature is quad
-        t, w = np.polynomial.legendre.leggauss(grid.N + 16)
-        assert np.array_equal(quad.t, 0.5 * (t + 1.0))
-        assert np.array_equal(quad.w, 0.5 * w)
-        assert np.array_equal(quad.pts, np.outer(grid.eta, quad.t))
-        assert np.array_equal(quad.interp, grid.interp_matrix(quad.pts.ravel()))
-        for a in quad:
-            assert not a.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            quad.interp[0, 0] = 1.0
+        kernels = _inverse_kernels(grid, 7)
+        assert _inverse_kernels(grid, 7) is kernels
+        assert _antiderivative_kernel(grid) is _antiderivative_kernel(grid)
+        for K in kernels + (_antiderivative_kernel(grid),):
+            assert K.shape == (grid.N, grid.N)
+            assert not K.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                K[0, 0] = 1.0
+
+    @pytest.mark.parametrize("g", [lambda e: np.exp(-2 * e * e), np.cos], ids=["gauss", "cos"])
+    @pytest.mark.parametrize("d", [None, 5, 7, 9, 11])
+    def test_dilation_kernels_match_interpolation_matrix_rule(self, grid64, d, g):
+        # the recomposition kernel (d None: weight 1, power 0) and the four
+        # descent-inverse kernels at d, against the rule on the 2N-column
+        # interpolation matrix applied to g's even extension
+        if d is None:
+            cases = [(_antiderivative_kernel(grid64), None, 0)]
+        else:
+            weights = (
+                lambda x: t11_fn(d, x),
+                lambda x: t12_fn(d, x),
+                t21_fn,
+                t22_fn,
+            )
+            cases = [(K, wk, d - 3) for K, wk in zip(_inverse_kernels(grid64, d), weights)]
+        gv = dilated(grid64, g(grid64.y))
+        for K, weight, power in cases:
+            expected = dilation_integral(grid64, gv, weight, power)
+            got = K @ g(grid64.eta)
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_antiderivative(self, grid64):
-        # int_0^eta f = eta int_0^1 f(t eta) dt, on the dilation rule
+        # int_0^eta f = eta int_0^1 f(t eta) dt, on even half-grid data
         eta = grid64.eta
-        F = eta * grid64.dilation_integral(grid64.dilated(np.cos(grid64.y)))
-        assert np.max(np.abs(F - np.sin(eta))) < 1e-13
-        F5 = eta * grid64.dilation_integral(grid64.dilated(grid64.y**5))
-        assert np.max(np.abs(F5 - eta**6 / 6.0)) < 1e-12
+        K = _antiderivative_kernel(grid64)
+        assert np.max(np.abs(eta * (K @ np.cos(eta)) - np.sin(eta))) < 1e-13
+        assert np.max(np.abs(eta * (K @ eta**6) - eta**7 / 7.0)) < 1e-12
 
     def test_parity_derivatives(self, grid64):
         eta = grid64.eta
