@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import coeffs
-from .descent import direct_fd_oracle, evolve_free_wave, fd_oracle_series
+from .descent import direct_fd_oracle, evolve_free_wave
 from .geometry import contracted_christoffel_residual
 from .grids import (
     GridFunction,
@@ -152,36 +152,16 @@ def cmd_freewave(args):
         norms = [odd_state_norm(state, 2)]
         for s in s_values[1:]:
             norms.append(odd_state_norm(evolve_S1(state, s), 2))
-        rows = [(float(s), float(nv)) for s, nv in zip(s_values, norms)]
-        write_csv(args.out + ".csv", ["s", "norm"], rows)
         cross_err = None
     else:
         k = (args.d - 1) // 2
-        f1 = lambda r: smooth_bump(np.asarray(r) / 0.5)
-        f2 = lambda r: -0.3 * smooth_bump(np.asarray(r) / 0.6)
         state = StateVector(
-            GridFunction.from_callable(grid, f1, "even"),
-            GridFunction.from_callable(grid, f2, "even"),
+            GridFunction.from_callable(grid, lambda r: smooth_bump(r / 0.5), "even"),
+            GridFunction.from_callable(grid, lambda r: -0.3 * smooth_bump(r / 0.6), "even"),
         )
         norms = [weighted_state_norm(state, k, args.d)]
         for s in s_values[1:]:
             norms.append(weighted_state_norm(evolve_free_wave(args.d, state, s), k, args.d))
-        # companion series from the upwind reference solver, measured in the
-        # k = 1 norm (data interpolated from the FD cells do not support
-        # higher derivatives)
-        fd_norms = [
-            weighted_state_norm(
-                StateVector(GridFunction(grid, v, "even"), GridFunction(grid, vs, "even")), 1, args.d
-            )
-            for v, vs in fd_oracle_series(
-                args.d, f1, f2, args.s_end, s_values.size - 1, args.R, grid.eta
-            )
-        ]
-        rows = [
-            (float(s), float(nv), float(fv))
-            for s, nv, fv in zip(s_values, norms, fd_norms, strict=True)
-        ]
-        write_csv(args.out + ".csv", ["s", "norm", "fd_norm"], rows)
         # cross-check on analytic data: the bump's high derivatives are not
         # collocation-resolvable, the norms above are (low-mode dominated)
         gauss = StateVector(
@@ -196,6 +176,8 @@ def cmd_freewave(args):
         cross_err = float(
             np.sqrt(np.sum((ev.f1.values - o1) ** 2 * wgt) / np.sum(ev.f1.values**2 * wgt))
         )
+    rows = [(float(s), float(nv)) for s, nv in zip(s_values, norms)]
+    write_csv(args.out + ".csv", ["s", "norm"], rows)
     slope = float(np.polyfit(s_values, np.log(norms), 1)[0])
     summary = {
         "d": args.d,
@@ -407,8 +389,7 @@ _COMMANDS = {
     "freewave": (
         cmd_freewave,
         ("d", "R", "N", "s_end", "out"),
-        "columns: s, norm[, fd_norm] (fd series measured in the k=1 norm, not "
-        "converged in its cell count at late s); the cross-check needs R >= 1",
+        "columns: s, norm; the FD cross-check at s = 1 needs R >= 1",
     ),
     "spectrum": (
         cmd_spectrum,

@@ -2,9 +2,9 @@
 N x N dilation kernels of the grid for each d > 3, built once per grid and
 dimension, and a division by eta for the terminal 3 -> 1 step), the
 composite reduction to the 1-d wave equation, the free radial wave
-propagator built from it, and the upwind finite-difference reference solver
-that `freewave` checks the propagator against, read at the nodes by the
-cubic through the four nearest cells.
+propagator built from it, and the upwind finite-difference reference solver,
+one march to one time, that `freewave` cross-checks the propagator against
+at s = 1, read at the nodes by the cubic through the four nearest cells.
 
 States in d dimensions are even two-component half-grid functions; the
 composite descent lands on the odd module of the 1-d machinery.
@@ -127,7 +127,7 @@ def evolve_free_wave(d, state: StateVector, ds) -> StateVector:
 
 
 FD_CFL = 0.4  # Courant number of the FD oracle's RK4 steps
-_FD_BLOCK = 16  # iterates of the FD march held at once, summed together
+_FD_BLOCK = 16  # iterates of the FD march held at once, added to v's integral in one sum
 
 
 def _band_product(X, Y):
@@ -237,35 +237,31 @@ def _fd_start(d, f1, f2, span, R, m):
     return r, A, dt, nsteps, v0, np.stack([W1, W2], axis=1).ravel()
 
 
-def _fd_run(d, f1, f2, s_end, legs, R, m):
+def _fd_run(d, f1, f2, s_end, R, m):
     """March the characteristic first-order form of the radial wave system.
 
     Variables are v and the rescaled half-wave fields W1, W2 (the Cartesian
     d'Alembert fields dt u +- dr u composed with the coordinate map, times
     e^{-s}), which satisfy autonomous transport equations with speeds
     h_pm/h_pm' and a dimensional coupling; v itself integrates alongside.
-    Returns (r, [(v, d_s v), ...]) on the cells r: the legs + 1 snapshots at
-    s = k s_end / legs, k = 0, ..., legs.  Every leg takes the same number of
-    steps, so each snapshot lands on its time, and snapshot k is bit for bit
-    the end of a k-leg run with legs of the same length.
+    Returns (r, v, d_s v) on the cells r at s = s_end.
 
     The right-hand side is constant and no field depends on v, so one
     classical RK4 step on (v, w) is [[I, dt A_vw Q], [0, P]] with
     (P, Q) = `_rk4_band(A_ww, dt)`, built once, and v is a passive integral:
-    a snapshot takes v = v0 + dt A_vw (Q acc), with acc the sum of the
-    iterates before it, and d_s v = A_vw w.  These agree with the full step
-    x <- P x to rounding.
+    v = v0 + dt A_vw (Q acc), with acc the sum of the iterates before the
+    last, and d_s v = A_vw w.  These agree with the full step x <- P x to
+    rounding.
 
     The iterates go into a block of `_FD_BLOCK` + 1 zero-padded rows.  Each
     step is one band product w <- P w, every row of P (33 entries) against
     its window of block row j, one BLAS dot product a row, written into
     row j + 1.  A full block is added to acc in one sum and its last row
-    starts the next one; every leg starts a new block, so the legs before a
-    snapshot do the same arithmetic in any run.
+    starts the next one.
     """
     if not s_end > 0.0:
         raise ValueError(f"s_end must be positive, got s_end={s_end}")
-    r, ((a1, a2), A_ww), dt, nsteps, v0, w = _fd_start(d, f1, f2, s_end / legs, R, m)
+    r, ((a1, a2), A_ww), dt, nsteps, v0, w = _fd_start(d, f1, f2, s_end, R, m)
     P, Q = _rk4_band(A_ww, dt)
     pad = P.shape[1] // 2
     block = np.zeros((_FD_BLOCK + 1, w.size + 2 * pad))
@@ -274,21 +270,15 @@ def _fd_run(d, f1, f2, s_end, legs, R, m):
     steps = list(zip(sliding_window_view(block, P.shape[1], axis=1), rows[1:]))
     rows[0] = w
     acc = np.zeros_like(w)
-
-    def snapshot(w):
-        q = _band_matvec(Q, acc)
-        return v0 + dt * (a1 * q[0::2] + a2 * q[1::2]), a1 * w[0::2] + a2 * w[1::2]
-
-    series = [snapshot(w)]
-    for _ in range(legs):
-        for start in range(0, nsteps, _FD_BLOCK):
-            k = min(_FD_BLOCK, nsteps - start)
-            for win, out in steps[:k]:
-                np.vecdot(P, win, out=out)
-            acc += rows[:k].sum(axis=0)
-            block[0] = block[k]
-        series.append(snapshot(rows[0]))
-    return r, series
+    for start in range(0, nsteps, _FD_BLOCK):
+        k = min(_FD_BLOCK, nsteps - start)
+        for win, out in steps[:k]:
+            np.vecdot(P, win, out=out)
+        acc += rows[:k].sum(axis=0)
+        block[0] = block[k]
+    q = _band_matvec(Q, acc)
+    w = rows[0]
+    return r, v0 + dt * (a1 * q[0::2] + a2 * q[1::2]), a1 * w[0::2] + a2 * w[1::2]
 
 
 def _at_nodes(r, fields, eta):
@@ -316,15 +306,13 @@ def direct_fd_oracle(d, f1, f2, s_end, R, eta, m=400):
     similarity coordinates, from callable initial data (v, d_s v): v at time
     s_end and the nodes eta, Richardson-extrapolated over the m and 2m cells
     for the leading O(dr^2) error."""
-    [_, (coarse, _)] = fd_oracle_series(d, f1, f2, s_end, 1, R, eta, m)
-    [_, (fine, _)] = fd_oracle_series(d, f1, f2, s_end, 1, R, eta, 2 * m)
+    coarse, _ = fd_oracle_series(d, f1, f2, s_end, R, eta, m)
+    fine, _ = fd_oracle_series(d, f1, f2, s_end, R, eta, 2 * m)
     return (4 * fine - coarse) / 3.0
 
 
-def fd_oracle_series(d, f1, f2, s_end, legs, R, eta, m=300):
-    """Snapshots [(v, d_s v), ...] of the reference solution at the nodes
-    eta, at s = k s_end / legs for k = 0, ..., legs (see `_fd_run`); no
-    extrapolation."""
-    r, shots = _fd_run(d, f1, f2, s_end, legs, R, m)
-    vals = _at_nodes(r, [f for shot in shots for f in shot], eta)
-    return list(zip(vals[::2], vals[1::2]))
+def fd_oracle_series(d, f1, f2, s_end, R, eta, m):
+    """(v, d_s v) of the reference solution at time s_end and the nodes eta
+    (see `_fd_run`), on m cells; no extrapolation."""
+    r, v, vs = _fd_run(d, f1, f2, s_end, R, m)
+    return _at_nodes(r, (v, vs), eta)

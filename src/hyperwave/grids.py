@@ -163,12 +163,12 @@ class Grid:
             (K_k g)_i = int_0^1 weights[k](t eta_i) t^power g(t eta_i) dt
 
         for the even interpolant g of half-grid values, on the Gauss-Legendre
-        rule of order N + 16 on [0, 1]: the integrals of the descent inverses
-        and of the half-wave recomposition.  Each node eta_i takes the
-        barycentric rows onto its own N + 16 points t eta_i, and each mirror
-        column is added onto its partner, so the memory is O(N^2): the
-        N (N + 16) x 2N interpolation matrix onto all the points is never
-        built.  The kernels are read-only."""
+        rule of order N + 16 on [0, 1]: the integrals of the descent inverses,
+        of the half-wave recomposition and of `integral_op_T`.  Each node
+        eta_i takes the barycentric rows onto its own N + 16 points t eta_i,
+        and each mirror column is added onto its partner, so the memory is
+        O(N^2): the N (N + 16) x 2N interpolation matrix onto all the points
+        is never built.  The kernels are read-only."""
         N = self.N
         t, w = leggauss(N + 16)
         t = 0.5 * (t + 1.0)
@@ -351,17 +351,14 @@ def hardy_check(grid: Grid, full_values, s):
 
 
 def integral_op_T(grid: Grid, full_values, m, n):
-    """Smooth extension of x -> x^-m int_0^x y^n f(y) dy.
+    """Smooth extension of x -> x^-m int_0^x y^n f(y) dy, for even f.
 
-    Implemented in the rescaled form x^(n+1-m) int_0^1 t^n f(tx) dt
-    (Gauss-Legendre order N + 8), which is regular at the origin whenever
-    n + 1 - m >= 0.
+    Implemented in the rescaled form x^(n+1-m) int_0^1 t^n f(tx) dt, whose
+    integral is even in x and is the grid's dilation kernel of weight 1 and
+    power n; it is regular at the origin whenever n + 1 - m >= 0.
     """
     if n + 1 - m < 0:
         raise ValueError(f"need n + 1 - m >= 0, got m={m}, n={n}")
-    tq, wq = leggauss(grid.N + 8)
-    tq = 0.5 * (tq + 1.0)
-    wq = 0.5 * wq
-    pts = np.outer(grid.y, tq).ravel()
-    fvals = grid.interpolate(np.asarray(full_values, dtype=float), pts).reshape(grid.y.size, -1)
-    return grid.y ** (n + 1 - m) * ((tq**n * fvals) @ wq)
+    half = GridFunction.from_full(grid, full_values, "even").values
+    [K] = grid.dilation_kernels((np.ones_like,), n)
+    return grid.extend(K @ half, "even") * grid.y ** (n + 1 - m)

@@ -268,12 +268,12 @@ def rk4_matrix(A, h):
     return P
 
 
-def fd_run_full_state(d, f1, f2, s_end, legs, R, m):
+def fd_run_full_state(d, f1, f2, s_end, R, m):
     """`descent._fd_run` stepping the whole state x = (v, w) with the full
     RK4 matrix P in scipy's CSR form, one product x <- P x per step."""
     from scipy import sparse
 
-    r, ((a1, a2), A_ww), dt, nsteps, v0, w0 = _fd_start(d, f1, f2, s_end / legs, R, m)
+    r, ((a1, a2), A_ww), dt, nsteps, v0, w0 = _fd_start(d, f1, f2, s_end, R, m)
     A = np.zeros((3 * m, 3 * m))
     cells = np.arange(m)
     A[cells, m + 2 * cells] = a1
@@ -282,12 +282,9 @@ def fd_run_full_state(d, f1, f2, s_end, legs, R, m):
     A = sparse.csr_array(A)
     P = rk4_matrix(A, dt)
     x = np.concatenate([v0, w0])
-    series = [(x[:m].copy(), (A @ x)[:m])]
-    for _ in range(legs):
-        for _ in range(nsteps):
-            x = P @ x
-        series.append((x[:m].copy(), (A @ x)[:m]))
-    return r, series
+    for _ in range(nsteps):
+        x = P @ x
+    return r, x[:m], (A @ x)[:m]
 
 
 def dilation_quadrature(grid):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from hyperwave import descent
 from hyperwave.cli import _COMMANDS, build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -219,9 +220,27 @@ class TestCommands:
         assert run([*argv, "--out", str(b)]) == 0
         doc = json.loads(a.with_suffix(".json").read_text())
         assert doc["cross_check_error"] < 1e-4
-        assert a.with_suffix(".csv").read_text().splitlines()[0] == "s,norm,fd_norm"
+        # this tree's values; bench/references.json holds them to its REF_TOL
+        assert doc["exponent_fit"] == pytest.approx(0.09034268766478842, rel=1e-8)
+        assert doc["cross_check_error"] == pytest.approx(1.0099119590795869e-07, rel=1e-6)
+        assert a.with_suffix(".csv").read_text().splitlines()[0] == "s,norm"
         for suffix in (".csv", ".json"):
             assert a.with_suffix(suffix).read_bytes() == b.with_suffix(suffix).read_bytes()
+
+    def test_freewave_marches_the_fd_oracle_twice(self, tmp_path, monkeypatch):
+        # the cross-check's Richardson pair on m and 2m cells, and no other
+        # FD march
+        cells = []
+        fd_run = descent._fd_run
+
+        def counting(d, f1, f2, s_end, R, m):
+            cells.append(m)
+            return fd_run(d, f1, f2, s_end, R, m)
+
+        monkeypatch.setattr(descent, "_fd_run", counting)
+        argv = ["freewave", "--d", "7", "--N", "64", "--s-end", "5"]
+        assert run([*argv, "--out", str(tmp_path / "fw")]) == 0
+        assert cells == [400, 800]
 
     def test_freewave_writes_a_row_per_time(self, tmp_path):
         # s_end below one FD step: the six times round to steps 0 and 1, and
@@ -231,7 +250,7 @@ class TestCommands:
         argv = ["freewave", "--d", "7", "--N", "64", "--s-end", "1e-4", "--out", str(out)]
         assert run(argv) == 1
         lines = out.with_suffix(".csv").read_text().splitlines()
-        assert lines[0] == "s,norm,fd_norm"
+        assert lines[0] == "s,norm"
         assert len(lines) == 1 + 6
 
     def test_blowup_d7_deterministic(self, tmp_path):

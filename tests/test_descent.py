@@ -301,14 +301,14 @@ class TestFreeWave:
 
 class TestFDOracle:
     def test_steady_state(self):
-        _, [_, (v, vs)] = _fd_run(5, lambda r: np.ones_like(r), lambda r: 0 * r, 1.0, 1, 2.0, 200)
+        _, v, vs = _fd_run(5, lambda r: np.ones_like(r), lambda r: 0 * r, 1.0, 2.0, 200)
         assert np.max(np.abs(v - 1.0)) == 0.0
         assert np.max(np.abs(vs)) == 0.0
 
     def test_reflection_symmetry_preserved(self):
         # even initial data stays even: the origin value never drifts relative
         # to its mirror ghost, checked through the first-node symmetry
-        _, [_, (v, vs)] = _fd_run(5, lambda r: np.exp(-3 * r * r), lambda r: 0 * r, 0.5, 1, 2.0, 200)
+        _, v, vs = _fd_run(5, lambda r: np.exp(-3 * r * r), lambda r: 0 * r, 0.5, 2.0, 200)
         assert np.all(np.isfinite(v))
 
     def test_cfl_guard(self):
@@ -363,7 +363,7 @@ class TestFDOracle:
 
     def test_regression_pin(self):
         # values of the stencil-by-stencil upwind solver this operator replaced
-        _, [_, (v, vs)] = _fd_run(5, lambda r: np.exp(-2 * r * r), lambda r: 0 * r, 1.0, 1, 2.0, 200)
+        _, v, vs = _fd_run(5, lambda r: np.exp(-2 * r * r), lambda r: 0 * r, 1.0, 2.0, 200)
         idx = [0, 1, 37, 100, 199]
         assert v[idx] == pytest.approx(
             [0.07410089909774671, 0.07402609232994271, 0.024621339800224476,
@@ -371,11 +371,9 @@ class TestFDOracle:
         assert vs[idx] == pytest.approx(
             [-0.716189235911018, -0.7160713995601833, -0.6401242385222106,
              -0.3869622825676523, -0.38546114240154483], rel=1e-12)
-        _, shots = _fd_run(
-            7, lambda r: np.exp(-2 * r * r), lambda r: -0.3 * np.exp(-r * r), 1.0, 2, 2.0, 100
+        _, v1, vs1 = _fd_run(
+            7, lambda r: np.exp(-2 * r * r), lambda r: -0.3 * np.exp(-r * r), 1.0, 2.0, 100
         )
-        assert len(shots) == 3
-        v1, vs1 = shots[-1]
         idx = [0, 10, 50, 99]
         assert v1[idx] == pytest.approx(
             [-0.10727352967469479, -0.12031757968103643, -0.28921598820640526,
@@ -396,29 +394,29 @@ class TestFDOracle:
             return vecdot(band, *rest, **kwargs)
 
         monkeypatch.setattr(np, "vecdot", counting)
-        _fd_run(5, lambda r: np.exp(-2 * r * r), lambda r: 0 * r, s_end, 1, R, m)
+        _fd_run(5, lambda r: np.exp(-2 * r * r), lambda r: 0 * r, s_end, R, m)
         # v is passive: one band product P_ww w per step on w = (W1, W2)
-        # alone (16 diagonals each side), plus one Q acc (12 each side) for
-        # each of the snapshots at s = 0 and s_end, v = v0 + dt A_vw (Q acc);
-        # d_s v = A_vw w is two diagonals, taken elementwise
-        assert products == [(2 * m, 25)] + [(2 * m, 33)] * nsteps + [(2 * m, 25)]
+        # alone (16 diagonals each side), plus one Q acc (12 each side) at
+        # s_end, v = v0 + dt A_vw (Q acc); d_s v = A_vw w is two diagonals,
+        # taken elementwise
+        assert products == [(2 * m, 33)] * nsteps + [(2 * m, 25)]
 
     @pytest.mark.parametrize(
         "d, f2, s_values, m",
         [
-            (5, lambda r: 0 * r, [0.0, 1.0], 200),
-            (7, lambda r: -0.3 * np.exp(-r * r), [0.0, 0.5, 1.0], 100),
+            (5, lambda r: 0 * r, [1.0], 200),
+            (7, lambda r: -0.3 * np.exp(-r * r), [0.5, 1.0], 100),
         ],
     )
     def test_march_matches_full_state_loop(self, d, f2, s_values, m):
-        # the regression-pin runs, with their snapshot times, against the
-        # full state stepped by scipy's CSR product.  The band product and the
-        # CSR one sum each row in different orders, so they agree to rounding
-        case = (d, lambda r: np.exp(-2 * r * r), f2, s_values[-1], len(s_values) - 1, 2.0, m)
-        _, got = _fd_run(*case)
-        _, want = fd_run_full_state(*case)
-        assert len(got) == len(want)
-        for (v, vs), (v_ref, vs_ref) in zip(got, want):
+        # the regression-pin runs, and the d = 7 one to half its time, against
+        # the full state stepped by scipy's CSR product.  The band product and
+        # the CSR one sum each row in different orders, so they agree to
+        # rounding
+        for s_end in s_values:
+            case = (d, lambda r: np.exp(-2 * r * r), f2, s_end, 2.0, m)
+            _, v, vs = _fd_run(*case)
+            _, v_ref, vs_ref = fd_run_full_state(*case)
             assert np.max(np.abs(vs - vs_ref)) <= 1e-12 * np.max(np.abs(vs_ref))
             assert np.max(np.abs(v - v_ref)) <= 1e-13 * np.max(np.abs(v_ref))
 
@@ -426,20 +424,18 @@ class TestFDOracle:
         "nsteps", [1, _FD_BLOCK - 1, _FD_BLOCK, _FD_BLOCK + 1, 2 * _FD_BLOCK + 3]
     )
     def test_march_matches_full_state_loop_across_blocks(self, nsteps):
-        # legs of one step, part of a block, a full block, and one or more
+        # marches of one step, part of a block, a full block, and one or more
         # blocks and a remainder, against the full-state CSR march
-        d, R, m, legs = 7, 2.0, 60, 2
+        d, R, m = 7, 2.0, 60
         f1, f2 = lambda r: np.exp(-2 * r * r), lambda r: -0.3 * np.exp(-r * r)
         _, _, speed = _fd_operator(d, R, m)
-        s_end = legs * (nsteps - 0.5) * FD_CFL * (R / m) / speed
-        assert _fd_start(d, f1, f2, s_end / legs, R, m)[3] == nsteps
-        case = (d, f1, f2, s_end, legs, R, m)
-        _, got = _fd_run(*case)
-        _, want = fd_run_full_state(*case)
-        assert len(got) == len(want) == legs + 1
-        for (v, vs), (v_ref, vs_ref) in zip(got, want):
-            assert np.max(np.abs(vs - vs_ref)) <= 1e-12 * np.max(np.abs(vs_ref))
-            assert np.max(np.abs(v - v_ref)) <= 1e-13 * np.max(np.abs(v_ref))
+        s_end = (nsteps - 0.5) * FD_CFL * (R / m) / speed
+        assert _fd_start(d, f1, f2, s_end, R, m)[3] == nsteps
+        case = (d, f1, f2, s_end, R, m)
+        _, v, vs = _fd_run(*case)
+        _, v_ref, vs_ref = fd_run_full_state(*case)
+        assert np.max(np.abs(vs - vs_ref)) <= 1e-12 * np.max(np.abs(vs_ref))
+        assert np.max(np.abs(v - v_ref)) <= 1e-13 * np.max(np.abs(v_ref))
 
     def test_at_nodes_reproduces_cubics(self, grid64):
         # the nodes reach past both end cells, where the end cubics extend;
@@ -469,9 +465,9 @@ class TestFDOracle:
 
     def test_direct_oracle_is_richardson_over_series(self, grid64):
         f1, f2 = lambda r: np.exp(-2 * r * r), lambda r: -0.3 * np.exp(-r * r)
-        case = (7, f1, f2, 1.0, 1, 2.0, grid64.eta)
-        [_, (coarse, _)] = fd_oracle_series(*case, m=100)
-        [_, (fine, _)] = fd_oracle_series(*case, m=200)
+        case = (7, f1, f2, 1.0, 2.0, grid64.eta)
+        coarse, _ = fd_oracle_series(*case, 100)
+        fine, _ = fd_oracle_series(*case, 200)
         got = direct_fd_oracle(7, f1, f2, 1.0, 2.0, grid64.eta, m=100)
         assert np.array_equal(got, (4 * fine - coarse) / 3.0)
 
@@ -488,30 +484,11 @@ class TestFDOracle:
         w = g.radial_weights(d)
         assert np.sqrt(w @ (v - u) ** 2 / (w @ u**2)) < 2e-6
 
-    def test_series_one_snapshot_per_time(self):
-        f1, f2 = lambda r: np.exp(-2 * r * r), lambda r: -0.3 * np.exp(-r * r)
-        r, shots = _fd_run(7, f1, f2, 1.0, 4, 2.0, 100)
-        assert len(shots) == 5
-        assert np.array_equal(shots[0][0], f1(r))
-        assert not any(np.array_equal(a[0], b[0]) for a, b in zip(shots, shots[1:]))
-
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_series_snapshots_land_on_their_times(self, k):
-        # snapshot k of the freewave series (d = 7, 10 legs to s = 5) is the
-        # end of a k-leg run to s = k/2 bit for bit: every leg takes the same
-        # steps, so no snapshot is read off its time
-        f1 = lambda r: smooth_bump(np.asarray(r) / 0.5)
-        f2 = lambda r: -0.3 * smooth_bump(np.asarray(r) / 0.6)
-        _, series = _fd_run(7, f1, f2, 5.0, 10, 2.0, 300)
-        _, short = _fd_run(7, f1, f2, k / 2, k, 2.0, 300)
-        for got, want in zip(series[k], short[-1], strict=True):
-            assert np.array_equal(got, want)
-
     def test_convergence_order(self):
         f1 = lambda r: np.exp(-2 * r * r)
         f2 = lambda r: 0 * r
         probe = np.linspace(0.1, 1.8, 50)
-        vals = {m: fd_oracle_series(5, f1, f2, 1.0, 1, 2.0, probe, m=m)[-1][0] for m in (100, 200, 400)}
+        vals = {m: fd_oracle_series(5, f1, f2, 1.0, 2.0, probe, m)[0] for m in (100, 200, 400)}
         e1 = np.max(np.abs(vals[100] - vals[200]))
         e2 = np.max(np.abs(vals[200] - vals[400]))
         order = np.log2(e1 / e2)

@@ -225,6 +225,10 @@ class TestHardyAndIntegralOp:
         with pytest.raises(ValueError):
             integral_op_T(grid64, np.ones(128), 4, 2)
 
+    def test_integral_op_rejects_odd_data(self, grid64):
+        with pytest.raises(ValueError, match="parity 'even' violated"):
+            integral_op_T(grid64, grid64.y, 3, 3)
+
     def test_integral_op_bounded(self, grid64, rng):
         f = np.cos(2 * grid64.y) * np.exp(-0.5 * grid64.y**2)
         # the weight phi(y) = 1 / (1 + y^2) rides on the integrand
