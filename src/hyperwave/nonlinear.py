@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import Grid, GridFunction, StateVector, weighted_sobolev_norm
 from .linstab import OperatorMatrix, riesz_projection
@@ -119,26 +120,114 @@ def _cubic_basis(knots, x):
     return ell, b.T
 
 
+def _band(knots, x):
+    """The cubic B-spline collocation matrix at the nodes x as a band: row i
+    holds vals[:, i] in columns start[i], ..., start[i] + 3.  Away from the
+    ends of a not-a-knot knot vector start[i] = i - 1, so those rows form one
+    run [lo, hi) whose columns are shifts of one another; the other rows are
+    `ends`."""
+    ell, vals = _cubic_basis(knots, x)
+    start = ell - 3
+    shifted = np.flatnonzero(start == np.arange(x.size) - 1)
+    lo, hi = shifted[0], shifted[-1] + 1
+    ends = [i for i in range(x.size) if not lo <= i < hi]
+    return start, np.ascontiguousarray(vals.T), lo, hi, ends
+
+
+def _band_product(band, c, out, axis):
+    """out = B c along `axis` (0 or 1) of the 2-D array c, for the band form
+    of B.  Each row sums its 4 terms left to right from zero, as a CSR
+    product does (einsum accumulates into its zeroed output in the order of
+    the summed index), so the result is scipy's `csr_array` product bit for
+    bit."""
+    start, vals, lo, hi, ends = band
+
+    def at(index):
+        return (index, slice(None)) if axis == 0 else (slice(None), index)
+
+    # the 4 shifted copies of the run's source rows, as one view
+    shifted = np.moveaxis(sliding_window_view(c[at(slice(lo - 1, hi + 2))], 4, axis=axis), -1, 0)
+    np.einsum(("ki,kij->ij", "kj,kij->ij")[axis], vals[:, lo:hi], shifted, out=out[at(slice(lo, hi))])
+    for i in ends:
+        row = out[at(i)]
+        np.multiply(vals[0, i], c[at(start[i])], out=row)
+        for k in range(1, 4):
+            row += vals[k, i] * c[at(start[i] + k)]
+
+
 def _collocation_operator(knots_t, times, knots_r, r):
-    """kron(B_t, B_r) at the grid nodes, applied as vec(B_t C B_r^T) with the
-    1-D CSR collocation matrices, so it is never formed (de Boor, ch. XVII)."""
-    from scipy.sparse import csr_array
-    from scipy.sparse.linalg import LinearOperator
-
-    def collocation(knots, x):
-        ell, vals = _cubic_basis(knots, x)
-        cols = (ell[:, None] + np.arange(-3, 1)).ravel()
-        return csr_array((vals.ravel(), cols, 4 * np.arange(x.size + 1)), shape=(x.size,) * 2)
-
-    bt, br = collocation(knots_t, times), collocation(knots_r, r)
-    # B_r acts with r outermost; one kept buffer saves a page-faulting array per call
-    transposed = np.empty((r.size, times.size))
+    """kron(B_t, B_r) at the grid nodes as the function c -> vec(B_t C B_r^T),
+    each 1-D collocation matrix applied as a band product (de Boor, ch.
+    XVII), so the Kronecker matrix is never formed.  Each call returns a new
+    array; the one work buffer is kept."""
+    bt, br = _band(knots_t, times), _band(knots_r, r)
+    work = np.empty((times.size, r.size))
 
     def matvec(c):
-        transposed[...] = (bt @ c.reshape(times.size, r.size)).T
-        return (br @ transposed).T.ravel()
+        out = np.empty_like(work)
+        _band_product(bt, c.reshape(work.shape), work, 0)
+        _band_product(br, work, out, 1)
+        return out.ravel()
 
-    return LinearOperator((transposed.size,) * 2, matvec=matvec, dtype=float)
+    return matvec
+
+
+# Arnoldi steps in the one GMRES cycle of the Cauchy fit
+GMRES_STEPS = 40
+
+
+def _gmres(matvec, b):
+    """x with |b - A x| <= max(1e-6, 1e-5 |b|), where A x is matvec(x): one
+    cycle of GMRES_STEPS steps of GMRES (Saad and Schultz, SIAM J. Sci. Stat.
+    Comput. 7, 1986) from x = 0, the Arnoldi basis orthogonalized by modified
+    Gram-Schmidt and the Hessenberg least-squares problem reduced by Givens
+    rotations.  This is scipy's `gcrotmk(atol=1e-6)` whenever that converges
+    in its first cycle, which has these 40 steps and this rule; the two agree
+    to rounding.  The true residual is checked once at the end, and a miss
+    raises RuntimeError."""
+    beta = float(np.linalg.norm(b))
+    if beta == 0.0:
+        return np.zeros_like(b)
+    tol = max(1e-6, 1e-5 * beta)
+    basis = [b / beta]
+    tmp = np.empty_like(b)
+    # the rotated Hessenberg matrix, upper triangular: the subdiagonal is
+    # rotated away as it is made
+    H = np.zeros((GMRES_STEPS, GMRES_STEPS))
+    cos, sin = np.zeros(GMRES_STEPS), np.zeros(GMRES_STEPS)
+    g = np.zeros(GMRES_STEPS + 1)
+    g[0] = beta
+    for j in range(GMRES_STEPS):
+        w = matvec(basis[j])
+        for i, v in enumerate(basis):
+            H[i, j] = h = v @ w
+            w -= np.multiply(v, h, out=tmp)
+        norm = np.linalg.norm(w)
+        for i in range(j):
+            H[i, j], H[i + 1, j] = (
+                cos[i] * H[i, j] + sin[i] * H[i + 1, j],
+                cos[i] * H[i + 1, j] - sin[i] * H[i, j],
+            )
+        rho = np.hypot(H[j, j], norm)
+        cos[j], sin[j] = H[j, j] / rho, norm / rho
+        H[j, j] = rho
+        g[j + 1] = -sin[j] * g[j]
+        g[j] *= cos[j]
+        if abs(g[j + 1]) < tol:
+            break
+        w /= norm
+        basis.append(w)
+    y = np.linalg.solve(H[: j + 1, : j + 1], g[: j + 1])
+    x = basis[0] * y[0]
+    for v, yi in zip(basis[1 : j + 1], y[1:]):
+        x += np.multiply(v, yi, out=tmp)
+    residual = float(np.linalg.norm(b - matvec(x)))
+    if not residual <= tol:
+        raise RuntimeError(
+            f"Cauchy spline fit: GMRES residual {residual:.2e} above {tol:.2e} "
+            f"after {j + 1} steps"
+        )
+    return x
 
 
 class CauchySolution:
@@ -146,15 +235,15 @@ class CauchySolution:
 
     `fields[i, j]` holds (w, w_t, w_r) at (times[i], r[j]); `w` and `wt` are
     views into it.  Each field is interpolated by the not-a-knot cubic tensor
-    spline that scipy's `RegularGridInterpolator(method="cubic")` builds, with
-    the same solver: one collocation operator serves all three fields, and
-    `gcrotmk` (atol = 1e-6) runs on it once per field; the operator's sums are
-    reordered, so the fits agree with scipy's to rounding, not bit for bit.
+    spline that scipy's `RegularGridInterpolator(method="cubic")` builds: one
+    collocation operator serves all three fields, and `_gmres`, which is the
+    first cycle of scipy's `gcrotmk` (atol = 1e-6), runs on it once per
+    field.  The operator's sums are reordered from scipy's design matrix, and
+    the solver's from `gcrotmk`, so the fits agree with scipy's to rounding,
+    not bit for bit.
     """
 
     def __init__(self, params, pert, times, r, fields):
-        from scipy.sparse.linalg import gcrotmk
-
         self.params = params
         self.pert = pert
         self.times = times
@@ -166,11 +255,7 @@ class CauchySolution:
         rhs = fields.reshape(-1, 3)
         coef = np.empty_like(rhs)
         for k in range(3):
-            coef[:, k], info = gcrotmk(operator, rhs[:, k], atol=1e-6)
-            if info != 0:
-                raise RuntimeError(
-                    f"Cauchy spline fit: gcrotmk returned info={info} for field {k}"
-                )
+            coef[:, k] = _gmres(operator, rhs[:, k])
         self._coef = coef.reshape(fields.shape)
 
     def _spline(self, t, r):

@@ -216,6 +216,35 @@ class TestLinearEvolution:
         assert abs(-exponent - spec96.gap) <= 0.2 * spec96.gap
 
 
+class TestPropagator:
+    # one t per Pade degree of the scipy 1.17 `expm` that `_expm` ports;
+    # blowup's steps (0.02 and its halves) take degree 13 with 7 or 8 squarings
+    @pytest.mark.parametrize(
+        "t, degree", [(1e-9, 3), (3e-7, 5), (1e-5, 7), (3e-5, 9), (1e-3, 13), (0.02, 13)]
+    )
+    def test_expm_port_matches_scipy(self, op64, monkeypatch, t, degree):
+        from hyperwave import linstab
+
+        picked = []
+
+        class Recorded(dict):
+            def __getitem__(self, m):
+                picked.append(m)
+                return super().__getitem__(m)
+
+        monkeypatch.setattr(linstab, "_PADE_COEFFS", Recorded(linstab._PADE_COEFFS))
+        A = t * op64.matrix
+        expected = scipy.linalg.expm(A)
+        got = linstab._expm(A)
+        assert picked == [degree]
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_expm_of_zero_is_identity(self):
+        from hyperwave.linstab import _expm
+
+        assert np.array_equal(_expm(np.zeros((6, 6))), np.eye(6))
+
+
 class TestModeODE:
     def test_index_from_coefficient_limit(self, params7):
         # (eta - 1/2) p approaches the residue linearly; extrapolate once

@@ -5,7 +5,7 @@ import pytest
 
 from hyperwave.grids import GridFunction, StateVector, weighted_sobolev_norm
 from hyperwave.linstab import spectrum
-from hyperwave.model import HEIGHT, initial_time_s0, symmetry_mode
+from hyperwave.model import HEIGHT, initial_time_s0, make_params, symmetry_mode
 from hyperwave.nonlinear import (
     CauchySolution,
     HyperboloidalIC,
@@ -114,30 +114,28 @@ class TestCauchySolver:
             assert np.array_equal(got, expected)
         else:
             # the separable operator sums the collocation products in another
-            # order than scipy's design matrix, so gcrotmk's iterates round apart
+            # order than scipy's design matrix, so the solvers' iterates round apart
             for k, field in enumerate((sol.w, sol.wt, wr)):
                 assert np.max(np.abs(got[k] - expected[k])) <= 1e-14 * np.max(np.abs(field))
 
     def test_one_spline_fit_per_cauchy_solve(self, params7, pert, monkeypatch):
         # one collocation operator serves the three fields, and its solver
         # runs once per field
-        import scipy.sparse.linalg
-
         from hyperwave import nonlinear
 
         builds, solved = [], []
-        build, solve = nonlinear._collocation_operator, scipy.sparse.linalg.gcrotmk
+        build, solve = nonlinear._collocation_operator, nonlinear._gmres
 
         def counted_build(*args):
             builds.append(build(*args))
             return builds[-1]
 
-        def counted_solve(operator, *args, **kwargs):
+        def counted_solve(operator, *args):
             solved.append(operator)
-            return solve(operator, *args, **kwargs)
+            return solve(operator, *args)
 
         monkeypatch.setattr(nonlinear, "_collocation_operator", counted_build)
-        monkeypatch.setattr(scipy.sparse.linalg, "gcrotmk", counted_solve)
+        monkeypatch.setattr(nonlinear, "_gmres", counted_solve)
         cauchy_tr_solver(params7, pert)
         assert len(builds) == 1
         assert len(solved) == 3
@@ -146,29 +144,72 @@ class TestCauchySolver:
     @pytest.mark.parametrize("m", [20, 360])
     def test_collocation_operator_is_scipys_design_matrix(self, params7, pert, m):
         from scipy.interpolate import NdBSpline
+        from scipy.sparse import csr_array
 
-        from hyperwave.nonlinear import _collocation_operator, _not_a_knot
+        from hyperwave.nonlinear import _collocation_operator, _cubic_basis, _not_a_knot
 
         sol = cauchy_tr_solver(params7, pert, m=m)
         knots = (_not_a_knot(sol.times), _not_a_knot(sol.r))
         nodes = np.stack(np.meshgrid(sol.times, sol.r, indexing="ij"), axis=-1).reshape(-1, 2)
         matrix = NdBSpline.design_matrix(nodes, knots, 3)
         operator = _collocation_operator(knots[0], sol.times, knots[1], sol.r)
-        assert operator.shape == matrix.shape
+        assert matrix.shape == (sol.times.size * sol.r.size,) * 2
         x = np.random.default_rng(m).standard_normal(matrix.shape[1])
         expected = matrix @ x
-        got = operator.matvec(x)
+        got = operator(x)
+        assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
         # the operator keeps one work buffer; no result may alias it
-        assert np.array_equal(operator.matvec(-x), -got)
+        assert np.array_equal(operator(-x), -got)
+
+        # and its band products sum each row as the 1-D CSR products do
+        def collocation(knots, x):
+            ell, vals = _cubic_basis(knots, x)
+            cols = (ell[:, None] + np.arange(-3, 1)).ravel()
+            return csr_array((vals.ravel(), cols, 4 * np.arange(x.size + 1)), shape=(x.size,) * 2)
+
+        bt, br = collocation(knots[0], sol.times), collocation(knots[1], sol.r)
+        c = x.reshape(sol.times.size, sol.r.size)
+        assert np.array_equal(got, (br @ (bt @ c).T).T.ravel())
+
+    @pytest.mark.parametrize("d, amplitude", [(7, 1e-3), (7, 3e-2), (9, 1e-3)])
+    def test_gmres_matches_scipys_gcrotmk(self, d, amplitude):
+        # `_gmres` is gcrotmk's first cycle; on the README fields both
+        # converge in that cycle, and the coefficients agree to rounding
+        from scipy.sparse.linalg import LinearOperator, gcrotmk
+
+        from hyperwave.nonlinear import _collocation_operator, _not_a_knot
+
+        sol = cauchy_tr_solver(make_params(d), PerturbationSpec(amplitude))
+        wr = np.gradient(sol.w, sol.r[1] - sol.r[0], axis=1, edge_order=2)
+        knots = (_not_a_knot(sol.times), _not_a_knot(sol.r))
+        operator = _collocation_operator(knots[0], sol.times, knots[1], sol.r)
+        n = sol.w.size
+        linear = LinearOperator((n, n), matvec=operator, dtype=float)
+        for k, field in enumerate((sol.w, sol.wt, wr)):
+            expected, info = gcrotmk(linear, field.ravel(), atol=1e-6)
+            assert info == 0
+            got = sol._coef[..., k].ravel()
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n", [40, 41])
+    def test_gmres_cycle_length(self, n):
+        from hyperwave.nonlinear import GMRES_STEPS, _gmres
+
+        # the cyclic shift on e_0: GMRES stagnates at residual 1 until its
+        # n-th step, where the Krylov space closes and the solve is exact
+        b = np.zeros(n)
+        b[0] = 1.0
+        if n <= GMRES_STEPS:
+            assert np.array_equal(_gmres(lambda v: np.roll(v, 1), b), np.roll(b, -1))
+        else:
+            with pytest.raises(RuntimeError, match="Cauchy spline fit: GMRES residual"):
+                _gmres(lambda v: np.roll(v, 1), b)
 
     def test_cauchy_solve_memory_peak(self, params7, pert):
-        # the fit applies kron(B_t, B_r) as two 1-D products; building it as
-        # one CSR matrix of 1.8M entries peaked at 70 MB.  scipy is imported
-        # first, so only the solve's own allocations count
+        # the fit applies kron(B_t, B_r) as two 1-D band products; building
+        # it as one CSR matrix of 1.8M entries peaked at 70 MB
         import tracemalloc
-
-        import scipy.sparse.linalg  # noqa: F401
 
         tracemalloc.start()
         try:

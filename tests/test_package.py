@@ -55,21 +55,29 @@ def _main(*argv):
         "import hyperwave.cli; assert hyperwave.cli.main(['blowup', '--eps', '-1']) == 2",
         _main("norms", "--dims", "3,7", "--N", "16"),
         _main("spectrum", "--d", "7", "--N", "48"),
+        _main("blowup", "--d", "7", "--N", "48"),
     ],
-    ids=["import", "identities", "config-error", "norms", "spectrum"],
+    ids=["import", "identities", "config-error", "norms", "spectrum", "blowup"],
 )
 def test_runs_without_scipy_leave_its_array_api_shim_unloaded(code, tmp_path):
-    # only `blowup` needs scipy (expm, and the Cauchy spline fit), and each
-    # function that calls it imports it where it runs; every other run loads
-    # no scipy module at all, not even scipy's array-API shim, whose import
-    # alone costs about 0.2 s
+    # no command needs scipy (`blowup`'s matrix exponential and Cauchy fit
+    # are numpy ports), so no run loads any scipy module, not even scipy's
+    # array-API shim, whose import alone costs about 0.2 s
     out = str(tmp_path / "out")
     assert _scipy_loaded_after(f"OUT = {out!r}; {code}") == []
 
 
+def test_blowup_runs_where_scipy_cannot_be_imported(tmp_path):
+    # with scipy blocked, any import of it raises ImportError
+    argv = ["blowup", "--d", "7", "--N", "48", "--out", str(tmp_path / "blowup")]
+    assert _run_fresh(
+        f"import sys; sys.modules['scipy'] = None; import hyperwave.cli; "
+        f"print(hyperwave.cli.main({argv!r}))"
+    ) == 0
+
+
 def test_cli_import_leaves_scipy_interpolate_integrate_and_fft_unloaded():
-    # all three are slow to import; the `blowup` functions that need scipy
-    # import it where they run
+    # all three are slow to import, and no command needs them
     loaded = set(_scipy_loaded_after("import hyperwave.cli"))
     assert not {"scipy.interpolate", "scipy.integrate", "scipy.fft"} & loaded
 
@@ -99,8 +107,8 @@ def test_freewave_loads_no_scipy_subpackage(freewave_loaded):
 
 
 def test_blowup_leaves_scipy_interpolate_optimize_special_and_fft_unloaded(tmp_path):
-    # the Cauchy spline is built on the package's own B-spline basis; the
-    # pipeline needs numpy, scipy.sparse (with its gcrotmk) and scipy.linalg
+    # the Cauchy spline is built on the package's own B-spline basis, and the
+    # pipeline needs numpy alone
     out = str(tmp_path / "blowup")
     argv = ["blowup", "--d", "7", "--N", "48", "--out", out]
     loaded = _scipy_loaded_after(f"import hyperwave.cli; hyperwave.cli.main({argv!r})")
