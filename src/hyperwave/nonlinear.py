@@ -30,6 +30,7 @@ __all__ = [
     "PerturbationSpec",
     "smooth_bump",
     "CauchySolution",
+    "cauchy_lattice",
     "cauchy_tr_solver",
     "HyperboloidalIC",
     "initial_data_operator",
@@ -183,8 +184,9 @@ def _gmres(matvec, b):
     Gram-Schmidt and the Hessenberg least-squares problem reduced by Givens
     rotations.  This is scipy's `gcrotmk(atol=1e-6)` whenever that converges
     in its first cycle, which has these 40 steps and this rule; the two agree
-    to rounding.  The true residual is checked once at the end, and a miss
-    raises RuntimeError."""
+    to rounding.  The true residual is checked once at the end, after the
+    basis is dropped, and a miss raises RuntimeError.  Besides b, the solve
+    holds at most the Arnoldi vectors and one scratch vector."""
     beta = float(np.linalg.norm(b))
     if beta == 0.0:
         return np.zeros_like(b)
@@ -199,9 +201,9 @@ def _gmres(matvec, b):
     g[0] = beta
     for j in range(GMRES_STEPS):
         w = matvec(basis[j])
-        for i, v in enumerate(basis):
-            H[i, j] = h = v @ w
-            w -= np.multiply(v, h, out=tmp)
+        for i in range(j + 1):
+            H[i, j] = h = basis[i] @ w
+            w -= np.multiply(basis[i], h, out=tmp)
         norm = np.linalg.norm(w)
         for i in range(j):
             H[i, j], H[i + 1, j] = (
@@ -218,10 +220,14 @@ def _gmres(matvec, b):
         w /= norm
         basis.append(w)
     y = np.linalg.solve(H[: j + 1, : j + 1], g[: j + 1])
-    x = basis[0] * y[0]
-    for v, yi in zip(basis[1 : j + 1], y[1:]):
-        x += np.multiply(v, yi, out=tmp)
-    residual = float(np.linalg.norm(b - matvec(x)))
+    # x is summed in the first basis vector's memory, which no later term reads
+    x = basis[0]
+    x *= y[0]
+    for i in range(1, j + 1):
+        x += np.multiply(basis[i], y[i], out=tmp)
+    del basis, w, tmp
+    out = matvec(x)
+    residual = float(np.linalg.norm(np.subtract(b, out, out=out)))
     if not residual <= tol:
         raise RuntimeError(
             f"Cauchy spline fit: GMRES residual {residual:.2e} above {tol:.2e} "
@@ -233,14 +239,18 @@ def _gmres(matvec, b):
 class CauchySolution:
     """Sampler for the deviation w = u - u_1^* on the (t, r) rectangle.
 
-    `fields[i, j]` holds (w, w_t, w_r) at (times[i], r[j]); `w` and `wt` are
-    views into it.  Each field is interpolated by the not-a-knot cubic tensor
-    spline that scipy's `RegularGridInterpolator(method="cubic")` builds: one
-    collocation operator serves all three fields, and `_gmres`, which is the
-    first cycle of scipy's `gcrotmk` (atol = 1e-6), runs on it once per
-    field.  The operator's sums are reordered from scipy's design matrix, and
-    the solver's from `gcrotmk`, so the fits agree with scipy's to rounding,
-    not bit for bit.
+    `fields` is the lattice of `cauchy_lattice`: `fields[i, j]` holds
+    (w, w_t, w_r) at (times[i], r[j]).  Each field is interpolated by the
+    not-a-knot cubic tensor spline that scipy's
+    `RegularGridInterpolator(method="cubic")` builds: one collocation
+    operator serves all three fields, and `_gmres`, which is the first cycle
+    of scipy's `gcrotmk` (atol = 1e-6), runs on it once per field.  The
+    solution takes ownership of `fields`: each field's spline coefficients
+    overwrite its values once they are solved for, so the lattice is held
+    once (a C-contiguous `fields` is overwritten, any other is copied).  The
+    operator's sums are reordered from scipy's design matrix, and the
+    solver's from `gcrotmk`, so the fits agree with scipy's to rounding, not
+    bit for bit.
     """
 
     def __init__(self, params, pert, times, r, fields):
@@ -248,15 +258,12 @@ class CauchySolution:
         self.pert = pert
         self.times = times
         self.r = r
-        self.w = fields[..., 0]
-        self.wt = fields[..., 1]
         self._knots = (_not_a_knot(times), _not_a_knot(r))
         operator = _collocation_operator(self._knots[0], times, self._knots[1], r)
         rhs = fields.reshape(-1, 3)
-        coef = np.empty_like(rhs)
         for k in range(3):
-            coef[:, k] = _gmres(operator, rhs[:, k])
-        self._coef = coef.reshape(fields.shape)
+            rhs[:, k] = _gmres(operator, rhs[:, k])
+        self._coef = rhs.reshape(fields.shape)
 
     def _spline(self, t, r):
         """(w, w_t, w_r) of the spline at points of the rectangle, shape
@@ -291,18 +298,18 @@ class CauchySolution:
 CAUCHY_GUARD = 1.0
 
 
-def cauchy_tr_solver(
-    params: DimensionParams,
-    pert: PerturbationSpec,
-    m=360,
-) -> CauchySolution:
-    """Radial method-of-lines solution of the Cauchy problem near t = 0.
+def cauchy_lattice(params: DimensionParams, pert: PerturbationSpec, m):
+    """Radial method-of-lines solution of the Cauchy problem near t = 0, as
+    (times, r, fields) with `fields[i, j]` = (w, w_t, w_r) at (times[i], r[j]).
 
-    Leapfrog in time (CFL number 0.4) on a staggered grid over r < 8 eps
-    (even extension through r = 0) for the deviation from the reference
-    profile; integrates backward to t = -4 eps and forward to t = eps, which
-    covers every initial hyperboloid with blowup time in [1 - eps, 1 + eps].
-    A deviation beyond CAUCHY_GUARD aborts with a local-existence error.
+    Leapfrog in time (CFL number 0.4) on a staggered grid of m cells over
+    r < 8 eps (even extension through r = 0) for the deviation from the
+    reference profile; integrates backward to t = -4 eps and forward to
+    t = eps, which covers every initial hyperboloid with blowup time in
+    [1 - eps, 1 + eps].  Each level is written into the lattice as it is
+    made; w_t is the second-order centered difference of w along each march
+    direction (the initial velocity at t = 0), w_r the one along r.  A
+    deviation beyond CAUCHY_GUARD aborts with a local-existence error.
     """
     d = params.d
     eps = pert.eps
@@ -329,19 +336,25 @@ def cauchy_tr_solver(
         )
         return lap + (d - 1.0) / r * grad - nonlin
 
-    def march(direction):
-        n_steps = int(np.ceil((4.0 * eps if direction < 0 else eps) / dt))
+    back = int(np.ceil(4.0 * eps / dt))
+    forth = int(np.ceil(eps / dt))
+    times = np.empty(back + 1 + forth)
+    fields = np.empty((times.size, m, 3))
+    w0 = pert.f(r)
+    v0 = pert.g(r)
+    for direction, n_steps in ((-1, back), (+1, forth)):
+        # the march's levels in march order, from t = 0 outward
+        outward = slice(back, None, direction)
+        t_dir, w_dir = times[outward], fields[outward, :, 0]
         h = direction * dt
-        w0 = pert.f(r)
-        v0 = pert.g(r)
-        times = [0.0]
-        levels = [w0]
+        t_dir[0] = 0.0
+        w_dir[0] = w0
         w_prev = w0
         w_curr = w0 + h * v0 + 0.5 * h * h * accel(w0, 0.0)
         t = h
-        for _ in range(n_steps):
-            times.append(t)
-            levels.append(w_curr)
+        for k in range(1, n_steps + 1):
+            t_dir[k] = t
+            w_dir[k] = w_curr
             w_next = 2 * w_curr - w_prev + h * h * accel(w_curr, t)
             if np.max(np.abs(w_next)) > CAUCHY_GUARD:
                 raise RuntimeError(
@@ -350,25 +363,23 @@ def cauchy_tr_solver(
                 )
             w_prev, w_curr = w_curr, w_next
             t += h
-        levels = np.array(levels)
-        times = np.array(times)
-        # time derivative by centered differences on the stored levels
-        wt = np.gradient(levels, h, axis=0, edge_order=2)
-        wt[0] = v0
-        return times, levels, wt
-
-    tb, wb, wtb = march(-1)
-    tf, wf, wtf = march(+1)
-    times = np.concatenate([tb[::-1], tf[1:]])
-    # filled in place, and the levels dropped, so the spline's values are the
-    # only copy of the fields while the fit runs
-    fields = np.empty((times.size, m, 3))
-    np.concatenate([wb[::-1], wf[1:]], axis=0, out=fields[..., 0])
-    np.concatenate([wtb[::-1], wtf[1:]], axis=0, out=fields[..., 1])
-    del wb, wf, wtb, wtf
+        wt_dir = fields[outward, :, 1]
+        wt_dir[...] = np.gradient(w_dir, h, axis=0, edge_order=2)
+        wt_dir[0] = v0
     # spaced by r[1] - r[0], which rounds differently from dr, as w_r always was
     fields[..., 2] = np.gradient(fields[..., 0], r[1] - r[0], axis=1, edge_order=2)
-    return CauchySolution(params, pert, times, r, fields)
+    return times, r, fields
+
+
+def cauchy_tr_solver(
+    params: DimensionParams,
+    pert: PerturbationSpec,
+    m=360,
+) -> CauchySolution:
+    """The spline sampler of the Cauchy problem's solution near t = 0: the
+    lattice of `cauchy_lattice` on m cells, handed to `CauchySolution`,
+    which fits its splines in place."""
+    return CauchySolution(params, pert, *cauchy_lattice(params, pert, m))
 
 
 @dataclass
@@ -471,7 +482,6 @@ def evolve_nonlinear(
     grid = op.grid
     params = op.params
     eta = grid.eta
-    n = grid.N
     c2, c3 = nonlinearity_coeffs(params, eta)
 
     mode = symmetry_mode(params, eta).ravel()
@@ -482,11 +492,8 @@ def evolve_nonlinear(
         pv = projector @ v if projector is not None else v
         return float(wgt @ (pv * mode)) / mode_norm2
 
-    def rhs(v):
-        out = np.zeros_like(v)
-        alpha = v[:n]
-        out[n:] = alpha * alpha * (c2 + c3 * alpha)
-        return out
+    def forcing(alpha):
+        return alpha * alpha * (c2 + c3 * alpha)
 
     s_values = np.linspace(ic.s0, float(s_end), n_record)
     v = ic.state.stacked().copy()
@@ -499,7 +506,7 @@ def evolve_nonlinear(
         if nsteps:
             h = float(target - s) / nsteps
             with np.errstate(over="ignore", invalid="ignore"):
-                v = rk4(rhs, v, h, nsteps, (op.propagator(h), op.propagator(0.5 * h)))
+                v = rk4(forcing, v, h, nsteps, (op.propagator(h), op.propagator(0.5 * h)))
         s = target
         if not np.all(np.isfinite(v)) or np.linalg.norm(v) > 1e6 * norm_scale * np.exp(
             2.0 * (s - ic.s0)

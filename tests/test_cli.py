@@ -270,6 +270,21 @@ class TestCommands:
         for suffix in (".csv", ".json"):
             assert a.with_suffix(suffix).read_bytes() == b.with_suffix(suffix).read_bytes()
 
+    def test_blowup_memory_peak(self, tmp_path):
+        # the README command's traced peak is the Cauchy fit's: the lattice,
+        # the Krylov vectors and two work buffers (32.1 MB; 41.8 MB with a
+        # separate coefficient array and the basis held to the residual check)
+        import tracemalloc
+
+        argv = ["blowup", "--d", "7", "--amp", "1e-3", "--eps", "0.05"]
+        tracemalloc.start()
+        try:
+            assert run([*argv, "--out", str(tmp_path / "b")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 37e6
+
     @pytest.mark.parametrize("extra", [["--amp", "1e-20"], ["--eps", "0.005"]])
     def test_blowup_without_rate_fails_the_gate(self, tmp_path, capsys, extra):
         # the norms sink to the floor: a vanishing amplitude, or a support so

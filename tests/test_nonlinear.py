@@ -11,6 +11,7 @@ from hyperwave.nonlinear import (
     HyperboloidalIC,
     PerturbationSpec,
     adjust_blowup_time,
+    cauchy_lattice,
     cauchy_tr_solver,
     decay_fit,
     evolve_nonlinear,
@@ -37,6 +38,18 @@ def cauchy_zero(params7):
     return cauchy_tr_solver(params7, PerturbationSpec(0.0))
 
 
+# the (times, r, fields) lattices that `cauchy` and `cauchy_zero` fit; the
+# solutions overwrite theirs with spline coefficients
+@pytest.fixture(scope="module")
+def lattice(params7, pert):
+    return cauchy_lattice(params7, pert, 360)
+
+
+@pytest.fixture(scope="module")
+def lattice_zero(params7):
+    return cauchy_lattice(params7, PerturbationSpec(0.0), 360)
+
+
 class TestPerturbation:
     def test_bump_smooth_compact(self):
         z = np.linspace(-2, 2, 401)
@@ -52,14 +65,15 @@ class TestPerturbation:
 
 
 class TestCauchySolver:
-    def test_zero_perturbation_exact(self, cauchy_zero):
-        assert np.max(np.abs(cauchy_zero.w)) == 0.0
+    def test_zero_perturbation_exact(self, lattice_zero, cauchy_zero):
+        assert np.max(np.abs(lattice_zero[2])) == 0.0
+        assert np.max(np.abs(cauchy_zero._coef)) == 0.0
 
-    def test_finite_speed(self, cauchy, pert):
-        it = len(cauchy.times) // 4
-        t = cauchy.times[it]
-        outside = cauchy.r > abs(t) + pert.eps
-        assert np.max(np.abs(cauchy.w[it][outside])) < 1e-6
+    def test_finite_speed(self, lattice, pert):
+        times, r, fields = lattice
+        it = len(times) // 4
+        outside = r > abs(times[it]) + pert.eps
+        assert np.max(np.abs(fields[it, outside, 0])) < 1e-6
 
     def test_self_convergence_order_two(self, params7, pert):
         # resolved regime: the bump carries ~30 cells at the coarsest level
@@ -85,11 +99,15 @@ class TestCauchySolver:
         from scipy.interpolate import RegularGridInterpolator
 
         sol = request.getfixturevalue(name)
-        dr = sol.r[1] - sol.r[0]
-        wr = np.gradient(sol.w, dr, axis=1, edge_order=2)
+        times, r, fields = request.getfixturevalue(name.replace("cauchy", "lattice"))
+        assert np.array_equal(times, sol.times) and np.array_equal(r, sol.r)
+        dr = r[1] - r[0]
+        w, wt = fields[..., 0], fields[..., 1]
+        wr = np.gradient(w, dr, axis=1, edge_order=2)
+        assert np.array_equal(wr, fields[..., 2])
         fits = [
-            RegularGridInterpolator((sol.times, sol.r), field, method="cubic")
-            for field in (sol.w, sol.wt, wr)
+            RegularGridInterpolator((times, r), field, method="cubic")
+            for field in (w, wt, wr)
         ]
         # the initial hyperboloids across the prepared window, plus random
         # points of the (t, r) rectangle inside the perturbation's light cone
@@ -115,7 +133,7 @@ class TestCauchySolver:
         else:
             # the separable operator sums the collocation products in another
             # order than scipy's design matrix, so the solvers' iterates round apart
-            for k, field in enumerate((sol.w, sol.wt, wr)):
+            for k, field in enumerate((w, wt, wr)):
                 assert np.max(np.abs(got[k] - expected[k])) <= 1e-14 * np.max(np.abs(field))
 
     def test_one_spline_fit_per_cauchy_solve(self, params7, pert, monkeypatch):
@@ -148,12 +166,12 @@ class TestCauchySolver:
 
         from hyperwave.nonlinear import _collocation_operator, _cubic_basis, _not_a_knot
 
-        sol = cauchy_tr_solver(params7, pert, m=m)
-        knots = (_not_a_knot(sol.times), _not_a_knot(sol.r))
-        nodes = np.stack(np.meshgrid(sol.times, sol.r, indexing="ij"), axis=-1).reshape(-1, 2)
+        times, r, _ = cauchy_lattice(params7, pert, m)
+        knots = (_not_a_knot(times), _not_a_knot(r))
+        nodes = np.stack(np.meshgrid(times, r, indexing="ij"), axis=-1).reshape(-1, 2)
         matrix = NdBSpline.design_matrix(nodes, knots, 3)
-        operator = _collocation_operator(knots[0], sol.times, knots[1], sol.r)
-        assert matrix.shape == (sol.times.size * sol.r.size,) * 2
+        operator = _collocation_operator(knots[0], times, knots[1], r)
+        assert matrix.shape == (times.size * r.size,) * 2
         x = np.random.default_rng(m).standard_normal(matrix.shape[1])
         expected = matrix @ x
         got = operator(x)
@@ -168,8 +186,8 @@ class TestCauchySolver:
             cols = (ell[:, None] + np.arange(-3, 1)).ravel()
             return csr_array((vals.ravel(), cols, 4 * np.arange(x.size + 1)), shape=(x.size,) * 2)
 
-        bt, br = collocation(knots[0], sol.times), collocation(knots[1], sol.r)
-        c = x.reshape(sol.times.size, sol.r.size)
+        bt, br = collocation(knots[0], times), collocation(knots[1], r)
+        c = x.reshape(times.size, r.size)
         assert np.array_equal(got, (br @ (bt @ c).T).T.ravel())
 
     @pytest.mark.parametrize("d, amplitude", [(7, 1e-3), (7, 3e-2), (9, 1e-3)])
@@ -180,14 +198,15 @@ class TestCauchySolver:
 
         from hyperwave.nonlinear import _collocation_operator, _not_a_knot
 
-        sol = cauchy_tr_solver(make_params(d), PerturbationSpec(amplitude))
-        wr = np.gradient(sol.w, sol.r[1] - sol.r[0], axis=1, edge_order=2)
-        knots = (_not_a_knot(sol.times), _not_a_knot(sol.r))
-        operator = _collocation_operator(knots[0], sol.times, knots[1], sol.r)
-        n = sol.w.size
+        params, pert = make_params(d), PerturbationSpec(amplitude)
+        times, r, fields = cauchy_lattice(params, pert, 360)
+        sol = CauchySolution(params, pert, times, r, fields.copy())
+        knots = (_not_a_knot(times), _not_a_knot(r))
+        operator = _collocation_operator(knots[0], times, knots[1], r)
+        n = times.size * r.size
         linear = LinearOperator((n, n), matvec=operator, dtype=float)
-        for k, field in enumerate((sol.w, sol.wt, wr)):
-            expected, info = gcrotmk(linear, field.ravel(), atol=1e-6)
+        for k in range(3):
+            expected, info = gcrotmk(linear, fields[..., k].ravel(), atol=1e-6)
             assert info == 0
             got = sol._coef[..., k].ravel()
             assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
@@ -207,8 +226,11 @@ class TestCauchySolver:
                 _gmres(lambda v: np.roll(v, 1), b)
 
     def test_cauchy_solve_memory_peak(self, params7, pert):
-        # the fit applies kron(B_t, B_r) as two 1-D band products; building
-        # it as one CSR matrix of 1.8M entries peaked at 70 MB
+        # the fit applies kron(B_t, B_r) as two 1-D band products (one CSR
+        # matrix of 1.8M entries peaked at 70 MB), overwrites the lattice with
+        # its coefficients and frees the Krylov basis before the residual
+        # check: 31.0 MB, of 1.6 MB per lattice-sized vector (40.7 MB with a
+        # separate coefficient array and the basis held to the end)
         import tracemalloc
 
         tracemalloc.start()
@@ -217,7 +239,44 @@ class TestCauchySolver:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 55e6
+        assert peak < 36e6
+
+    def test_gmres_memory_peak(self):
+        # besides b, the steps' Arnoldi vectors and one scratch vector: x
+        # takes the first basis vector's place, and the basis is freed
+        # before the residual check, whose matvec output would make one more
+        import tracemalloc
+
+        from hyperwave.nonlinear import _gmres
+
+        n = 100_000
+        diag = np.linspace(1.0, 2.0, n)
+        b = np.random.default_rng(3).standard_normal(n)
+        calls = []
+
+        def matvec(v):
+            calls.append(1)
+            return diag * v
+
+        tracemalloc.start()
+        try:
+            x = _gmres(matvec, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        steps = len(calls) - 1  # the last product is the residual check
+        assert 5 <= steps < 40
+        assert np.linalg.norm(b - diag * x) <= 1e-5 * np.linalg.norm(b)
+        assert peak < (steps + 3) * b.nbytes
+
+    def test_solution_overwrites_its_lattice(self, params7, pert, lattice, cauchy):
+        # the coefficients are written into the array the solution was given
+        times, r, fields = cauchy_lattice(params7, pert, 360)
+        assert np.array_equal(fields, lattice[2])
+        sol = CauchySolution(params7, pert, times, r, fields)
+        assert np.shares_memory(sol._coef, fields) and sol._coef.shape == fields.shape
+        assert np.array_equal(fields, cauchy._coef)
+        assert not np.array_equal(fields, lattice[2])
 
     @pytest.mark.parametrize("axis", ["times", "r"])
     def test_cubic_basis_is_scipys_design_matrix(self, cauchy, axis):
