@@ -209,9 +209,20 @@ def _spectral_operator(args):
         raise ConfigError(f"{args.command}: {exc}") from exc
 
 
+def _missing_gap(args):
+    """The error of a spectrum whose filter keeps no eigenvalue besides 1,
+    so that it has no gap."""
+    return (
+        f"no eigenvalue besides 1 survives the spectrum's companion filter at "
+        f"d={args.d}, N={args.N}; the gap is undefined"
+    )
+
+
 def cmd_spectrum(args):
     op = _spectral_operator(args)
     spec = spectrum(op)
+    if spec.gap is None:
+        print(f"{args.command}: {_missing_gap(args)}", file=sys.stderr)
     doc = spec.to_json_dict()
     P = riesz_projection(op)
     sv = np.linalg.svd(P, compute_uv=False)
@@ -240,7 +251,8 @@ def cmd_spectrum(args):
     write_json(args.out + ".json", doc)
     print(
         f"spectrum d={args.d}: unstable set "
-        f"{[format_float(z.real) for z in spec.unstable]}, gap {format_float(spec.gap)}"
+        f"{[format_float(z.real) for z in spec.unstable]}, gap "
+        f"{'none' if spec.gap is None else format_float(spec.gap)}"
     )
     return 0 if ok else 1
 
@@ -252,12 +264,17 @@ def cmd_blowup(args):
         raise ConfigError(f"dt must be positive, got {args.dt}")
     op = _spectral_operator(args)
     spec = spectrum(op)
+    failure = {"parameters": {"d": args.d, "amplitude": args.amp}}
+    if spec.gap is None:
+        print(f"{args.command}: {_missing_gap(args)}", file=sys.stderr)
+        write_json(args.out + ".json", {"error": _missing_gap(args), **failure})
+        return 1
     pert = PerturbationSpec(args.amp, eps=args.eps)
     try:
         t_star, report = adjust_blowup_time(op, pert, dt=args.dt)
     except RuntimeError as exc:
         print(f"blowup experiment failed: {exc}", file=sys.stderr)
-        write_json(args.out + ".json", {"error": str(exc), "parameters": {"d": args.d, "amplitude": args.amp}})
+        write_json(args.out + ".json", {"error": str(exc), **failure})
         return 1
     rows = list(
         zip(

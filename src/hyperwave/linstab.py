@@ -212,7 +212,6 @@ class SpectrumResult:
     R: float
     N: int
     eigenvalues: list
-    raw: np.ndarray
 
     @property
     def unstable(self):
@@ -220,14 +219,14 @@ class SpectrumResult:
 
     @property
     def gap(self):
+        """Minus the largest real part among the kept eigenvalues other than
+        1, or None when the filter keeps no other eigenvalue."""
         rest = [z.real for z in self.eigenvalues if abs(z - 1.0) > 1e-6]
-        if not rest:
-            return -SPECTRUM_WINDOW
-        return float(-max(rest))
+        return float(-max(rest)) if rest else None
 
     def verdict(self):
         uns = self.unstable
-        return len(uns) == 1 and abs(uns[0] - 1.0) < 1e-6
+        return self.gap is not None and len(uns) == 1 and abs(uns[0] - 1.0) < 1e-6
 
     def to_json_dict(self):
         return {
@@ -269,7 +268,6 @@ def spectrum(op: OperatorMatrix) -> SpectrumResult:
         R=op.grid.R,
         N=op.grid.N,
         eigenvalues=out,
-        raw=raw,
     )
 
 

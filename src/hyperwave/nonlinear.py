@@ -159,8 +159,9 @@ def _band_product(band, c, out, axis):
 def _collocation_operator(knots_t, times, knots_r, r):
     """kron(B_t, B_r) at the grid nodes as the function c -> vec(B_t C B_r^T),
     each 1-D collocation matrix applied as a band product (de Boor, ch.
-    XVII), so the Kronecker matrix is never formed.  Each call returns a new
-    array; the one work buffer is kept."""
+    XVII), so the Kronecker matrix is never formed.  Returns (matvec, work):
+    each product returns a new array and overwrites `work`, the operator's
+    one buffer (flat), which callers may use as scratch between products."""
     bt, br = _band(knots_t, times), _band(knots_r, r)
     work = np.empty((times.size, r.size))
 
@@ -170,29 +171,35 @@ def _collocation_operator(knots_t, times, knots_r, r):
         _band_product(br, work, out, 1)
         return out.ravel()
 
-    return matvec
+    return matvec, work.reshape(-1)
 
 
 # Arnoldi steps in the one GMRES cycle of the Cauchy fit
 GMRES_STEPS = 40
 
 
-def _gmres(matvec, b):
-    """x with |b - A x| <= max(1e-6, 1e-5 |b|), where A x is matvec(x): one
-    cycle of GMRES_STEPS steps of GMRES (Saad and Schultz, SIAM J. Sci. Stat.
-    Comput. 7, 1986) from x = 0, the Arnoldi basis orthogonalized by modified
-    Gram-Schmidt and the Hessenberg least-squares problem reduced by Givens
-    rotations.  This is scipy's `gcrotmk(atol=1e-6)` whenever that converges
-    in its first cycle, which has these 40 steps and this rule; the two agree
-    to rounding.  The true residual is checked once at the end, after the
-    basis is dropped, and a miss raises RuntimeError.  Besides b, the solve
-    holds at most the Arnoldi vectors and one scratch vector."""
+def _gmres(matvec, rhs, scratch):
+    """x with |b - A x| <= max(1e-6, 1e-5 |b|), where A x is matvec(x) and b
+    is rhs(): one cycle of GMRES_STEPS steps of GMRES (Saad and Schultz, SIAM
+    J. Sci. Stat. Comput. 7, 1986) from x = 0, the Arnoldi basis
+    orthogonalized by modified Gram-Schmidt and the Hessenberg least-squares
+    problem reduced by Givens rotations.  This is scipy's
+    `gcrotmk(atol=1e-6)` whenever that converges in its first cycle, which
+    has these 40 steps and this rule; the two agree to rounding.
+
+    The solve holds no copy of b: it calls rhs once to start and once for the
+    true-residual check, which runs after the basis is dropped; a miss raises
+    RuntimeError.  `scratch`, a vector of b's size that matvec may overwrite
+    too (the collocation operator's work buffer), takes the Gram-Schmidt
+    products and the terms of x.  So the solve holds at most the Arnoldi
+    vectors and the next one."""
+    b = rhs()
     beta = float(np.linalg.norm(b))
     if beta == 0.0:
         return np.zeros_like(b)
     tol = max(1e-6, 1e-5 * beta)
     basis = [b / beta]
-    tmp = np.empty_like(b)
+    del b
     # the rotated Hessenberg matrix, upper triangular: the subdiagonal is
     # rotated away as it is made
     H = np.zeros((GMRES_STEPS, GMRES_STEPS))
@@ -203,7 +210,7 @@ def _gmres(matvec, b):
         w = matvec(basis[j])
         for i in range(j + 1):
             H[i, j] = h = basis[i] @ w
-            w -= np.multiply(basis[i], h, out=tmp)
+            w -= np.multiply(basis[i], h, out=scratch)
         norm = np.linalg.norm(w)
         for i in range(j):
             H[i, j], H[i + 1, j] = (
@@ -224,10 +231,10 @@ def _gmres(matvec, b):
     x = basis[0]
     x *= y[0]
     for i in range(1, j + 1):
-        x += np.multiply(basis[i], y[i], out=tmp)
-    del basis, w, tmp
+        x += np.multiply(basis[i], y[i], out=scratch)
+    del basis, w
     out = matvec(x)
-    residual = float(np.linalg.norm(np.subtract(b, out, out=out)))
+    residual = float(np.linalg.norm(np.subtract(rhs(), out, out=out)))
     if not residual <= tol:
         raise RuntimeError(
             f"Cauchy spline fit: GMRES residual {residual:.2e} above {tol:.2e} "
@@ -236,38 +243,58 @@ def _gmres(matvec, b):
     return x
 
 
+def _lattice_derivative(pert, times, r, w, axis):
+    """w_t (axis 0) or w_r (axis 1) on the lattice w of `cauchy_lattice`, by
+    np.gradient's second-order centered difference (one-sided at the ends):
+    w_t along each march direction from the t = 0 row, which holds the
+    initial velocity, and w_r along r with spacing r[1] - r[0], which rounds
+    differently from the march's dr."""
+    if axis == 1:
+        return np.gradient(w, r[1] - r[0], axis=1, edge_order=2)
+    w_t = np.empty_like(w)
+    start = int(np.searchsorted(times, 0.0))
+    # each march's levels in march order, from t = 0 outward; its first
+    # level is its time step
+    for outward in (slice(start, None, -1), slice(start, None)):
+        w_t[outward] = np.gradient(w[outward], times[outward][1], axis=0, edge_order=2)
+    w_t[start] = pert.g(r)
+    return w_t
+
+
 class CauchySolution:
     """Sampler for the deviation w = u - u_1^* on the (t, r) rectangle.
 
-    `fields` is the lattice of `cauchy_lattice`: `fields[i, j]` holds
-    (w, w_t, w_r) at (times[i], r[j]).  Each field is interpolated by the
-    not-a-knot cubic tensor spline that scipy's
-    `RegularGridInterpolator(method="cubic")` builds: one collocation
-    operator serves all three fields, and `_gmres`, which is the first cycle
-    of scipy's `gcrotmk` (atol = 1e-6), runs on it once per field.  The
-    solution takes ownership of `fields`: each field's spline coefficients
-    overwrite its values once they are solved for, so the lattice is held
-    once (a C-contiguous `fields` is overwritten, any other is copied).  The
-    operator's sums are reordered from scipy's design matrix, and the
-    solver's from `gcrotmk`, so the fits agree with scipy's to rounding, not
-    bit for bit.
+    `w` is the lattice of `cauchy_lattice`: `w[i, j]` is w at (times[i],
+    r[j]).  Each of w, w_t and w_r is interpolated by the not-a-knot cubic
+    tensor spline that scipy's `RegularGridInterpolator(method="cubic")`
+    builds: one collocation operator serves all three fields, and `_gmres`,
+    which is the first cycle of scipy's `gcrotmk` (atol = 1e-6), runs on it
+    once per field.  w_t and w_r are derived from w (`_lattice_derivative`)
+    only inside their fits, which run first, w_r before w_t; so the fits
+    hold w, the coefficients already solved for and the solve's Krylov
+    vectors, and the solution keeps the coefficients alone.  The operator's
+    sums are reordered from scipy's design matrix, and the solver's from
+    `gcrotmk`, so the fits agree with scipy's to rounding, not bit for bit.
     """
 
-    def __init__(self, params, pert, times, r, fields):
+    def __init__(self, params, pert, times, r, w):
         self.params = params
         self.pert = pert
         self.times = times
         self.r = r
         self._knots = (_not_a_knot(times), _not_a_knot(r))
-        operator = _collocation_operator(self._knots[0], times, self._knots[1], r)
-        rhs = fields.reshape(-1, 3)
-        for k in range(3):
-            rhs[:, k] = _gmres(operator, rhs[:, k])
-        self._coef = rhs.reshape(fields.shape)
+        operator, work = _collocation_operator(self._knots[0], times, self._knots[1], r)
+
+        def fit(rhs):
+            return _gmres(operator, rhs, work).reshape(w.shape)
+
+        coef_r = fit(lambda: _lattice_derivative(pert, times, r, w, 1).ravel())
+        coef_t = fit(lambda: _lattice_derivative(pert, times, r, w, 0).ravel())
+        self._coef = (fit(w.ravel), coef_t, coef_r)
 
     def _spline(self, t, r):
         """(w, w_t, w_r) of the spline at points of the rectangle, shape
-        (t.size, 3); the 16 tensor terms are summed t-index outer, r-index
+        (3, t.size); the 16 tensor terms are summed t-index outer, r-index
         inner, as scipy's `NdBSpline` sums them."""
         for name, x, nodes in (("t", t, self.times), ("r", r, self.r)):
             if not np.all((nodes[0] <= x) & (x <= nodes[-1])):
@@ -276,10 +303,12 @@ class CauchySolution:
                 )
         lt, bt = _cubic_basis(self._knots[0], t)
         lr, br = _cubic_basis(self._knots[1], r)
-        vals = np.zeros((t.size, 3))
+        vals = np.zeros((3, t.size))
         for a in range(4):
             for c in range(4):
-                vals += self._coef[lt - 3 + a, lr - 3 + c] * (bt[:, a] * br[:, c])[:, None]
+                weight = bt[:, a] * br[:, c]
+                for row, coef in zip(vals, self._coef):
+                    row += coef[lt - 3 + a, lr - 3 + c] * weight
         return vals
 
     def deviation(self, t, r):
@@ -290,7 +319,7 @@ class CauchySolution:
         inside = r <= np.abs(t) + self.pert.eps + 2.0 * (self.r[1] - self.r[0])
         out = np.zeros((3, t.size))
         if np.any(inside):
-            out[:, inside] = self._spline(t[inside], r[inside]).T
+            out[:, inside] = self._spline(t[inside], r[inside])
         return out
 
 
@@ -300,16 +329,15 @@ CAUCHY_GUARD = 1.0
 
 def cauchy_lattice(params: DimensionParams, pert: PerturbationSpec, m):
     """Radial method-of-lines solution of the Cauchy problem near t = 0, as
-    (times, r, fields) with `fields[i, j]` = (w, w_t, w_r) at (times[i], r[j]).
+    (times, r, w) with `w[i, j]` the deviation at (times[i], r[j]).
 
     Leapfrog in time (CFL number 0.4) on a staggered grid of m cells over
     r < 8 eps (even extension through r = 0) for the deviation from the
     reference profile; integrates backward to t = -4 eps and forward to
     t = eps, which covers every initial hyperboloid with blowup time in
     [1 - eps, 1 + eps].  Each level is written into the lattice as it is
-    made; w_t is the second-order centered difference of w along each march
-    direction (the initial velocity at t = 0), w_r the one along r.  A
-    deviation beyond CAUCHY_GUARD aborts with a local-existence error.
+    made; w_t and w_r are not stored (`_lattice_derivative` derives them).
+    A deviation beyond CAUCHY_GUARD aborts with a local-existence error.
     """
     d = params.d
     eps = pert.eps
@@ -339,13 +367,13 @@ def cauchy_lattice(params: DimensionParams, pert: PerturbationSpec, m):
     back = int(np.ceil(4.0 * eps / dt))
     forth = int(np.ceil(eps / dt))
     times = np.empty(back + 1 + forth)
-    fields = np.empty((times.size, m, 3))
+    lattice = np.empty((times.size, m))
     w0 = pert.f(r)
     v0 = pert.g(r)
     for direction, n_steps in ((-1, back), (+1, forth)):
         # the march's levels in march order, from t = 0 outward
         outward = slice(back, None, direction)
-        t_dir, w_dir = times[outward], fields[outward, :, 0]
+        t_dir, w_dir = times[outward], lattice[outward]
         h = direction * dt
         t_dir[0] = 0.0
         w_dir[0] = w0
@@ -363,12 +391,7 @@ def cauchy_lattice(params: DimensionParams, pert: PerturbationSpec, m):
                 )
             w_prev, w_curr = w_curr, w_next
             t += h
-        wt_dir = fields[outward, :, 1]
-        wt_dir[...] = np.gradient(w_dir, h, axis=0, edge_order=2)
-        wt_dir[0] = v0
-    # spaced by r[1] - r[0], which rounds differently from dr, as w_r always was
-    fields[..., 2] = np.gradient(fields[..., 0], r[1] - r[0], axis=1, edge_order=2)
-    return times, r, fields
+    return times, r, lattice
 
 
 def cauchy_tr_solver(
@@ -377,8 +400,9 @@ def cauchy_tr_solver(
     m=360,
 ) -> CauchySolution:
     """The spline sampler of the Cauchy problem's solution near t = 0: the
-    lattice of `cauchy_lattice` on m cells, handed to `CauchySolution`,
-    which fits its splines in place."""
+    lattice of w from `cauchy_lattice` on m cells, handed to
+    `CauchySolution`, which fits the splines of w, w_t and w_r and keeps no
+    lattice."""
     return CauchySolution(params, pert, *cauchy_lattice(params, pert, m))
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -65,3 +67,14 @@ def odd_state(grid, fn1, fn2):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def traced_peak(fn):
+    """(fn(), peak): fn's result and the peak, in bytes, of the memory that
+    tracemalloc traces while fn runs."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

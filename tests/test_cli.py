@@ -7,6 +7,8 @@ import pytest
 from hyperwave import descent
 from hyperwave.cli import _COMMANDS, build_parser, main
 
+from conftest import traced_peak
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -271,19 +273,14 @@ class TestCommands:
             assert a.with_suffix(suffix).read_bytes() == b.with_suffix(suffix).read_bytes()
 
     def test_blowup_memory_peak(self, tmp_path):
-        # the README command's traced peak is the Cauchy fit's: the lattice,
-        # the Krylov vectors and two work buffers (32.1 MB; 41.8 MB with a
-        # separate coefficient array and the basis held to the residual check)
-        import tracemalloc
-
-        argv = ["blowup", "--d", "7", "--amp", "1e-3", "--eps", "0.05"]
-        tracemalloc.start()
-        try:
-            assert run([*argv, "--out", str(tmp_path / "b")]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 37e6
+        # the README command's traced peak is the Cauchy fit's w_r solve: the
+        # lattice of w, the Krylov vectors, the next one and the operator's
+        # work buffer (27.2 MB; 32.1 MB with the lattice holding w_t and w_r
+        # and the solver holding b and its own scratch vector)
+        argv = ["blowup", "--d", "7", "--amp", "1e-3", "--eps", "0.05", "--out", str(tmp_path / "b")]
+        status, peak = traced_peak(lambda: run(argv))
+        assert status == 0
+        assert peak < 28e6
 
     @pytest.mark.parametrize("extra", [["--amp", "1e-20"], ["--eps", "0.005"]])
     def test_blowup_without_rate_fails_the_gate(self, tmp_path, capsys, extra):
@@ -373,6 +370,29 @@ class TestCommands:
             },
             rel=1e-7,
         )
+
+    @pytest.mark.parametrize("command", ["spectrum", "blowup"])
+    def test_missing_gap_exits_1(self, tmp_path, capsys, monkeypatch, command):
+        # at d = 21, N = 128 the gap eigenvalue does not survive the
+        # companion filter; blowup stops before it shoots
+        from hyperwave import cli
+
+        monkeypatch.setattr(cli, "adjust_blowup_time", None)
+        out = tmp_path / "x"
+        assert run([command, "--d", "21", "--N", "128", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        message = (
+            "no eigenvalue besides 1 survives the spectrum's companion filter at "
+            "d=21, N=128; the gap is undefined"
+        )
+        assert captured.err == f"{command}: {message}\n"
+        doc = json.loads(out.with_suffix(".json").read_text())
+        if command == "spectrum":
+            assert doc["gap"] is None and doc["mode_stable"] is False
+            assert captured.out.endswith(", gap none\n")
+        else:
+            assert doc["error"] == message
+            assert captured.out == "" and not out.with_suffix(".csv").exists()
 
     def test_spectrum_document(self, tmp_path):
         out = tmp_path / "spec"

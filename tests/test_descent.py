@@ -31,7 +31,7 @@ from hyperwave.linstab import generator_matrix
 from hyperwave.model import HEIGHT
 from hyperwave.nonlinear import smooth_bump
 
-from conftest import even_state
+from conftest import even_state, traced_peak
 from oracles import (
     apply_Ld_series,
     descent_step_series,
@@ -278,16 +278,9 @@ class TestFreeWave:
         # the dilation kernels are N x N, built one block of N + 16 points
         # per node; one (N + 16) N x 2N interpolation matrix peaked at 5.95 MB
         # (N = 64) and 42.6 MB (N = 128)
-        import tracemalloc
-
         g = make_grid(2.0, N)
         st = even_state(g, lambda e: np.exp(-2 * e * e), np.zeros_like)
-        tracemalloc.start()
-        try:
-            evolve_free_wave(7, st, 1.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: evolve_free_wave(7, st, 1.0))
         assert peak <= limit
 
     def test_norm_ratio_stable_under_doubling(self):

@@ -7,6 +7,7 @@ from hyperwave.grids import GridFunction, StateVector, make_grid
 from hyperwave.jets import jet_seed, jsqrt
 from hyperwave.linstab import (
     SSC_WINDOW,
+    SpectrumResult,
     assemble_L,
     generator_matrix,
     mode_angle,
@@ -107,8 +108,19 @@ class TestSpectrum:
             assert abs(z1 - z2) < 1e-4
 
     def test_raw_list_retrievable(self, op96, spec96):
-        assert spec96.raw.size == 2 * op96.grid.N
-        assert len(spec96.eigenvalues) < spec96.raw.size
+        # the unfiltered eigenvalues are the operator's cached decomposition
+        raw = op96.eig()[0]
+        assert raw.size == 2 * op96.grid.N
+        assert len(spec96.eigenvalues) < raw.size
+
+    def test_gap_none_without_a_stable_eigenvalue(self):
+        # the filter kept only the eigenvalue 1: there is no gap to certify
+        spec = SpectrumResult(d=21, R=2.0, N=128, eigenvalues=[1.0])
+        assert spec.unstable == [1.0]
+        assert spec.gap is None
+        assert not spec.verdict()
+        doc = spec.to_json_dict()
+        assert doc["gap"] is None and doc["mode_stable"] is False
 
     def test_json_document(self, spec96):
         doc = spec96.to_json_dict()

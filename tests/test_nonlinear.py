@@ -20,6 +20,7 @@ from hyperwave.nonlinear import (
     smooth_bump,
 )
 
+from conftest import traced_peak
 from oracles import blowup_profile_hsc
 
 
@@ -38,8 +39,7 @@ def cauchy_zero(params7):
     return cauchy_tr_solver(params7, PerturbationSpec(0.0))
 
 
-# the (times, r, fields) lattices that `cauchy` and `cauchy_zero` fit; the
-# solutions overwrite theirs with spline coefficients
+# the (times, r, w) lattices that `cauchy` and `cauchy_zero` fit
 @pytest.fixture(scope="module")
 def lattice(params7, pert):
     return cauchy_lattice(params7, pert, 360)
@@ -70,10 +70,10 @@ class TestCauchySolver:
         assert np.max(np.abs(cauchy_zero._coef)) == 0.0
 
     def test_finite_speed(self, lattice, pert):
-        times, r, fields = lattice
+        times, r, w = lattice
         it = len(times) // 4
         outside = r > abs(times[it]) + pert.eps
-        assert np.max(np.abs(fields[it, outside, 0])) < 1e-6
+        assert np.max(np.abs(w[it, outside])) < 1e-6
 
     def test_self_convergence_order_two(self, params7, pert):
         # resolved regime: the bump carries ~30 cells at the coarsest level
@@ -98,13 +98,13 @@ class TestCauchySolver:
     def test_stacked_fit_matches_separate_fits(self, request, name, grid64):
         from scipy.interpolate import RegularGridInterpolator
 
+        from hyperwave.nonlinear import _lattice_derivative
+
         sol = request.getfixturevalue(name)
-        times, r, fields = request.getfixturevalue(name.replace("cauchy", "lattice"))
+        times, r, w = request.getfixturevalue(name.replace("cauchy", "lattice"))
         assert np.array_equal(times, sol.times) and np.array_equal(r, sol.r)
         dr = r[1] - r[0]
-        w, wt = fields[..., 0], fields[..., 1]
-        wr = np.gradient(w, dr, axis=1, edge_order=2)
-        assert np.array_equal(wr, fields[..., 2])
+        wt, wr = (_lattice_derivative(sol.pert, times, r, w, axis) for axis in (0, 1))
         fits = [
             RegularGridInterpolator((times, r), field, method="cubic")
             for field in (w, wt, wr)
@@ -157,7 +157,7 @@ class TestCauchySolver:
         cauchy_tr_solver(params7, pert)
         assert len(builds) == 1
         assert len(solved) == 3
-        assert all(operator is builds[0] for operator in solved)
+        assert all(operator is builds[0][0] for operator in solved)
 
     @pytest.mark.parametrize("m", [20, 360])
     def test_collocation_operator_is_scipys_design_matrix(self, params7, pert, m):
@@ -170,14 +170,16 @@ class TestCauchySolver:
         knots = (_not_a_knot(times), _not_a_knot(r))
         nodes = np.stack(np.meshgrid(times, r, indexing="ij"), axis=-1).reshape(-1, 2)
         matrix = NdBSpline.design_matrix(nodes, knots, 3)
-        operator = _collocation_operator(knots[0], times, knots[1], r)
+        operator, work = _collocation_operator(knots[0], times, knots[1], r)
         assert matrix.shape == (times.size * r.size,) * 2
+        assert work.shape == (matrix.shape[0],)
         x = np.random.default_rng(m).standard_normal(matrix.shape[1])
         expected = matrix @ x
         got = operator(x)
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
         # the operator keeps one work buffer; no result may alias it
+        assert not np.shares_memory(got, work)
         assert np.array_equal(operator(-x), -got)
 
         # and its band products sum each row as the 1-D CSR products do
@@ -196,19 +198,20 @@ class TestCauchySolver:
         # converge in that cycle, and the coefficients agree to rounding
         from scipy.sparse.linalg import LinearOperator, gcrotmk
 
-        from hyperwave.nonlinear import _collocation_operator, _not_a_knot
+        from hyperwave.nonlinear import _collocation_operator, _lattice_derivative, _not_a_knot
 
         params, pert = make_params(d), PerturbationSpec(amplitude)
-        times, r, fields = cauchy_lattice(params, pert, 360)
-        sol = CauchySolution(params, pert, times, r, fields.copy())
+        times, r, w = cauchy_lattice(params, pert, 360)
+        sol = CauchySolution(params, pert, times, r, w)
         knots = (_not_a_knot(times), _not_a_knot(r))
-        operator = _collocation_operator(knots[0], times, knots[1], r)
+        operator, _ = _collocation_operator(knots[0], times, knots[1], r)
         n = times.size * r.size
         linear = LinearOperator((n, n), matvec=operator, dtype=float)
-        for k in range(3):
-            expected, info = gcrotmk(linear, fields[..., k].ravel(), atol=1e-6)
+        fields = (w, *(_lattice_derivative(pert, times, r, w, axis) for axis in (0, 1)))
+        for field, coef in zip(fields, sol._coef):
+            expected, info = gcrotmk(linear, field.ravel(), atol=1e-6)
             assert info == 0
-            got = sol._coef[..., k].ravel()
+            got = coef.ravel()
             assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("n", [40, 41])
@@ -219,64 +222,63 @@ class TestCauchySolver:
         # n-th step, where the Krylov space closes and the solve is exact
         b = np.zeros(n)
         b[0] = 1.0
+        shift = lambda v: np.roll(v, 1)
         if n <= GMRES_STEPS:
-            assert np.array_equal(_gmres(lambda v: np.roll(v, 1), b), np.roll(b, -1))
+            assert np.array_equal(_gmres(shift, lambda: b, np.empty(n)), np.roll(b, -1))
         else:
             with pytest.raises(RuntimeError, match="Cauchy spline fit: GMRES residual"):
-                _gmres(lambda v: np.roll(v, 1), b)
+                _gmres(shift, lambda: b, np.empty(n))
 
     def test_cauchy_solve_memory_peak(self, params7, pert):
         # the fit applies kron(B_t, B_r) as two 1-D band products (one CSR
-        # matrix of 1.8M entries peaked at 70 MB), overwrites the lattice with
-        # its coefficients and frees the Krylov basis before the residual
-        # check: 31.0 MB, of 1.6 MB per lattice-sized vector (40.7 MB with a
-        # separate coefficient array and the basis held to the end)
-        import tracemalloc
-
-        tracemalloc.start()
-        try:
-            cauchy_tr_solver(params7, pert)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 36e6
+        # matrix of 1.8M entries peaked at 70 MB) and derives w_t and w_r
+        # from the lattice of w inside their solves; the peak is the w_r
+        # solve's Krylov vectors besides w and the operator's work buffer:
+        # 26.1 MB, of 1.6 MB per lattice-sized vector (31.0 MB with a
+        # (w, w_t, w_r) lattice and a solver holding b and a scratch vector)
+        _, peak = traced_peak(lambda: cauchy_tr_solver(params7, pert))
+        assert peak < 27.5e6
 
     def test_gmres_memory_peak(self):
-        # besides b, the steps' Arnoldi vectors and one scratch vector: x
-        # takes the first basis vector's place, and the basis is freed
-        # before the residual check, whose matvec output would make one more
-        import tracemalloc
-
+        # the steps' Arnoldi vectors and the next one: b is the caller's, the
+        # scratch vector too, x takes the first basis vector's place, and the
+        # basis is freed before the residual check, whose matvec output would
+        # make one more
         from hyperwave.nonlinear import _gmres
 
         n = 100_000
         diag = np.linspace(1.0, 2.0, n)
         b = np.random.default_rng(3).standard_normal(n)
+        scratch = np.empty(n)
         calls = []
 
         def matvec(v):
             calls.append(1)
             return diag * v
 
-        tracemalloc.start()
-        try:
-            x = _gmres(matvec, b)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        x, peak = traced_peak(lambda: _gmres(matvec, lambda: b, scratch))
         steps = len(calls) - 1  # the last product is the residual check
         assert 5 <= steps < 40
         assert np.linalg.norm(b - diag * x) <= 1e-5 * np.linalg.norm(b)
-        assert peak < (steps + 3) * b.nbytes
+        assert peak < (steps + 2) * b.nbytes
 
-    def test_solution_overwrites_its_lattice(self, params7, pert, lattice, cauchy):
-        # the coefficients are written into the array the solution was given
-        times, r, fields = cauchy_lattice(params7, pert, 360)
-        assert np.array_equal(fields, lattice[2])
-        sol = CauchySolution(params7, pert, times, r, fields)
-        assert np.shares_memory(sol._coef, fields) and sol._coef.shape == fields.shape
-        assert np.array_equal(fields, cauchy._coef)
-        assert not np.array_equal(fields, lattice[2])
+    def test_lattice_derivatives_are_np_gradient(self, pert, lattice):
+        # w_t is np.gradient along each march direction from t = 0, at the
+        # march's time step, with the initial velocity on the t = 0 row; w_r
+        # is np.gradient along r at spacing r[1] - r[0]
+        from hyperwave.nonlinear import _lattice_derivative
+
+        times, r, w = lattice
+        dt = 0.4 * (8.0 * pert.eps / r.size)
+        zero = int(np.flatnonzero(times == 0.0)[0])
+        assert times[zero - 1] == -dt and times[zero + 1] == dt
+        w_t = np.empty_like(w)
+        w_t[zero::-1] = np.gradient(w[zero::-1], -dt, axis=0, edge_order=2)
+        w_t[zero:] = np.gradient(w[zero:], dt, axis=0, edge_order=2)
+        w_t[zero] = pert.g(r)
+        w_r = np.gradient(w, r[1] - r[0], axis=1, edge_order=2)
+        assert np.array_equal(_lattice_derivative(pert, times, r, w, 0), w_t)
+        assert np.array_equal(_lattice_derivative(pert, times, r, w, 1), w_r)
 
     @pytest.mark.parametrize("axis", ["times", "r"])
     def test_cubic_basis_is_scipys_design_matrix(self, cauchy, axis):
@@ -311,7 +313,7 @@ class TestInitialData:
         # do not matter, only its rectangle
         times = cauchy.times[cauchy.times >= -0.09]
         short = CauchySolution(
-            params7, cauchy.pert, times, cauchy.r, np.zeros((times.size, cauchy.r.size, 3))
+            params7, cauchy.pert, times, cauchy.r, np.zeros((times.size, cauchy.r.size))
         )
         with pytest.raises(ValueError):
             initial_data_operator(params7, short, 1.0, grid64)
