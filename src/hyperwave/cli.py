@@ -168,9 +168,12 @@ def cmd_freewave(args):
             GridFunction.from_callable(grid, lambda e: np.exp(-2 * e * e), "even"),
             GridFunction.from_callable(grid, lambda e: np.zeros_like(e), "even"),
         )
-        o1 = direct_fd_oracle(
-            args.d, lambda r: np.exp(-2 * r * r), lambda r: np.zeros_like(r), 1.0, args.R, grid.eta
-        )
+        try:
+            o1 = direct_fd_oracle(
+                args.d, lambda r: np.exp(-2 * r * r), np.zeros_like, 1.0, args.R, grid.eta
+            )
+        except ValueError as exc:  # an FD stencil past eta = R (R too close to 1/2)
+            raise ConfigError(f"{args.command}: {exc}") from exc
         ev = evolve_free_wave(args.d, gauss, 1.0)
         wgt = grid.radial_weights(args.d)
         cross_err = float(
@@ -406,7 +409,7 @@ _COMMANDS = {
     "freewave": (
         cmd_freewave,
         ("d", "R", "N", "s_end", "out"),
-        "columns: s, norm; the FD cross-check at s = 1 needs R >= 1",
+        "columns: s, norm; the FD cross-check at s = 1 needs R > 1/2 (R >= 0.502 on 400 cells)",
     ),
     "spectrum": (
         cmd_spectrum,

@@ -127,17 +127,20 @@ def evolve_free_wave(d, state: StateVector, ds) -> StateVector:
 
 
 FD_CFL = 0.4  # Courant number of the FD oracle's RK4 steps
-_FD_BLOCK = 16  # iterates of the FD march held at once, added to v's integral in one sum
+_FD_BLOCK = 16  # even iterates of the FD march held at once, added to v's integral in one sum
+_FD_ROWS = 16  # rows of P^2 in one dense block of the FD march
 
 
-def _band_product(X, Y):
+def _band_product(X, Y, Z=None):
     """X @ Y for n x n band matrices in row-window storage: B[i, k] holds
     entry (i, i + k - p) of a matrix with p diagonals each side, and the
     cells that fall outside the matrix hold zero.  The product, stored the
-    same way, has p + q diagonals each side."""
+    same way, has p + q diagonals each side; it is written into Z, a zeroed
+    n x (2 (p + q) + 1) array or view, when one is given."""
     n, p, q = X.shape[0], X.shape[1] // 2, Y.shape[1] // 2
     Ypad = np.pad(Y, ((p, p), (0, 0)))
-    Z = np.zeros((n, 2 * (p + q) + 1))
+    if Z is None:
+        Z = np.zeros((n, 2 * (p + q) + 1))
     for a in range(2 * p + 1):  # entry (i, i + a - p) of X meets row i + a - p of Y
         Z[:, a : a + 2 * q + 1] += X[:, a, None] * Ypad[a : a + n]
     return Z
@@ -148,6 +151,23 @@ def _band_matvec(B, x):
     against its window of the zero-padded x, one BLAS dot product a row."""
     p = B.shape[1] // 2
     return np.vecdot(B, sliding_window_view(np.pad(x, p), 2 * p + 1))
+
+
+def _square_blocks(P):
+    """P @ P for P in row-window storage with p diagonals each side, as
+    dense blocks of b = `_FD_ROWS` rows: block k holds rows b k, ...,
+    b k + b - 1 on columns b k - 2p, ..., b k + b + 2p - 1, shape
+    (nb, b, b + 4p), and the rows past the matrix are zero.
+
+    Row a of block k is row i = b k + a of P^2, whose 4p + 1 band entries
+    start at block column a.  With the blocks b (b + 4p + 1) entries apart,
+    that start lies (b + 4p + 1) i entries into the buffer, so the band rows
+    are one row-window view of it and `_band_product` writes them in place."""
+    b, n, p = _FD_ROWS, P.shape[0], P.shape[1] // 2
+    nb = -(-n // b)
+    buf = np.zeros((nb, b * (b + 4 * p + 1)))
+    _band_product(P, P, buf.reshape(nb * b, b + 4 * p + 1)[:n, : 4 * p + 1])
+    return buf[:, : b * (b + 4 * p)].reshape(nb, b, b + 4 * p)
 
 
 def _rk4_band(A, h):
@@ -178,8 +198,11 @@ def _fd_operator(d, R, m):
     h_pm / h_pm', and c is the dimensional coupling.  Cells -1 and -2 below
     the origin are mirror ghosts of the partner field's cells 0 and 1, next
     to the diagonal in w.  Rightward speeds use backward stencils (the
-    outflow side at eta = R needs no closure); leftward speeds occur only
-    away from eta = R, so the phantom cells above it carry no entries.
+    outflow side at eta = R needs no closure).  W1's speed points leftward
+    below eta = 1/2, where the backward light cone of the tip meets the
+    slice; there its forward stencil reaches up to two cells outward, and a
+    stencil past the last cell, which would need an inflow value at eta = R,
+    raises ValueError.
     """
     if m < 4:
         raise ValueError(f"m must be at least 4 for a four-cell cubic, got m={m}")
@@ -202,10 +225,15 @@ def _fd_operator(d, R, m):
         step = np.where(speed >= 0.0, -1, 1)  # backward or forward stencil
         for k, weight in ((0, 3.0), (1, -4.0), (2, 1.0)):
             j = i + k * step
-            keep = j < m
-            rows.append(2 * i[keep] + own)
-            cols.append(np.where(j >= 0, 2 * j + own, 2 * (-1 - j) + ghost)[keep])
-            vals.append((-step * weight * coef)[keep])
+            if np.any(j >= m):
+                raise ValueError(
+                    f"the FD stencil reaches past the last cell at R={R}: W1's speed "
+                    f"points inward below eta = 1/2, and the last two of the {m} cells "
+                    "must lie above it"
+                )
+            rows.append(2 * i + own)
+            cols.append(np.where(j >= 0, 2 * j + own, 2 * (-1 - j) + ghost))
+            vals.append(-step * weight * coef)
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     A_ww = np.zeros((2 * m, 9))
     # coincident entries (stencil centre and diagonal, ghost and coupling) are summed
@@ -253,31 +281,43 @@ def _fd_run(d, f1, f2, s_end, R, m):
     last, and d_s v = A_vw w.  These agree with the full step x <- P x to
     rounding.
 
-    The iterates go into a block of `_FD_BLOCK` + 1 zero-padded rows.  Each
-    step is one band product w <- P w, every row of P (33 entries) against
-    its window of block row j, one BLAS dot product a row, written into
-    row j + 1.  A full block is added to acc in one sum and its last row
-    starts the next one.
+    The march takes two steps per product, w <- P^2 w, with P^2 in the
+    dense blocks of `_square_blocks`, built once: one matmul of the
+    (nb, 16, 80) blocks against the (nb, 80, 1) windows of the zero-padded
+    iterate, block k's window starting 16 k cells in.  The even iterates go
+    into a block of `_FD_BLOCK` + 1 padded rows, each product reading row j
+    and writing row j + 1; a full block is added to their sum u in one sum
+    and its last row starts the next one.  The odd iterates are P u, so
+    acc = u + P u, and an odd step count adds the last even iterate to acc
+    and takes one step by P to the end.
     """
     if not s_end > 0.0:
         raise ValueError(f"s_end must be positive, got s_end={s_end}")
     r, ((a1, a2), A_ww), dt, nsteps, v0, w = _fd_start(d, f1, f2, s_end, R, m)
     P, Q = _rk4_band(A_ww, dt)
-    pad = P.shape[1] // 2
-    block = np.zeros((_FD_BLOCK + 1, w.size + 2 * pad))
-    rows = block[:, pad:-pad]
-    # step j of a block reads the windows of row j and writes row j + 1
-    steps = list(zip(sliding_window_view(block, P.shape[1], axis=1), rows[1:]))
+    blocks = _square_blocks(P)
+    nb, b, width = blocks.shape
+    pad = (width - b) // 2
+    block = np.zeros((_FD_BLOCK + 1, nb * b + 2 * pad))
+    rows = block[:, pad : pad + w.size]
+    # product j of a block reads the windows of row j and writes row j + 1
+    windows = sliding_window_view(block, width, axis=1)[:, ::b, :, None]
+    steps = list(zip(windows, block[1:, pad : pad + nb * b].reshape(_FD_BLOCK, nb, b, 1)))
     rows[0] = w
-    acc = np.zeros_like(w)
-    for start in range(0, nsteps, _FD_BLOCK):
-        k = min(_FD_BLOCK, nsteps - start)
+    u = np.zeros_like(w)
+    nprod = nsteps // 2
+    for start in range(0, nprod, _FD_BLOCK):
+        k = min(_FD_BLOCK, nprod - start)
         for win, out in steps[:k]:
-            np.vecdot(P, win, out=out)
-        acc += rows[:k].sum(axis=0)
+            np.matmul(blocks, win, out=out)
+        u += rows[:k].sum(axis=0)
         block[0] = block[k]
-    q = _band_matvec(Q, acc)
+    acc = u + _band_matvec(P, u)
     w = rows[0]
+    if nsteps % 2:
+        acc += w
+        w = _band_matvec(P, w)
+    q = _band_matvec(Q, acc)
     return r, v0 + dt * (a1 * q[0::2] + a2 * q[1::2]), a1 * w[0::2] + a2 * w[1::2]
 
 

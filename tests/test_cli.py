@@ -110,7 +110,15 @@ class TestConfigGates:
         assert run(["blowup", "--d", "5", "--out", str(tmp_path / "x")]) == 2
 
     @pytest.mark.parametrize(
-        "flags", [["--N", "4"], ["--d", "7", "--N", "16"], ["--s-end", "-1"], ["--s-end", "0"]]
+        "flags",
+        [
+            ["--N", "4"],
+            ["--d", "7", "--N", "16"],
+            ["--s-end", "-1"],
+            ["--s-end", "0"],
+            # the FD oracle's stencils reach past eta = R = 1/2
+            ["--R", "0.5"],
+        ],
     )
     def test_freewave_bad_config_exit_2(self, tmp_path, capsys, flags):
         assert run(["freewave", *flags, "--out", str(tmp_path / "x")]) == 2

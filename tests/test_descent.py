@@ -14,9 +14,12 @@ from hyperwave.descent import (
     _band_matvec,
     FD_CFL,
     _FD_BLOCK,
+    _FD_ROWS,
     _fd_operator,
     _fd_run,
     _fd_start,
+    _rk4_band,
+    _square_blocks,
 )
 from hyperwave.grids import (
     GridFunction,
@@ -34,6 +37,7 @@ from hyperwave.nonlinear import smooth_bump
 from conftest import even_state, traced_peak
 from oracles import (
     apply_Ld_series,
+    band_dense,
     descent_step_series,
     exact_radial_wave,
     fd_run_full_state,
@@ -311,6 +315,13 @@ class TestFDOracle:
         with pytest.raises(ValueError, match="m must be at least 4"):
             _fd_operator(5, 2.0, 3)
 
+    def test_stencil_past_last_cell_rejected(self):
+        # at R = 1/2 every cell lies below eta = 1/2, where W1's speed points
+        # inward, so the last cells' forward stencils reach past eta = R; the
+        # dropped entries had imposed a zero inflow value, 1e-3 off at d = 7
+        with pytest.raises(ValueError, match="past the last cell"):
+            _fd_operator(7, 0.5, 400)
+
     @pytest.mark.parametrize("s_end", [0.0, -1.0])
     def test_end_time_guard(self, s_end):
         with pytest.raises(ValueError, match="s_end must be positive"):
@@ -375,24 +386,58 @@ class TestFDOracle:
             [-0.6585034488615441, -0.6342439786722399, -0.3532701062661948,
              -0.3439355526783216], rel=1e-12)
 
-    def test_one_sparse_product_per_step(self, monkeypatch):
-        m, R, s_end = 200, 2.0, 1.0
+    @pytest.mark.parametrize("nsteps", [2104, 2105])
+    def test_one_block_product_per_two_steps(self, monkeypatch, nsteps):
+        m, R = 200, 2.0
         _, _, speed = _fd_operator(5, R, m)
-        nsteps = int(np.ceil(s_end / (FD_CFL * (R / m) / speed)))
+        s_end = (nsteps - 0.5) * FD_CFL * (R / m) / speed
         products = []
-        vecdot = np.vecdot
 
-        def counting(band, *rest, **kwargs):
-            products.append(band.shape)
-            return vecdot(band, *rest, **kwargs)
+        def counting(product):
+            def call(first, *rest, **kwargs):
+                products.append((product.__name__, first.shape))
+                return product(first, *rest, **kwargs)
 
-        monkeypatch.setattr(np, "vecdot", counting)
+            return call
+
+        monkeypatch.setattr(np, "matmul", counting(np.matmul))
+        monkeypatch.setattr(np, "vecdot", counting(np.vecdot))
         _fd_run(5, lambda r: np.exp(-2 * r * r), lambda r: 0 * r, s_end, R, m)
-        # v is passive: one band product P_ww w per step on w = (W1, W2)
-        # alone (16 diagonals each side), plus one Q acc (12 each side) at
-        # s_end, v = v0 + dt A_vw (Q acc); d_s v = A_vw w is two diagonals,
-        # taken elementwise
-        assert products == [(2 * m, 33)] * nsteps + [(2 * m, 25)]
+        # v is passive: one product P^2 w per two steps on w = (W1, W2) alone,
+        # the dense 16-row blocks of P^2 (32 diagonals each side) against
+        # their windows of w; then, at s_end, the band products P u for the
+        # odd iterates, P w for an odd step count (16 diagonals each side)
+        # and Q acc (12), v = v0 + dt A_vw (Q acc); d_s v = A_vw w is two
+        # diagonals, taken elementwise
+        blocks = ("matmul", (-(-2 * m // _FD_ROWS), _FD_ROWS, _FD_ROWS + 64))
+        ends = [("vecdot", (2 * m, 33))] * (1 + nsteps % 2) + [("vecdot", (2 * m, 25))]
+        assert products == [blocks] * (nsteps // 2) + ends
+
+    def test_square_blocks_hold_the_squared_band(self):
+        # 2m = 120 rows: the last block holds 8 rows of P^2 and 8 zero rows,
+        # and the first and last blocks reach past both ends of the matrix
+        m, R = 60, 2.0
+        _, (_, A_ww), speed = _fd_operator(7, R, m)
+        P, _ = _rk4_band(A_ww, FD_CFL * (R / m) / speed)
+        blocks = _square_blocks(P)
+        b = _FD_ROWS
+        assert blocks.shape == (8, b, b + 64)
+        want = np.zeros((8 * b, 8 * b + 64))
+        want[: 2 * m, 32 : 32 + 2 * m] = band_dense(P) @ band_dense(P)
+        # block k holds rows b k, ..., b k + b - 1 on columns b k - 32, ...,
+        # b k + b + 31: columns b k, ... of want, which starts 32 columns early
+        for k, B in enumerate(blocks):
+            window = want[b * k : b * (k + 1), b * k : b * k + b + 64]
+            assert np.max(np.abs(B - window)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_memory_peak(self):
+        # the P^2 blocks (1.04 MB at m = 800) beside P, Q and the padded
+        # rows peak at 2.92 MB; the one-step band march peaked at 2.12 MB,
+        # and a build that forms the P^2 band and scatters a padded copy of
+        # it into the blocks through index arrays at 4.58 MB
+        f1 = lambda r: np.exp(-2 * r * r)
+        _, peak = traced_peak(lambda: _fd_run(7, f1, np.zeros_like, 1.0, 2.0, 800))
+        assert peak <= 3.0e6
 
     @pytest.mark.parametrize(
         "d, f2, s_values, m",
@@ -414,11 +459,17 @@ class TestFDOracle:
             assert np.max(np.abs(v - v_ref)) <= 1e-13 * np.max(np.abs(v_ref))
 
     @pytest.mark.parametrize(
-        "nsteps", [1, _FD_BLOCK - 1, _FD_BLOCK, _FD_BLOCK + 1, 2 * _FD_BLOCK + 3]
+        "nsteps",
+        [1, 2, _FD_BLOCK - 1, _FD_BLOCK, _FD_BLOCK + 1]
+        + [2 * _FD_BLOCK + k for k in (-1, 0, 1, 2, 3)]
+        + [4 * _FD_BLOCK + 3],
     )
     def test_march_matches_full_state_loop_across_blocks(self, nsteps):
-        # marches of one step, part of a block, a full block, and one or more
-        # blocks and a remainder, against the full-state CSR march
+        # marches of one step by P alone, one product by P^2, part of a
+        # block of products, one full block (2 _FD_BLOCK steps) with and
+        # without a last step by P, and one or more blocks and a remainder,
+        # against the full-state CSR march; 2m = 120 rows fill 7.5 blocks of
+        # P^2
         d, R, m = 7, 2.0, 60
         f1, f2 = lambda r: np.exp(-2 * r * r), lambda r: -0.3 * np.exp(-r * r)
         _, _, speed = _fd_operator(d, R, m)
@@ -465,10 +516,11 @@ class TestFDOracle:
         assert np.array_equal(got, (4 * fine - coarse) / 3.0)
 
     @pytest.mark.parametrize("d", [3, 5, 7])
-    @pytest.mark.parametrize("R", [1.0, 2.0])
+    @pytest.mark.parametrize("R", [0.75, 1.0, 2.0])
     def test_direct_oracle_matches_exact_radial_wave(self, d, R):
         # from s = 0 to s = 1 on an exact smooth solution; the weighted error
-        # is 2.7e-9 (d = 3, R = 1) to 9.6e-7 (d = 7, R = 2)
+        # is 2.7e-9 (d = 3, R = 1) to 9.6e-7 (d = 7, R = 2), and 1.4e-8 at
+        # d = 7, R = 0.75, where W1 moves inward on the cells below eta = 1/2
         g = make_grid(R, 64)
         f1 = lambda r: exact_radial_wave(d, r, 0.0, 1.0)[0]
         f2 = lambda r: exact_radial_wave(d, r, 0.0, 1.0)[1]
