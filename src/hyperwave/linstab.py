@@ -8,6 +8,7 @@ Everything runs on numpy: the eigen-decompositions are `numpy.linalg`'s, and
 the matrix exponential that `blowup` needs is a port of scipy's `expm`.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,13 +59,14 @@ class OperatorMatrix:
         return self._eig
 
     def propagator(self, t):
-        """exp(t A) for this matrix A by `_expm`, cached per exact t:
-        repeated evolutions with the same step share one matrix
-        exponential."""
-        E = self._propagators.get(t)
-        if E is None:
-            E = self._propagators[t] = _expm(t * self.matrix)
-        return E
+        """exp(t A) for this matrix A, cached per exact t, as the square of
+        the cached exp(t A / 2) by `_expm`, which a Lawson step asks for
+        too: where `_expm` takes s >= 1 squarings, that is its exp(t A)."""
+        if t not in self._propagators:
+            if 0.5 * t not in self._propagators:
+                self._propagators[0.5 * t] = _expm(0.5 * t * self.matrix)
+            self._propagators[t] = self._propagators[0.5 * t] @ self._propagators[0.5 * t]
+        return self._propagators[t]
 
 
 # Pade degree m -> the largest 1-norm theta_m at which r_m needs no scaling,
@@ -324,76 +326,62 @@ SSC_CIRCLE = (0.15, 16)
 SSC_MAX_PHASE_STEP = np.pi / 4
 
 
-def _poly_shift(a):
-    """Coefficients of p(1 - x) from those of p."""
-    n = len(a)
-    out = np.zeros(n, dtype=complex)
-    term = np.zeros(n, dtype=complex)
-    term[0] = 1.0
-    for k in range(n):
-        out[: n] += a[k] * term
-        if k < n - 1:
-            term = np.convolve(term, np.array([1.0, -1.0]))[:n]
-    return out
+def _poly_shift(p):
+    """Coefficients of p(1 - x) from those of p, for each column of p."""
+    n = len(p)
+    return np.array([[(-1) ** j * math.comb(k, j) for k in range(n)] for j in range(n)]) @ p
 
 
 def _ssc_polynomials(params: DimensionParams, lam):
     """Polynomial coefficients A g'' + B g' + C g = 0 of the mode equation in
-    standard similarity coordinates, cleared of denominators."""
-    a, b = params.a, params.b
-    d = params.d
-    bq2 = np.convolve(np.array([b, 0, 1.0], dtype=complex), np.array([b, 0, 1.0], dtype=complex))
-    vnum = np.array([6.0 * (d - 4) * a * b, 0.0, -3.0 * (d - 4) * a * (a - 2.0)], dtype=complex)
-    A = np.convolve(np.array([0.0, 1.0, 0.0, -1.0], dtype=complex), bq2)
-    B = np.convolve(np.array([d - 1.0, 0.0, -2.0 * (lam + 3.0)], dtype=complex), bq2)
-    m = max(len(vnum), len(bq2))
-    vp = np.pad(vnum, (0, m - len(vnum)))
-    bp = np.pad(bq2, (0, m - len(bq2)))
-    C = np.convolve(np.array([0.0, 1.0], dtype=complex), vp - (lam + 2.0) * (lam + 3.0) * bp)
+    standard similarity coordinates, cleared of denominators, of degrees 7,
+    6 and 5: A as one column, B and C with one column per lambda in lam."""
+    a, b, d = params.a, params.b, params.d
+    bq2 = np.convolve([b, 0.0, 1.0], [b, 0.0, 1.0])
+    vnum = np.array([6.0 * (d - 4) * a * b, 0.0, -3.0 * (d - 4) * a * (a - 2.0), 0.0, 0.0])
+    A = np.convolve([0.0, 1.0, 0.0, -1.0], bq2)[:, None]
+    B = np.convolve([d - 1.0, 0.0, 0.0], bq2)[:, None]
+    B = B - np.outer(np.convolve([0.0, 0.0, 2.0], bq2), lam + 3.0)
+    C = np.pad(vnum[:, None] - np.outer(bq2, (lam + 2.0) * (lam + 3.0)), ((1, 0), (0, 0)))
     return A, B, C
 
 
 def _series_branch(A, B, C, x_eval):
     """Index-0 Frobenius series of A g'' + B g' + C g = 0 about 0 to order
-    SSC_SERIES_ORDER, evaluated with its derivative at x_eval.  Requires
-    A(0) = 0, B(0) != 0 and no resonance among the recursion factors."""
+    SSC_SERIES_ORDER, one per column of B and C (A has one column, shared),
+    evaluated with its derivative at x_eval.  Requires A(0) = 0, B(0) != 0
+    and no resonance among the recursion factors."""
     nmax = SSC_SERIES_ORDER
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    C = np.asarray(C, dtype=complex)
-    c = np.zeros(nmax + 1, dtype=complex)
-    c[0] = 1.0
-    scale = max(abs(A[1]), abs(B[0]), 1.0)
-    for n in range(nmax):
-        acc = 0.0 + 0.0j
-        for i in range(len(A)):
-            m = n + 2 - i
-            if 2 <= m <= n:
-                acc += A[i] * m * (m - 1) * c[m]
-        for i in range(len(B)):
-            m = n + 1 - i
-            if 1 <= m <= n:
-                acc += B[i] * m * c[m]
-        for i in range(len(C)):
-            m = n - i
-            if 0 <= m <= n:
-                acc += C[i] * c[m]
-        fac = A[1] * (n + 1) * n + B[0] * (n + 1)
-        if abs(fac) < 1e-10 * scale * (n + 1):
-            raise ValueError(f"resonant Frobenius recursion at order {n + 1}")
-        c[n + 1] = -acc / fac
-    tail = np.max(np.abs(c[-8:])) * abs(x_eval) ** (nmax - 8)
-    head = np.max(np.abs(c[: nmax // 2])) * max(abs(x_eval), 1e-2)
-    if tail > 1e-13 * max(head, 1.0):
-        raise ValueError(f"Frobenius series not converged at radius {x_eval}: tail {tail:.1e}")
-    val = np.polynomial.polynomial.polyval(x_eval, c)
-    dval = np.polynomial.polynomial.polyval(x_eval, c[1:] * np.arange(1, nmax + 1))
-    return val, dval
+    lags = len(C)  # A and B have lags + 2 and lags + 1 coefficients
+    n = np.arange(nmax)[:, None]
+    fac = A[1] * (n + 1) * n + B[0] * (n + 1)
+    scale = np.maximum(np.abs(B[0]), max(abs(A[1, 0]), 1.0))
+    # (column, order) of each resonance, the first column's first
+    resonant = np.argwhere((np.abs(fac) < 1e-10 * scale * (n + 1)).T)
+    if len(resonant):
+        raise ValueError(f"resonant Frobenius recursion at order {resonant[0, 1] + 1}")
+    # order n reads c[m], m = n - lags + 1 + q, with weight W[n, q]; the
+    # lags - 1 zero rows ahead of c stand for the orders m < 0
+    m = (n - lags + 1 + np.arange(lags))[:, :, None]
+    W = A[lags + 1 : 1 : -1] * m * (m - 1) + B[lags:0:-1] * m + C[::-1]
+    c = np.zeros((lags + nmax, B.shape[1]), dtype=complex)
+    c[lags - 1] = 1.0
+    for k in range(nmax):
+        c[lags + k] = -np.sum(W[k] * c[k : k + lags], axis=0) / fac[k]
+    c = c[lags - 1 :]
+    tail = np.max(np.abs(c[-8:]), axis=0) * abs(x_eval) ** (nmax - 8)
+    head = np.max(np.abs(c[: nmax // 2]), axis=0) * max(abs(x_eval), 1e-2)
+    worst = tail[tail > 1e-13 * np.maximum(head, 1.0)]
+    if len(worst):
+        raise ValueError(f"Frobenius series not converged at radius {x_eval}: tail {worst[0]:.1e}")
+    dc = np.pad(c[1:] * np.arange(1, nmax + 1)[:, None], ((0, 1), (0, 0)))
+    return np.polynomial.polynomial.polyval(x_eval, np.stack([c, dc], axis=1))
 
 
 def ssc_mode_scan(params: DimensionParams, lam):
     """Connection function F of the mode equation in standard similarity
-    coordinates, analytic in lambda on the scan window.
+    coordinates, analytic in lambda on the scan window; lam is one lambda
+    or an array of them, evaluated in one pass.
 
     Analytic Frobenius branches (each with c0 = 1) are launched from both
     regular singular endpoints (rho = 0 and rho = 1) and matched at
@@ -405,23 +393,19 @@ def ssc_mode_scan(params: DimensionParams, lam):
     the pole there cancels in det, is a zero of F.  The series cannot be
     launched at those integers (ValueError).
     """
-    lam = complex(lam)
-    A, B, C = _ssc_polynomials(params, lam)
+    lam = np.asarray(lam, dtype=complex)
+    A, B, C = _ssc_polynomials(params, lam.ravel())
     g0, dg0 = _series_branch(A, B, C, 0.5)
-    pad = len(A) + 2
-    At = _poly_shift(np.pad(A, (0, pad - len(A))))
-    Bt = _poly_shift(np.pad(B, (0, pad - len(B))))
-    Ct = _poly_shift(np.pad(C, (0, pad - len(C))))
-    g1, dg1x = _series_branch(At, -Bt, Ct, 0.5)
-    dg1 = -dg1x
-    det = g0 * dg1 - dg0 * g1
-    return det * np.prod([lam - k for k in range((params.d - 7) // 2 + 1)])
+    # the rho = 1 branch in x = 1 - rho, whose rho-derivative is -dg1
+    g1, dg1 = _series_branch(_poly_shift(A), -_poly_shift(B), _poly_shift(C), 0.5)
+    det = -(g0 * dg1 + dg0 * g1).reshape(lam.shape)
+    return (det * np.prod([lam - k for k in range((params.d - 7) // 2 + 1)], axis=0))[()]
 
 
 def _winding(params, z):
     """Winding number about 0 of F on the closed polygon through the points
     z.  A phase step above SSC_MAX_PHASE_STEP could hide a turn: ValueError."""
-    f = np.array([ssc_mode_scan(params, zj) for zj in z])
+    f = ssc_mode_scan(params, z)
     steps = np.angle(np.roll(f, -1) / f)
     worst = float(np.max(np.abs(steps)))
     if worst > SSC_MAX_PHASE_STEP:

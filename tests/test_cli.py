@@ -252,6 +252,23 @@ class TestCommands:
         assert run([*argv, "--out", str(tmp_path / "fw")]) == 0
         assert cells == [400, 800]
 
+    def test_freewave_refuses_R_before_the_norm_series(self, tmp_path, capsys, monkeypatch):
+        # the FD oracle's stencil check runs first: no free evolution runs
+        # before `--R 0.5` exits 2
+        import hyperwave.cli
+
+        def never(*args):
+            raise AssertionError("evolve_free_wave ran before the FD oracle refused R")
+
+        monkeypatch.setattr(hyperwave.cli, "evolve_free_wave", never)
+        assert run(["freewave", "--R", "0.5", "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "configuration error: freewave: the FD stencil reaches past the last cell at R=0.5"
+        )
+        assert err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
     def test_freewave_writes_a_row_per_time(self, tmp_path):
         # s_end below one FD step: the six times round to steps 0 and 1, and
         # each still gets its row; the exponent fitted over s <= 1e-4 breaches
@@ -279,6 +296,23 @@ class TestCommands:
         assert doc["gap"] == pytest.approx(0.58890482382738507, rel=1e-9)
         for suffix in (".csv", ".json"):
             assert a.with_suffix(suffix).read_bytes() == b.with_suffix(suffix).read_bytes()
+
+    def test_blowup_takes_one_matrix_exponential_per_step_size(self, tmp_path, monkeypatch):
+        # exp(hL) is the square of the cached exp(hL/2): the README run's
+        # four step sizes take four `_expm` calls, not eight
+        from hyperwave import linstab
+
+        calls = []
+        expm = linstab._expm
+
+        def counting(A):
+            calls.append(A.shape)
+            return expm(A)
+
+        monkeypatch.setattr(linstab, "_expm", counting)
+        argv = ["blowup", "--d", "7", "--amp", "1e-3", "--eps", "0.05"]
+        assert run([*argv, "--out", str(tmp_path / "b")]) == 0
+        assert len(calls) == 4
 
     def test_blowup_memory_peak(self, tmp_path):
         # the README command's traced peak is the Cauchy fit's w_r solve: the

@@ -1,13 +1,18 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from hyperwave import coeffs
+from hyperwave import coeffs, linstab
 from hyperwave.grids import GridFunction, StateVector, make_grid
 from hyperwave.jets import jet_seed, jsqrt
 from hyperwave.linstab import (
+    SSC_SIDE_POINTS,
     SSC_WINDOW,
+    OperatorMatrix,
     SpectrumResult,
+    _expm,
     assemble_L,
     generator_matrix,
     mode_angle,
@@ -251,6 +256,17 @@ class TestPropagator:
         assert picked == [degree]
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
+    @pytest.mark.parametrize("N", [48, 64, 96])
+    @pytest.mark.parametrize("d", [7, 9, 11])
+    def test_propagator_squares_the_half_step_bit_for_bit(self, d, N):
+        # exp(hL) is built as the square of the cached exp(hL/2); at these
+        # steps `_expm(hL)` scales by one squaring more than `_expm(hL/2)`,
+        # on exactly rescaled Pade inputs, so the two agree bit for bit
+        op = assemble_L(make_params(d), make_grid(2.0, N))
+        for h in (1e-3, 0.01, 0.25 / 13, 0.02, 0.05, 0.3):
+            fresh = OperatorMatrix(op.matrix, op.grid, op.params)
+            assert np.array_equal(fresh.propagator(h), _expm(h * op.matrix))
+
     def test_expm_of_zero_is_identity(self):
         from hyperwave.linstab import _expm
 
@@ -332,8 +348,38 @@ class TestSSCScan:
         assert ssc_scan_roots(params7, []) == (1, [])
 
     def test_resonant_lambda_raises(self, params7):
-        with pytest.raises(ValueError):
-            ssc_mode_scan(params7, 0.0)
+        for lam in (0.0, [0.5, 0.0, 1.5]):
+            with pytest.raises(ValueError, match="^resonant Frobenius recursion at order 1$"):
+                ssc_mode_scan(params7, lam)
+
+    def test_truncated_series_raises(self, params7, monkeypatch):
+        # 30 orders leave a tail far above the convergence threshold at 1/2
+        monkeypatch.setattr(linstab, "SSC_SERIES_ORDER", 30)
+        message = r"^Frobenius series not converged at radius 0\.5: tail 8\.0e-09$"
+        for lam in (0.5, [0.5, 1.5 + 1j]):
+            with pytest.raises(ValueError, match=message):
+                ssc_mode_scan(params7, lam)
+
+    @pytest.mark.parametrize("d", [7, 21])
+    def test_contour_batch_matches_point_by_point(self, d):
+        # F over the window's boundary in one pass against F at each point
+        params = make_params(d)
+        (re0, re1), (im0, im1) = SSC_WINDOW
+        corners = [complex(re0, im0), complex(re1, im0), complex(re1, im1), complex(re0, im1)]
+        t = np.arange(SSC_SIDE_POINTS) / SSC_SIDE_POINTS
+        z = np.concatenate([a + (b - a) * t for a, b in zip(corners, corners[1:] + corners[:1])])
+        batch = ssc_mode_scan(params, z)
+        single = np.array([ssc_mode_scan(params, zj) for zj in z])
+        assert batch.shape == z.shape and np.ndim(single[0]) == 0
+        assert np.max(np.abs(batch - single) / np.abs(single)) < 1e-14
+
+    def test_counts_the_eigenvalue_one_at_every_odd_d_to_31(self):
+        start = time.perf_counter()
+        for d in range(7, 32, 2):
+            count, roots = ssc_scan_roots(make_params(d), [1.0])
+            assert count == len(roots) == 1, d
+            assert abs(roots[0] - 1.0) < 1e-12, d
+        assert time.perf_counter() - start < 5.0
 
     def test_scan_matches_matrix_spectrum(self, ssc7, spec96):
         # both routes agree that the only unstable eigenvalue is 1

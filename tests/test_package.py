@@ -230,3 +230,36 @@ def test_every_definition_reached_from_cli_main():
     # the package is what the five pipelines run; test-only references live
     # in tests/oracles.py or in the one test module that uses them
     assert _unreached() == []
+
+
+def test_readme_commands_but_blowup_write_the_same_bytes_at_one_and_two_blas_threads(
+    tmp_path,
+):
+    # `blowup`'s artifacts depend on the BLAS thread count (its `omega0`
+    # moves by about 3e-11 at two threads); every other README command's do not
+    readme = Path(ROOT, "README.md").read_text()
+    argvs = [
+        line.split()[1:]
+        for line in readme.splitlines()
+        if line.startswith("hyperwave ") and line.split()[1] != "blowup"
+    ]
+    assert {argv[0] for argv in argvs} == {"identities", "freewave", "spectrum", "norms"}
+    src = os.path.dirname(os.path.dirname(hyperwave.__file__))
+    files = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        }
+        code = f"import hyperwave.cli; print([hyperwave.cli.main(a) for a in {argvs!r}])"
+        run = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=out
+        )
+        assert run.returncode == 0, run.stderr
+        assert ast.literal_eval(run.stdout.strip().splitlines()[-1]) == [0] * len(argvs)
+        files[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(files["1"]) == 7
+    assert files["1"] == files["2"]
