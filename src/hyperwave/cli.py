@@ -91,7 +91,7 @@ def _dims_list(args):
     for d in dims:
         if d % 2 == 0 or d < 1:
             raise ConfigError(f"dimensions must be odd and positive, got {d}")
-    return dims
+    return list(dict.fromkeys(dims))
 
 
 def cmd_identities(args):
@@ -99,7 +99,7 @@ def cmd_identities(args):
     eta = np.linspace(0.02, args.R, 100)
     rows = []
     worst = 0.0
-    for d in [*dims, 1]:
+    for d in dict.fromkeys([*dims, 1]):
         res = coeffs.identity_residuals(d, eta)
         for i, r in enumerate(res):
             m = float(np.max(np.abs(r)))
@@ -332,6 +332,8 @@ def cmd_norms(args):
     if args.N < 8:
         raise ConfigError(f"norms needs N >= 8, got N={args.N}")
     dims = _dims_list(args)
+    if min(dims) < 3:
+        raise ConfigError(f"norms needs dimensions >= 3, got {min(dims)}")
     rng = np.random.default_rng(args.seed)
     centers = rng.uniform(0.2, 0.8, size=3)
     widths = rng.uniform(0.5, 1.5, size=3)
@@ -356,8 +358,6 @@ def cmd_norms(args):
     rows = []
     ok = True
     for d in dims:
-        if d < 3:
-            continue
         for k in (0, 1, 2):
             on = radial_sobolev_norm_oracle(fhat, k, d, args.R, derivs)
             ratios = []
@@ -385,7 +385,7 @@ def cmd_norms(args):
 # for "_", and a bool option is a switch
 _OPTIONS = {
     "d": (int, 7, "odd space dimension"),
-    "dims": (str, "7", "comma list of odd dimensions"),
+    "dims": (str, "7", "comma list of odd dimensions (norms: d >= 3)"),
     "R": (float, 2.0, "domain radius (>= 1/2)"),
     "N": (int, 64, "radial node count"),
     "s_end": (float, 5.0, "final hyperboloidal time"),

@@ -77,11 +77,9 @@ def christoffel(s, y):
     return gamma
 
 
-def sqrt_det(s, y, d=None):
+def sqrt_det(s, y):
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    if d is None:
-        d = y.size
-    return np.exp(-(d + 1) * s) * _scale(y)
+    return np.exp(-(y.size + 1) * s) * _scale(y)
 
 
 def contracted_christoffel_residual(s, y):
@@ -96,7 +94,7 @@ def contracted_christoffel_residual(s, y):
     step = 0.02 / max(2.0, d - 1.0)
 
     def flux(sv, yv):
-        return inverse_metric(sv, yv) * sqrt_det(sv, yv, d)
+        return inverse_metric(sv, yv) * sqrt_det(sv, yv)
 
     div = np.zeros(d + 1)
     for o, w in zip(_CD6_OFFSETS, _CD6_WEIGHTS):
@@ -111,4 +109,4 @@ def contracted_christoffel_residual(s, y):
     gamma = christoffel(s, y)
     ginv = inverse_metric(s, y)
     contracted = np.einsum("kl,nkl->n", ginv, gamma)
-    return np.max(np.abs(div / sqrt_det(s, y, d) + contracted))
+    return np.max(np.abs(div / sqrt_det(s, y) + contracted))

@@ -24,8 +24,6 @@ class Taylor:
 
     def __init__(self, coef):
         self.coef = np.asarray(coef, dtype=float)
-        if self.coef.ndim == 1:
-            self.coef = self.coef[:, None]
 
     @property
     def order(self):
@@ -34,12 +32,6 @@ class Taylor:
     @property
     def value(self):
         return self.coef[0]
-
-    @staticmethod
-    def constant(c, order, npts):
-        coef = np.zeros((order + 1, npts))
-        coef[0] = c
-        return Taylor(coef)
 
     def _lift(self, other):
         if isinstance(other, Taylor):
@@ -98,20 +90,6 @@ class Taylor:
         if not isinstance(other, Taylor):
             return Taylor(self.coef / other)
         return self * other.reciprocal()
-
-    def __pow__(self, n):
-        if n != int(n) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        n = int(n)
-        npts = self.coef.shape[1]
-        result = Taylor.constant(1.0, self.order, npts)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def sqrt(self):
         a = self.coef

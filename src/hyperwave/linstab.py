@@ -5,7 +5,8 @@ the unstable mode, and the argument-principle count of the eigenvalues of
 the mode equation in standard similarity coordinates.
 
 Everything runs on numpy: the eigen-decompositions are `numpy.linalg`'s, and
-the matrix exponential that `blowup` needs is a port of scipy's `expm`.
+the matrix exponential that `blowup` needs is the degree-13 branch of
+scipy's `expm`.
 """
 
 import math
@@ -61,7 +62,9 @@ class OperatorMatrix:
     def propagator(self, t):
         """exp(t A) for this matrix A, cached per exact t, as the square of
         the cached exp(t A / 2) by `_expm`, which a Lawson step asks for
-        too: where `_expm` takes s >= 1 squarings, that is its exp(t A)."""
+        too.  Where `_expm(t A / 2)` takes s >= 1 squarings, as at every
+        step of `blowup`, that square is `_expm(t A)` bit for bit: r_13
+        sees the same exactly scaled input, and one more squaring follows."""
         if t not in self._propagators:
             if 0.5 * t not in self._propagators:
                 self._propagators[0.5 * t] = _expm(0.5 * t * self.matrix)
@@ -69,100 +72,64 @@ class OperatorMatrix:
         return self._propagators[t]
 
 
-# Pade degree m -> the largest 1-norm theta_m at which r_m needs no scaling,
-# and 1/|c_{2m+1}| of the backward-error bound behind `_ell` (Al-Mohy and
-# Higham, SIAM J. Matrix Anal. Appl. 31, 2009)
-_PADE_THETA = {
-    3: 1.495585217958292e-2,
-    5: 2.539398330063230e-1,
-    7: 9.504178996162932e-1,
-    9: 2.097847961257068,
-    13: 4.25,
-}
-_ELL_C = {
-    3: 100800.0,
-    5: 10059033600.0,
-    7: 4487938430976000.0,
-    9: 5914384781877411840000.0,
-    13: 113250775606021113483283660800000000.0,
-}
-# coefficients b_0, ..., b_m of the Pade numerator p_m(x) = sum b_k x^k
-_PADE_COEFFS = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
-}
+# the largest 1-norm theta_13 at which the degree-13 Pade approximant r_13
+# needs no scaling, 1/|c_27| of the backward-error bound behind `_ell`, and
+# the coefficients b_0, ..., b_13 of its numerator p_13(x) = sum b_k x^k
+# (Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 31, 2009)
+_PADE_THETA = 4.25
+_ELL_C = 113250775606021113483283660800000000.0
+_PADE_COEFFS = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
 
 
 def _onenorm(A):
     return float(np.max(np.sum(np.abs(A), axis=0)))
 
 
-def _ell(A, m):
+def _ell(A):
     """The squarings beyond the norm-based choice that keep the backward
-    error of r_m(A) below the unit roundoff, from the exact column sums of
-    |A|^(2m+1)."""
+    error of r_13(A) below the unit roundoff, from the exact column sums of
+    |A|^27."""
     v = np.ones(A.shape[0])
     absA = np.abs(A)
-    for _ in range(2 * m + 1):
+    for _ in range(27):
         v = v @ absA
     norm = float(np.max(v))
     if norm == 0.0:
         return 0
-    alpha = norm / (_onenorm(A) * _ELL_C[m])
-    return max(int(np.ceil(np.log2(alpha / 2.0**-53) / (2 * m))), 0)
+    alpha = norm / (_onenorm(A) * _ELL_C)
+    return max(int(np.ceil(np.log2(alpha / 2.0**-53) / 26)), 0)
 
 
 def _expm(A):
-    """exp(A) by scaling and squaring of a diagonal Pade approximant r_m (Al-Mohy
-    and Higham 2009), ported from scipy 1.17's `expm`: the same degree m and
-    scaling s from exact 1-norms, the same powers A2 = A A, A4 = A2 A2,
-    A6 = A2 A4, and the quotient X = I + 2 U (V - U)^-1, whose result is
-    scipy's to rounding.  That form matters: at the blowup step,
-    cond(V - U) ~ 2e7, and solving (V - U) X = V + U instead moves the
-    README run's decay rate by 4e-7."""
+    """exp(A) by scaling and squaring of the degree-13 diagonal Pade
+    approximant r_13 (Al-Mohy and Higham 2009): the degree-13 branch of
+    scipy 1.17's `expm`, with its scaling s from the exact 1-norms of A6,
+    A4 A4 and A4 A6, its powers A2 = A A, A4 = A2 A2, A6 = A2 A4, and its
+    quotient X = I + 2 U (V - U)^-1, so the result is scipy's to rounding.
+    scipy's lower degrees are left out: at every step `blowup` takes,
+    ||A||_1 >= 3.5e5 is far above theta_13, and on small A degree 13 at
+    s = 0 is as accurate, at a few more products.  The quotient's form
+    matters: at the blowup step, cond(V - U) ~ 2e7, and solving
+    (V - U) X = V + U instead moves the README run's decay rate by 4e-7."""
     A2 = A @ A
     A4 = A2 @ A2
     A6 = A2 @ A4
     d6 = _onenorm(A6) ** (1 / 6)
-    eta = max(_onenorm(A4) ** 0.25, d6)
-    s = 0
-    if eta <= _PADE_THETA[3] and _ell(A, 3) == 0:
-        m = 3
-    elif eta <= _PADE_THETA[5] and _ell(A, 5) == 0:
-        m = 5
-    else:
-        A8 = A4 @ A4
-        d8 = _onenorm(A8) ** 0.125
-        eta = max(d6, d8)
-        if eta <= _PADE_THETA[7] and _ell(A, 7) == 0:
-            m = 7
-        elif eta <= _PADE_THETA[9] and _ell(A, 9) == 0:
-            m = 9
-        else:
-            m = 13
-            eta = min(eta, max(d8, _onenorm(A4 @ A6) ** 0.1))
-            if eta > 0.0:
-                s = max(int(np.ceil(np.log2(eta / _PADE_THETA[13]))), 0)
-            s += _ell(A * 2.0**-s, 13)
-    b = _PADE_COEFFS[m]
+    d8 = _onenorm(A4 @ A4) ** 0.125
+    eta = min(max(d6, d8), max(d8, _onenorm(A4 @ A6) ** 0.1))
+    s = max(int(np.ceil(np.log2(eta / _PADE_THETA))), 0) if eta > 0.0 else 0
+    s += _ell(A * 2.0**-s)
+    b = _PADE_COEFFS
     I = np.eye(A.shape[0])
-    if m == 13:
-        A, A2, A4, A6 = (P * 2.0 ** (-k * s) for k, P in ((1, A), (2, A2), (4, A4), (6, A6)))
-        U = A @ (
-            A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I
-        )
-        V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I
-    else:
-        # summed from the highest power down, as scipy sums them
-        powers = list(enumerate((I, A2, A4, A6, A8 if m == 9 else None)[: m // 2 + 1]))[::-1]
-        U = A @ sum(b[2 * k + 1] * P for k, P in powers)
-        V = sum(b[2 * k] * P for k, P in powers)
+    A, A2, A4, A6 = (P * 2.0 ** (-k * s) for k, P in ((1, A), (2, A2), (4, A4), (6, A6)))
+    U = A @ (
+        A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I
+    )
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I
     X = 2.0 * np.linalg.solve((V - U).T, U.T).T
     X[np.diag_indices_from(X)] += 1.0
     for _ in range(s):

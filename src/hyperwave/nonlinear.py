@@ -277,8 +277,7 @@ class CauchySolution:
     `gcrotmk`, so the fits agree with scipy's to rounding, not bit for bit.
     """
 
-    def __init__(self, params, pert, times, r, w):
-        self.params = params
+    def __init__(self, pert, times, r, w):
         self.pert = pert
         self.times = times
         self.r = r
@@ -403,7 +402,7 @@ def cauchy_tr_solver(
     lattice of w from `cauchy_lattice` on m cells, handed to
     `CauchySolution`, which fits the splines of w, w_t and w_r and keeps no
     lattice."""
-    return CauchySolution(params, pert, *cauchy_lattice(params, pert, m))
+    return CauchySolution(pert, *cauchy_lattice(params, pert, m))
 
 
 @dataclass
@@ -413,7 +412,6 @@ class HyperboloidalIC:
     state: StateVector
     s0: float
     T: float
-    eps: float
 
 
 def initial_data_operator(
@@ -447,7 +445,7 @@ def initial_data_operator(
     first = np.exp(-2.0 * s0) * F
     second = np.exp(-2.0 * s0) * (-es) * (h * Ft + y * Fr)
     state = StateVector(GridFunction(grid, first, "even"), GridFunction(grid, second, "even"))
-    return HyperboloidalIC(state=state, s0=s0, T=float(T), eps=eps)
+    return HyperboloidalIC(state=state, s0=s0, T=float(T))
 
 
 @dataclass
@@ -575,7 +573,6 @@ def decay_fit(s, norms):
 
 @dataclass
 class DecayReport:
-    T: float
     s: np.ndarray
     norm_k: np.ndarray
     norm_km1: np.ndarray
@@ -658,7 +655,6 @@ def adjust_blowup_time(op: OperatorMatrix, pert: PerturbationSpec, dt=DEFAULT_ST
         omega, resid = decay_fit(traj.s[sel], total[sel])
         floored = False
     report = DecayReport(
-        T=t_star,
         s=traj.s,
         norm_k=traj.norm_k,
         norm_km1=traj.norm_km1,

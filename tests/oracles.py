@@ -26,6 +26,8 @@ other reference that only one test module uses lives in that module.
   on full-grid data, behind `Grid.dilation_kernels`.
 """
 
+import math
+
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
@@ -119,8 +121,8 @@ def intertwining_residual(d, f1, f2, grid: Grid, k=1):
     rhs1, rhs2 = apply_Ld_series(1, dv1, dv2, x)
     R1 = lhs1 - dv1 - rhs1
     R2 = lhs2 - dv2 - rhs2
-    m = (d - 1) // 2
-    denom = series_pair_norm(grid, x**m * F1, x**m * F2, k + (d - 3) // 2)
+    xm = math.prod([x] * ((d - 1) // 2), start=1.0)
+    denom = series_pair_norm(grid, xm * F1, xm * F2, k + (d - 3) // 2)
     return series_pair_norm(grid, R1, R2, k) / denom
 
 

@@ -147,6 +147,10 @@ class TestConfigGates:
             ["freewave", "--s-end", "inf"],
             ["blowup", "--eps", "inf"],
             ["blowup", "--dt", "inf"],
+            # `norms` checks the weighted norms from d = 3 on; a smaller
+            # dimension is refused, not skipped with a passing exit
+            ["norms", "--dims", "1"],
+            ["norms", "--dims", "7,1"],
         ],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, argv):
@@ -206,6 +210,15 @@ class TestCommands:
         lines = (out.with_suffix(".csv")).read_text().splitlines()
         assert lines[0] == "d,check,max_residual"
         assert len(lines) > 20
+
+    def test_identities_repeated_dimension_checked_once(self, tmp_path, capsys):
+        # d = 1 is always checked, so a requested d = 1 adds no rows: 3
+        # identities at d = 1, 4 at d = 3, the Christoffel and parity checks
+        out = tmp_path / "ident"
+        assert run(["identities", "--dims", "1,3,3", "--out", str(out)]) == 0
+        assert "identities: 9 checks," in capsys.readouterr().out
+        lines = out.with_suffix(".csv").read_text().splitlines()[1:]
+        assert len(lines) == len({tuple(line.split(",")[:2]) for line in lines}) == 9
 
     def test_identities_deterministic(self, tmp_path):
         a = tmp_path / "a"
@@ -357,6 +370,12 @@ class TestCommands:
         assert run(["norms", "--dims", "3", "--N", "24", "--seed", "7", "--out", str(a)]) == 0
         assert run(["norms", "--dims", "3", "--N", "24", "--seed", "7", "--out", str(b)]) == 0
         assert a.with_suffix(".csv").read_bytes() == b.with_suffix(".csv").read_bytes()
+
+    def test_norms_repeated_dimension_checked_once(self, tmp_path):
+        once, twice = tmp_path / "once", tmp_path / "twice"
+        assert run(["norms", "--dims", "3", "--N", "24", "--out", str(once)]) == 0
+        assert run(["norms", "--dims", "3,3", "--N", "24", "--out", str(twice)]) == 0
+        assert once.with_suffix(".csv").read_bytes() == twice.with_suffix(".csv").read_bytes()
 
     @pytest.mark.parametrize("d", [9, 11])
     def test_spectrum_scan_ssc_beyond_d7(self, tmp_path, d):

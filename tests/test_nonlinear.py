@@ -202,7 +202,7 @@ class TestCauchySolver:
 
         params, pert = make_params(d), PerturbationSpec(amplitude)
         times, r, w = cauchy_lattice(params, pert, 360)
-        sol = CauchySolution(params, pert, times, r, w)
+        sol = CauchySolution(pert, times, r, w)
         knots = (_not_a_knot(times), _not_a_knot(r))
         operator, _ = _collocation_operator(knots[0], times, knots[1], r)
         n = times.size * r.size
@@ -312,9 +312,7 @@ class TestInitialData:
         # t = -0.1, before a solution that starts at t = -0.09; its values
         # do not matter, only its rectangle
         times = cauchy.times[cauchy.times >= -0.09]
-        short = CauchySolution(
-            params7, cauchy.pert, times, cauchy.r, np.zeros((times.size, cauchy.r.size))
-        )
+        short = CauchySolution(cauchy.pert, times, cauchy.r, np.zeros((times.size, cauchy.r.size)))
         with pytest.raises(ValueError):
             initial_data_operator(params7, short, 1.0, grid64)
 
@@ -373,7 +371,6 @@ class TestEvolveNonlinear:
             ),
             initial_time_s0(0.05),
             1.0,
-            0.05,
         )
         traj = evolve_nonlinear(op64, ic, ic.s0 + 4.0)
         slope = np.polyfit(traj.s, np.log(traj.norm_k + traj.norm_km1), 1)[0]
@@ -400,7 +397,6 @@ class TestEvolveNonlinear:
             ),
             initial_time_s0(0.05),
             1.0,
-            0.05,
         )
         traj = evolve_nonlinear(op64, ic, ic.s0 + 12.0)
         assert traj.unstable
