@@ -236,17 +236,6 @@ class StateVector:
     def grid(self):
         return self.f1.grid
 
-    def stacked(self):
-        return np.concatenate([self.f1.values, self.f2.values])
-
-    @classmethod
-    def from_stacked(cls, grid, vec):
-        vec = np.asarray(vec, dtype=float)
-        return cls(
-            GridFunction(grid, vec[: grid.N], "even"),
-            GridFunction(grid, vec[grid.N :], "even"),
-        )
-
 
 # ----------------------------------------------------------------------
 # norms

@@ -12,6 +12,8 @@ other reference that only one test module uses lives in that module.
 - `hpm_inner`, `halfwave_flow`, `halfwave_energy`: the transport energy of
   the half-waves, from the closed-form characteristic flow.
 - `blowup_profile_hsc`: the blowup profile along the similarity coordinates.
+- `stacked`, `from_stacked`: a two-component state as one vector
+  `[f1; f2]`, the layout the dense generator acts on, and back.
 - `evolve_linear`, `linear_decay_fit`: exact linear propagation by the
   matrix exponential and the growth exponent of its norm.
 - `exact_radial_wave`: a closed-form smooth radial free wave in every odd
@@ -33,7 +35,7 @@ from numpy.polynomial.legendre import leggauss
 
 from hyperwave import coeffs
 from hyperwave.descent import _descent_pair, _fd_start
-from hyperwave.grids import Grid, StateVector, weighted_state_norm
+from hyperwave.grids import Grid, GridFunction, StateVector, weighted_state_norm
 from hyperwave.jets import Taylor, jet_seed
 from hyperwave.model import HEIGHT
 
@@ -173,6 +175,17 @@ def blowup_profile_hsc(params, T, s, y):
     return val, 2.0 * val
 
 
+def stacked(state: StateVector):
+    return np.concatenate([state.f1.values, state.f2.values])
+
+
+def from_stacked(grid, vec):
+    """The even state whose stacked values are vec."""
+    return StateVector(
+        GridFunction(grid, vec[: grid.N], "even"), GridFunction(grid, vec[grid.N :], "even")
+    )
+
+
 def evolve_linear(op, state: StateVector, times):
     """Exact propagation of d_s Phi = L Phi by the matrix exponential; one
     state per output time in `times` (ascending).
@@ -180,7 +193,7 @@ def evolve_linear(op, state: StateVector, times):
     Each interval between output times applies exp((target - s) L) once.
     An explosion beyond e^{2s} growth aborts.
     """
-    v = state.stacked()
+    v = stacked(state)
     norm0 = np.linalg.norm(v) + 1e-300
     results = []
     s = 0.0
@@ -190,7 +203,7 @@ def evolve_linear(op, state: StateVector, times):
         s = target
         if np.linalg.norm(v) > 100.0 * np.exp(2.0 * s) * norm0:
             raise RuntimeError(f"linear evolution exploded beyond e^(2s) growth at s={s:.2f}")
-        results.append(StateVector.from_stacked(op.grid, v.copy()))
+        results.append(from_stacked(op.grid, v.copy()))
     return results
 
 

@@ -307,6 +307,8 @@ class TestCommands:
         assert doc["T_star"] == pytest.approx(0.99999998641799659, rel=1e-9)
         assert doc["omega0_fit"] == pytest.approx(0.58570981720474957, rel=1e-9)
         assert doc["gap"] == pytest.approx(0.58890482382738507, rel=1e-9)
+        assert doc["floor_limited"] is False
+        assert set(doc) == {"T_star", "omega0_fit", "fit_residual", "floor_limited", "gap", "parameters"}
         for suffix in (".csv", ".json"):
             assert a.with_suffix(suffix).read_bytes() == b.with_suffix(suffix).read_bytes()
 

@@ -44,6 +44,7 @@ from oracles import (
     intertwining_residual,
     jexp,
     series_pair_norm,
+    stacked,
 )
 
 ETA = np.linspace(0.0, 2.0, 9)  # interpolation nodes for the guard tests
@@ -209,7 +210,7 @@ class TestIntertwining:
         st = even_state(grid64, f1, f2)
         x = jet_seed(grid64.y, 3)
         N = grid64.N
-        Lv = generator_matrix(d, grid64) @ st.stacked()
+        Lv = generator_matrix(d, grid64) @ stacked(st)
         down = descent_step(d, st)
         pairs = (
             ((Lv[:N], Lv[N:]), apply_Ld_series(d, f1(x), f2(x), x)),
@@ -235,7 +236,7 @@ class TestIntertwining:
 class TestFreeWave:
     def test_zero(self, grid64):
         out = evolve_free_wave(7, even_state(grid64, np.zeros_like, np.zeros_like), 1.0)
-        assert np.max(np.abs(out.stacked())) == 0.0
+        assert np.max(np.abs(stacked(out))) == 0.0
 
     def test_semigroup_law(self, grid64):
         st = even_state(grid64, lambda e: np.exp(-(e**2)), lambda e: e**2 * np.exp(-(e**2)))
@@ -285,8 +286,22 @@ class TestFreeWave:
         # d = 7 they agree to 3.6e-9 (N = 96, h = 0.02)
         g = make_grid(2.0, N)
         st = even_state(g, lambda e: np.exp(-2 * e * e), lambda e: -0.5 * np.exp(-3 * e * e))
-        want = _expm(h * generator_matrix(7, g)) @ st.stacked()
-        got = evolve_free_wave(7, st, h).stacked()
+        want = _expm(h * generator_matrix(7, g)) @ stacked(st)
+        got = stacked(evolve_free_wave(7, st, h))
+        assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("h", [0.02, 1.0])
+    @pytest.mark.parametrize("N", [64, 96])
+    @pytest.mark.parametrize("d", [7, 9, 11])
+    def test_generator_exponential_matches_exact_radial_wave(self, d, N, h):
+        # the exponential of the dense generator keeps 1e-8 at every d (worst
+        # 6.0e-9 at d = 11, N = 96, h = 1); evolve_free_wave misses the same
+        # solution by 1.1e-7 at d = 9 and 7.4e-5 at d = 11 (N = 64, h = 0.02),
+        # mostly in d_s u, so the descent propagator is what loses the digits
+        g = make_grid(2.0, N)
+        x = np.concatenate(exact_radial_wave(d, g.eta, 0.0, 1.0))
+        want = np.concatenate(exact_radial_wave(d, g.eta, h, 1.0))
+        got = _expm(h * generator_matrix(d, g)) @ x
         assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("N, limit", [(64, 1.5e6), (128, 4e6)])

@@ -125,11 +125,6 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             StateVector(a, b)
 
-    def test_stacked_round_trip(self, grid64, rng):
-        vec = rng.standard_normal(128)
-        st = StateVector.from_stacked(grid64, vec)
-        assert st.stacked() == pytest.approx(vec)
-
 
 class TestNorms:
     def test_flat_function_exact(self):

@@ -13,7 +13,7 @@ from hyperwave.model import HEIGHT
 from hyperwave.nonlinear import smooth_bump
 
 from conftest import odd_state
-from oracles import classical_loop, halfwave_energy, halfwave_flow, hpm_inner
+from oracles import classical_loop, halfwave_energy, halfwave_flow, hpm_inner, stacked
 
 
 # ----------------------------------------------------------------------
@@ -307,7 +307,7 @@ class TestS1:
     def test_zero(self, g):
         z = odd_state(g, lambda e: 0 * e, lambda e: 0 * e)
         out = evolve_S1(z, 1.0)
-        assert np.max(np.abs(out.stacked())) == 0.0
+        assert np.max(np.abs(stacked(out))) == 0.0
 
     def test_semigroup_law(self, g, smooth_odd):
         one = evolve_S1(smooth_odd, 1.8)

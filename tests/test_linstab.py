@@ -24,7 +24,7 @@ from hyperwave.linstab import (
 from hyperwave.model import HEIGHT, make_params, potential, symmetry_mode
 
 from conftest import even_state
-from oracles import evolve_linear, linear_decay_fit
+from oracles import evolve_linear, from_stacked, linear_decay_fit, stacked
 
 
 def mode_ode_coeffs(params, lam, eta):
@@ -206,28 +206,28 @@ class TestRieszProjection:
         st = StateVector(bump, GridFunction(grid96, -0.2 * bump.values, "even"))
         ds = 0.5
         (a,) = evolve_linear(op96, st, [ds])
-        (b,) = evolve_linear(op96, StateVector.from_stacked(grid96, proj96 @ st.stacked()), [ds])
-        diff = proj96 @ a.stacked() - b.stacked()
-        assert np.max(np.abs(diff)) / np.max(np.abs(st.stacked())) < 1e-5
+        (b,) = evolve_linear(op96, from_stacked(grid96, proj96 @ stacked(st)), [ds])
+        diff = proj96 @ stacked(a) - stacked(b)
+        assert np.max(np.abs(diff)) / np.max(np.abs(stacked(st))) < 1e-5
 
 
 class TestLinearEvolution:
     def test_zero(self, op96, grid96):
         (out,) = evolve_linear(op96, even_state(grid96, np.zeros_like, np.zeros_like), [1.0])
-        assert np.max(np.abs(out.stacked())) == 0.0
+        assert np.max(np.abs(stacked(out))) == 0.0
 
     def test_unstable_direction_grows_like_e_s(self, params7, grid96, op96, proj96):
         bump = GridFunction.from_callable(grid96, lambda e: np.exp(-4 * (e - 0.8) ** 2), "even")
         st = StateVector(bump, GridFunction(grid96, 0.3 * bump.values, "even"))
-        proj_state = StateVector.from_stacked(grid96, proj96 @ st.stacked())
+        proj_state = from_stacked(grid96, proj96 @ stacked(st))
         exponent, _ = linear_decay_fit(op96, proj_state)
         assert exponent == pytest.approx(1.0, abs=0.02)
 
     def test_stable_complement_decays_at_gap(self, grid96, op96, proj96, spec96):
         bump = GridFunction.from_callable(grid96, lambda e: np.exp(-4 * (e - 0.8) ** 2), "even")
         st = StateVector(bump, GridFunction(grid96, 0.3 * bump.values, "even"))
-        stacked = st.stacked()
-        q_state = StateVector.from_stacked(grid96, stacked - proj96 @ stacked)
+        v = stacked(st)
+        q_state = from_stacked(grid96, v - proj96 @ v)
         exponent, _ = linear_decay_fit(op96, q_state, s_values=np.linspace(2.0, 8.0, 13))
         assert exponent < 0.0
         assert abs(-exponent - spec96.gap) <= 0.2 * spec96.gap

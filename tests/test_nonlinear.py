@@ -3,12 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
-from hyperwave.grids import GridFunction, StateVector, weighted_sobolev_norm
+from hyperwave.grids import GridFunction, weighted_sobolev_norm
 from hyperwave.linstab import spectrum
 from hyperwave.model import HEIGHT, initial_time_s0, make_params, symmetry_mode
 from hyperwave.nonlinear import (
     CauchySolution,
-    HyperboloidalIC,
     PerturbationSpec,
     adjust_blowup_time,
     cauchy_lattice,
@@ -317,15 +316,14 @@ class TestInitialData:
             initial_data_operator(params7, short, 1.0, grid64)
 
     def test_zero_perturbation_reference_time(self, params7, cauchy_zero, grid64):
-        ic = initial_data_operator(params7, cauchy_zero, 1.0, grid64)
-        assert np.max(np.abs(ic.state.stacked())) == 0.0
-        assert ic.s0 == pytest.approx(initial_time_s0(0.05))
+        v0 = initial_data_operator(params7, cauchy_zero, 1.0, grid64)
+        assert v0.shape == (2 * grid64.N,)
+        assert np.max(np.abs(v0)) == 0.0
 
     def test_linear_in_time_shift(self, params7, cauchy_zero, grid64):
         tau = 1e-3
-        ic = initial_data_operator(params7, cauchy_zero, 1.0 + tau, grid64)
+        u = initial_data_operator(params7, cauchy_zero, 1.0 + tau, grid64)
         mode = symmetry_mode(params7, grid64.eta).ravel()
-        u = ic.state.stacked()
         cosang = abs(u @ mode) / np.sqrt((u @ u) * (mode @ mode))
         assert np.arccos(min(1.0, cosang)) < 1e-3
         c_eps = 2.0 * params7.a * params7.b * np.exp(initial_time_s0(0.05))
@@ -334,8 +332,7 @@ class TestInitialData:
     def test_size_bound(self, params7, cauchy, grid64):
         # || U(f, T) || controlled by amplitude + |T - 1|
         for T in (1.0, 1.0 + 0.003, 1.0 - 0.003):
-            ic = initial_data_operator(params7, cauchy, T, grid64)
-            size = np.max(np.abs(ic.state.stacked()))
+            size = np.max(np.abs(initial_data_operator(params7, cauchy, T, grid64)))
             assert size <= 30.0 * (1e-3 + abs(T - 1.0))
 
     def test_window_gate(self, params7, cauchy, grid64):
@@ -345,8 +342,8 @@ class TestInitialData:
     def test_continuity_in_T(self, params7, cauchy, grid64):
         # the T-difference quotient converges (continuity, in fact C^1)
         def quotient(h):
-            a = initial_data_operator(params7, cauchy, 1.0 + h, grid64).state.stacked()
-            b = initial_data_operator(params7, cauchy, 1.0 - h, grid64).state.stacked()
+            a = initial_data_operator(params7, cauchy, 1.0 + h, grid64)
+            b = initial_data_operator(params7, cauchy, 1.0 - h, grid64)
             return (a - b) / (2.0 * h)
 
         q1 = quotient(1e-3)
@@ -355,51 +352,59 @@ class TestInitialData:
         assert np.max(np.abs(q1 - q2)) / scale < 0.05
 
 
+S0 = initial_time_s0(0.05)
+
+
 class TestEvolveNonlinear:
     def test_zero_fixed_point(self, params7, cauchy_zero, grid64, op64):
-        ic = initial_data_operator(params7, cauchy_zero, 1.0, grid64)
-        traj = evolve_nonlinear(op64, ic, ic.s0 + 4.0)
+        v0 = initial_data_operator(params7, cauchy_zero, 1.0, grid64)
+        traj = evolve_nonlinear(op64, v0, S0, S0 + 4.0)
         assert np.max(traj.norm_k) == 0.0
         assert not traj.unstable
 
     def test_mode_grows_linearly(self, params7, grid64, op64):
-        md = symmetry_mode(params7, grid64.eta)
-        ic = HyperboloidalIC(
-            StateVector(
-                GridFunction(grid64, 1e-4 * md[0], "even"),
-                GridFunction(grid64, 1e-4 * md[1], "even"),
-            ),
-            initial_time_s0(0.05),
-            1.0,
-        )
-        traj = evolve_nonlinear(op64, ic, ic.s0 + 4.0)
+        md = symmetry_mode(params7, grid64.eta).ravel()
+        traj = evolve_nonlinear(op64, 1e-4 * md, S0, S0 + 4.0)
         slope = np.polyfit(traj.s, np.log(traj.norm_k + traj.norm_km1), 1)[0]
         assert slope == pytest.approx(1.0, abs=0.02)
 
     def test_rk4_self_convergence(self, params7, cauchy, grid64, op64):
         # off-shooting data keep the nonlinear term large enough that the
         # step error of the integrating-factor scheme stays above roundoff
-        ic = initial_data_operator(params7, cauchy, 1.02, grid64)
+        v0 = initial_data_operator(params7, cauchy, 1.02, grid64)
         outs = {}
         for h in (0.2, 0.1, 0.05):
-            traj = evolve_nonlinear(op64, ic, ic.s0 + 2.0, dt=h, n_record=2)
-            outs[h] = traj.final.stacked()
+            outs[h] = evolve_nonlinear(op64, v0, S0, S0 + 2.0, dt=h, n_record=2).final
         e1 = np.max(np.abs(outs[0.2] - outs[0.1]))
         e2 = np.max(np.abs(outs[0.1] - outs[0.05]))
         assert 3.0 < np.log2(e1 / e2) < 5.0
 
     def test_explosion_flagged_not_raised(self, params7, grid64, op64):
-        md = symmetry_mode(params7, grid64.eta)
-        ic = HyperboloidalIC(
-            StateVector(
-                GridFunction(grid64, 5.0 * md[0], "even"),
-                GridFunction(grid64, 5.0 * md[1], "even"),
-            ),
-            initial_time_s0(0.05),
-            1.0,
-        )
-        traj = evolve_nonlinear(op64, ic, ic.s0 + 12.0)
+        md = symmetry_mode(params7, grid64.eta).ravel()
+        traj = evolve_nonlinear(op64, 5.0 * md, S0, S0 + 12.0)
         assert traj.unstable
+
+    @pytest.mark.parametrize("h", [0.02, 0.01, 0.005, 0.0025])
+    @pytest.mark.parametrize("c", [1.0, 2.0, 5.0, 10.0, 20.0])
+    def test_explosion_guard_trips_past_a_singularity(self, params7, grid64, op64, c, h):
+        # to first order, c * mode with c > 0 is the profile u_1^* seen from
+        # hyperboloids of a later blowup time (test_linear_in_time_shift):
+        # they reach its singularity at t = 1 within 2 units of s.  Past it
+        # the norm wanders between 1e4 and 1e5, and at the smaller steps it
+        # never overflows
+        md = symmetry_mode(params7, grid64.eta).ravel()
+        traj = evolve_nonlinear(op64, c * md, S0, S0 + 8.0, dt=h)
+        assert traj.unstable
+        assert traj.s.size == traj.norm_k.size < 9
+        assert np.all(np.isfinite(traj.norm_k + traj.norm_km1))
+
+    @pytest.mark.parametrize("c", [-1.0, -5.0])
+    def test_explosion_guard_passes_large_regular_data(self, params7, grid64, op64, c):
+        # c < 0: an earlier blowup time, so the hyperboloids stay below the
+        # singularity and the state settles to the rescaled profile
+        md = symmetry_mode(params7, grid64.eta).ravel()
+        traj = evolve_nonlinear(op64, c * md, S0, S0 + 8.0)
+        assert not traj.unstable and traj.s.size == 33
 
     def test_tracks_exact_two_profile_trajectory(self, params7, cauchy_zero, grid64, op64):
         # u_1^* and u_T^* both solve the full nonlinear equation exactly, so
@@ -410,19 +415,20 @@ class TestEvolveNonlinear:
 
         tau = 1e-3
         T = 1.0 + tau
-        ic = initial_data_operator(params7, cauchy_zero, T, grid64)
+        v0 = initial_data_operator(params7, cauchy_zero, T, grid64)
         y = grid64.eta
+        n = grid64.N
         for ds in (0.5, 2.0):
-            traj = evolve_nonlinear(op64, ic, ic.s0 + ds, n_record=2)
-            s1 = ic.s0 + ds
+            traj = evolve_nonlinear(op64, v0, S0, S0 + ds, n_record=2)
+            s1 = S0 + ds
             es = np.exp(-s1)
             t = T + es * HEIGHT.h(y)
             r = es * y
             dv, dvt, dvr = profile_difference(params7, T, t, r)
             want1 = np.exp(-2.0 * s1) * dv
             want2 = np.exp(-2.0 * s1) * (-es) * (HEIGHT.h(y) * dvt + y * dvr)
-            assert np.max(np.abs(traj.final.f1.values - want1)) / np.max(np.abs(want1)) < 1e-6
-            assert np.max(np.abs(traj.final.f2.values - want2)) / np.max(np.abs(want2)) < 1e-6
+            assert np.max(np.abs(traj.final[:n] - want1)) / np.max(np.abs(want1)) < 1e-6
+            assert np.max(np.abs(traj.final[n:] - want2)) / np.max(np.abs(want2)) < 1e-6
 
 
 class TestDecayFit:
@@ -464,41 +470,41 @@ class TestDecayFit:
 
 class TestBlowupAdjustment:
     def test_full_experiment(self, pert, op64):
-        t_star, report = adjust_blowup_time(op64, pert)
+        t_star, traj, omega, _ = adjust_blowup_time(op64, pert)
         gap = spectrum(op64).gap
         assert abs(t_star - 1.0) <= 0.1
-        assert report.omega_fit is not None and report.omega_fit > 0.0
-        assert abs(report.omega_fit - gap) <= 0.2 * gap
-        assert not report.floor_limited
+        assert omega is not None and omega > 0.0
+        assert abs(omega - gap) <= 0.2 * gap
+        assert not traj.unstable
         # sign change verified inside; projection coefficient small at the end
-        assert abs(report.projection_coeff[-1]) < 1e-4
+        assert abs(traj.projection_coeff[-1]) < 1e-4
 
     def test_no_shooting_time_evolved_twice(self, pert, op64, monkeypatch):
         from hyperwave import nonlinear
 
+        # each evolution starts from the data of one initial_data_operator call
         times = []
-        evolve = nonlinear.evolve_nonlinear
+        prepare = nonlinear.initial_data_operator
 
-        def recording(op, ic, s_end, **kwargs):
-            times.append(ic.T)
-            return evolve(op, ic, s_end, **kwargs)
+        def recording(params, cauchy, T, grid):
+            times.append(T)
+            return prepare(params, cauchy, T, grid)
 
-        monkeypatch.setattr(nonlinear, "evolve_nonlinear", recording)
-        t_star, _ = adjust_blowup_time(op64, pert)
+        monkeypatch.setattr(nonlinear, "initial_data_operator", recording)
+        t_star = adjust_blowup_time(op64, pert)[0]
         # every evolution but the last is a shooting run; the last runs at T*
         shooting = times[:-1]
         assert times[-1] == t_star and t_star in shooting
         assert len(set(shooting)) == len(shooting)
 
     def test_zero_amplitude_control(self, op64):
-        t_star, report = adjust_blowup_time(op64, PerturbationSpec(0.0))
+        t_star, traj, omega, residual = adjust_blowup_time(op64, PerturbationSpec(0.0))
         assert t_star == 1.0
-        assert report.floor_limited
-        assert np.max(report.norm_k + report.norm_km1) == 0.0
+        assert omega is None and residual is None
+        assert np.max(traj.norm_k + traj.norm_km1) == 0.0
 
     def test_rate_family_independent(self, op64):
         rates = []
         for spec in (PerturbationSpec(1e-3), PerturbationSpec(3e-4, weight_f=0.4, weight_g=1.0)):
-            _, report = adjust_blowup_time(op64, spec)
-            rates.append(report.omega_fit)
+            rates.append(adjust_blowup_time(op64, spec)[2])
         assert abs(rates[0] - rates[1]) <= 0.2 * abs(rates[0])
