@@ -8,6 +8,7 @@ Exit codes: 0 ok, 1 tolerance breach, 2 configuration error.
 import argparse
 import json
 import math
+import os
 import re
 import sys
 
@@ -17,8 +18,6 @@ from . import coeffs
 from .descent import direct_fd_oracle, evolve_free_wave
 from .geometry import contracted_christoffel_residual
 from .grids import (
-    GridFunction,
-    StateVector,
     hardy_check,
     integral_op_T,
     make_grid,
@@ -81,6 +80,16 @@ def _merge(args):
         if key not in given:
             setattr(args, key, value)
     return args
+
+
+def _check_out(prefix):
+    """The nearest existing ancestor of the outputs' directory must be a
+    writable directory, so that the writers can make the rest."""
+    path = os.path.dirname(os.path.abspath(prefix + ".csv"))
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not (os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)):
+        raise ConfigError(f"output prefix {prefix!r}: {path} is not a writable directory")
 
 
 def _dims_list(args):
@@ -146,12 +155,10 @@ def cmd_freewave(args):
     grid = make_grid(args.R, args.N)
     s_values = np.linspace(0.0, args.s_end, max(int(2 * args.s_end) + 1, 6))
     if args.d == 1:
-        odd1 = GridFunction(grid, grid.eta * smooth_bump(grid.eta / 0.5), "odd")
-        odd2 = GridFunction(grid, np.zeros(grid.N), "odd")
-        state = StateVector(odd1, odd2)
-        norms = [odd_state_norm(state, 2)]
+        state = np.concatenate([grid.eta * smooth_bump(grid.eta / 0.5), np.zeros(grid.N)])
+        norms = [odd_state_norm(grid, state, 2)]
         for s in s_values[1:]:
-            norms.append(odd_state_norm(evolve_S1(state, s), 2))
+            norms.append(odd_state_norm(grid, evolve_S1(grid, state, s), 2))
         cross_err = None
     else:
         # cross-check first, so that an R the FD oracle refuses stops the run at once;
@@ -162,23 +169,18 @@ def cmd_freewave(args):
             )
         except ValueError as exc:  # an FD stencil past eta = R (R too close to 1/2)
             raise ConfigError(f"{args.command}: {exc}") from exc
-        gauss = StateVector(
-            GridFunction.from_callable(grid, lambda e: np.exp(-2 * e * e), "even"),
-            GridFunction.from_callable(grid, lambda e: np.zeros_like(e), "even"),
-        )
-        ev = evolve_free_wave(args.d, gauss, 1.0)
+        eta = grid.eta
+        gauss = np.concatenate([np.exp(-2 * eta * eta), np.zeros(grid.N)])
+        ev = evolve_free_wave(args.d, grid, gauss, 1.0)[: grid.N]
         wgt = grid.radial_weights(args.d)
-        cross_err = float(
-            np.sqrt(np.sum((ev.f1.values - o1) ** 2 * wgt) / np.sum(ev.f1.values**2 * wgt))
-        )
+        cross_err = float(np.sqrt(np.sum((ev - o1) ** 2 * wgt) / np.sum(ev**2 * wgt)))
         k = (args.d - 1) // 2
-        state = StateVector(
-            GridFunction.from_callable(grid, lambda r: smooth_bump(r / 0.5), "even"),
-            GridFunction.from_callable(grid, lambda r: -0.3 * smooth_bump(r / 0.6), "even"),
-        )
-        norms = [weighted_state_norm(state, k, args.d)]
+        state = np.concatenate([smooth_bump(eta / 0.5), -0.3 * smooth_bump(eta / 0.6)])
+        norms = [weighted_state_norm(grid, state, k, args.d)]
         for s in s_values[1:]:
-            norms.append(weighted_state_norm(evolve_free_wave(args.d, state, s), k, args.d))
+            norms.append(
+                weighted_state_norm(grid, evolve_free_wave(args.d, grid, state, s), k, args.d)
+            )
     rows = [(float(s), float(nv)) for s, nv in zip(s_values, norms)]
     write_csv(args.out + ".csv", ["s", "norm"], rows)
     slope = float(np.polyfit(s_values, np.log(norms), 1)[0])
@@ -359,8 +361,7 @@ def cmd_norms(args):
             ratios = []
             for N in (args.N, 2 * args.N):
                 grid = make_grid(args.R, N)
-                gf = GridFunction.from_callable(grid, fhat, "even")
-                ratios.append(on / weighted_sobolev_norm(gf, k, d))
+                ratios.append(on / weighted_sobolev_norm(grid, fhat(grid.eta), k, d))
             drift = abs(ratios[1] / ratios[0] - 1.0)
             ok = ok and drift < 0.1
             rows.append((d, k, float(ratios[0]), float(ratios[1]), float(drift)))
@@ -480,6 +481,7 @@ def main(argv=None):
             raise ConfigError(f"the blowup profile needs d >= 7, got {args.d}")
         if not args.R >= 0.5:
             raise ConfigError(f"R must be >= 1/2, got {args.R}")
+        _check_out(args.out)
         return func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

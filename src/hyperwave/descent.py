@@ -6,8 +6,9 @@ propagator built from it, and the upwind finite-difference reference solver,
 one march to one time, that `freewave` cross-checks the propagator against
 at s = 1, read at the nodes by the cubic through the four nearest cells.
 
-States in d dimensions are even two-component half-grid functions; the
-composite descent lands on the odd module of the 1-d machinery.
+States are stacked half-grid vectors [F1; F2]: even in every d >= 3, and
+odd on the 1-d module after the terminal step D_3, which is where the
+half-wave machinery of `halfwave` evolves them.
 """
 
 from functools import lru_cache
@@ -16,7 +17,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import coeffs
-from .grids import GridFunction, StateVector
 from .halfwave import evolve_S1
 from .model import HEIGHT
 
@@ -43,16 +43,12 @@ def _descent_pair(d, x, F1, F2, deriv):
     return tuple((d - 2.0) * F + c1 * deriv(F, "even") + c2 * L for F, L in zip((F1, F2), LF))
 
 
-def descent_step(d, state: StateVector) -> StateVector:
-    """One descent step d -> d-2 (or the terminal 3 -> 1 multiplication)."""
+def descent_step(d, grid, v):
+    """One descent step d -> d-2 (or the terminal 3 -> 1 multiplication) of
+    the even stacked state v; the result is even, or odd after D_3."""
     if d < 3 or d % 2 == 0:
         raise ValueError(f"descent steps need odd d >= 3, got d={d}")
-    grid = state.grid
-    if state.f1.parity != "even":
-        raise ValueError("descent input must be an even radial state")
-    out1, out2 = _descent_pair(d, grid.eta, state.f1.values, state.f2.values, grid.deriv_half)
-    parity = "odd" if d == 3 else "even"
-    return StateVector(GridFunction(grid, out1, parity), GridFunction(grid, out2, parity))
+    return np.concatenate(_descent_pair(d, grid.eta, *np.split(v, 2), grid.deriv_half))
 
 
 @lru_cache(maxsize=16)
@@ -71,58 +67,46 @@ def _inverse_kernels(grid, d):
     )
 
 
-def descent_step_inverse(d, state: StateVector) -> StateVector:
-    """Inverse of one descent step, by the integrated-by-parts kernel form.
+def descent_step_inverse(d, grid, v):
+    """Inverse of one descent step, by the integrated-by-parts kernel form:
+    an even stacked state from an even one, or from an odd one for d = 3.
 
     The homogeneous-solution coefficients vanish for smooth targets, so the
     particular solution built from the kernel weights is the inverse.
     """
-    grid = state.grid
     eta = grid.eta
+    g1, g2 = np.split(v, 2)
     if d == 3:
-        if state.f1.parity != "odd":
-            raise ValueError("the 3 -> 1 inverse expects an odd pair")
         # D_3 (F1, F2) = (eta F1, eta (F2 - F1))
-        g1, g2 = state.f1.values, state.f2.values
-        return StateVector(
-            GridFunction(grid, g1 / eta, "even"), GridFunction(grid, (g1 + g2) / eta, "even")
-        )
-    if state.f1.parity != "even":
-        raise ValueError("descent inverses for d > 3 expect even pairs")
+        return np.concatenate([g1 / eta, (g1 + g2) / eta])
     h = HEIGHT.h(eta)
     K11, K12, K21, K22 = _inverse_kernels(grid, d)
-    g1, g2 = state.f1.values, state.f2.values
     J11, J12, J21, J22 = K11 @ g1, K12 @ g1, K21 @ g2, K22 @ g2
     S = np.sqrt(2.0 + eta * eta)
-    local = (3.0 - 2.0 * S) / (S - 1.0) * state.f1.values
+    local = (3.0 - 2.0 * S) / (S - 1.0) * g1
     f1 = -h * J11 + J12 - h * J21 + J22
     f2 = -(d - 3.0) * h * J11 + (d - 2.0) * J12 + local - (d - 3.0) * h * J21 + (d - 2.0) * J22
-    return StateVector(GridFunction(grid, f1, "even"), GridFunction(grid, f2, "even"))
+    return np.concatenate([f1, f2])
 
 
-def descent_full(d, state: StateVector) -> StateVector:
+def descent_full(d, grid, v):
     """Composite descent D_3 o D_5 o ... o D_d onto the odd 1-d module."""
-    out = state
     for dd in range(d, 1, -2):
-        out = descent_step(dd, out)
-    return out
+        v = descent_step(dd, grid, v)
+    return v
 
 
-def descent_full_inverse(d, state: StateVector) -> StateVector:
-    out = state
+def descent_full_inverse(d, grid, v):
     for dd in range(3, d + 1, 2):
-        out = descent_step_inverse(dd, out)
-    return out
+        v = descent_step_inverse(dd, grid, v)
+    return v
 
 
-def evolve_free_wave(d, state: StateVector, ds) -> StateVector:
-    """Free radial wave propagator e^{ds} D_d^{-1} S_1(ds) D_d."""
-    down = descent_full(d, state)
-    evolved = evolve_S1(down, ds)
-    up = descent_full_inverse(d, evolved)
-    scale = np.exp(float(ds))
-    up.f1.values *= scale
-    up.f2.values *= scale
+def evolve_free_wave(d, grid, v, ds):
+    """Free radial wave propagator e^{ds} D_d^{-1} S_1(ds) D_d on the even
+    stacked state v."""
+    up = descent_full_inverse(d, grid, evolve_S1(grid, descent_full(d, grid, v), ds))
+    up *= np.exp(float(ds))
     return up
 
 

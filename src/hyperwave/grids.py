@@ -5,6 +5,9 @@ the free propagator (int_0^1 w(t eta) t^p g(t eta) dt on even half-grid
 data), the weighted radial Sobolev norms and their brute-force oracle, and
 the Hardy and integral-operator checks.
 
+A two-component state (field, s-derivative) is one stacked vector [F1; F2]
+of 2N half-grid values; its parity is fixed by the stage that holds it.
+
 The full grid deliberately contains an even number of nodes so that eta = 0
 is never a collocation point; all coefficient functions with 1/eta poles can
 then be evaluated directly.
@@ -13,7 +16,6 @@ The grid machinery needs numpy alone.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -21,8 +23,6 @@ from numpy.polynomial.legendre import leggauss
 __all__ = [
     "Grid",
     "make_grid",
-    "GridFunction",
-    "StateVector",
     "weighted_sobolev_norm",
     "sobolev_norm_full",
     "weighted_state_norm",
@@ -115,13 +115,16 @@ class Grid:
         sign = {"even": 1.0, "odd": -1.0}[parity]
         return np.concatenate([sign * values[::-1], values])
 
-    def restrict(self, full_values):
-        return np.asarray(full_values)[self.N :]
-
-    def parity_defect(self, full_values, parity):
-        full_values = np.asarray(full_values)
+    def restrict(self, full_values, parity, tol=1e-12):
+        """Full-grid values of the given parity -> half-grid values; the
+        parity must hold to `tol` relative to max(1, max |values|)."""
+        full_values = np.asarray(full_values, dtype=float)
         sign = {"even": 1.0, "odd": -1.0}[parity]
-        return float(np.max(np.abs(full_values - sign * full_values[::-1])))
+        defect = float(np.max(np.abs(full_values - sign * full_values[::-1])))
+        scale = max(1.0, float(np.max(np.abs(full_values))))
+        if defect > tol * scale:
+            raise ValueError(f"declared parity {parity!r} violated by {defect:.3e}")
+        return full_values[self.N :]
 
     def deriv_half(self, values, parity):
         """Derivative of a definite-parity function from half-grid values."""
@@ -153,9 +156,6 @@ class Grid:
             out[r, :] = 0.0
             out[r, c] = 1.0
         return out
-
-    def interpolate(self, full_values, pts):
-        return self.interp_matrix(pts) @ np.asarray(full_values)
 
     def dilation_kernels(self, weights, power=0):
         """N x N kernels K_k, one per callable `weights[k]`, with
@@ -189,65 +189,13 @@ def make_grid(R, N) -> Grid:
     return Grid(R, N)
 
 
-@dataclass
-class GridFunction:
-    """Values of a definite-parity radial function on the half grid [0, R]."""
-
-    grid: Grid
-    values: np.ndarray
-    parity: str
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.N,):
-            raise ValueError(f"expected {self.grid.N} half-grid values, got {self.values.shape}")
-        if self.parity not in ("even", "odd"):
-            raise ValueError(f"parity must be 'even' or 'odd', got {self.parity!r}")
-
-    @classmethod
-    def from_callable(cls, grid, fn, parity):
-        return cls(grid, np.asarray(fn(grid.eta), dtype=float), parity)
-
-    @classmethod
-    def from_full(cls, grid, full_values, parity, tol=1e-12):
-        full_values = np.asarray(full_values, dtype=float)
-        defect = grid.parity_defect(full_values, parity)
-        scale = max(1.0, float(np.max(np.abs(full_values))))
-        if defect > tol * scale:
-            raise ValueError(f"declared parity {parity!r} violated by {defect:.3e}")
-        return cls(grid, grid.restrict(full_values), parity)
-
-    def full(self):
-        return self.grid.extend(self.values, self.parity)
-
-
-@dataclass
-class StateVector:
-    """Two-component grid state (field, s-derivative) on a common grid."""
-
-    f1: GridFunction
-    f2: GridFunction
-
-    def __post_init__(self):
-        if self.f1.grid is not self.f2.grid:
-            raise ValueError("state components must live on the same grid")
-
-    @property
-    def grid(self):
-        return self.f1.grid
-
-
 # ----------------------------------------------------------------------
 # norms
 
 
-def _max_order(grid):
-    return max(2, grid.N // 8)
-
-
 def sobolev_norm_full(grid, full_values, k):
     """H^k(-R, R) norm (sum of L^2 norms of derivatives) from full values."""
-    if k > _max_order(grid):
+    if k > max(2, grid.N // 8):
         raise ValueError(f"order k={k} not resolvable at N={grid.N}")
     g = np.asarray(full_values, dtype=float)
     total = 0.0
@@ -257,30 +205,32 @@ def sobolev_norm_full(grid, full_values, k):
     return float(total)
 
 
-def weighted_sobolev_norm(f: GridFunction, k, d):
-    """Radial H^k(B_R^d) norm surrogate: H^k(-R, R) norm of |.|^((d-1)/2) f.
+def weighted_sobolev_norm(grid, half_values, k, d):
+    """Radial H^k(B_R^d) norm surrogate: H^k(-R, R) norm of |.|^((d-1)/2) f
+    for the even f with the given half-grid values.
 
     The signed power y^((d-1)/2) is used on the full grid; its derivatives
     agree with those of the |.|-weighted function up to parity, and all the
     integrands are even, so the quadrature values coincide.
     """
-    if f.parity != "even":
-        raise ValueError("weighted radial norms act on even representatives")
     if d % 2 == 0 or d < 1:
         raise ValueError(f"odd space dimension required, got d={d}")
     m = (d - 1) // 2
-    full = f.grid.y**m * f.full()
-    return sobolev_norm_full(f.grid, full, k)
+    full = grid.y**m * grid.extend(half_values, "even")
+    return sobolev_norm_full(grid, full, k)
 
 
-def weighted_state_norm(state: StateVector, k, d):
-    return weighted_sobolev_norm(state.f1, k, d) + weighted_sobolev_norm(state.f2, k - 1, d)
+def weighted_state_norm(grid, v, k, d):
+    """H^k x H^(k-1) weighted norm of the even stacked state v = [F1; F2]."""
+    f1, f2 = np.split(v, 2)
+    return weighted_sobolev_norm(grid, f1, k, d) + weighted_sobolev_norm(grid, f2, k - 1, d)
 
 
-def odd_state_norm(state: StateVector, k):
-    """H^k x H^(k-1) norm of an odd two-component state on [-R, R]."""
-    return sobolev_norm_full(state.grid, state.f1.full(), k) + sobolev_norm_full(
-        state.grid, state.f2.full(), k - 1
+def odd_state_norm(grid, v, k):
+    """H^k x H^(k-1) norm of the odd stacked state v = [F1; F2] on [-R, R]."""
+    f1, f2 = np.split(v, 2)
+    return sobolev_norm_full(grid, grid.extend(f1, "odd"), k) + sobolev_norm_full(
+        grid, grid.extend(f2, "odd"), k - 1
     )
 
 
@@ -348,6 +298,6 @@ def integral_op_T(grid: Grid, full_values, m, n):
     """
     if n + 1 - m < 0:
         raise ValueError(f"need n + 1 - m >= 0, got m={m}, n={n}")
-    half = GridFunction.from_full(grid, full_values, "even").values
+    half = grid.restrict(full_values, "even")
     [K] = grid.dilation_kernels((np.ones_like,), n)
     return grid.extend(K @ half, "even") * grid.y ** (n + 1 - m)

@@ -3,22 +3,24 @@ antiderivative is one N x N dilation kernel of the grid on the even
 integrand, built once per grid), exact characteristic evolution of the
 half-waves, and the rescaled wave propagator on the odd module.
 
-Half-wave pairs (v-, v+) live on the full [-R, R] grid and satisfy the
-reflection constraint v-(-y) = -v+(y).  The transport evolution is exact:
-values are pulled back along characteristics h_pm(z) = e^{-ds} h_pm(y),
-which for forward evolution never leave [-R, R] once R >= 1/2.
+States here are odd: the stacked half-grid vector [F1; F2] of an odd
+two-component function, which is where the composite descent D_3 o ... o D_d
+lands the even states of d >= 3.  Half-wave pairs (v-, v+) are two full-grid
+arrays on [-R, R] and satisfy the reflection constraint v-(-y) = -v+(y).
+The transport evolution is exact: values are pulled back along
+characteristics h_pm(z) = e^{-ds} h_pm(y), which for forward evolution
+never leave [-R, R] once R >= 1/2.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .grids import Grid, GridFunction, StateVector
+from .grids import Grid
 from .model import HEIGHT
 
 __all__ = [
-    "HalfWaveState",
+    "require_constraint",
     "halfwave_decompose",
     "halfwave_recompose",
     "evolve_halfwave",
@@ -26,46 +28,27 @@ __all__ = [
 ]
 
 
-@dataclass
-class HalfWaveState:
-    """Pair of half-wave grid functions with the reflection constraint."""
-
-    grid: Grid
-    vm: np.ndarray
-    vp: np.ndarray
-
-    def __post_init__(self):
-        self.vm = np.asarray(self.vm, dtype=float)
-        self.vp = np.asarray(self.vp, dtype=float)
-        n = 2 * self.grid.N
-        if self.vm.shape != (n,) or self.vp.shape != (n,):
-            raise ValueError("half-wave components must be full-grid arrays")
-
-    def constraint_defect(self):
-        return float(np.max(np.abs(self.vm[::-1] + self.vp)))
-
-    def require_constraint(self):
-        defect = self.constraint_defect()
-        scale = max(1.0, float(np.max(np.abs(self.vm))), float(np.max(np.abs(self.vp))))
-        if defect > 1e-10 * scale:
-            raise ValueError(f"half-wave reflection constraint violated by {defect:.3e}")
-        return self
+def require_constraint(vm, vp):
+    """The defect max |v-(-y) + v+(y)| of a half-wave pair, which must be
+    at most 1e-10 relative to max(1, max |v-|, max |v+|)."""
+    defect = float(np.max(np.abs(vm[::-1] + vp)))
+    scale = max(1.0, float(np.max(np.abs(vm))), float(np.max(np.abs(vp))))
+    if defect > 1e-10 * scale:
+        raise ValueError(f"half-wave reflection constraint violated by {defect:.3e}")
+    return defect
 
 
-def halfwave_decompose(state: StateVector) -> HalfWaveState:
-    """Form half-waves from an odd two-component state."""
-    if state.f1.parity != "odd" or state.f2.parity != "odd":
-        raise ValueError("half-wave decomposition acts on odd states")
-    grid = state.grid
-    y = grid.y
-    h = HEIGHT.h(y)
-    dh = HEIGHT.dh(y)
+def halfwave_decompose(grid: Grid, v):
+    """Half-waves (v-, v+) of the odd stacked state v."""
+    f1, f2 = np.split(v, 2)
+    y, h, dh = grid.y, HEIGHT.h(grid.y), HEIGHT.dh(grid.y)
     den = y * dh - h
-    f1p = grid.D @ state.f1.full()
-    f2 = state.f2.full()
+    f1p = grid.D @ grid.extend(f1, "odd")
+    f2 = grid.extend(f2, "odd")
     vm = ((y + h) * f1p + (1.0 + dh) * f2) / den
     vp = ((y - h) * f1p + (1.0 - dh) * f2) / den
-    return HalfWaveState(grid, vm, vp).require_constraint()
+    require_constraint(vm, vp)
+    return vm, vp
 
 
 @lru_cache(maxsize=8)
@@ -75,21 +58,15 @@ def _antiderivative_kernel(grid):
     return grid.dilation_kernels((np.ones_like,))[0]
 
 
-def halfwave_recompose(w: HalfWaveState) -> StateVector:
-    """Invert the half-wave map back to an odd state."""
-    w.require_constraint()
-    grid = w.grid
-    y = grid.y
-    h = HEIGHT.h(y)
-    dh = HEIGHT.dh(y)
+def halfwave_recompose(grid: Grid, vm, vp):
+    """Invert the half-wave map back to an odd stacked state."""
+    require_constraint(vm, vp)
+    y, h, dh = grid.y, HEIGHT.h(grid.y), HEIGHT.dh(grid.y)
     # the constraint makes the integrand even, so f1 = int_0^eta is odd
-    integrand = -(1.0 - dh) * w.vm + (1.0 + dh) * w.vp
+    integrand = -(1.0 - dh) * vm + (1.0 + dh) * vp
     f1 = 0.5 * grid.eta * (_antiderivative_kernel(grid) @ integrand[grid.N :])
-    f2_full = 0.5 * ((y - h) * w.vm - (y + h) * w.vp)
-    return StateVector(
-        GridFunction(grid, f1, "odd"),
-        GridFunction.from_full(grid, f2_full, "odd", tol=1e-9),
-    )
+    f2 = grid.restrict(0.5 * ((y - h) * vm - (y + h) * vp), "odd", tol=1e-9)
+    return np.concatenate([f1, f2])
 
 
 def _pullback(grid: Grid, ds):
@@ -111,17 +88,14 @@ def _pullback(grid: Grid, ds):
     return np.clip(zm, -lim, lim), np.clip(zp, -lim, lim)
 
 
-def evolve_halfwave(w: HalfWaveState, ds) -> HalfWaveState:
-    """Exact transport of a half-wave state by ds (spectral off-grid reads)."""
-    zm, zp = _pullback(w.grid, ds)
-    return HalfWaveState(w.grid, w.grid.interpolate(w.vm, zm), w.grid.interpolate(w.vp, zp))
+def evolve_halfwave(grid: Grid, vm, vp, ds):
+    """Exact transport of a half-wave pair by ds (spectral off-grid reads)."""
+    zm, zp = _pullback(grid, ds)
+    return grid.interp_matrix(zm) @ vm, grid.interp_matrix(zp) @ vp
 
 
-def evolve_S1(state: StateVector, ds) -> StateVector:
+def evolve_S1(grid: Grid, v, ds):
     """Rescaled wave propagator on the odd module: e^{-ds} A^{-1} S(ds) A."""
-    w = evolve_halfwave(halfwave_decompose(state), ds)
-    out = halfwave_recompose(w)
-    scale = np.exp(-float(ds))
-    out.f1.values *= scale
-    out.f2.values *= scale
+    out = halfwave_recompose(grid, *evolve_halfwave(grid, *halfwave_decompose(grid, v), ds))
+    out *= np.exp(-float(ds))
     return out

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grids import Grid, GridFunction, weighted_sobolev_norm
+from .grids import Grid, weighted_sobolev_norm
 from .linstab import OperatorMatrix, riesz_projection
 from .model import (
     HEIGHT,
@@ -533,9 +533,9 @@ def evolve_nonlinear(
             unstable = True
             s_values = s_values[: i]
             break
-        field, velocity = (GridFunction(grid, half, "even") for half in np.split(v, 2))
-        rec_k.append(weighted_sobolev_norm(field, NORM_ORDER, params.d))
-        rec_km1.append(weighted_sobolev_norm(velocity, NORM_ORDER - 1, params.d))
+        field, velocity = np.split(v, 2)
+        rec_k.append(weighted_sobolev_norm(grid, field, NORM_ORDER, params.d))
+        rec_km1.append(weighted_sobolev_norm(grid, velocity, NORM_ORDER - 1, params.d))
         rec_a.append(proj_coeff(v))
     return Trajectory(
         s=np.asarray(s_values, dtype=float),

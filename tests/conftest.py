@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hyperwave.grids import GridFunction, StateVector, make_grid
+from hyperwave.grids import make_grid
 from hyperwave.linstab import assemble_L, riesz_projection, spectrum, ssc_scan_roots
 from hyperwave.model import make_params
 
@@ -51,17 +51,12 @@ def op64(params7, grid64):
 
 
 def even_state(grid, fn1, fn2):
-    return StateVector(
-        GridFunction.from_callable(grid, fn1, "even"),
-        GridFunction.from_callable(grid, fn2, "even"),
-    )
+    """The stacked half-grid vector [fn1(eta); fn2(eta)] of a two-component
+    state; the parity lives in the functions, not in the vector."""
+    return np.concatenate([np.asarray(fn(grid.eta), dtype=float) for fn in (fn1, fn2)])
 
 
-def odd_state(grid, fn1, fn2):
-    return StateVector(
-        GridFunction.from_callable(grid, fn1, "odd"),
-        GridFunction.from_callable(grid, fn2, "odd"),
-    )
+odd_state = even_state
 
 
 @pytest.fixture

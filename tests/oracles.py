@@ -12,10 +12,9 @@ other reference that only one test module uses lives in that module.
 - `hpm_inner`, `halfwave_flow`, `halfwave_energy`: the transport energy of
   the half-waves, from the closed-form characteristic flow.
 - `blowup_profile_hsc`: the blowup profile along the similarity coordinates.
-- `stacked`, `from_stacked`: a two-component state as one vector
-  `[f1; f2]`, the layout the dense generator acts on, and back.
-- `evolve_linear`, `linear_decay_fit`: exact linear propagation by the
-  matrix exponential and the growth exponent of its norm.
+- `evolve_linear`, `linear_decay_fit`: exact linear propagation of a
+  stacked state `[f1; f2]` by the matrix exponential and the growth
+  exponent of its norm.
 - `exact_radial_wave`: a closed-form smooth radial free wave in every odd
   dimension, on the similarity slices the free propagator evolves between.
 - `fd_run_full_state`: the FD oracle's march on the full state (v, w), one
@@ -35,7 +34,7 @@ from numpy.polynomial.legendre import leggauss
 
 from hyperwave import coeffs
 from hyperwave.descent import _descent_pair, _fd_start
-from hyperwave.grids import Grid, GridFunction, StateVector, weighted_state_norm
+from hyperwave.grids import Grid, weighted_state_norm
 from hyperwave.jets import Taylor, jet_seed
 from hyperwave.model import HEIGHT
 
@@ -151,10 +150,10 @@ def halfwave_flow(fm, fp, ds):
     return vm, vp
 
 
-def halfwave_energy(w, sign, s=0.0):
-    """Rescaled transport energy e^{-s} (v_pm | v_pm)_{h_pm'}."""
-    v = w.vp if sign > 0 else w.vm
-    return float(np.exp(-s) * hpm_inner(w.grid, v, v, sign))
+def halfwave_energy(grid, v, sign, s=0.0):
+    """Rescaled transport energy e^{-s} (v_pm | v_pm)_{h_pm'} of the
+    half-wave v = v_pm."""
+    return float(np.exp(-s) * hpm_inner(grid, v, v, sign))
 
 
 # ----------------------------------------------------------------------
@@ -175,25 +174,13 @@ def blowup_profile_hsc(params, T, s, y):
     return val, 2.0 * val
 
 
-def stacked(state: StateVector):
-    return np.concatenate([state.f1.values, state.f2.values])
-
-
-def from_stacked(grid, vec):
-    """The even state whose stacked values are vec."""
-    return StateVector(
-        GridFunction(grid, vec[: grid.N], "even"), GridFunction(grid, vec[grid.N :], "even")
-    )
-
-
-def evolve_linear(op, state: StateVector, times):
+def evolve_linear(op, v, times):
     """Exact propagation of d_s Phi = L Phi by the matrix exponential; one
-    state per output time in `times` (ascending).
+    stacked state per output time in `times` (ascending).
 
     Each interval between output times applies exp((target - s) L) once.
     An explosion beyond e^{2s} growth aborts.
     """
-    v = stacked(state)
     norm0 = np.linalg.norm(v) + 1e-300
     results = []
     s = 0.0
@@ -203,17 +190,17 @@ def evolve_linear(op, state: StateVector, times):
         s = target
         if np.linalg.norm(v) > 100.0 * np.exp(2.0 * s) * norm0:
             raise RuntimeError(f"linear evolution exploded beyond e^(2s) growth at s={s:.2f}")
-        results.append(from_stacked(op.grid, v.copy()))
+        results.append(v.copy())
     return results
 
 
-def linear_decay_fit(op, state: StateVector, s_values=None):
+def linear_decay_fit(op, v, s_values=None):
     """Least-squares growth exponent of the order-2 weighted state norm along
     the linear evolution; returns (exponent, fit residual)."""
     if s_values is None:
         s_values = np.linspace(0.5, 6.0, 12)
     norms = np.array(
-        [weighted_state_norm(st, 2, op.params.d) for st in evolve_linear(op, state, s_values)]
+        [weighted_state_norm(op.grid, st, 2, op.params.d) for st in evolve_linear(op, v, s_values)]
     )
     if np.any(norms <= 0.0):
         raise RuntimeError("norm collapsed to zero during the fit window")

@@ -16,8 +16,6 @@ from hyperwave.descent import (
     evolve_free_wave,
 )
 from hyperwave.grids import (
-    GridFunction,
-    StateVector,
     hardy_check,
     integral_op_T,
     make_grid,
@@ -26,20 +24,18 @@ from hyperwave.grids import (
     weighted_sobolev_norm,
     weighted_state_norm,
 )
-from hyperwave.halfwave import HalfWaveState, evolve_S1
+from hyperwave.halfwave import evolve_S1
 from hyperwave.linstab import mode_angle, spectrum
 from hyperwave.model import make_params, symmetry_mode
 from hyperwave.nonlinear import PerturbationSpec, adjust_blowup_time, smooth_bump
 
 from conftest import even_state
 from oracles import (
-    from_stacked,
     halfwave_energy,
     halfwave_flow,
     intertwining_residual,
     jexp,
     linear_decay_fit,
-    stacked,
 )
 
 
@@ -93,25 +89,17 @@ def test_criterion_03_round_trips_semigroup_fd(grid64):
                 lambda e, f=fn1: np.asarray(f(e)) * np.ones_like(e),
                 lambda e, f=fn2: np.asarray(f(e)) * np.ones_like(e),
             )
-            back = descent_full_inverse(d, descent_full(d, st))
-            scale = max(np.max(np.abs(st.f1.values)), np.max(np.abs(st.f2.values)))
-            worst_rt = max(
-                worst_rt,
-                np.max(np.abs(back.f1.values - st.f1.values)) / scale,
-                np.max(np.abs(back.f2.values - st.f2.values)) / scale,
-            )
+            back = descent_full_inverse(d, grid64, descent_full(d, grid64, st))
+            worst_rt = max(worst_rt, np.max(np.abs(back - st)) / np.max(np.abs(st)))
     st = even_state(grid64, lambda e: np.exp(-(e**2)), lambda e: e**2 * np.exp(-(e**2)))
-    one = evolve_free_wave(7, st, 0.9)
-    two = evolve_free_wave(7, evolve_free_wave(7, st, 0.4), 0.5)
-    diff = StateVector(
-        GridFunction(grid64, one.f1.values - two.f1.values, "even"),
-        GridFunction(grid64, one.f2.values - two.f2.values, "even"),
-    )
-    sg = weighted_state_norm(diff, 2, 7) / weighted_state_norm(st, 2, 7)
+    one = evolve_free_wave(7, grid64, st, 0.9)
+    two = evolve_free_wave(7, grid64, evolve_free_wave(7, grid64, st, 0.4), 0.5)
+    sg = weighted_state_norm(grid64, one - two, 2, 7) / weighted_state_norm(grid64, st, 2, 7)
     o1 = direct_fd_oracle(5, lambda r: np.exp(-2 * r * r), lambda r: 0 * r, 1.0, 2.0, grid64.eta, m=400)
-    ev = evolve_free_wave(5, even_state(grid64, lambda e: np.exp(-2 * e * e), lambda e: 0 * e), 1.0)
+    gauss = even_state(grid64, lambda e: np.exp(-2 * e * e), lambda e: 0 * e)
+    ev = evolve_free_wave(5, grid64, gauss, 1.0)[: grid64.N]
     w = grid64.w_half * grid64.eta**4
-    cross = float(np.sqrt(np.sum((ev.f1.values - o1) ** 2 * w) / np.sum(o1**2 * w)))
+    cross = float(np.sqrt(np.sum((ev - o1) ** 2 * w) / np.sum(o1**2 * w)))
     ok = worst_rt < 1e-8 and sg < 1e-8 and cross < 1e-4
     report(
         3,
@@ -126,17 +114,14 @@ def test_criterion_04_semigroup_exponents(grid64):
     t0 = time.time()
     st = even_state(grid64, lambda e: smooth_bump(e / 0.5), lambda e: -0.3 * smooth_bump(e / 0.6))
     svals = np.linspace(0.0, 5.0, 11)
-    norms = [weighted_state_norm(st, 3, 7)]
+    norms = [weighted_state_norm(grid64, st, 3, 7)]
     for s in svals[1:]:
-        norms.append(weighted_state_norm(evolve_free_wave(7, st, s), 3, 7))
+        norms.append(weighted_state_norm(grid64, evolve_free_wave(7, grid64, st, s), 3, 7))
     slope_d = float(np.polyfit(svals, np.log(norms), 1)[0])
-    odd = StateVector(
-        GridFunction(grid64, grid64.eta * smooth_bump(grid64.eta / 0.5), "odd"),
-        GridFunction(grid64, np.zeros(grid64.N), "odd"),
-    )
-    norms1 = [odd_state_norm(odd, 2)]
+    odd = np.concatenate([grid64.eta * smooth_bump(grid64.eta / 0.5), np.zeros(grid64.N)])
+    norms1 = [odd_state_norm(grid64, odd, 2)]
     for s in svals[1:]:
-        norms1.append(odd_state_norm(evolve_S1(odd, s), 2))
+        norms1.append(odd_state_norm(grid64, evolve_S1(grid64, odd, s), 2))
     slope_1 = float(np.polyfit(svals, np.log(norms1), 1)[0])
     ok = slope_d <= 0.55 and slope_1 <= -0.45
     report(4, ok, f"growth exponents: S_7 {slope_d:+.3f} (<= 0.55), S_1 {slope_1:+.3f} (<= -0.45)", t0, 60.0)
@@ -150,8 +135,10 @@ def test_criterion_05_energy_monotonicity(grid64):
     energies = []
     for s in svals:
         vm, vp = halfwave_flow(fm, fp, s)
-        w = HalfWaveState(grid64, vm(grid64.y), vp(grid64.y))
-        energies.append(halfwave_energy(w, +1, s) + halfwave_energy(w, -1, s))
+        energies.append(
+            halfwave_energy(grid64, vp(grid64.y), +1, s)
+            + halfwave_energy(grid64, vm(grid64.y), -1, s)
+        )
     energies = np.array(energies)
     drift = float(np.max(np.diff(energies))) / energies[0]
     report(5, drift <= 1e-10, f"rescaled transport energy non-increasing, drift {drift:.2e}", t0, 10.0)
@@ -199,13 +186,10 @@ def test_criterion_07_riesz_projection(params7, grid96, proj96):
 
 def test_criterion_08_linear_dichotomy(grid96, op96, proj96, spec96):
     t0 = time.time()
-    bump = GridFunction.from_callable(grid96, lambda e: np.exp(-4 * (e - 0.8) ** 2), "even")
-    st = StateVector(bump, GridFunction(grid96, 0.3 * bump.values, "even"))
-    v = stacked(st)
-    p_state = from_stacked(grid96, proj96 @ v)
-    q_state = from_stacked(grid96, v - proj96 @ v)
-    exp_p, _ = linear_decay_fit(op96, p_state)
-    exp_q, _ = linear_decay_fit(op96, q_state, s_values=np.linspace(2.0, 8.0, 13))
+    bump = np.exp(-4 * (grid96.eta - 0.8) ** 2)
+    v = np.concatenate([bump, 0.3 * bump])
+    exp_p, _ = linear_decay_fit(op96, proj96 @ v)
+    exp_q, _ = linear_decay_fit(op96, v - proj96 @ v, s_values=np.linspace(2.0, 8.0, 13))
     gap = spec96.gap
     ok = abs(exp_p - 1.0) <= 0.02 and exp_q < 0.0 and abs(-exp_q - gap) <= 0.2 * gap
     report(
@@ -254,8 +238,7 @@ def test_criterion_10_norm_machinery():
             ratios = []
             for N in (48, 96):
                 g = make_grid(2.0, N)
-                gf = GridFunction.from_callable(g, fhat, "even")
-                ratios.append(oracle / weighted_sobolev_norm(gf, k, d))
+                ratios.append(oracle / weighted_sobolev_norm(g, fhat(g.eta), k, d))
             worst_drift = max(worst_drift, abs(ratios[1] / ratios[0] - 1.0))
     g = make_grid(1.0, 48)
     lhs, rhs = hardy_check(g, g.y**2, -1.0)

@@ -151,13 +151,24 @@ class TestConfigGates:
             # dimension is refused, not skipped with a passing exit
             ["norms", "--dims", "1"],
             ["norms", "--dims", "7,1"],
+            # an output prefix under a regular file, refused before the run
+            *([name, "--out", "FILE/x"] for name in _COMMANDS),
+            ["blowup", "--out", "FILE/sub/x"],
+            ["identities", "--out", "/dev/null/x"],
         ],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, argv):
-        assert run([*argv, "--out", str(tmp_path / "x")]) == 2
+        blocker = tmp_path / "FILE"
+        blocker.write_text("")
+        # a later --out in argv wins over this one
+        out = [a.replace("FILE", str(blocker)) for a in argv[1:]]
+        assert run([argv[0], "--out", str(tmp_path / "x"), *out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1
-        assert not list(tmp_path.iterdir())
+        assert list(tmp_path.iterdir()) == [blocker]
+        if "--out" in argv:
+            parent = blocker if "FILE/" in argv[-1] else "/dev/null"
+            assert f": {parent} is not a writable directory" in err
 
     def test_negative_exponent_float_is_a_value(self):
         parser = build_parser()

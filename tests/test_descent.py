@@ -22,8 +22,6 @@ from hyperwave.descent import (
     _square_blocks,
 )
 from hyperwave.grids import (
-    GridFunction,
-    StateVector,
     make_grid,
     odd_state_norm,
     weighted_sobolev_norm,
@@ -44,7 +42,6 @@ from oracles import (
     intertwining_residual,
     jexp,
     series_pair_norm,
-    stacked,
 )
 
 ETA = np.linspace(0.0, 2.0, 9)  # interpolation nodes for the guard tests
@@ -68,18 +65,17 @@ def stepwise_intertwining_residual(d, f1, f2, grid):
     return series_pair_norm(grid, R1, R2, 1) / scale
 
 
-def descent_norm_ratio(d, state, k=1):
+def descent_norm_ratio(d, grid, state, k=1):
     """Ratio of the descended odd-module norm to the d-dimensional norm."""
-    down = descent_full(d, state)
-    return odd_state_norm(down, k) / weighted_state_norm(state, k + (d - 3) // 2, d)
+    down = descent_full(d, grid, state)
+    return odd_state_norm(grid, down, k) / weighted_state_norm(grid, state, k + (d - 3) // 2, d)
 
 
-def t22_bound_ratio(d, g2, k=2):
+def t22_bound_ratio(d, grid, g2, k=2):
     """Empirical constant in the second-component kernel bound: the f2 of
     the one-step inverse on (0, g2), where the f1 kernels vanish exactly."""
-    zero = GridFunction(g2.grid, np.zeros(g2.grid.N), "even")
-    out = descent_step_inverse(d, StateVector(zero, g2)).f2
-    return weighted_sobolev_norm(out, k, d) / weighted_sobolev_norm(g2, k - 1, d - 2)
+    out = descent_step_inverse(d, grid, np.concatenate([np.zeros(grid.N), g2]))[grid.N :]
+    return weighted_sobolev_norm(grid, out, k, d) / weighted_sobolev_norm(grid, g2, k - 1, d - 2)
 
 
 # Gaussian-type suite written generically so jet arguments work too
@@ -101,56 +97,46 @@ SUITE = [
 class TestDescentStep:
     def test_constants_d7(self, grid64):
         st = even_state(grid64, lambda e: np.ones_like(e), lambda e: 0 * e)
-        out = descent_step(7, st)
-        assert out.f1.values == pytest.approx(5.0, abs=1e-12)
-        assert np.max(np.abs(out.f2.values)) < 1e-7
+        out = descent_step(7, grid64, st)
+        assert out[:64] == pytest.approx(5.0, abs=1e-12)
+        assert np.max(np.abs(out[64:])) < 1e-7
 
     def test_d3_multiplication(self, grid64):
         st = even_state(grid64, lambda e: np.ones_like(e), lambda e: 0 * e)
-        out = descent_step(3, st)
-        assert out.f1.parity == "odd"
-        assert out.f1.values == pytest.approx(grid64.eta, abs=1e-15)
-        assert out.f2.values == pytest.approx(-grid64.eta, abs=1e-15)
+        out = descent_step(3, grid64, st)
+        assert out[:64] == pytest.approx(grid64.eta, abs=1e-15)
+        assert out[64:] == pytest.approx(-grid64.eta, abs=1e-15)
 
     def test_quadratic_spot_value(self, grid64):
         st = even_state(grid64, lambda e: e**2, lambda e: 0 * e)
-        out = descent_step(7, st)
+        out = descent_step(7, grid64, st)
         expected = 5.0 * grid64.eta**2 + 2.0 * grid64.eta * c1_fn(grid64.eta)
-        assert out.f1.values == pytest.approx(expected, abs=1e-11)
+        assert out[:64] == pytest.approx(expected, abs=1e-11)
 
     def test_even_dimension_rejected(self, grid64):
         st = even_state(grid64, lambda e: np.ones_like(e), lambda e: 0 * e)
         with pytest.raises(ValueError):
-            descent_step(4, st)
-
-    def test_parity_gate(self, grid64):
-        odd = StateVector(
-            GridFunction(grid64, grid64.eta, "odd"), GridFunction(grid64, grid64.eta, "odd")
-        )
-        with pytest.raises(ValueError):
-            descent_step(7, odd)
-        with pytest.raises(ValueError):
-            descent_step_inverse(7, odd)
+            descent_step(4, grid64, st)
 
     def test_cascade_constants(self, grid64):
         st = even_state(grid64, lambda e: np.ones_like(e), lambda e: 0 * e)
-        out = descent_full(7, st)
-        assert out.f1.values == pytest.approx(15.0 * grid64.eta, abs=1e-6)
-        assert out.f2.values == pytest.approx(-15.0 * grid64.eta, abs=1e-3)
+        out = descent_full(7, grid64, st)
+        assert out[:64] == pytest.approx(15.0 * grid64.eta, abs=1e-6)
+        assert out[64:] == pytest.approx(-15.0 * grid64.eta, abs=1e-3)
 
 
 class TestInverses:
     def test_d3_round_trip(self, grid64):
         st = even_state(grid64, lambda e: np.ones_like(e), lambda e: 0 * e)
-        back = descent_step_inverse(3, descent_step(3, st))
-        assert back.f1.values == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(back.f2.values)) < 1e-12
+        back = descent_step_inverse(3, grid64, descent_step(3, grid64, st))
+        assert back[:64] == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(back[64:])) < 1e-12
 
     def test_d7_round_trip_constants(self, grid64):
         st = even_state(grid64, lambda e: np.ones_like(e), lambda e: 0 * e)
-        back = descent_step_inverse(7, descent_step(7, st))
-        assert back.f1.values == pytest.approx(1.0, abs=1e-10)
-        assert np.max(np.abs(back.f2.values)) < 1e-10
+        back = descent_step_inverse(7, grid64, descent_step(7, grid64, st))
+        assert back[:64] == pytest.approx(1.0, abs=1e-10)
+        assert np.max(np.abs(back[64:])) < 1e-10
 
     @pytest.mark.parametrize("d", [3, 5, 7, 9])
     def test_full_round_trips_suite(self, grid64, d):
@@ -158,28 +144,22 @@ class TestInverses:
         for f1, f2 in SUITE:
             st = even_state(grid64, lambda e: np.asarray(f1(e), dtype=float) * np.ones_like(e),
                             lambda e: np.asarray(f2(e), dtype=float) * np.ones_like(e))
-            back = descent_full_inverse(d, descent_full(d, st))
-            scale = max(np.max(np.abs(st.f1.values)), np.max(np.abs(st.f2.values)))
-            worst = max(
-                worst,
-                np.max(np.abs(back.f1.values - st.f1.values)) / scale,
-                np.max(np.abs(back.f2.values - st.f2.values)) / scale,
-            )
+            back = descent_full_inverse(d, grid64, descent_full(d, grid64, st))
+            worst = max(worst, np.max(np.abs(back - st)) / np.max(np.abs(st)))
         assert worst < 1e-8
 
     def test_other_composition_order(self, grid64):
         st = even_state(grid64, lambda e: np.exp(-(e**2)), lambda e: e**2 * np.exp(-(e**2)))
-        down = descent_full(7, st)
-        again = descent_full(7, descent_full_inverse(7, down))
-        scale = np.max(np.abs(down.f1.values))
-        assert np.max(np.abs(again.f1.values - down.f1.values)) / scale < 1e-8
+        down = descent_full(7, grid64, st)
+        again = descent_full(7, grid64, descent_full_inverse(7, grid64, down))
+        scale = np.max(np.abs(down[:64]))
+        assert np.max(np.abs(again[:64] - down[:64])) / scale < 1e-8
 
     def test_t22_bound_stable_under_doubling(self):
         ratios = []
         for N in (48, 96):
             g = make_grid(2.0, N)
-            g2 = GridFunction.from_callable(g, lambda e: np.exp(-(e**2)), "even")
-            ratios.append(t22_bound_ratio(7, g2, k=2))
+            ratios.append(t22_bound_ratio(7, g, np.exp(-(g.eta**2)), k=2))
         assert abs(ratios[1] / ratios[0] - 1.0) < 0.1
 
 
@@ -210,11 +190,11 @@ class TestIntertwining:
         st = even_state(grid64, f1, f2)
         x = jet_seed(grid64.y, 3)
         N = grid64.N
-        Lv = generator_matrix(d, grid64) @ stacked(st)
-        down = descent_step(d, st)
+        Lv = generator_matrix(d, grid64) @ st
+        down = descent_step(d, grid64, st)
         pairs = (
             ((Lv[:N], Lv[N:]), apply_Ld_series(d, f1(x), f2(x), x)),
-            ((down.f1.values, down.f2.values), descent_step_series(d, f1(x), f2(x), x)),
+            ((down[:N], down[N:]), descent_step_series(d, f1(x), f2(x), x)),
         )
         for grid_out, series_out in pairs:
             for g, S in zip(grid_out, series_out):
@@ -235,18 +215,14 @@ class TestIntertwining:
 
 class TestFreeWave:
     def test_zero(self, grid64):
-        out = evolve_free_wave(7, even_state(grid64, np.zeros_like, np.zeros_like), 1.0)
-        assert np.max(np.abs(stacked(out))) == 0.0
+        out = evolve_free_wave(7, grid64, even_state(grid64, np.zeros_like, np.zeros_like), 1.0)
+        assert np.max(np.abs(out)) == 0.0
 
     def test_semigroup_law(self, grid64):
         st = even_state(grid64, lambda e: np.exp(-(e**2)), lambda e: e**2 * np.exp(-(e**2)))
-        one = evolve_free_wave(7, st, 0.7)
-        two = evolve_free_wave(7, evolve_free_wave(7, st, 0.3), 0.4)
-        diff = StateVector(
-            GridFunction(grid64, one.f1.values - two.f1.values, "even"),
-            GridFunction(grid64, one.f2.values - two.f2.values, "even"),
-        )
-        rel = weighted_state_norm(diff, 2, 7) / weighted_state_norm(st, 2, 7)
+        one = evolve_free_wave(7, grid64, st, 0.7)
+        two = evolve_free_wave(7, grid64, evolve_free_wave(7, grid64, st, 0.3), 0.4)
+        rel = weighted_state_norm(grid64, one - two, 2, 7) / weighted_state_norm(grid64, st, 2, 7)
         assert rel < 1e-8
 
     def test_growth_bound(self, grid64):
@@ -254,9 +230,9 @@ class TestFreeWave:
             grid64, lambda e: smooth_bump(e / 0.5), lambda e: -0.3 * smooth_bump(e / 0.6)
         )
         svals = np.linspace(0.0, 5.0, 11)
-        norms = [weighted_state_norm(st, 3, 7)]
+        norms = [weighted_state_norm(grid64, st, 3, 7)]
         for s in svals[1:]:
-            norms.append(weighted_state_norm(evolve_free_wave(7, st, s), 3, 7))
+            norms.append(weighted_state_norm(grid64, evolve_free_wave(7, grid64, st, s), 3, 7))
         slope = np.polyfit(svals, np.log(norms), 1)[0]
         assert slope <= 0.55
 
@@ -269,14 +245,13 @@ class TestFreeWave:
         # equation; d_s u is gated only for d <= 7, where it is resolved
         # to about 2e-10 (it reaches 1.5e-6 at d = 11, N = 96)
         g = make_grid(2.0, N)
-        f1, f2 = exact_radial_wave(d, g.eta, 0.0, 1.0)
-        st = StateVector(GridFunction(g, f1, "even"), GridFunction(g, f2, "even"))
-        out = evolve_free_wave(d, st, 1.0)
+        st = np.concatenate(exact_radial_wave(d, g.eta, 0.0, 1.0))
+        out = evolve_free_wave(d, g, st, 1.0)
         u, us = exact_radial_wave(d, g.eta, 1.0, 1.0)
         w = g.radial_weights(d)
-        assert np.sqrt(w @ (out.f1.values - u) ** 2 / (w @ u**2)) <= f1_tol
+        assert np.sqrt(w @ (out[:N] - u) ** 2 / (w @ u**2)) <= f1_tol
         if d <= 7:
-            assert np.max(np.abs(out.f2.values - us)) <= 2.3e-10 * np.max(np.abs(us))
+            assert np.max(np.abs(out[N:] - us)) <= 2.3e-10 * np.max(np.abs(us))
 
     @pytest.mark.parametrize("h", [0.02, 0.25, 1.0])
     @pytest.mark.parametrize("N", [48, 64, 96])
@@ -285,9 +260,9 @@ class TestFreeWave:
         # that `blowup` steps with are two discretizations of one flow; at
         # d = 7 they agree to 3.6e-9 (N = 96, h = 0.02)
         g = make_grid(2.0, N)
-        st = even_state(g, lambda e: np.exp(-2 * e * e), lambda e: -0.5 * np.exp(-3 * e * e))
-        want = _expm(h * generator_matrix(7, g)) @ stacked(st)
-        got = stacked(evolve_free_wave(7, st, h))
+        x = even_state(g, lambda e: np.exp(-2 * e * e), lambda e: -0.5 * np.exp(-3 * e * e))
+        want = _expm(h * generator_matrix(7, g)) @ x
+        got = evolve_free_wave(7, g, x, h)
         assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("h", [0.02, 1.0])
@@ -311,7 +286,7 @@ class TestFreeWave:
         # (N = 64) and 42.6 MB (N = 128)
         g = make_grid(2.0, N)
         st = even_state(g, lambda e: np.exp(-2 * e * e), np.zeros_like)
-        _, peak = traced_peak(lambda: evolve_free_wave(7, st, 1.0))
+        _, peak = traced_peak(lambda: evolve_free_wave(7, g, st, 1.0))
         assert peak <= limit
 
     def test_norm_ratio_stable_under_doubling(self):
@@ -319,7 +294,7 @@ class TestFreeWave:
         for N in (48, 96):
             g = make_grid(2.0, N)
             st = even_state(g, lambda e: np.exp(-(e**2)), lambda e: 0.3 * np.exp(-(e**2)))
-            ratios.append(descent_norm_ratio(7, st, k=1))
+            ratios.append(descent_norm_ratio(7, g, st, k=1))
         assert abs(ratios[1] / ratios[0] - 1.0) < 0.1
 
 
@@ -572,7 +547,7 @@ class TestFDOracle:
         f2 = lambda r: 0 * r
         o1 = direct_fd_oracle(d, f1, f2, 1.0, 2.0, grid64.eta, m=400)
         st = even_state(grid64, f1, f2)
-        ev = evolve_free_wave(d, st, 1.0)
+        ev = evolve_free_wave(d, grid64, st, 1.0)[:64]
         w = grid64.w_half * grid64.eta ** (d - 1)
-        rel = np.sqrt(np.sum((ev.f1.values - o1) ** 2 * w) / np.sum(o1**2 * w))
+        rel = np.sqrt(np.sum((ev - o1) ** 2 * w) / np.sum(o1**2 * w))
         assert rel < 1e-6

@@ -4,8 +4,6 @@ import pytest
 from hyperwave.coeffs import t11_fn, t12_fn, t21_fn, t22_fn
 from hyperwave.descent import _inverse_kernels
 from hyperwave.grids import (
-    GridFunction,
-    StateVector,
     hardy_check,
     integral_op_T,
     make_grid,
@@ -57,7 +55,7 @@ class TestGridBasics:
 
     def test_interpolation(self, grid64):
         pts = np.array([-1.7, -0.3, 0.0, 0.123, 1.999, grid64.y[5]])
-        got = grid64.interpolate(np.sin(grid64.y), pts)
+        got = grid64.interp_matrix(pts) @ np.sin(grid64.y)
         assert got == pytest.approx(np.sin(pts), abs=1e-13)
 
     def test_dilation_kernels_cached_read_only(self):
@@ -108,48 +106,48 @@ class TestGridBasics:
         assert grid64.deriv_half(odd, "odd") == pytest.approx(3 * eta**2 - 1, abs=1e-10)
 
 
-class TestGridFunction:
+class TestRestrict:
     def test_parity_validation(self, grid64):
-        vals = np.sin(grid64.y)  # odd
-        GridFunction.from_full(grid64, vals, "odd")
-        with pytest.raises(ValueError):
-            GridFunction.from_full(grid64, vals, "even")
+        y = grid64.y
+        for parity, other, vals in (("odd", "even", np.sin(y)), ("even", "odd", np.cos(y))):
+            assert np.array_equal(grid64.restrict(vals, parity), vals[grid64.N :])
+            with pytest.raises(ValueError, match=f"declared parity '{other}' violated by"):
+                grid64.restrict(vals, other)
+
+    def test_tolerance(self, grid64):
+        # an even part 0.25e-10 y^2, at most 1e-10 at |y| = R = 2: the odd defect is twice that
+        vals = np.sin(grid64.y) + 0.25e-10 * grid64.y**2
+        with pytest.raises(ValueError, match="declared parity 'odd' violated by 2.000e-10"):
+            grid64.restrict(vals, "odd")
+        assert np.array_equal(grid64.restrict(vals, "odd", tol=1e-9), vals[grid64.N :])
 
     def test_round_trip_full(self, grid64):
-        gf = GridFunction.from_callable(grid64, lambda e: np.cos(e), "even")
-        assert grid64.parity_defect(gf.full(), "even") == 0.0
-
-    def test_state_vector_grid_mismatch(self, grid64, grid96):
-        a = GridFunction.from_callable(grid64, np.cos, "even")
-        b = GridFunction.from_callable(grid96, np.cos, "even")
-        with pytest.raises(ValueError):
-            StateVector(a, b)
+        half = np.cos(grid64.eta)
+        assert np.array_equal(grid64.restrict(grid64.extend(half, "even"), "even", tol=0.0), half)
 
 
 class TestNorms:
     def test_flat_function_exact(self):
         g1 = make_grid(1.0, 48)
-        one = GridFunction.from_callable(g1, lambda e: np.ones_like(e), "even")
-        assert weighted_sobolev_norm(one, 0, 1) == pytest.approx(np.sqrt(2.0), rel=1e-13)
-        assert weighted_sobolev_norm(one, 0, 3) == pytest.approx(np.sqrt(2.0 / 3.0), rel=1e-13)
+        one = np.ones(g1.N)
+        assert weighted_sobolev_norm(g1, one, 0, 1) == pytest.approx(np.sqrt(2.0), rel=1e-13)
+        assert weighted_sobolev_norm(g1, one, 0, 3) == pytest.approx(np.sqrt(2.0 / 3.0), rel=1e-13)
 
     def test_monotone_in_k(self, grid64):
-        gf = GridFunction.from_callable(grid64, lambda e: np.exp(-(e**2)), "even")
-        norms = [weighted_sobolev_norm(gf, k, 5) for k in range(4)]
+        gf = np.exp(-(grid64.eta**2))
+        norms = [weighted_sobolev_norm(grid64, gf, k, 5) for k in range(4)]
         assert np.all(np.diff(norms) > 0)
 
     def test_monotone_in_radius(self):
         vals = {}
         for R in (1.0, 2.0):
             g = make_grid(R, 64)
-            gf = GridFunction.from_callable(g, lambda e: np.exp(-(e**2)), "even")
-            vals[R] = weighted_sobolev_norm(gf, 1, 5)
+            vals[R] = weighted_sobolev_norm(g, np.exp(-(g.eta**2)), 1, 5)
         assert vals[2.0] > vals[1.0]
 
     def test_resolution_gate(self, grid64):
-        gf = GridFunction.from_callable(grid64, lambda e: np.exp(-(e**2)), "even")
         with pytest.raises(ValueError):
-            weighted_sobolev_norm(gf, 12, 5)
+            weighted_sobolev_norm(grid64, np.exp(-(grid64.eta**2)), 12, 5)
 
     @pytest.mark.parametrize("d", [3, 5, 7])
     @pytest.mark.parametrize("k", [0, 1, 2])
@@ -161,8 +159,7 @@ class TestNorms:
         ratios = []
         for N in (48, 96):
             g = make_grid(2.0, N)
-            gf = GridFunction.from_callable(g, fhat, "even")
-            ratios.append(oracle / weighted_sobolev_norm(gf, k, d))
+            ratios.append(oracle / weighted_sobolev_norm(g, fhat(g.eta), k, d))
         assert abs(ratios[1] / ratios[0] - 1.0) < 0.1
         assert 0.05 < ratios[0] < 50.0
 
@@ -221,7 +218,8 @@ class TestHardyAndIntegralOp:
             integral_op_T(grid64, np.ones(128), 4, 2)
 
     def test_integral_op_rejects_odd_data(self, grid64):
-        with pytest.raises(ValueError, match="parity 'even' violated"):
+        # Grid.restrict's message: the even defect of y is max |2 y| = 2 R
+        with pytest.raises(ValueError, match=r"declared parity 'even' violated by 4\.000e\+00"):
             integral_op_T(grid64, grid64.y, 3, 3)
 
     def test_integral_op_bounded(self, grid64, rng):

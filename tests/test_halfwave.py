@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
 
-from hyperwave.grids import GridFunction, StateVector, make_grid, odd_state_norm, sobolev_norm_full
+from hyperwave.grids import make_grid, odd_state_norm, sobolev_norm_full
 from hyperwave.halfwave import (
-    HalfWaveState,
     evolve_halfwave,
     evolve_S1,
     halfwave_decompose,
     halfwave_recompose,
+    require_constraint,
 )
 from hyperwave.model import HEIGHT
 from hyperwave.nonlinear import smooth_bump
 
 from conftest import odd_state
-from oracles import classical_loop, halfwave_energy, halfwave_flow, hpm_inner, stacked
+from oracles import classical_loop, halfwave_energy, halfwave_flow, hpm_inner
 
 
 # ----------------------------------------------------------------------
@@ -36,9 +36,8 @@ def apply_D_pm(grid, f_full, sign):
     return (grid.D @ f) / (1.0 + float(sign) * HEIGHT.dh(grid.y))
 
 
-def evolve_halfwave_mol(w, ds, dt=1e-3):
+def evolve_halfwave_mol(grid, vm, vp, ds, dt=1e-3):
     """Method-of-lines RK4 integration of the transport fields."""
-    grid = w.grid
     n = 2 * grid.N
     nsteps = max(int(np.ceil(ds / dt)), 1)
 
@@ -47,38 +46,37 @@ def evolve_halfwave_mol(w, ds, dt=1e-3):
             [apply_L_pm(grid, x[:n], -1), apply_L_pm(grid, x[n:], +1)]
         )
 
-    x = classical_loop(rhs, np.concatenate([w.vm, w.vp]), ds / nsteps, nsteps)
-    return HalfWaveState(grid, x[:n], x[n:])
+    x = classical_loop(rhs, np.concatenate([vm, vp]), ds / nsteps, nsteps)
+    return x[:n], x[n:]
 
 
-def halfwave_norm(w, k):
+def halfwave_norm(grid, vm, vp, k):
     """Sum over j <= k-1 of the weighted L^2 norms of D_pm^j v_pm."""
     total = 0.0
-    gm, gp = w.vm.copy(), w.vp.copy()
+    gm, gp = vm.copy(), vp.copy()
     for _ in range(k):
-        total += np.sqrt(max(hpm_inner(w.grid, gm, gm, -1), 0.0))
-        total += np.sqrt(max(hpm_inner(w.grid, gp, gp, +1), 0.0))
-        gm = apply_D_pm(w.grid, gm, -1)
-        gp = apply_D_pm(w.grid, gp, +1)
+        total += np.sqrt(max(hpm_inner(grid, gm, gm, -1), 0.0))
+        total += np.sqrt(max(hpm_inner(grid, gp, gp, +1), 0.0))
+        gm = apply_D_pm(grid, gm, -1)
+        gp = apply_D_pm(grid, gp, +1)
     return float(total)
 
 
-def transport_pde_residual(w0, ds=0.5):
+def transport_pde_residual(grid, vm, vp, ds=0.5):
     """Residual of (1 pm h') d_s v + (y pm h) d_y v = 0 along the evolution,
     with the s-derivative taken by central differences.  Validates the sign
     and exponent convention of the characteristic pull-back."""
-    grid = w0.grid
     step = 1e-4
-    plus = evolve_halfwave(w0, ds + step)
-    minus = evolve_halfwave(w0, ds - step)
-    mid = evolve_halfwave(w0, ds)
+    plus = evolve_halfwave(grid, vm, vp, ds + step)
+    minus = evolve_halfwave(grid, vm, vp, ds - step)
+    mid = evolve_halfwave(grid, vm, vp, ds)
     y = grid.y
     h = HEIGHT.h(y)
     dh = HEIGHT.dh(y)
     res = 0.0
     for sign, vdot, v in (
-        (-1.0, (plus.vm - minus.vm) / (2 * step), mid.vm),
-        (+1.0, (plus.vp - minus.vp) / (2 * step), mid.vp),
+        (-1.0, (plus[0] - minus[0]) / (2 * step), mid[0]),
+        (+1.0, (plus[1] - minus[1]) / (2 * step), mid[1]),
     ):
         r = (1.0 + sign * dh) * vdot + (y + sign * h) * (grid.D @ v)
         res = max(res, float(np.max(np.abs(r))))
@@ -120,7 +118,8 @@ def dalembert_oracle(f, g, T, s, y, g_primitive=None):
 
 
 def dalembert_state(grid, f, df, g, T, s):
-    """Exact odd state (v, d_s v) of the 1-d wave at hyperboloidal time s."""
+    """Exact odd stacked state (v, d_s v) of the 1-d wave at hyperboloidal
+    time s."""
     y = grid.y
     es = np.exp(-s)
     t = T + es * HEIGHT.h(y)
@@ -129,10 +128,7 @@ def dalembert_state(grid, f, df, g, T, s):
     ut = 0.5 * (df(x + t) - df(x - t)) + 0.5 * (g(x + t) + g(x - t))
     ux = 0.5 * (df(x + t) + df(x - t)) + 0.5 * (g(x + t) - g(x - t))
     vs = -es * (HEIGHT.h(y) * ut + y * ux)
-    return StateVector(
-        GridFunction.from_full(grid, v, "odd", tol=1e-9),
-        GridFunction.from_full(grid, vs, "odd", tol=1e-9),
-    )
+    return np.concatenate([grid.restrict(v, "odd", tol=1e-9), grid.restrict(vs, "odd", tol=1e-9)])
 
 
 @pytest.fixture(scope="module")
@@ -169,61 +165,54 @@ class TestVectorFields:
 class TestHalfWaveMaps:
     def test_zero(self, g):
         z = odd_state(g, lambda e: 0 * e, lambda e: 0 * e)
-        w = halfwave_decompose(z)
-        assert np.max(np.abs(w.vm)) == 0.0 and np.max(np.abs(w.vp)) == 0.0
+        vm, vp = halfwave_decompose(g, z)
+        assert np.max(np.abs(vm)) == 0.0 and np.max(np.abs(vp)) == 0.0
 
     def test_round_trips(self, g, smooth_odd):
-        w = halfwave_decompose(smooth_odd)
-        assert w.constraint_defect() < 1e-12
-        back = halfwave_recompose(w)
-        assert back.f1.values == pytest.approx(smooth_odd.f1.values, abs=1e-10)
-        assert back.f2.values == pytest.approx(smooth_odd.f2.values, abs=1e-10)
-        w2 = halfwave_decompose(back)
-        assert np.max(np.abs(w2.vm - w.vm)) < 1e-10
-        assert np.max(np.abs(w2.vp - w.vp)) < 1e-10
+        vm, vp = halfwave_decompose(g, smooth_odd)
+        assert require_constraint(vm, vp) < 1e-12
+        back = halfwave_recompose(g, vm, vp)
+        assert back == pytest.approx(smooth_odd, abs=1e-10)
+        vm2, vp2 = halfwave_decompose(g, back)
+        assert np.max(np.abs(vm2 - vm)) < 1e-10
+        assert np.max(np.abs(vp2 - vp)) < 1e-10
 
     def test_constants_recompose(self, g):
-        w = HalfWaveState(g, np.full(2 * g.N, 0.7), np.full(2 * g.N, -0.7))
-        st = halfwave_recompose(w)
-        assert st.f1.values == pytest.approx(-0.7 * g.eta, abs=1e-13)
-        assert st.f2.values == pytest.approx(0.7 * g.eta, abs=1e-13)
+        st = halfwave_recompose(g, np.full(2 * g.N, 0.7), np.full(2 * g.N, -0.7))
+        assert st[: g.N] == pytest.approx(-0.7 * g.eta, abs=1e-13)
+        assert st[g.N :] == pytest.approx(0.7 * g.eta, abs=1e-13)
 
     def test_parity_gate(self, g):
-        bad = odd_state(g, lambda e: e, lambda e: 0 * e)
-        bad = StateVector(
-            GridFunction(g, bad.f1.values, "even"), GridFunction(g, bad.f2.values, "even")
-        )
-        with pytest.raises(ValueError):
-            halfwave_decompose(bad)
-        with pytest.raises(ValueError):
-            HalfWaveState(g, np.ones(2 * g.N), np.ones(2 * g.N)).require_constraint()
+        # v-(-y) = -v+(y) fails for v- = v+ = 1, on the way in and out
+        ones = np.ones(2 * g.N)
+        with pytest.raises(ValueError, match="reflection constraint violated by 2.000e"):
+            require_constraint(ones, ones)
+        with pytest.raises(ValueError, match="reflection constraint violated"):
+            halfwave_recompose(g, ones, ones)
 
 
 class TestTransport:
     def test_mol_oracle_matches_exact_transport(self, g):
         bump = lambda e: np.exp(-5 * (e - 0.25) ** 2)
-        w0 = HalfWaveState(g, bump(g.y), -bump(-g.y))
-        exact = evolve_halfwave(w0, 0.6)
-        mol = evolve_halfwave_mol(w0, 0.6, dt=1e-3)
-        scale = np.max(np.abs(exact.vp))
-        assert np.max(np.abs(mol.vm - exact.vm)) / scale < 1e-5
-        assert np.max(np.abs(mol.vp - exact.vp)) / scale < 1e-5
+        w0 = (bump(g.y), -bump(-g.y))
+        exact = evolve_halfwave(g, *w0, 0.6)
+        mol = evolve_halfwave_mol(g, *w0, 0.6, dt=1e-3)
+        scale = np.max(np.abs(exact[1]))
+        assert np.max(np.abs(mol[0] - exact[0])) / scale < 1e-5
+        assert np.max(np.abs(mol[1] - exact[1])) / scale < 1e-5
 
     def test_backward_evolution_rejected(self, g):
-        w = HalfWaveState(g, np.zeros(2 * g.N), np.zeros(2 * g.N))
         with pytest.raises(ValueError):
-            evolve_halfwave(w, -0.5)
+            evolve_halfwave(g, np.zeros(2 * g.N), np.zeros(2 * g.N), -0.5)
 
     def test_constants_fixed(self, g):
-        w = HalfWaveState(g, np.full(2 * g.N, 0.3), np.full(2 * g.N, -0.3))
-        out = evolve_halfwave(w, 2.5)
-        assert np.max(np.abs(out.vm - 0.3)) < 1e-13
-        assert np.max(np.abs(out.vp + 0.3)) < 1e-13
+        vm, vp = evolve_halfwave(g, np.full(2 * g.N, 0.3), np.full(2 * g.N, -0.3), 2.5)
+        assert np.max(np.abs(vm - 0.3)) < 1e-13
+        assert np.max(np.abs(vp + 0.3)) < 1e-13
 
     def test_pde_residual_fixes_exponent_sign(self, g):
         bump = lambda e: np.exp(-6 * (e - 0.2) ** 2)
-        w0 = HalfWaveState(g, bump(g.y), -bump(-g.y))
-        assert transport_pde_residual(w0, ds=0.4) < 1e-6
+        assert transport_pde_residual(g, bump(g.y), -bump(-g.y), ds=0.4) < 1e-6
 
     def test_mode_growth(self, g):
         lam = 0.25
@@ -236,10 +225,10 @@ class TestTransport:
 
     def test_parity_preserved_long_run(self, g):
         bump = lambda e: np.exp(-4 * (e - 0.3) ** 2)
-        w = HalfWaveState(g, bump(g.y), -bump(-g.y))
+        w = (bump(g.y), -bump(-g.y))
         for _ in range(5):
-            w = evolve_halfwave(w, 2.0)
-        assert w.constraint_defect() < 1e-10
+            w = evolve_halfwave(g, *w, 2.0)
+        assert require_constraint(*w) < 1e-10
 
     def test_energy_monotone(self, g):
         fm = lambda y: np.exp(-5 * (y - 0.3) ** 2) - np.exp(-5 * (-y - 0.3) ** 2)
@@ -248,15 +237,16 @@ class TestTransport:
         energies = []
         for s in svals:
             vm, vp = halfwave_flow(fm, fp, s)
-            w = HalfWaveState(g, vm(g.y), vp(g.y))
-            energies.append(halfwave_energy(w, +1, s) + halfwave_energy(w, -1, s))
+            energies.append(
+                halfwave_energy(g, vp(g.y), +1, s) + halfwave_energy(g, vm(g.y), -1, s)
+            )
         energies = np.array(energies)
         assert np.max(np.diff(energies)) <= 1e-10 * energies[0]
 
     def test_transport_norm_never_decays_on_constants(self, g):
-        w = HalfWaveState(g, np.ones(2 * g.N), -np.ones(2 * g.N))
-        n0 = halfwave_norm(w, 1)
-        n1 = halfwave_norm(evolve_halfwave(w, 4.0), 1)
+        w = (np.ones(2 * g.N), -np.ones(2 * g.N))
+        n0 = halfwave_norm(g, *w, 1)
+        n1 = halfwave_norm(g, *evolve_halfwave(g, *w, 4.0), 1)
         assert n1 == pytest.approx(n0, rel=1e-12)
 
     def test_sharp_growth_on_near_critical_modes(self, g):
@@ -267,8 +257,7 @@ class TestTransport:
             norms = []
             for s in svals:
                 vm, vp = halfwave_flow(fm, fp, s)
-                w = HalfWaveState(g, vm(g.y), vp(g.y))
-                norms.append(halfwave_norm(w, 1))
+                norms.append(halfwave_norm(g, vm(g.y), vp(g.y), 1))
             slope = np.polyfit(svals, np.log(norms), 1)[0]
             assert slope == pytest.approx(lam, abs=0.02)
 
@@ -278,12 +267,11 @@ class TestDUpgrade:
         # e^{js} D^j v solves the same transport equation: evolving D f and
         # applying D to the evolved solution agree after rescaling
         bump = lambda e: np.exp(-6 * (e - 0.1) ** 2)
-        w0 = HalfWaveState(g, bump(g.y), -bump(-g.y))
+        vm0, vp0 = bump(g.y), -bump(-g.y)
         ds = 0.7
-        ev = evolve_halfwave(w0, ds)
-        lhs = apply_D_pm(g, ev.vp, +1)
-        dw0 = HalfWaveState(g, apply_D_pm(g, w0.vm, -1), apply_D_pm(g, w0.vp, +1))
-        rhs = np.exp(-ds) * evolve_halfwave(dw0, ds).vp
+        lhs = apply_D_pm(g, evolve_halfwave(g, vm0, vp0, ds)[1], +1)
+        dw0 = (apply_D_pm(g, vm0, -1), apply_D_pm(g, vp0, +1))
+        rhs = np.exp(-ds) * evolve_halfwave(g, *dw0, ds)[1]
         keep = np.abs(g.y) < 0.9 * g.R
         scale = np.max(np.abs(rhs))
         assert np.max(np.abs(lhs - rhs)[keep]) / scale < 1e-6
@@ -295,9 +283,8 @@ class TestNormEquivalence:
         for N in (64, 128):
             gg = make_grid(1.0, N)
             f = np.exp(-3 * (gg.y - 0.2) ** 2)
-            w = HalfWaveState(gg, f, -f[::-1])
-            hw = halfwave_norm(w, 3)
-            sb = sobolev_norm_full(gg, w.vm, 2) + sobolev_norm_full(gg, w.vp, 2)
+            hw = halfwave_norm(gg, f, -f[::-1], 3)
+            sb = sobolev_norm_full(gg, f, 2) + sobolev_norm_full(gg, -f[::-1], 2)
             ratios.append(hw / sb)
         assert 0.1 < ratios[0] < 10.0
         assert abs(ratios[1] / ratios[0] - 1.0) < 1e-6
@@ -306,27 +293,21 @@ class TestNormEquivalence:
 class TestS1:
     def test_zero(self, g):
         z = odd_state(g, lambda e: 0 * e, lambda e: 0 * e)
-        out = evolve_S1(z, 1.0)
-        assert np.max(np.abs(stacked(out))) == 0.0
+        out = evolve_S1(g, z, 1.0)
+        assert np.max(np.abs(out)) == 0.0
 
     def test_semigroup_law(self, g, smooth_odd):
-        one = evolve_S1(smooth_odd, 1.8)
-        two = evolve_S1(evolve_S1(smooth_odd, 0.7), 1.1)
-        denom = odd_state_norm(smooth_odd, 1)
-        diff = StateVector(
-            GridFunction(g, one.f1.values - two.f1.values, "odd"),
-            GridFunction(g, one.f2.values - two.f2.values, "odd"),
-        )
-        assert odd_state_norm(diff, 1) / denom < 1e-9
+        one = evolve_S1(g, smooth_odd, 1.8)
+        two = evolve_S1(g, evolve_S1(g, smooth_odd, 0.7), 1.1)
+        denom = odd_state_norm(g, smooth_odd, 1)
+        assert odd_state_norm(g, one - two, 1) / denom < 1e-9
 
     def test_decay_bound(self, g):
-        f1 = GridFunction(g, g.eta * smooth_bump(g.eta / 0.45), "odd")
-        f2 = GridFunction(g, np.zeros(g.N), "odd")
-        state = StateVector(f1, f2)
+        state = np.concatenate([g.eta * smooth_bump(g.eta / 0.45), np.zeros(g.N)])
         svals = np.linspace(0.0, 6.0, 13)
-        norms = [odd_state_norm(state, 2)]
+        norms = [odd_state_norm(g, state, 2)]
         for s in svals[1:]:
-            norms.append(odd_state_norm(evolve_S1(state, s), 2))
+            norms.append(odd_state_norm(g, evolve_S1(g, state, s), 2))
         slope = np.polyfit(svals, np.log(norms), 1)[0]
         assert slope <= -0.45
 
@@ -358,7 +339,7 @@ class TestDalembert:
         T = 0.8
         start = dalembert_state(g, f, df, gg, T, 0.0)
         for ds in (0.5, 1.3, 2.0):
-            got = evolve_S1(start, ds)
+            got = evolve_S1(g, start, ds)
             want = dalembert_state(g, f, df, gg, T, ds)
-            assert np.max(np.abs(got.f1.values - want.f1.values)) < 1e-7
-            assert np.max(np.abs(got.f2.values - want.f2.values)) < 1e-7
+            assert np.max(np.abs(got[: g.N] - want[: g.N])) < 1e-7
+            assert np.max(np.abs(got[g.N :] - want[g.N :])) < 1e-7
