@@ -27,13 +27,7 @@ from .grids import (
     weighted_state_norm,
 )
 from .halfwave import evolve_S1
-from .linstab import (
-    assemble_L,
-    mode_angle,
-    riesz_projection,
-    spectrum,
-    ssc_scan_roots,
-)
+from .linstab import assemble_L, mode_angle, riesz_projection, spectrum
 from .model import make_params, symmetry_mode
 from .nonlinear import (
     DEFAULT_STEP,
@@ -62,9 +56,9 @@ def _load_config(path, command):
         if key not in keys:
             raise ConfigError(f"{command} reads no config key {key!r}; it reads {', '.join(keys)}")
         want = _OPTIONS[key][0]
-        # JSON true/false load as bool, a subclass of int: only a bool key takes them
+        # JSON true/false load as bool, a subclass of int, and no key takes them
         fits = isinstance(value, want) or (want is float and isinstance(value, int))
-        if not fits or (isinstance(value, bool) and want is not bool):
+        if not fits or isinstance(value, bool):
             raise ConfigError(f"config key {key!r} must be {want.__name__}")
     return raw
 
@@ -215,17 +209,31 @@ def _spectral_operator(args):
 
 
 def _missing_gap(args):
-    """The error of a spectrum whose filter keeps no eigenvalue besides 1,
+    """The error of a spectrum whose scan locates no eigenvalue besides 1,
     so that it has no gap."""
     return (
-        f"no eigenvalue besides 1 survives the spectrum's companion filter at "
-        f"d={args.d}, N={args.N}; the gap is undefined"
+        f"the connection function locates no eigenvalue besides 1 in its window "
+        f"at d={args.d}, N={args.N}; the gap is undefined"
     )
+
+
+def _scanned_spectrum(args, op, failure):
+    """spectrum(op), or None once a failed similarity-coordinate scan is
+    reported in one stderr line and an `error` JSON with `failure`."""
+    try:
+        return spectrum(op)
+    except ValueError as exc:
+        message = f"similarity-coordinate scan failed: {exc}"
+        print(f"{args.command}: {message}", file=sys.stderr)
+        write_json(args.out + ".json", {"error": message, **failure})
+        return None
 
 
 def cmd_spectrum(args):
     op = _spectral_operator(args)
-    spec = spectrum(op)
+    spec = _scanned_spectrum(args, op, {"parameters": {"d": args.d, "R": args.R, "N": args.N}})
+    if spec is None:
+        return 1
     if spec.gap is None:
         print(f"{args.command}: {_missing_gap(args)}", file=sys.stderr)
     doc = spec.to_json_dict()
@@ -243,16 +251,6 @@ def cmd_spectrum(args):
         and doc["projection"]["idempotency_defect"] < 1e-8
         and doc["mode_angle"] < 1e-5
     )
-    if args.scan_ssc:
-        try:
-            count, roots = ssc_scan_roots(op.params, spec.eigenvalues)
-        except ValueError as exc:
-            print(f"spectrum: similarity-coordinate scan failed: {exc}", file=sys.stderr)
-            ok = False
-        else:
-            doc["ssc_count"] = count
-            doc["ssc_roots"] = [{"re": float(z.real), "im": float(z.imag)} for z in roots]
-            ok = ok and count == len(roots) == 1 and abs(roots[0] - 1.0) < 1e-6
     write_json(args.out + ".json", doc)
     print(
         f"spectrum d={args.d}: unstable set "
@@ -268,8 +266,10 @@ def cmd_blowup(args):
     if not args.dt > 0.0:
         raise ConfigError(f"dt must be positive, got {args.dt}")
     op = _spectral_operator(args)
-    spec = spectrum(op)
     failure = {"parameters": {"d": args.d, "amplitude": args.amp}}
+    spec = _scanned_spectrum(args, op, failure)
+    if spec is None:
+        return 1
     if spec.gap is None:
         print(f"{args.command}: {_missing_gap(args)}", file=sys.stderr)
         write_json(args.out + ".json", {"error": _missing_gap(args), **failure})
@@ -379,19 +379,13 @@ def cmd_norms(args):
 
 
 # every option: key -> (type, default, help); the flag is the key with "-"
-# for "_", and a bool option is a switch
+# for "_"
 _OPTIONS = {
     "d": (int, 7, "odd space dimension"),
     "dims": (str, "7", "comma list of odd dimensions (norms: d >= 3)"),
     "R": (float, 2.0, "domain radius (>= 1/2)"),
     "N": (int, 64, "radial node count"),
     "s_end": (float, 5.0, "final hyperboloidal time"),
-    "scan_ssc": (
-        bool,
-        False,
-        "also count the eigenvalues of the mode equation in similarity coordinates "
-        "by the argument principle and locate them",
-    ),
     "eps": (float, 0.05, "perturbation support radius"),
     "amp": (float, 1e-3, "perturbation amplitude"),
     "dt": (float, DEFAULT_STEP, f"fixed integrating-factor RK4 step (default {DEFAULT_STEP})"),
@@ -410,9 +404,11 @@ _COMMANDS = {
     ),
     "spectrum": (
         cmd_spectrum,
-        ("d", "R", "N", "scan_ssc", "out"),
-        "JSON only: {d, R, N, eigenvalues: [{re, im, stable}], gap, ...}; --scan-ssc "
-        "counts by the argument principle and locates: ssc_count, ssc_roots: [{re, im}]",
+        ("d", "R", "N", "out"),
+        "JSON only: {d, R, N, ssc_count, ssc_roots: [{re, im}], eigenvalues: "
+        "[{re, im, stable}], gap, gap_collocation_error, ...}; the connection "
+        "function's zeros in its window, counted by the argument principle, "
+        "and the collocation eigenvalue nearest each",
     ),
     "blowup": (
         cmd_blowup,
@@ -456,11 +452,7 @@ def build_parser():
         p._negative_number_matcher = _NEGATIVE_NUMBER
         for key in keys:
             kind, _, text = _OPTIONS[key]
-            flag = "--" + key.replace("_", "-")
-            if kind is bool:
-                p.add_argument(flag, dest=key, action="store_true", help=text)
-            else:
-                p.add_argument(flag, dest=key, type=kind, help=text)
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, help=text)
         p.add_argument("--config", type=str, default=None, help="flat JSON config file")
     return parser
 

@@ -43,11 +43,15 @@ def _descent_pair(d, x, F1, F2, deriv):
     return tuple((d - 2.0) * F + c1 * deriv(F, "even") + c2 * L for F, L in zip((F1, F2), LF))
 
 
+def _require_descent_d(d):
+    if d < 3 or d % 2 == 0:
+        raise ValueError(f"descent steps need odd d >= 3, got d={d}")
+
+
 def descent_step(d, grid, v):
     """One descent step d -> d-2 (or the terminal 3 -> 1 multiplication) of
     the even stacked state v; the result is even, or odd after D_3."""
-    if d < 3 or d % 2 == 0:
-        raise ValueError(f"descent steps need odd d >= 3, got d={d}")
+    _require_descent_d(d)
     return np.concatenate(_descent_pair(d, grid.eta, *np.split(v, 2), grid.deriv_half))
 
 
@@ -74,6 +78,7 @@ def descent_step_inverse(d, grid, v):
     The homogeneous-solution coefficients vanish for smooth targets, so the
     particular solution built from the kernel weights is the inverse.
     """
+    _require_descent_d(d)
     eta = grid.eta
     g1, g2 = np.split(v, 2)
     if d == 3:
@@ -91,12 +96,14 @@ def descent_step_inverse(d, grid, v):
 
 def descent_full(d, grid, v):
     """Composite descent D_3 o D_5 o ... o D_d onto the odd 1-d module."""
+    _require_descent_d(d)
     for dd in range(d, 1, -2):
         v = descent_step(dd, grid, v)
     return v
 
 
 def descent_full_inverse(d, grid, v):
+    _require_descent_d(d)
     for dd in range(3, d + 1, 2):
         v = descent_step_inverse(dd, grid, v)
     return v

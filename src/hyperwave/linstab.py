@@ -1,8 +1,10 @@
 """Assembly and spectral analysis of the linearized wave evolution: dense
 collocation matrices with one cached eigen-decomposition and cached matrix
-exponentials each, filtered spectra, the rank-one spectral projection onto
-the unstable mode, and the argument-principle count of the eigenvalues of
-the mode equation in standard similarity coordinates.
+exponentials each, the rank-one spectral projection onto the unstable mode,
+and the spectrum in a window about 1: the zeros of the mode equation's
+connection function in standard similarity coordinates, counted by the
+argument principle, located from the collocation eigenvalues and paired
+with the nearest of them.
 
 Everything runs on numpy: the eigen-decompositions are `numpy.linalg`'s, and
 the matrix exponential that `blowup` needs is the degree-13 branch of
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coeffs
-from .grids import Grid, make_grid
+from .grids import Grid
 from .model import DimensionParams, potential, symmetry_mode
 
 __all__ = [
@@ -34,10 +36,6 @@ __all__ = [
 # smallest node count at which the generator is resolved well enough for
 # spectral work
 SPECTRAL_MIN_N = 48
-
-SPECTRUM_WINDOW = -1.0
-MATCH_TOL = 1e-4
-REFINE_NODES = 16
 
 
 @dataclass
@@ -175,29 +173,42 @@ def assemble_L(params: DimensionParams, grid: Grid) -> OperatorMatrix:
 
 @dataclass
 class SpectrumResult:
-    """Filtered spectrum of the linearized evolution with a stability verdict."""
+    """The spectrum of the linearized evolution in SSC_WINDOW, with a
+    stability verdict: the count of the connection function's zeros there,
+    the zeros located (sorted by decreasing real part), and the collocation
+    eigenvalue nearest each zero."""
 
     d: int
     R: float
     N: int
+    count: int
+    roots: list
     eigenvalues: list
 
     @property
     def unstable(self):
-        return [z for z in self.eigenvalues if z.real >= 0.0]
+        return [z for z in self.roots if z.real >= 0.0]
+
+    def _gap_pair(self):
+        """(root, nearest collocation eigenvalue) of the rightmost located
+        root other than 1, or None when the scan locates no other."""
+        return next(((z, e) for z, e in zip(self.roots, self.eigenvalues) if abs(z - 1.0) > 1e-6), None)
 
     @property
     def gap(self):
-        """Minus the largest real part among the kept eigenvalues other than
-        1, or None when the filter keeps no other eigenvalue."""
-        rest = [z.real for z in self.eigenvalues if abs(z - 1.0) > 1e-6]
-        return float(-max(rest)) if rest else None
+        """Minus the real part of the rightmost located root other than 1,
+        or None when there is none."""
+        pair = self._gap_pair()
+        return None if pair is None else float(-pair[0].real)
 
     def verdict(self):
+        """Two zeros in the window, both located, and the only one with
+        Re >= 0 within 1e-6 of 1."""
         uns = self.unstable
-        return self.gap is not None and len(uns) == 1 and abs(uns[0] - 1.0) < 1e-6
+        return self.count == len(self.roots) == 2 and len(uns) == 1 and abs(uns[0] - 1.0) < 1e-6
 
     def to_json_dict(self):
+        pair = self._gap_pair()
         return {
             "d": self.d,
             "R": self.R,
@@ -207,36 +218,29 @@ class SpectrumResult:
                 for z in self.eigenvalues
             ],
             "gap": self.gap,
-            "window": SPECTRUM_WINDOW,
+            "gap_collocation_error": None if pair is None else float(abs(pair[1] - pair[0])),
+            "window": SSC_WINDOW,
+            "ssc_count": self.count,
+            "ssc_roots": [{"re": float(z.real), "im": float(z.imag)} for z in self.roots],
             "mode_stable": bool(self.verdict()),
         }
 
 
 def spectrum(op: OperatorMatrix) -> SpectrumResult:
-    """Eigenvalues of L filtered for discretization artifacts.
-
-    An eigenvalue in the half-plane Re z >= SPECTRUM_WINDOW counts as
-    resolved when a companion assembly at N + REFINE_NODES reproduces it
-    within MATCH_TOL.
+    """The spectrum of L in SSC_WINDOW: the zeros of the connection function,
+    counted and located by `ssc_scan_roots` with the collocation
+    eigenvalues as seeds, each paired with the collocation eigenvalue
+    nearest it.  A failed scan raises its ValueError.
     """
-    raw = op.eig()[0]
-    fine_grid = make_grid(op.grid.R, op.grid.N + REFINE_NODES)
-    raw_fine = np.linalg.eigvals(assemble_L(op.params, fine_grid).matrix)
-    kept = []
-    for z in raw[raw.real >= SPECTRUM_WINDOW]:
-        if np.min(np.abs(raw_fine - z)) < MATCH_TOL:
-            kept.append(complex(z))
-    kept.sort(key=lambda z: (-z.real, abs(z.imag)))
-    # collapse conjugate-pair duplicates within the matching tolerance
-    out = []
-    for z in kept:
-        if not any(abs(z - w) < MATCH_TOL for w in out):
-            out.append(z)
+    values = op.eig()[0]
+    count, roots = ssc_scan_roots(op.params, values)
     return SpectrumResult(
         d=op.params.d,
         R=op.grid.R,
         N=op.grid.N,
-        eigenvalues=out,
+        count=count,
+        roots=roots,
+        eigenvalues=[complex(values[np.argmin(np.abs(values - z))]) for z in roots],
     )
 
 
@@ -277,15 +281,17 @@ def riesz_projection(op: OperatorMatrix) -> np.ndarray:
 # ----------------------------------------------------------------------
 # standard-similarity-coordinate mode scan
 
-# Frobenius series order of each branch
-SSC_SERIES_ORDER = 220
+# Frobenius series order of each branch; the convergence check passes with
+# it at every odd d from 7 to 61 and at d = 71, 81, ..., 111, not at 121
+SSC_SERIES_ORDER = 160
 
 # the window (re range, im range) whose boundary the connection function
 # winds around, sampled at SSC_SIDE_POINTS per side.  It holds the
-# eigenvalue 1 but not the gap eigenvalue (-0.59 at d = 7), and its edges
-# keep clear of the integers where the series cannot be launched (a right
-# edge at 2 meets one at d = 11)
-SSC_WINDOW = ((-0.3, 2.5), (-2.0, 2.0))
+# eigenvalue 1 and the gap eigenvalue (-0.59 at d = 7, -0.66 at d = 31),
+# and its edges keep clear of the integers where the series cannot be
+# launched (a right edge at 2 meets one at d = 11, a left edge at -1 the
+# pole that F cancels)
+SSC_WINDOW = ((-0.9, 2.5), (-2.0, 2.0))
 SSC_SIDE_POINTS = 50
 # the circle about each seed that locates its zero: radius and points
 SSC_CIRCLE = (0.15, 16)
@@ -355,10 +361,11 @@ def ssc_mode_scan(params: DimensionParams, lam):
     rho = 1/2.  Their Wronskian det vanishes at the eigenvalues and has
     simple poles at the integers lambda <= (d - 7)/2, where the rho = 1
     indices differ by a positive integer (Costin, Donninger & Glogic, Comm.
-    Math. Phys. 351, 2017).  F = det * prod_{k=0}^{(d-7)/2} (lambda - k)
-    removes the poles in the window, so at d >= 9 the eigenvalue 1, which
-    the pole there cancels in det, is a zero of F.  The series cannot be
-    launched at those integers (ValueError).
+    Math. Phys. 351, 2017).  F = det * prod_{k=-1}^{(d-7)/2} (lambda - k)
+    removes the poles in the window and the one at -1 beside it, so at
+    d >= 9 the eigenvalue 1, which the pole there cancels in det, is a zero
+    of F, and so is the gap eigenvalue between -1 and 0.  The series cannot
+    be launched at those integers (ValueError).
     """
     lam = np.asarray(lam, dtype=complex)
     A, B, C = _ssc_polynomials(params, lam.ravel())
@@ -366,45 +373,43 @@ def ssc_mode_scan(params: DimensionParams, lam):
     # the rho = 1 branch in x = 1 - rho, whose rho-derivative is -dg1
     g1, dg1 = _series_branch(_poly_shift(A), -_poly_shift(B), _poly_shift(C), 0.5)
     det = -(g0 * dg1 + dg0 * g1).reshape(lam.shape)
-    return (det * np.prod([lam - k for k in range((params.d - 7) // 2 + 1)], axis=0))[()]
+    return (det * np.prod([lam - k for k in range(-1, (params.d - 7) // 2 + 1)], axis=0))[()]
 
 
-def _winding(params, z):
-    """Winding number about 0 of F on the closed polygon through the points
-    z.  A phase step above SSC_MAX_PHASE_STEP could hide a turn: ValueError."""
-    f = ssc_mode_scan(params, z)
+def _winding(f):
+    """Winding number about 0 of the values f of F on a closed polygon.  A
+    phase step above SSC_MAX_PHASE_STEP could hide a turn: ValueError."""
     steps = np.angle(np.roll(f, -1) / f)
     worst = float(np.max(np.abs(steps)))
     if worst > SSC_MAX_PHASE_STEP:
         raise ValueError(f"contour under-resolved: phase step {worst:.2f} rad")
-    return round(float(np.sum(steps)) / (2.0 * np.pi)), f
+    return round(float(np.sum(steps)) / (2.0 * np.pi))
 
 
 def ssc_scan_roots(params: DimensionParams, seeds):
     """(count, roots): the zeros of the connection function F inside
-    SSC_WINDOW, counted by the argument principle and located from seeds.
+    SSC_WINDOW, counted by the argument principle and located from seeds,
+    with F evaluated on every contour in one `ssc_mode_scan` call.
 
     count is the winding number of F along the window's boundary, which
     does not use the seeds (Henrici, Applied and Computational Complex
-    Analysis I).  Each seed inside the window (a filtered collocation
-    eigenvalue) gets a circle of radius SSC_CIRCLE[0]; where F winds once
-    about it, its zero is the ratio of the trapezoid-rule integrals of z/F
-    and 1/F on the circle, which needs no evaluation at the zero or at a
-    resonance.
+    Analysis I).  Each seed inside the window (a collocation eigenvalue)
+    gets a circle of radius SSC_CIRCLE[0]; where F winds once about it, its
+    zero is the ratio of the trapezoid-rule integrals of z/F and 1/F on the
+    circle, which needs no evaluation at the zero or at a resonance.
     """
     (re0, re1), (im0, im1) = SSC_WINDOW
     corners = [complex(re0, im0), complex(re1, im0), complex(re1, im1), complex(re0, im1)]
     t = np.arange(SSC_SIDE_POINTS) / SSC_SIDE_POINTS
-    edges = [a + (b - a) * t for a, b in zip(corners, corners[1:] + corners[:1])]
-    count, _ = _winding(params, np.concatenate(edges))
+    boundary = np.concatenate([a + (b - a) * t for a, b in zip(corners, corners[1:] + corners[:1])])
+    centres = np.array([c for c in seeds if re0 < c.real < re1 and im0 < c.imag < im1], dtype=complex)
     radius, n = SSC_CIRCLE
+    offsets = radius * np.exp(2j * np.pi * np.arange(n) / n)
+    f = ssc_mode_scan(params, np.concatenate([boundary, np.add.outer(centres, offsets).ravel()]))
+    count = _winding(f[: boundary.size])
     roots = []
-    for c in seeds:
-        if not (re0 < c.real < re1 and im0 < c.imag < im1):
-            continue
-        z = c + radius * np.exp(2j * np.pi * np.arange(n) / n)
-        turns, f = _winding(params, z)
-        if turns == 1:
-            w = (z - c) / f
-            roots.append(complex(np.sum(z * w) / np.sum(w)))
+    for c, fc in zip(centres, f[boundary.size :].reshape(-1, n)):
+        if _winding(fc) == 1:
+            w = offsets / fc
+            roots.append(complex(np.sum((c + offsets) * w) / np.sum(w)))
     return count, sorted(roots, key=lambda z: (-z.real, abs(z.imag)))

@@ -587,14 +587,10 @@ def adjust_blowup_time(op: OperatorMatrix, pert: PerturbationSpec, dt=DEFAULT_ST
     s0 = initial_time_s0(pert.eps)
     s_mid = s0 + SHOOT_SPAN
 
-    shots = {}  # a(T) by T: a secant step below one ulp asks again for the T it has
-
     def observable(T):
-        if T not in shots:
-            v0 = initial_data_operator(params, cauchy, T, grid)
-            traj = evolve_nonlinear(op, v0, s0, s_mid, dt=dt, n_record=2, projector=proj)
-            shots[T] = None if traj.unstable else traj.projection_coeff[-1]
-        return shots[T]
+        v0 = initial_data_operator(params, cauchy, T, grid)
+        traj = evolve_nonlinear(op, v0, s0, s_mid, dt=dt, n_record=2, projector=proj)
+        return None if traj.unstable else traj.projection_coeff[-1]
 
     c_eps = 2.0 * params.a * params.b * np.exp(s0)
     growth = np.exp(SHOOT_SPAN)
@@ -608,20 +604,19 @@ def adjust_blowup_time(op: OperatorMatrix, pert: PerturbationSpec, dt=DEFAULT_ST
         t_curr = 1.0 - a0 / (c_eps * growth)
         if abs(t_curr - 1.0) > pert.eps:
             raise RuntimeError("predicted blowup time outside the prepared window")
-        a_curr = observable(t_curr)
         for _ in range(60):
+            # the step test reads no value of a: it comes before the shot
+            if abs(t_curr - t_prev) < 1e-15 * max(1.0, abs(t_curr)):
+                break
+            a_curr = observable(t_curr)
             if a_curr is None:
                 t_curr = 0.5 * (t_curr + t_prev)
-                a_curr = observable(t_curr)
                 continue
-            if a_curr == 0.0 or abs(t_curr - t_prev) < 1e-15 * max(1.0, abs(t_curr)):
-                break
-            if a_curr == a_prev:
+            if a_curr == 0.0 or a_curr == a_prev:
                 break
             t_next = t_curr - a_curr * (t_curr - t_prev) / (a_curr - a_prev)
             t_prev, a_prev = t_curr, a_curr
             t_curr = t_next
-            a_curr = observable(t_curr)
         t_star = t_curr
         delta = max(1e-9, 100.0 * abs(t_curr - t_prev))
         a_minus = observable(t_star - delta)

@@ -153,14 +153,15 @@ def test_criterion_06_mode_stability(op96, spec96, ssc7):
         len(uns) == 1
         and abs(uns[0] - 1.0) < 1e-6
         and angle < 1e-5
-        and count == len(roots) == 1
+        and count == len(roots) == 2
         and abs(roots[0] - 1.0) < 1e-6
+        and roots[1].real < 0.0
     )
     report(
         6,
         ok,
         f"unstable set {{{uns[0].real:.8f}}}, eigenvector angle {angle:.1e}, scan zero count "
-        f"{count}, zero set {{{roots[0].real:.8f}}}",
+        f"{count}, zero set {{{', '.join(f'{z.real:.8f}' for z in roots)}}}",
         t0,
         300.0,
     )

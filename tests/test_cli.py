@@ -55,7 +55,7 @@ class TestConfigGates:
         "command, cfg",
         [
             ("identities", {"N": 4}),
-            ("freewave", {"scan_ssc": True}),
+            ("freewave", {"seed": 1}),
             ("spectrum", {"eps": -3}),
             ("blowup", {"dims": "7"}),
             ("norms", {"amp": 2}),
@@ -317,7 +317,8 @@ class TestCommands:
         # the README command's certified outputs (ROADMAP "Measured now")
         assert doc["T_star"] == pytest.approx(0.99999998641799659, rel=1e-9)
         assert doc["omega0_fit"] == pytest.approx(0.58570981720474957, rel=1e-9)
-        assert doc["gap"] == pytest.approx(0.58890482382738507, rel=1e-9)
+        # the connection function's gap (ROADMAP item 4)
+        assert doc["gap"] == pytest.approx(0.588904823837, rel=1e-10)
         assert doc["floor_limited"] is False
         assert set(doc) == {"T_star", "omega0_fit", "fit_residual", "floor_limited", "gap", "parameters"}
         for suffix in (".csv", ".json"):
@@ -395,33 +396,64 @@ class TestCommands:
         # the connection function cancels the pole at 1 that hides the
         # eigenvalue from the bare determinant at d >= 9
         out = tmp_path / "spec"
-        assert run(["spectrum", "--d", str(d), "--N", "96", "--scan-ssc", "--out", str(out)]) == 0
+        assert run(["spectrum", "--d", str(d), "--N", "96", "--out", str(out)]) == 0
         doc = json.loads(out.with_suffix(".json").read_text())
-        assert doc["ssc_count"] == len(doc["ssc_roots"]) == 1
+        assert doc["ssc_count"] == len(doc["ssc_roots"]) == 2
         assert abs(complex(doc["ssc_roots"][0]["re"], doc["ssc_roots"][0]["im"]) - 1.0) < 1e-6
+        assert doc["gap"] == -doc["ssc_roots"][1]["re"] > 0.0
 
-    @pytest.mark.parametrize("result", [(1, []), (2, [1.0])])
-    def test_spectrum_gate_rejects_count_mismatch(self, tmp_path, monkeypatch, result):
-        # (1, []) is the unseeded scan at d = 7 (TestSSCScan); (2, [1.0]) a
-        # second zero in the window that no seed located
-        import hyperwave.cli
-
-        monkeypatch.setattr(hyperwave.cli, "ssc_scan_roots", lambda params, seeds: result)
+    @pytest.mark.parametrize("d, N, gap", [(21, 128, 0.659819705908), (31, 96, 0.662301829144)])
+    def test_spectrum_takes_the_gap_from_the_connection_function(self, tmp_path, d, N, gap):
+        # collocation loses the gap eigenvalue's digits here (and 1 drifts by
+        # 1.1e-6 at d = 31); the verdict holds on the connection function's
+        # two zeros, and the projector's idempotency gate alone sets exit 1
         out = tmp_path / "spec"
-        assert run(["spectrum", "--d", "7", "--N", "48", "--scan-ssc", "--out", str(out)]) == 1
+        assert run(["spectrum", "--d", str(d), "--N", str(N), "--out", str(out)]) == 1
+        doc = json.loads(out.with_suffix(".json").read_text())
+        assert doc["gap"] == pytest.approx(gap, abs=1e-10)
+        assert doc["mode_stable"] is True and doc["ssc_count"] == 2
+        assert doc["gap_collocation_error"] > 1e-4
+        assert doc["projection"]["idempotency_defect"] >= 1e-8 and doc["mode_angle"] < 1e-5
+
+    @pytest.mark.parametrize("result", [(2, [1.0]), (3, [1.0, -0.588904823837])])
+    def test_spectrum_gate_rejects_count_mismatch(self, tmp_path, monkeypatch, result):
+        # (2, [1.0]) a second zero in the window that no seed located;
+        # (3, [1.0, -0.589]) a third one
+        from hyperwave import linstab
+
+        monkeypatch.setattr(linstab, "ssc_scan_roots", lambda params, seeds: result)
+        out = tmp_path / "spec"
+        assert run(["spectrum", "--d", "7", "--N", "48", "--out", str(out)]) == 1
         doc = json.loads(out.with_suffix(".json").read_text())
         assert (doc["ssc_count"], len(doc["ssc_roots"])) == (result[0], len(result[1]))
+        assert doc["mode_stable"] is False
 
     def test_spectrum_under_resolved_contour_exits_1(self, tmp_path, capsys, monkeypatch):
         from hyperwave import linstab
 
         monkeypatch.setattr(linstab, "SSC_MAX_PHASE_STEP", 1e-3)
         out = tmp_path / "spec"
-        assert run(["spectrum", "--d", "7", "--N", "48", "--scan-ssc", "--out", str(out)]) == 1
+        assert run(["spectrum", "--d", "7", "--N", "48", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("spectrum: similarity-coordinate scan failed: contour under-resolved")
         assert len(err.splitlines()) == 1
-        assert "ssc_count" not in json.loads(out.with_suffix(".json").read_text())
+        doc = json.loads(out.with_suffix(".json").read_text())
+        assert doc["error"] == err[len("spectrum: ") :].rstrip("\n")
+        assert doc["parameters"] == {"d": 7, "R": 2.0, "N": 48}
+
+    def test_blowup_scan_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a scan that cannot run stops blowup before it shoots
+        from hyperwave import cli, linstab
+
+        monkeypatch.setattr(linstab, "SSC_SERIES_ORDER", 30)
+        monkeypatch.setattr(cli, "adjust_blowup_time", None)
+        out = tmp_path / "x"
+        assert run(["blowup", "--d", "7", "--N", "48", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        message = "similarity-coordinate scan failed: Frobenius series not converged at radius 0.5"
+        assert captured.err.startswith(f"blowup: {message}") and captured.err.count("\n") == 1
+        assert json.loads(out.with_suffix(".json").read_text())["error"] == captured.err[8:-1]
+        assert captured.out == "" and not out.with_suffix(".csv").exists()
 
     def test_norms_ratios_match_adaptive_quadrature(self, tmp_path):
         # ratio_N of the README command as scipy's adaptive `quad` on
@@ -447,17 +479,18 @@ class TestCommands:
 
     @pytest.mark.parametrize("command", ["spectrum", "blowup"])
     def test_missing_gap_exits_1(self, tmp_path, capsys, monkeypatch, command):
-        # at d = 21, N = 128 the gap eigenvalue does not survive the
-        # companion filter; blowup stops before it shoots
-        from hyperwave import cli
+        # a scan that counts and locates the eigenvalue 1 alone leaves no
+        # gap; blowup stops before it shoots
+        from hyperwave import cli, linstab
 
+        monkeypatch.setattr(linstab, "ssc_scan_roots", lambda params, seeds: (1, [1.0]))
         monkeypatch.setattr(cli, "adjust_blowup_time", None)
         out = tmp_path / "x"
-        assert run([command, "--d", "21", "--N", "128", "--out", str(out)]) == 1
+        assert run([command, "--d", "7", "--N", "48", "--out", str(out)]) == 1
         captured = capsys.readouterr()
         message = (
-            "no eigenvalue besides 1 survives the spectrum's companion filter at "
-            "d=21, N=128; the gap is undefined"
+            "the connection function locates no eigenvalue besides 1 in its window "
+            "at d=7, N=48; the gap is undefined"
         )
         assert captured.err == f"{command}: {message}\n"
         doc = json.loads(out.with_suffix(".json").read_text())

@@ -155,6 +155,18 @@ class TestInverses:
         scale = np.max(np.abs(down[:64]))
         assert np.max(np.abs(again[:64] - down[:64])) / scale < 1e-8
 
+    @pytest.mark.parametrize(
+        "fn", [descent_step_inverse, descent_full_inverse, descent_full, evolve_free_wave]
+    )
+    @pytest.mark.parametrize("d", [1, 4, 6])
+    def test_even_or_small_dimension_rejected(self, grid64, fn, d):
+        # the same check as descent_step's: no inverse from d = 4 kernel
+        # weights, no d = 5 inverse asked for as d = 6, and no empty
+        # composite for d = 1
+        st = even_state(grid64, lambda e: np.exp(-(e**2)), lambda e: 0 * e)
+        with pytest.raises(ValueError, match=f"^descent steps need odd d >= 3, got d={d}$"):
+            fn(d, grid64, st, *([0.5] if fn is evolve_free_wave else []))
+
     def test_t22_bound_stable_under_doubling(self):
         ratios = []
         for N in (48, 96):

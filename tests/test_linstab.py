@@ -113,25 +113,30 @@ class TestSpectrum:
             assert abs(z1 - z2) < 1e-4
 
     def test_raw_list_retrievable(self, op96, spec96):
-        # the unfiltered eigenvalues are the operator's cached decomposition
+        # all collocation eigenvalues are the operator's cached decomposition
         raw = op96.eig()[0]
         assert raw.size == 2 * op96.grid.N
         assert len(spec96.eigenvalues) < raw.size
 
     def test_gap_none_without_a_stable_eigenvalue(self):
-        # the filter kept only the eigenvalue 1: there is no gap to certify
-        spec = SpectrumResult(d=21, R=2.0, N=128, eigenvalues=[1.0])
+        # the scan located only the eigenvalue 1: there is no gap to certify
+        spec = SpectrumResult(d=21, R=2.0, N=128, count=1, roots=[1.0], eigenvalues=[1.0])
         assert spec.unstable == [1.0]
         assert spec.gap is None
         assert not spec.verdict()
         doc = spec.to_json_dict()
-        assert doc["gap"] is None and doc["mode_stable"] is False
+        assert doc["gap"] is None and doc["gap_collocation_error"] is None
+        assert doc["mode_stable"] is False
 
     def test_json_document(self, spec96):
         doc = spec96.to_json_dict()
         assert doc["d"] == 7 and doc["N"] == 96 and doc["R"] == 2.0
         assert doc["mode_stable"] is True
         assert {"re", "im", "stable"} <= set(doc["eigenvalues"][0])
+        assert doc["ssc_count"] == len(doc["ssc_roots"]) == len(doc["eigenvalues"]) == 2
+        assert doc["gap"] == -doc["ssc_roots"][1]["re"]
+        # the collocation gap agrees with the connection function's
+        assert 0.0 < doc["gap_collocation_error"] < 1e-8
 
     def test_eigenvector_angle(self, op96):
         assert mode_angle(op96) < 1e-5
@@ -197,8 +202,8 @@ class TestRieszProjection:
         mode_angle(op)
         riesz_projection(op)
         # one eig of L, shared by all three; one eig of L^H for the left
-        # eigenvector; one eigvals of the N + 16 companion in `spectrum`
-        assert sorted(sizes) == [2 * 64, 2 * 64, 2 * 80]
+        # eigenvector
+        assert sorted(sizes) == [2 * 64, 2 * 64]
         assert solves == []
 
     def test_commutes_with_evolution_map(self, grid96, op96, proj96):
@@ -319,21 +324,23 @@ class TestSSCScan:
         assert abs(ssc_mode_scan(params7, 0.5)) > 0.1
         assert abs(ssc_mode_scan(params7, 1.5)) > 0.1
 
-    def test_unique_root_in_window(self, ssc7):
+    def test_one_and_the_gap_in_window(self, ssc7):
         count, roots = ssc7
-        assert count == len(roots) == 1
+        assert count == len(roots) == 2
         assert abs(roots[0] - 1.0) < 1e-12
+        assert abs(roots[1] + 0.588904823837) < 1e-10
 
     def test_no_roots_in_gap_strip(self, ssc7, spec96):
         # oracle for the spectral gap: nothing between -gap/2 and 0.  The
-        # window holds that strip, and its one zero is the eigenvalue 1
+        # window holds that strip, and its two zeros are the eigenvalue 1
+        # and one left of the strip
         (re0, re1), (im0, im1) = SSC_WINDOW
         assert re0 < -spec96.gap / 2.0 and im0 < -1.0 and 1.0 < im1
         count, roots = ssc7
-        assert count == 1 and abs(roots[0] - 1.0) < 1e-12
+        assert count == 2 and abs(roots[0] - 1.0) < 1e-12 and roots[1].real < -spec96.gap / 2.0
 
     def test_count_does_not_use_seeds(self, params7):
-        assert ssc_scan_roots(params7, []) == (1, [])
+        assert ssc_scan_roots(params7, []) == (2, [])
 
     def test_resonant_lambda_raises(self, params7):
         for lam in (0.0, [0.5, 0.0, 1.5]):
@@ -361,16 +368,26 @@ class TestSSCScan:
         assert batch.shape == z.shape and np.ndim(single[0]) == 0
         assert np.max(np.abs(batch - single) / np.abs(single)) < 1e-14
 
-    def test_counts_the_eigenvalue_one_at_every_odd_d_to_31(self):
+    def test_counts_one_and_the_gap_at_every_odd_d_to_31(self):
+        # the seed circle about -0.6 holds every gap from d = 7 (-0.589) to
+        # d = 31 (-0.662)
+        gaps = {7: 0.588904823837, 9: 0.636360655568, 11: 0.647756794844, 21: 0.659819705908,
+                31: 0.662301829144}
         start = time.perf_counter()
         for d in range(7, 32, 2):
-            count, roots = ssc_scan_roots(make_params(d), [1.0])
-            assert count == len(roots) == 1, d
+            count, roots = ssc_scan_roots(make_params(d), [1.0, -0.6])
+            assert count == len(roots) == 2, d
             assert abs(roots[0] - 1.0) < 1e-12, d
+            assert -0.9 < roots[1].real < 0.0 and abs(roots[1].imag) < 1e-12, d
+            if d in gaps:
+                assert abs(roots[1] + gaps[d]) < 1e-10, d
         assert time.perf_counter() - start < 5.0
 
     def test_scan_matches_matrix_spectrum(self, ssc7, spec96):
-        # both routes agree that the only unstable eigenvalue is 1
+        # both routes agree that the only unstable eigenvalue is 1, and on
+        # the gap eigenvalue
         _, roots = ssc7
-        assert len(roots) == len(spec96.unstable) == 1
-        assert abs(roots[0] - spec96.unstable[0]) < 1e-6
+        assert len(spec96.unstable) == 1
+        assert len(roots) == len(spec96.eigenvalues) == 2
+        for z, e in zip(roots, spec96.eigenvalues):
+            assert abs(z - e) < 1e-6

@@ -496,6 +496,24 @@ class TestBlowupAdjustment:
         assert times[-1] == t_star and t_star in shooting
         assert len(set(shooting)) == len(shooting)
 
+    def test_secant_stops_on_its_step_without_a_shot(self, op64, monkeypatch):
+        from hyperwave import nonlinear
+
+        # at amplitude 2e-3 the secant's last step is below 1e-15 relative:
+        # T* is accepted without the shooting run that the step test never
+        # reads, and the final run is the only one at T*
+        times = []
+        prepare = nonlinear.initial_data_operator
+
+        def recording(params, cauchy, T, grid):
+            times.append(T)
+            return prepare(params, cauchy, T, grid)
+
+        monkeypatch.setattr(nonlinear, "initial_data_operator", recording)
+        t_star = adjust_blowup_time(op64, PerturbationSpec(2e-3))[0]
+        assert times[-1] == t_star and t_star not in times[:-1]
+        assert len(set(times)) == len(times) == 6
+
     def test_zero_amplitude_control(self, op64):
         t_star, traj, omega, residual = adjust_blowup_time(op64, PerturbationSpec(0.0))
         assert t_star == 1.0

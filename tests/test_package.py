@@ -117,15 +117,15 @@ def test_blowup_leaves_scipy_interpolate_optimize_special_and_fft_unloaded(tmp_p
 
 def test_tracer_wraps_eigensolvers_after_cli_import(tmp_path):
     # the benchmark tracer installs after `import hyperwave.cli`; its
-    # `linstab.eig` span sees the eig of L, the eig of L^H for the left
-    # eigenvector and the eigvals of the N + 16 companion
+    # `linstab.eig` span sees the eig of L and the eig of L^H for the left
+    # eigenvector
     bench = os.path.join(ROOT, "bench")
     argv = ["spectrum", "--d", "7", "--N", "48", "--out", str(tmp_path / "spectrum")]
     assert _run_fresh(
         f"import sys; import hyperwave.cli; sys.path.insert(0, {bench!r}); import tracer; "
         f"t = tracer.Tracer(); tracer.install(t); hyperwave.cli.main({argv!r}); "
         "print(tracer.summarize(t.spans)['linstab.eig']['calls'])"
-    ) == 3
+    ) == 2
 
 
 def test_traced_spans_resolve():
