@@ -3,8 +3,8 @@ collocation matrices with one cached eigen-decomposition and cached matrix
 exponentials each, the rank-one spectral projection onto the unstable mode,
 and the spectrum in a window about 1: the zeros of the mode equation's
 connection function in standard similarity coordinates, counted by the
-argument principle, located from the collocation eigenvalues and paired
-with the nearest of them.
+argument principle, located from its sign changes on the real axis and
+paired with the nearest collocation eigenvalue.
 
 Everything runs on numpy: the eigen-decompositions are `numpy.linalg`'s, and
 the matrix exponential that `blowup` needs is the degree-13 branch of
@@ -228,12 +228,11 @@ class SpectrumResult:
 
 def spectrum(op: OperatorMatrix) -> SpectrumResult:
     """The spectrum of L in SSC_WINDOW: the zeros of the connection function,
-    counted and located by `ssc_scan_roots` with the collocation
-    eigenvalues as seeds, each paired with the collocation eigenvalue
-    nearest it.  A failed scan raises its ValueError.
+    counted and located by `ssc_scan_roots`, each paired with the
+    collocation eigenvalue nearest it.  A failed scan raises its ValueError.
     """
     values = op.eig()[0]
-    count, roots = ssc_scan_roots(op.params, values)
+    count, roots = ssc_scan_roots(op.params)
     return SpectrumResult(
         d=op.params.d,
         R=op.grid.R,
@@ -293,7 +292,7 @@ SSC_SERIES_ORDER = 160
 # pole that F cancels)
 SSC_WINDOW = ((-0.9, 2.5), (-2.0, 2.0))
 SSC_SIDE_POINTS = 50
-# the circle about each seed that locates its zero: radius and points
+# the circle that locates the zero at a real sign change: radius and points
 SSC_CIRCLE = (0.15, 16)
 # largest phase step of a sampled contour whose winding number is trusted
 SSC_MAX_PHASE_STEP = np.pi / 4
@@ -386,29 +385,32 @@ def _winding(f):
     return round(float(np.sum(steps)) / (2.0 * np.pi))
 
 
-def ssc_scan_roots(params: DimensionParams, seeds):
+def ssc_scan_roots(params: DimensionParams):
     """(count, roots): the zeros of the connection function F inside
-    SSC_WINDOW, counted by the argument principle and located from seeds,
-    with F evaluated on every contour in one `ssc_mode_scan` call.
+    SSC_WINDOW, counted by the argument principle and located on its real
+    segment, in two `ssc_mode_scan` calls.
 
-    count is the winding number of F along the window's boundary, which
-    does not use the seeds (Henrici, Applied and Computational Complex
-    Analysis I).  Each seed inside the window (a collocation eigenvalue)
-    gets a circle of radius SSC_CIRCLE[0]; where F winds once about it, its
-    zero is the ratio of the trapezoid-rule integrals of z/F and 1/F on the
-    circle, which needs no evaluation at the zero or at a resonance.
+    count is the winding number of F along the window's boundary (Henrici,
+    Applied and Computational Complex Analysis I).  F is real on the real
+    axis; the first call also samples it at SSC_SIDE_POINTS midpoints of the
+    real segment, off the integers where the series cannot start.  A circle
+    of radius SSC_CIRCLE[0] between the two samples of each sign change
+    locates its zero: where F winds once about it, the zero is the ratio of
+    the trapezoid-rule integrals of z/F and 1/F on the circle, which needs
+    no evaluation at the zero or at a resonance.
     """
     (re0, re1), (im0, im1) = SSC_WINDOW
     corners = [complex(re0, im0), complex(re1, im0), complex(re1, im1), complex(re0, im1)]
     t = np.arange(SSC_SIDE_POINTS) / SSC_SIDE_POINTS
     boundary = np.concatenate([a + (b - a) * t for a, b in zip(corners, corners[1:] + corners[:1])])
-    centres = np.array([c for c in seeds if re0 < c.real < re1 and im0 < c.imag < im1], dtype=complex)
+    line = re0 + (re1 - re0) * (t + 0.5 / SSC_SIDE_POINTS)
+    f = ssc_mode_scan(params, np.concatenate([boundary, line]))
+    count = _winding(f[: boundary.size])
+    centres = 0.5 * (line[1:] + line[:-1])[np.diff(np.signbit(f[boundary.size :].real))]
     radius, n = SSC_CIRCLE
     offsets = radius * np.exp(2j * np.pi * np.arange(n) / n)
-    f = ssc_mode_scan(params, np.concatenate([boundary, np.add.outer(centres, offsets).ravel()]))
-    count = _winding(f[: boundary.size])
     roots = []
-    for c, fc in zip(centres, f[boundary.size :].reshape(-1, n)):
+    for c, fc in zip(centres, ssc_mode_scan(params, np.add.outer(centres, offsets))):
         if _winding(fc) == 1:
             w = offsets / fc
             roots.append(complex(np.sum((c + offsets) * w) / np.sum(w)))

@@ -2,6 +2,7 @@
 replacement and full-precision floats."""
 
 import json
+import math
 import os
 import tempfile
 
@@ -42,11 +43,13 @@ def _jsonify(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, float):
-        return float(format_float(obj))
+        # JSON has no NaN or infinity: a value that is not finite is null
+        return float(format_float(obj)) if math.isfinite(obj) else None
     if hasattr(obj, "item"):
         return _jsonify(obj.item())
     return obj
 
 
 def write_json(path, payload):
-    _atomic_write(path, json.dumps(_jsonify(payload), indent=2, sort_keys=True) + "\n")
+    text = json.dumps(_jsonify(payload), indent=2, sort_keys=True, allow_nan=False)
+    _atomic_write(path, text + "\n")

@@ -34,10 +34,9 @@ def spec96(op96):
 
 
 @pytest.fixture(scope="session")
-def ssc7(params7, spec96):
-    """(count, roots) of the similarity-coordinate scan at d = 7, seeded by
-    the collocation eigenvalues nearest its zeros."""
-    return ssc_scan_roots(params7, spec96.eigenvalues)
+def ssc7(params7):
+    """(count, roots) of the similarity-coordinate scan at d = 7."""
+    return ssc_scan_roots(params7)
 
 
 @pytest.fixture(scope="session")

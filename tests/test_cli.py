@@ -6,6 +6,7 @@ import pytest
 
 from hyperwave import descent
 from hyperwave.cli import _COMMANDS, build_parser, main
+from hyperwave.output import write_json
 
 from conftest import traced_peak
 
@@ -304,6 +305,24 @@ class TestCommands:
         assert lines[0] == "s,norm"
         assert len(lines) == 1 + 6
 
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered in log")
+    def test_freewave_with_every_norm_zero_writes_null(self, tmp_path):
+        # at R = 100 no node of N = 24 lies inside the bump, every norm is 0
+        # and the fitted exponent is NaN, which JSON has no literal for
+        out = tmp_path / "fw"
+        assert run(["freewave", "--d", "7", "--N", "24", "--R", "100", "--out", str(out)]) == 1
+
+        def refuse(literal):
+            raise AssertionError(f"{literal} is not JSON")
+
+        doc = json.loads(out.with_suffix(".json").read_text(), parse_constant=refuse)
+        assert doc["exponent_fit"] is None and doc["cross_check_error"] > 0.0
+
+    def test_write_json_writes_null_for_non_finite_floats(self, tmp_path):
+        path = tmp_path / "x.json"
+        write_json(str(path), {"a": [float("inf"), -float("inf")], "b": float("nan"), "c": 0.1})
+        assert json.loads(path.read_text()) == {"a": [None, None], "b": None, "c": 0.1}
+
     def test_blowup_d7_deterministic(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -417,11 +436,11 @@ class TestCommands:
 
     @pytest.mark.parametrize("result", [(2, [1.0]), (3, [1.0, -0.588904823837])])
     def test_spectrum_gate_rejects_count_mismatch(self, tmp_path, monkeypatch, result):
-        # (2, [1.0]) a second zero in the window that no seed located;
+        # (2, [1.0]) a second zero in the window that the scan did not locate;
         # (3, [1.0, -0.589]) a third one
         from hyperwave import linstab
 
-        monkeypatch.setattr(linstab, "ssc_scan_roots", lambda params, seeds: result)
+        monkeypatch.setattr(linstab, "ssc_scan_roots", lambda params: result)
         out = tmp_path / "spec"
         assert run(["spectrum", "--d", "7", "--N", "48", "--out", str(out)]) == 1
         doc = json.loads(out.with_suffix(".json").read_text())
@@ -483,7 +502,7 @@ class TestCommands:
         # gap; blowup stops before it shoots
         from hyperwave import cli, linstab
 
-        monkeypatch.setattr(linstab, "ssc_scan_roots", lambda params, seeds: (1, [1.0]))
+        monkeypatch.setattr(linstab, "ssc_scan_roots", lambda params: (1, [1.0]))
         monkeypatch.setattr(cli, "adjust_blowup_time", None)
         out = tmp_path / "x"
         assert run([command, "--d", "7", "--N", "48", "--out", str(out)]) == 1
@@ -500,6 +519,18 @@ class TestCommands:
         else:
             assert doc["error"] == message
             assert captured.out == "" and not out.with_suffix(".csv").exists()
+
+    def test_one_gap_at_every_N_and_R_and_in_blowup(self, tmp_path):
+        # the gap is the connection function's root, which no grid enters
+        gaps = set()
+        for i, (N, R) in enumerate(((48, 2), (96, 2), (128, 2), (64, 0.75))):
+            out = tmp_path / f"spec{i}"
+            assert run(["spectrum", "--N", str(N), "--R", str(R), "--out", str(out)]) == 0
+            gaps.add(json.loads(out.with_suffix(".json").read_text())["gap"])
+        out = tmp_path / "blowup"
+        assert run(["blowup", "--N", "48", "--out", str(out)]) == 0
+        gaps.add(json.loads(out.with_suffix(".json").read_text())["gap"])
+        assert len(gaps) == 1 and gaps.pop() == pytest.approx(0.588904823837, rel=1e-10)
 
     def test_spectrum_document(self, tmp_path):
         out = tmp_path / "spec"

@@ -339,9 +339,6 @@ class TestSSCScan:
         count, roots = ssc7
         assert count == 2 and abs(roots[0] - 1.0) < 1e-12 and roots[1].real < -spec96.gap / 2.0
 
-    def test_count_does_not_use_seeds(self, params7):
-        assert ssc_scan_roots(params7, []) == (2, [])
-
     def test_resonant_lambda_raises(self, params7):
         for lam in (0.0, [0.5, 0.0, 1.5]):
             with pytest.raises(ValueError, match="^resonant Frobenius recursion at order 1$"):
@@ -369,13 +366,13 @@ class TestSSCScan:
         assert np.max(np.abs(batch - single) / np.abs(single)) < 1e-14
 
     def test_counts_one_and_the_gap_at_every_odd_d_to_31(self):
-        # the seed circle about -0.6 holds every gap from d = 7 (-0.589) to
+        # the real sign changes locate every gap from d = 7 (-0.589) to
         # d = 31 (-0.662)
         gaps = {7: 0.588904823837, 9: 0.636360655568, 11: 0.647756794844, 21: 0.659819705908,
                 31: 0.662301829144}
         start = time.perf_counter()
         for d in range(7, 32, 2):
-            count, roots = ssc_scan_roots(make_params(d), [1.0, -0.6])
+            count, roots = ssc_scan_roots(make_params(d))
             assert count == len(roots) == 2, d
             assert abs(roots[0] - 1.0) < 1e-12, d
             assert -0.9 < roots[1].real < 0.0 and abs(roots[1].imag) < 1e-12, d

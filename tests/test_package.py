@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import json
 import os
 import pkgutil
 import subprocess
@@ -232,6 +233,25 @@ def test_every_definition_reached_from_cli_main():
     assert _unreached() == []
 
 
+def _python(args, cwd, threads="1", preexec_fn=None):
+    """A fresh interpreter run on args in cwd, with this package on its path
+    and the given BLAS thread count."""
+    src = os.path.dirname(os.path.dirname(hyperwave.__file__))
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": threads,
+        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    }
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=cwd,
+        preexec_fn=preexec_fn,
+    )
+
+
 def test_readme_commands_but_blowup_write_the_same_bytes_at_one_and_two_blas_threads(
     tmp_path,
 ):
@@ -244,22 +264,44 @@ def test_readme_commands_but_blowup_write_the_same_bytes_at_one_and_two_blas_thr
         if line.startswith("hyperwave ") and line.split()[1] != "blowup"
     ]
     assert {argv[0] for argv in argvs} == {"identities", "freewave", "spectrum", "norms"}
-    src = os.path.dirname(os.path.dirname(hyperwave.__file__))
     files = {}
     for threads in ("1", "2"):
         out = tmp_path / threads
         out.mkdir()
-        env = {
-            **os.environ,
-            "OPENBLAS_NUM_THREADS": threads,
-            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-        }
         code = f"import hyperwave.cli; print([hyperwave.cli.main(a) for a in {argvs!r}])"
-        run = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=out
-        )
+        run = _python(["-c", code], out, threads)
         assert run.returncode == 0, run.stderr
         assert ast.literal_eval(run.stdout.strip().splitlines()[-1]) == [0] * len(argvs)
         files[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
     assert len(files["1"]) == 7
     assert files["1"] == files["2"]
+
+
+def test_spectrum_roots_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # from N = 108 on the dense eigs, and with them the collocation
+    # diagnostics, change with the thread count; the connection function's
+    # count, roots and gap do not
+    argv = ["-m", "hyperwave.cli", "spectrum", "--d", "7", "--N", "128", "--out", "s"]
+    docs = []
+    for threads in ("1", "2"):
+        run = _python(argv, tmp_path, threads)
+        assert run.returncode == 0, run.stderr
+        docs.append(json.loads((tmp_path / "s.json").read_text()))
+    keys = ("gap", "ssc_count", "ssc_roots")
+    assert [docs[0][k] for k in keys] == [docs[1][k] for k in keys]
+
+
+def test_run_too_large_to_allocate_exits_2(tmp_path):
+    # --s-end 1e12 asks for a time axis of 14.6 TiB; the address-space limit
+    # makes that allocation fail on any host, before any memory is used
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    argv = ["-m", "hyperwave.cli", "freewave", "--d", "7", "--N", "24", "--s-end", "1e12"]
+    run = _python([*argv, "--out", "fw"], tmp_path, preexec_fn=limit)
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.startswith("configuration error: the run is too large to allocate: ")
+    assert run.stderr.count("\n") == 1
+    assert not list(tmp_path.iterdir())
