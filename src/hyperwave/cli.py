@@ -101,19 +101,18 @@ def cmd_identities(args):
     dims = _dims_list(args)
     eta = np.linspace(0.02, args.R, 100)
     rows = []
-    worst = 0.0
     for d in dict.fromkeys([*dims, 1]):
         res = coeffs.identity_residuals(d, eta)
         for i, r in enumerate(res):
-            m = float(np.max(np.abs(r)))
-            worst = max(worst, m)
-            rows.append((d, f"identity_{i}", m))
+            rows.append((d, f"identity_{i}", float(np.max(np.abs(r)))))
+    # np.max, unlike max, carries a NaN residual through
+    worst = float(np.max([r[2] for r in rows]))
     chris = max(
         contracted_christoffel_residual(0.1, np.array([0.8] + [0.0] * (max(dims) - 1))),
         contracted_christoffel_residual(-0.5, np.array([1.4] + [0.0] * (max(dims) - 1))),
     )
     rows.append((max(dims), "contracted_christoffel", float(chris)))
-    parity_worst = 0.0
+    parity_defects = []
     sample = np.linspace(0.05, args.R, 17)
     for d in dims:
         dd = max(d, 3)
@@ -125,13 +124,13 @@ def cmd_identities(args):
             (coeffs.c1_fn, -1),
             (coeffs.c2_fn, +1),
         ):
-            defect = float(np.max(np.abs(fn(-sample) - sign * fn(sample))))
-            parity_worst = max(parity_worst, defect)
-    rows.append((0, "parity_table", parity_worst))
+            parity_defects.append(float(np.max(np.abs(fn(-sample) - sign * fn(sample)))))
+    rows.append((0, "parity_table", float(np.max(parity_defects))))
     write_csv(args.out + ".csv", ["d", "check", "max_residual"], rows)
     gates = {"identity": 1e-10, "contracted_christoffel": 1e-8, "parity_table": 1e-12}
+    # a residual passes only below its gate, so a NaN residual is a breach
     offenders = [
-        r for r in rows if r[2] >= gates["identity" if r[1].startswith("identity") else r[1]]
+        r for r in rows if not r[2] < gates["identity" if r[1].startswith("identity") else r[1]]
     ]
     for d, check, value in offenders:
         print(f"tolerance breach: d={d} {check} residual {format_float(value)}")
@@ -177,7 +176,11 @@ def cmd_freewave(args):
             )
     rows = [(float(s), float(nv)) for s, nv in zip(s_values, norms)]
     write_csv(args.out + ".csv", ["s", "norm"], rows)
-    slope = float(np.polyfit(s_values, np.log(norms), 1)[0])
+    if np.all(np.asarray(norms) > 0.0):
+        slope = float(np.polyfit(s_values, np.log(norms), 1)[0])
+    else:
+        slope = math.nan
+        print(f"{args.command}: a norm is 0, the data vanish on the grid: no fit", file=sys.stderr)
     summary = {
         "d": args.d,
         "R": args.R,
@@ -330,6 +333,8 @@ def cmd_norms(args):
     dims = _dims_list(args)
     if min(dims) < 3:
         raise ConfigError(f"norms needs dimensions >= 3, got {min(dims)}")
+    if args.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     centers = rng.uniform(0.2, 0.8, size=3)
     widths = rng.uniform(0.5, 1.5, size=3)

@@ -115,14 +115,14 @@ class Grid:
         sign = {"even": 1.0, "odd": -1.0}[parity]
         return np.concatenate([sign * values[::-1], values])
 
-    def restrict(self, full_values, parity, tol=1e-12):
+    def restrict(self, full_values, parity):
         """Full-grid values of the given parity -> half-grid values; the
-        parity must hold to `tol` relative to max(1, max |values|)."""
+        parity must hold to 1e-12 relative to max(1, max |values|)."""
         full_values = np.asarray(full_values, dtype=float)
         sign = {"even": 1.0, "odd": -1.0}[parity]
         defect = float(np.max(np.abs(full_values - sign * full_values[::-1])))
         scale = max(1.0, float(np.max(np.abs(full_values))))
-        if defect > tol * scale:
+        if defect > 1e-12 * scale:
             raise ValueError(f"declared parity {parity!r} violated by {defect:.3e}")
         return full_values[self.N :]
 

@@ -58,7 +58,7 @@ class StandardHeight:
     """The height profile h(y) = sqrt(2 + y^2) - 2 shaping the hyperboloids.
 
     Its slope satisfies |h'| < 1, so the level sets stay spacelike, and
-    h_pm(y) = y +- h are strictly increasing.
+    h_+(y) = y + h is strictly increasing.
     """
 
     def h(self, y):
@@ -77,18 +77,11 @@ class StandardHeight:
     def hp(self, y):
         return y + self.h(y)
 
-    def hm(self, y):
-        return y - self.h(y)
-
-    # h_pm(z) = c reduces to a linear equation after isolating the square
-    # root, so the inverses are rational in c.
+    # h_+(z) = c reduces to a linear equation after isolating the square
+    # root, so the inverse is rational in c.
     def hp_inverse(self, target):
         m = np.asarray(target, dtype=float) + 2.0
         return (m * m - 2.0) / (2.0 * m)
-
-    def hm_inverse(self, target):
-        m = 2.0 - np.asarray(target, dtype=float)
-        return (2.0 - m * m) / (2.0 * m)
 
 
 HEIGHT = StandardHeight()

@@ -579,7 +579,8 @@ def adjust_blowup_time(op: OperatorMatrix, pert: PerturbationSpec, dt=DEFAULT_ST
     and a guarded secant homes in; a sign change across the result is then
     verified by bracketing.  Returns (T*, trajectory at T*, omega0,
     fit residual); omega0 and the residual are None when the norms sink to
-    the floor, where no rate can be fitted.
+    the floor, where no rate can be fitted.  An unstable final run raises
+    RuntimeError.
     """
     params, grid = op.params, op.grid
     proj = riesz_projection(op)
@@ -629,6 +630,8 @@ def adjust_blowup_time(op: OperatorMatrix, pert: PerturbationSpec, dt=DEFAULT_ST
 
     v0 = initial_data_operator(params, cauchy, t_star, grid)
     traj = evolve_nonlinear(op, v0, s0, s0 + DECAY_SPAN, dt=dt, n_record=33, projector=proj)
+    if traj.unstable:
+        raise RuntimeError(f"the final run at T* = {t_star} tripped the explosion guard")
     total = traj.norm_k + traj.norm_km1
     floor = 1e-12 * max(float(np.max(total)), 1e-300)
     sel = traj.s >= s0 + FIT_SKIP

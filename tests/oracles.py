@@ -137,12 +137,23 @@ def hpm_inner(grid, f_full, g_full, sign):
     return grid.quad_full(np.asarray(f_full) * np.conj(g_full) * weight)
 
 
+def hm(y):
+    """h_-(y) = y - h(y), strictly increasing like h_+."""
+    return y - HEIGHT.h(y)
+
+
+def hm_inverse(target):
+    """The inverse of h_-, rational in its value like that of h_+."""
+    m = 2.0 - np.asarray(target, dtype=float)
+    return (2.0 - m * m) / (2.0 * m)
+
+
 def halfwave_flow(fm, fp, ds):
     """Exact transport acting on callables; returns evaluators at time ds."""
     shrink = np.exp(-float(ds))
 
     def vm(y):
-        return fm(HEIGHT.hm_inverse(shrink * HEIGHT.hm(np.asarray(y, dtype=float))))
+        return fm(hm_inverse(shrink * hm(np.asarray(y, dtype=float))))
 
     def vp(y):
         return fp(HEIGHT.hp_inverse(shrink * HEIGHT.hp(np.asarray(y, dtype=float))))

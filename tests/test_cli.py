@@ -2,6 +2,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hyperwave import descent
@@ -152,6 +153,8 @@ class TestConfigGates:
             # dimension is refused, not skipped with a passing exit
             ["norms", "--dims", "1"],
             ["norms", "--dims", "7,1"],
+            # numpy's generators take no negative seed
+            ["norms", "--seed", "-1"],
             # an output prefix under a regular file, refused before the run
             *([name, "--out", "FILE/x"] for name in _COMMANDS),
             ["blowup", "--out", "FILE/sub/x"],
@@ -232,6 +235,17 @@ class TestCommands:
         lines = out.with_suffix(".csv").read_text().splitlines()[1:]
         assert len(lines) == len({tuple(line.split(",")[:2]) for line in lines}) == 9
 
+    def test_identities_nan_residual_is_a_breach(self, tmp_path, capsys):
+        # at R = 1e300 the coefficients overflow: every identity residual and
+        # the parity defect are NaN
+        out = tmp_path / "ident"
+        with np.errstate(all="ignore"):
+            assert run(["identities", "--dims", "3", "--R", "1e300", "--out", str(out)]) == 1
+        stdout = capsys.readouterr().out
+        assert "tolerance breach: d=3 identity_0 residual nan" in stdout
+        assert "tolerance breach: d=0 parity_table residual nan" in stdout
+        assert "worst identity residual nan" in stdout
+
     def test_identities_deterministic(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -306,7 +320,8 @@ class TestCommands:
         assert len(lines) == 1 + 6
 
     @pytest.mark.filterwarnings("ignore:divide by zero encountered in log")
-    def test_freewave_with_every_norm_zero_writes_null(self, tmp_path):
+    @pytest.mark.filterwarnings("error")
+    def test_freewave_with_every_norm_zero_writes_null(self, tmp_path, capsys):
         # at R = 100 no node of N = 24 lies inside the bump, every norm is 0
         # and the fitted exponent is NaN, which JSON has no literal for
         out = tmp_path / "fw"
@@ -317,6 +332,10 @@ class TestCommands:
 
         doc = json.loads(out.with_suffix(".json").read_text(), parse_constant=refuse)
         assert doc["exponent_fit"] is None and doc["cross_check_error"] > 0.0
+        # one line says why, and no log of 0 is taken
+        assert capsys.readouterr().err == (
+            "freewave: a norm is 0, the data vanish on the grid: no fit\n"
+        )
 
     def test_write_json_writes_null_for_non_finite_floats(self, tmp_path):
         path = tmp_path / "x.json"
@@ -382,6 +401,18 @@ class TestCommands:
         doc = json.loads(out.with_suffix(".json").read_text())
         assert doc["omega0_fit"] is None
         assert doc["floor_limited"] is True
+
+    def test_blowup_unstable_final_run_exits_1(self, tmp_path, capsys):
+        # at R = 0.5 the run at T* trips the explosion guard after one record,
+        # which leaves too few samples for a rate fit
+        out = tmp_path / "b"
+        assert run(["blowup", "--d", "7", "--R", "0.5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("blowup experiment failed: the final run at T* = ")
+        assert err.endswith(" tripped the explosion guard\n") and len(err.splitlines()) == 1
+        doc = json.loads(out.with_suffix(".json").read_text())
+        assert set(doc) == {"error", "parameters"}
+        assert not out.with_suffix(".csv").exists()
 
     def test_blowup_unconverged_spline_fit_exits_1(self, tmp_path, capsys, monkeypatch):
         from hyperwave import nonlinear
