@@ -1,16 +1,21 @@
 """Command-line front end: orchestrates the verification and experiment
 pipelines and emits CSV/JSON artifacts.
 
-Subcommands: identities | freewave | spectrum | blowup | norms.
-Exit codes: 0 ok, 1 tolerance breach, 2 configuration error.
+Subcommands: identities | freewave | spectrum | blowup | norms.  Each
+command returns its summary and its checks against GATES; `main` alone
+writes them to `<out>.json`, names each failed check on stderr and sets the
+exit code: 0 every check passed; 1 a failed check, or a run that cannot
+produce its numbers (RunError: `{error, parameters}`); 2 configuration error.
 """
 
 import argparse
 import json
 import math
+import operator
 import os
 import re
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -41,6 +46,46 @@ from .output import format_float, write_csv, write_json
 
 class ConfigError(Exception):
     pass
+
+
+class RunError(Exception):
+    """A run that cannot produce its numbers."""
+
+
+# every numeric gate: check name -> (comparison, bound).  A check passes when
+# `value <comparison> bound` holds, so a NaN or None value fails it; where a
+# command gives a scale, the bound is relative to it.
+GATES = {
+    "identity": ("<", 1e-10),  # the worst coefficient identity residual
+    "contracted_christoffel": ("<", 1e-8),
+    "parity_table": ("<", 1e-12),
+    "exponent_fit": ("<=", 0.55),  # the norms' growth exponent, d > 1
+    "exponent_fit_d1": ("<=", -0.45),
+    "cross_check_error": ("<", 1e-4),  # against the FD oracle at s = 1
+    "mode_stable": ("==", True),  # linstab's verdict on the zeros in the window
+    "idempotency_defect": ("<", 1e-8),
+    "mode_angle": ("<", 1e-5),
+    "T_star_offset": ("<=", 0.1),  # |T* - 1|
+    "omega0_fit": (">", 0.0),
+    "omega0_gap_offset": ("<=", 0.2),  # |omega0 - gap|, scaled by the gap
+    "control_T_star": ("==", 1.0),  # the zero-amplitude control
+    "control_floor_limited": ("==", True),
+    "drift": ("<", 0.1),  # the worst N-versus-2N norm-ratio drift
+    "hardy": ("<=", 2.0),  # the Hardy inequality's lhs, scaled by its rhs
+    "integral_op_T": ("<", 1e-10),
+}
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, "==": operator.eq}
+
+
+def _check(name, value, scale=None):
+    """The check {name, value, gate, passed} of `value` against its GATES entry."""
+    comparison, bound = GATES[name]
+    if scale is not None:
+        bound = float(bound * scale)
+    if isinstance(value, float):  # a numpy float prints with its type
+        value = float(value)
+    passed = value is not None and bool(_COMPARE[comparison](value, bound))
+    return {"name": name, "value": value, "gate": f"{comparison} {bound!r}", "passed": passed}
 
 
 def _load_config(path, command):
@@ -97,6 +142,8 @@ def _dims_list(args):
     return list(dict.fromkeys(dims))
 
 
+# an overflowing R makes residuals NaN, which their checks name
+@np.errstate(all="ignore")
 def cmd_identities(args):
     dims = _dims_list(args)
     eta = np.linspace(0.02, args.R, 100)
@@ -125,17 +172,12 @@ def cmd_identities(args):
             (coeffs.c2_fn, +1),
         ):
             parity_defects.append(float(np.max(np.abs(fn(-sample) - sign * fn(sample)))))
-    rows.append((0, "parity_table", float(np.max(parity_defects))))
+    parity = float(np.max(parity_defects))
+    rows.append((0, "parity_table", parity))
     write_csv(args.out + ".csv", ["d", "check", "max_residual"], rows)
-    gates = {"identity": 1e-10, "contracted_christoffel": 1e-8, "parity_table": 1e-12}
-    # a residual passes only below its gate, so a NaN residual is a breach
-    offenders = [
-        r for r in rows if not r[2] < gates["identity" if r[1].startswith("identity") else r[1]]
-    ]
-    for d, check, value in offenders:
-        print(f"tolerance breach: d={d} {check} residual {format_float(value)}")
     print(f"identities: {len(rows)} checks, worst identity residual {format_float(worst)}")
-    return 0 if not offenders else 1
+    return {}, [_check("identity", worst), _check("contracted_christoffel", float(chris)),
+                _check("parity_table", parity)]
 
 
 def cmd_freewave(args):
@@ -149,9 +191,7 @@ def cmd_freewave(args):
     s_values = np.linspace(0.0, args.s_end, max(int(2 * args.s_end) + 1, 6))
     if args.d == 1:
         state = np.concatenate([grid.eta * smooth_bump(grid.eta / 0.5), np.zeros(grid.N)])
-        norms = [odd_state_norm(grid, state, 2)]
-        for s in s_values[1:]:
-            norms.append(odd_state_norm(grid, evolve_S1(grid, state, s), 2))
+        norm, evolve = partial(odd_state_norm, grid, k=2), partial(evolve_S1, grid)
         cross_err = None
     else:
         # cross-check first, so that an R the FD oracle refuses stops the run at once;
@@ -167,13 +207,10 @@ def cmd_freewave(args):
         ev = evolve_free_wave(args.d, grid, gauss, 1.0)[: grid.N]
         wgt = grid.radial_weights(args.d)
         cross_err = float(np.sqrt(np.sum((ev - o1) ** 2 * wgt) / np.sum(ev**2 * wgt)))
-        k = (args.d - 1) // 2
         state = np.concatenate([smooth_bump(eta / 0.5), -0.3 * smooth_bump(eta / 0.6)])
-        norms = [weighted_state_norm(grid, state, k, args.d)]
-        for s in s_values[1:]:
-            norms.append(
-                weighted_state_norm(grid, evolve_free_wave(args.d, grid, state, s), k, args.d)
-            )
+        norm = partial(weighted_state_norm, grid, k=(args.d - 1) // 2, d=args.d)
+        evolve = partial(evolve_free_wave, args.d, grid)
+    norms = [norm(state), *(norm(evolve(state, s)) for s in s_values[1:])]
     rows = [(float(s), float(nv)) for s, nv in zip(s_values, norms)]
     write_csv(args.out + ".csv", ["s", "norm"], rows)
     if np.all(np.asarray(norms) > 0.0):
@@ -181,64 +218,33 @@ def cmd_freewave(args):
     else:
         slope = math.nan
         print(f"{args.command}: a norm is 0, the data vanish on the grid: no fit", file=sys.stderr)
-    summary = {
-        "d": args.d,
-        "R": args.R,
-        "N": args.N,
-        "exponent_fit": slope,
-        "bound": 0.55 if args.d > 1 else -0.45,
-        "cross_check_error": cross_err,
-    }
-    write_json(args.out + ".json", summary)
-    ok = slope <= summary["bound"] and (cross_err is None or cross_err < 1e-4)
+    fit = "exponent_fit" if args.d > 1 else "exponent_fit_d1"
+    checks = [_check(fit, slope)]
+    if cross_err is not None:
+        checks.append(_check("cross_check_error", cross_err))
+    summary = {"d": args.d, "R": args.R, "N": args.N, "exponent_fit": slope,
+               "bound": GATES[fit][1], "cross_check_error": cross_err}
     print(f"freewave d={args.d}: fitted exponent {format_float(slope)}, cross-check "
           f"{'n/a' if cross_err is None else format_float(cross_err)}")
-    return 0 if ok else 1
+    return summary, checks
 
 
-def _spectral_operator(args):
-    """The linearized generator (with its parameters and grid) for
-    `spectrum` and `blowup`.
-
-    `assemble_L` rejects a grid too coarse for spectral work (N below the
-    spectral minimum, or a symmetry-mode residual showing under-resolution);
-    that is a configuration error, not a tolerance breach.
-    """
-    params = make_params(args.d)
+def _spectrum(args):
+    """The linearized generator and its spectrum, for `spectrum` and `blowup`.
+    A grid too coarse for `assemble_L` (N below the spectral minimum, or an
+    under-resolved symmetry mode) is a configuration error."""
     try:
-        return assemble_L(params, make_grid(args.R, args.N))
+        op = assemble_L(make_params(args.d), make_grid(args.R, args.N))
     except ValueError as exc:
         raise ConfigError(f"{args.command}: {exc}") from exc
-
-
-def _missing_gap(args):
-    """The error of a spectrum whose scan locates no eigenvalue besides 1,
-    so that it has no gap."""
-    return (
-        f"the connection function locates no eigenvalue besides 1 in its window "
-        f"at d={args.d}, N={args.N}; the gap is undefined"
-    )
-
-
-def _scanned_spectrum(args, op, failure):
-    """spectrum(op), or None once a failed similarity-coordinate scan is
-    reported in one stderr line and an `error` JSON with `failure`."""
     try:
-        return spectrum(op)
+        return op, spectrum(op)
     except ValueError as exc:
-        message = f"similarity-coordinate scan failed: {exc}"
-        print(f"{args.command}: {message}", file=sys.stderr)
-        write_json(args.out + ".json", {"error": message, **failure})
-        return None
+        raise RunError(f"similarity-coordinate scan failed: {exc}") from exc
 
 
 def cmd_spectrum(args):
-    op = _spectral_operator(args)
-    spec = _scanned_spectrum(args, op, {"parameters": {"d": args.d, "R": args.R, "N": args.N}})
-    if spec is None:
-        return 1
-    if spec.gap is None:
-        print(f"{args.command}: {_missing_gap(args)}", file=sys.stderr)
+    op, spec = _spectrum(args)
     doc = spec.to_json_dict()
     P = riesz_projection(op)
     mode = symmetry_mode(op.params, op.grid.eta).ravel()
@@ -247,18 +253,15 @@ def cmd_spectrum(args):
         "mode_fixed_defect": float(np.max(np.abs(P @ mode - mode)) / np.max(np.abs(mode))),
     }
     doc["mode_angle"] = mode_angle(op)
-    ok = (
-        spec.verdict()
-        and doc["projection"]["idempotency_defect"] < 1e-8
-        and doc["mode_angle"] < 1e-5
-    )
-    write_json(args.out + ".json", doc)
-    print(
-        f"spectrum d={args.d}: unstable set "
-        f"{[format_float(z.real) for z in spec.unstable]}, gap "
-        f"{'none' if spec.gap is None else format_float(spec.gap)}"
-    )
-    return 0 if ok else 1
+    checks = [
+        _check("mode_stable", doc["mode_stable"]),
+        _check("idempotency_defect", doc["projection"]["idempotency_defect"]),
+        _check("mode_angle", doc["mode_angle"]),
+    ]
+    unstable = [format_float(z.real) for z in spec.unstable]
+    gap = "none" if spec.gap is None else format_float(spec.gap)
+    print(f"spectrum d={args.d}: unstable set {unstable}, gap {gap}")
+    return doc, checks
 
 
 def cmd_blowup(args):
@@ -266,30 +269,18 @@ def cmd_blowup(args):
         raise ConfigError(f"eps must be positive, got {args.eps}")
     if not args.dt > 0.0:
         raise ConfigError(f"dt must be positive, got {args.dt}")
-    op = _spectral_operator(args)
-    failure = {"parameters": {"d": args.d, "amplitude": args.amp}}
-    spec = _scanned_spectrum(args, op, failure)
-    if spec is None:
-        return 1
+    op, spec = _spectrum(args)
     if spec.gap is None:
-        print(f"{args.command}: {_missing_gap(args)}", file=sys.stderr)
-        write_json(args.out + ".json", {"error": _missing_gap(args), **failure})
-        return 1
+        raise RunError(
+            f"the connection function locates no eigenvalue besides 1 in its window "
+            f"at d={args.d}, N={args.N}; the gap is undefined"
+        )
     pert = PerturbationSpec(args.amp, eps=args.eps)
     try:
         t_star, traj, omega, residual = adjust_blowup_time(op, pert, dt=args.dt)
     except RuntimeError as exc:
-        print(f"blowup experiment failed: {exc}", file=sys.stderr)
-        write_json(args.out + ".json", {"error": str(exc), **failure})
-        return 1
-    rows = list(
-        zip(
-            traj.s.tolist(),
-            traj.norm_k.tolist(),
-            traj.norm_km1.tolist(),
-            traj.projection_coeff.tolist(),
-        )
-    )
+        raise RunError(str(exc)) from exc
+    rows = np.column_stack([traj.s, traj.norm_k, traj.norm_km1, traj.projection_coeff]).tolist()
     write_csv(args.out + ".csv", ["s", "norm_k", "norm_km1", "projection_coeff"], rows)
     summary = {
         "T_star": float(t_star),
@@ -297,34 +288,25 @@ def cmd_blowup(args):
         "fit_residual": residual,
         "floor_limited": omega is None,
         "gap": spec.gap,
-        "parameters": {
-            "d": args.d,
-            "R": args.R,
-            "N": args.N,
-            "eps": args.eps,
-            "amplitude": args.amp,
-            "k": NORM_ORDER,
-        },
+        "parameters": {"d": args.d, "R": args.R, "N": args.N, "eps": args.eps,
+                       "amplitude": args.amp, "k": NORM_ORDER},
     }
-    write_json(args.out + ".json", summary)
     if args.amp == 0.0:
-        ok = t_star == 1.0 and omega is None
+        checks = [_check("control_T_star", t_star), _check("control_floor_limited", omega is None)]
         print(f"blowup control: T* = {t_star}, trajectory at floor")
     else:
-        ok = (
-            abs(t_star - 1.0) <= 0.1
-            and omega is not None
-            and omega > 0.0
-            and abs(omega - spec.gap) <= 0.2 * spec.gap
-        )
+        offset = None if omega is None else abs(omega - spec.gap)
+        checks = [
+            _check("T_star_offset", abs(t_star - 1.0)),
+            _check("omega0_fit", omega),
+            _check("omega0_gap_offset", offset, spec.gap),
+        ]
         # no rate is fitted when the norms sink to the floor: a tiny amplitude,
         # or a perturbation whose light cone misses every hyperboloid node
         rate = "none (trajectory at floor)" if omega is None else format_float(omega)
-        print(
-            f"blowup d={args.d}: T* = {format_float(t_star)}, omega0 "
-            f"{rate}, gap {format_float(spec.gap)}"
-        )
-    return 0 if ok else 1
+        print(f"blowup d={args.d}: T* = {format_float(t_star)}, omega0 {rate}, "
+              f"gap {format_float(spec.gap)}")
+    return summary, checks
 
 
 def cmd_norms(args):
@@ -357,7 +339,6 @@ def cmd_norms(args):
     derivs = (bumps(lambda x, w: -2.0 * w * x), bumps(lambda x, w: 4.0 * w * w * x * x - 2.0 * w))
 
     rows = []
-    ok = True
     for d in dims:
         for k in (0, 1, 2):
             on = radial_sobolev_norm_oracle(fhat, k, d, args.R, derivs)
@@ -366,19 +347,20 @@ def cmd_norms(args):
                 grid = make_grid(args.R, N)
                 ratios.append(on / weighted_sobolev_norm(grid, fhat(grid.eta), k, d))
             drift = abs(ratios[1] / ratios[0] - 1.0)
-            ok = ok and drift < 0.1
             rows.append((d, k, float(ratios[0]), float(ratios[1]), float(drift)))
+    # np.max, unlike max, carries a NaN drift through
+    checks = [_check("drift", np.max([row[4] for row in rows]))]
     grid = make_grid(args.R, args.N)
     lhs, rhs = hardy_check(grid, grid.y**2, -1.0)
-    ok = ok and lhs <= 2.0 * rhs
+    checks.append(_check("hardy", lhs, rhs))
     rows.append((0, -1, float(lhs), float(rhs), float(lhs / rhs)))
     Tf = integral_op_T(grid, np.ones(2 * grid.N), 3, 3)
     t_err = float(np.max(np.abs(Tf - grid.y / 4.0)))
-    ok = ok and t_err < 1e-10
+    checks.append(_check("integral_op_T", t_err))
     rows.append((0, -2, t_err, 0.0, 0.0))
     write_csv(args.out + ".csv", ["d", "k", "ratio_N", "ratio_2N", "drift"], rows)
-    print(f"norms: {len(rows)} rows, stable: {ok}")
-    return 0 if ok else 1
+    print(f"norms: {len(rows)} rows")
+    return {}, checks
 
 
 # every option: key -> (type, default, help); the flag is the key with "-"
@@ -399,7 +381,11 @@ _OPTIONS = {
 # every subcommand: name -> (function, the option keys it reads, epilog);
 # it accepts those flags and config keys and no others
 _COMMANDS = {
-    "identities": (cmd_identities, ("dims", "R", "out"), "columns: d, check, max_residual"),
+    "identities": (
+        cmd_identities,
+        ("dims", "R", "out"),
+        "columns: d, check, max_residual; the JSON holds only its checks",
+    ),
     "freewave": (
         cmd_freewave,
         ("d", "R", "N", "s_end", "out"),
@@ -421,7 +407,8 @@ _COMMANDS = {
     "norms": (
         cmd_norms,
         ("dims", "R", "N", "seed", "out"),
-        "columns: d, k, ratio_N, ratio_2N, drift (d=0 rows: Hardy / integral operator)",
+        "columns: d, k, ratio_N, ratio_2N, drift (d=0 rows: Hardy / integral operator); "
+        "the JSON holds only its checks",
     ),
 }
 
@@ -441,7 +428,9 @@ def build_parser():
         "hyperboloidal similarity coordinates and blowup stability.",
         epilog="Floats print with 17 significant digits; outputs are written atomically; "
         "identical configuration and seed give byte-identical files at a fixed BLAS thread count; "
-        "only blowup, and spectrum's collocation diagnostics from N = 108, depend on that count.",
+        "only blowup, and spectrum's collocation diagnostics from N = 108, depend on that count. "
+        "Every JSON holds checks: [{name, value, gate, passed}]; exit 1 names each failed check "
+        "on stderr.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -477,7 +466,7 @@ def main(argv=None):
         if not args.R >= 0.5:
             raise ConfigError(f"R must be >= 1/2, got {args.R}")
         _check_out(args.out)
-        return func(args)
+        summary, checks = func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -485,6 +474,17 @@ def main(argv=None):
         # a grid or time axis too large to allocate is a configuration error
         print(f"configuration error: the run is too large to allocate: {exc}", file=sys.stderr)
         return 2
+    except RunError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        parameters = {key: getattr(args, key) for key in keys if key != "out"}
+        write_json(args.out + ".json", {"error": str(exc), "parameters": parameters})
+        return 1
+    write_json(args.out + ".json", {**summary, "checks": checks})
+    failed = [c for c in checks if not c["passed"]]
+    for c in failed:
+        print(f"{args.command}: check {c['name']} failed: {c['value']!r} against {c['gate']}",
+              file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

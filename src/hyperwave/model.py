@@ -32,7 +32,6 @@ class DimensionParams:
     """
 
     d: int
-    n: int
     a: float | None = None
     b: float | None = None
 
@@ -50,8 +49,8 @@ def make_params(d: int) -> DimensionParams:
     if n >= 4:
         a = 2.0 * (1.0 + np.sqrt((n - 4.0) / (3.0 * (n - 2.0))))
         b = (2.0 * (n - 4.0) + np.sqrt(3.0 * (n - 2.0) * (n - 4.0))) / 3.0
-        return DimensionParams(d=d, n=n, a=float(a), b=float(b))
-    return DimensionParams(d=d, n=n)
+        return DimensionParams(d=d, a=float(a), b=float(b))
+    return DimensionParams(d=d)
 
 
 class StandardHeight:

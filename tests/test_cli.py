@@ -1,12 +1,12 @@
 import json
+import math
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from hyperwave import descent
-from hyperwave.cli import _COMMANDS, build_parser, main
+from hyperwave.cli import _COMMANDS, GATES, build_parser, main
 from hyperwave.output import write_json
 
 from conftest import traced_peak
@@ -235,16 +235,24 @@ class TestCommands:
         lines = out.with_suffix(".csv").read_text().splitlines()[1:]
         assert len(lines) == len({tuple(line.split(",")[:2]) for line in lines}) == 9
 
+    @pytest.mark.filterwarnings("error")
     def test_identities_nan_residual_is_a_breach(self, tmp_path, capsys):
         # at R = 1e300 the coefficients overflow: every identity residual and
-        # the parity defect are NaN
+        # the parity defect are NaN, and no numpy warning reaches stderr
         out = tmp_path / "ident"
-        with np.errstate(all="ignore"):
-            assert run(["identities", "--dims", "3", "--R", "1e300", "--out", str(out)]) == 1
-        stdout = capsys.readouterr().out
-        assert "tolerance breach: d=3 identity_0 residual nan" in stdout
-        assert "tolerance breach: d=0 parity_table residual nan" in stdout
-        assert "worst identity residual nan" in stdout
+        assert run(["identities", "--dims", "3", "--R", "1e300", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "identities: check identity failed: nan against < 1e-10\n"
+            "identities: check parity_table failed: nan against < 1e-12\n"
+        )
+        assert "worst identity residual nan" in captured.out
+        checks = json.loads(out.with_suffix(".json").read_text())["checks"]
+        # NaN is written as null
+        assert [(c["name"], c["passed"]) for c in checks if c["value"] is None] == [
+            ("identity", False),
+            ("parity_table", False),
+        ]
 
     def test_identities_deterministic(self, tmp_path):
         a = tmp_path / "a"
@@ -319,7 +327,6 @@ class TestCommands:
         assert lines[0] == "s,norm"
         assert len(lines) == 1 + 6
 
-    @pytest.mark.filterwarnings("ignore:divide by zero encountered in log")
     @pytest.mark.filterwarnings("error")
     def test_freewave_with_every_norm_zero_writes_null(self, tmp_path, capsys):
         # at R = 100 no node of N = 24 lies inside the bump, every norm is 0
@@ -332,9 +339,12 @@ class TestCommands:
 
         doc = json.loads(out.with_suffix(".json").read_text(), parse_constant=refuse)
         assert doc["exponent_fit"] is None and doc["cross_check_error"] > 0.0
-        # one line says why, and no log of 0 is taken
+        # one line says why, no log of 0 is taken, and each failed check is named
         assert capsys.readouterr().err == (
             "freewave: a norm is 0, the data vanish on the grid: no fit\n"
+            "freewave: check exponent_fit failed: nan against <= 0.55\n"
+            f"freewave: check cross_check_error failed: {doc['cross_check_error']!r} "
+            "against < 0.0001\n"
         )
 
     def test_write_json_writes_null_for_non_finite_floats(self, tmp_path):
@@ -358,7 +368,9 @@ class TestCommands:
         # the connection function's gap (ROADMAP item 4)
         assert doc["gap"] == pytest.approx(0.588904823837, rel=1e-10)
         assert doc["floor_limited"] is False
-        assert set(doc) == {"T_star", "omega0_fit", "fit_residual", "floor_limited", "gap", "parameters"}
+        assert set(doc) == {
+            "T_star", "omega0_fit", "fit_residual", "floor_limited", "gap", "parameters", "checks"
+        }
         for suffix in (".csv", ".json"):
             assert a.with_suffix(suffix).read_bytes() == b.with_suffix(suffix).read_bytes()
 
@@ -408,10 +420,14 @@ class TestCommands:
         out = tmp_path / "b"
         assert run(["blowup", "--d", "7", "--R", "0.5", "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("blowup experiment failed: the final run at T* = ")
+        assert err.startswith("blowup: the final run at T* = ")
         assert err.endswith(" tripped the explosion guard\n") and len(err.splitlines()) == 1
         doc = json.loads(out.with_suffix(".json").read_text())
         assert set(doc) == {"error", "parameters"}
+        # the resolved options, all but out
+        assert doc["parameters"] == {
+            "d": 7, "R": 0.5, "N": 64, "eps": 0.05, "amp": 1e-3, "dt": 0.02
+        }
         assert not out.with_suffix(".csv").exists()
 
     def test_blowup_unconverged_spline_fit_exits_1(self, tmp_path, capsys, monkeypatch):
@@ -423,7 +439,7 @@ class TestCommands:
         assert run(["blowup", "--d", "7", "--N", "48", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert err.startswith("blowup experiment failed: Cauchy spline fit: GMRES residual")
+        assert err.startswith("blowup: Cauchy spline fit: GMRES residual")
         assert len(err.splitlines()) == 1
         error = json.loads(out.with_suffix(".json").read_text())["error"]
         assert error.startswith("Cauchy spline fit: GMRES residual")
@@ -433,7 +449,8 @@ class TestCommands:
         b = tmp_path / "nb"
         assert run(["norms", "--dims", "3", "--N", "24", "--seed", "7", "--out", str(a)]) == 0
         assert run(["norms", "--dims", "3", "--N", "24", "--seed", "7", "--out", str(b)]) == 0
-        assert a.with_suffix(".csv").read_bytes() == b.with_suffix(".csv").read_bytes()
+        for suffix in (".csv", ".json"):
+            assert a.with_suffix(suffix).read_bytes() == b.with_suffix(suffix).read_bytes()
 
     def test_norms_repeated_dimension_checked_once(self, tmp_path):
         once, twice = tmp_path / "once", tmp_path / "twice"
@@ -464,6 +481,7 @@ class TestCommands:
         assert doc["mode_stable"] is True and doc["ssc_count"] == 2
         assert doc["gap_collocation_error"] > 1e-4
         assert doc["projection"]["idempotency_defect"] >= 1e-8 and doc["mode_angle"] < 1e-5
+        assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["idempotency_defect"]
 
     @pytest.mark.parametrize("result", [(2, [1.0]), (3, [1.0, -0.588904823837])])
     def test_spectrum_gate_rejects_count_mismatch(self, tmp_path, monkeypatch, result):
@@ -542,12 +560,14 @@ class TestCommands:
             "the connection function locates no eigenvalue besides 1 in its window "
             "at d=7, N=48; the gap is undefined"
         )
-        assert captured.err == f"{command}: {message}\n"
         doc = json.loads(out.with_suffix(".json").read_text())
         if command == "spectrum":
+            # a missing gap fails linstab's verdict, the mode_stable check
+            assert captured.err == "spectrum: check mode_stable failed: False against == True\n"
             assert doc["gap"] is None and doc["mode_stable"] is False
             assert captured.out.endswith(", gap none\n")
         else:
+            assert captured.err == f"{command}: {message}\n"
             assert doc["error"] == message
             assert captured.out == "" and not out.with_suffix(".csv").exists()
 
@@ -570,3 +590,34 @@ class TestCommands:
         assert doc["mode_stable"] is True
         assert {"re", "im", "stable"} <= set(doc["eigenvalues"][0])
         assert doc["gap"] > 0
+
+
+# the cheapest run that reaches each gate's check and passes every check
+GATE_RUNS = {
+    **dict.fromkeys(
+        ("identity", "contracted_christoffel", "parity_table"), ["identities", "--dims", "3"]
+    ),
+    **dict.fromkeys(("exponent_fit", "cross_check_error"), ["freewave", "--d", "3", "--N", "16"]),
+    "exponent_fit_d1": ["freewave", "--d", "1", "--N", "16"],
+    **dict.fromkeys(("mode_stable", "idempotency_defect", "mode_angle"), ["spectrum", "--N", "48"]),
+    **dict.fromkeys(("T_star_offset", "omega0_fit", "omega0_gap_offset"), ["blowup", "--N", "48"]),
+    **dict.fromkeys(
+        ("control_T_star", "control_floor_limited"), ["blowup", "--amp", "0", "--N", "48"]
+    ),
+    **dict.fromkeys(("drift", "hardy", "integral_op_T"), ["norms", "--dims", "3", "--N", "24"]),
+}
+
+
+@pytest.mark.parametrize("name", GATES)
+def test_each_gate_fails_its_check_alone(tmp_path, capsys, monkeypatch, name):
+    # a bound that no value meets: nothing equals a fresh object
+    comparison, _ = GATES[name]
+    bound = {"<": -math.inf, "<=": -math.inf, ">": math.inf, "==": object()}[comparison]
+    monkeypatch.setitem(GATES, name, (comparison, bound))
+    out = tmp_path / "x"
+    argv = GATE_RUNS[name]
+    assert run([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"{argv[0]}: check {name} failed: ")
+    checks = json.loads(out.with_suffix(".json").read_text())["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == [name]

@@ -114,7 +114,6 @@ def radial_point(r, d):
 class TestParams:
     def test_d7_constants(self):
         p = make_params(7)
-        assert p.n == 5
         assert p.a == pytest.approx(8.0 / 3.0, abs=1e-15)
         assert p.b == pytest.approx(5.0 / 3.0, abs=1e-15)
 

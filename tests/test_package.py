@@ -273,7 +273,8 @@ def test_readme_commands_but_blowup_write_the_same_bytes_at_one_and_two_blas_thr
         assert run.returncode == 0, run.stderr
         assert ast.literal_eval(run.stdout.strip().splitlines()[-1]) == [0] * len(argvs)
         files[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert len(files["1"]) == 7
+    # a CSV and a JSON per command, but spectrum's JSON alone
+    assert len(files["1"]) == 9
     assert files["1"] == files["2"]
 
 
