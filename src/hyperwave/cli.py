@@ -62,7 +62,8 @@ GATES = {
     "exponent_fit": ("<=", 0.55),  # the norms' growth exponent, d > 1
     "exponent_fit_d1": ("<=", -0.45),
     "cross_check_error": ("<", 1e-4),  # against the FD oracle at s = 1
-    "mode_stable": ("==", True),  # linstab's verdict on the zeros in the window
+    "mode_stable": ("==", True),  # linstab's count and location of the zeros in the window
+    "unstable_root_offset": ("<", 1e-6),  # |z - 1| of the zero with Re z >= 0
     "idempotency_defect": ("<", 1e-8),
     "mode_angle": ("<", 1e-5),
     "T_star_offset": ("<=", 0.1),  # |T* - 1|
@@ -255,6 +256,7 @@ def cmd_spectrum(args):
     doc["mode_angle"] = mode_angle(op)
     checks = [
         _check("mode_stable", doc["mode_stable"]),
+        _check("unstable_root_offset", abs(spec.unstable[0] - 1.0) if spec.unstable else None),
         _check("idempotency_defect", doc["projection"]["idempotency_defect"]),
         _check("mode_angle", doc["mode_angle"]),
     ]

@@ -1,6 +1,6 @@
 """Descent operators between odd space dimensions, their inverses (four
-N x N dilation kernels of the grid for each d > 3, built once per grid and
-dimension, and a division by eta for the terminal 3 -> 1 step), the
+N x N dilation kernels of the grid for each d > 3, read from the grid's one
+kernel table, and a division by eta for the terminal 3 -> 1 step), the
 composite reduction to the 1-d wave equation, the free radial wave
 propagator built from it, and the upwind finite-difference reference solver,
 one march to one time, that `freewave` cross-checks the propagator against
@@ -11,13 +11,11 @@ odd on the 1-d module after the terminal step D_3, which is where the
 half-wave machinery of `halfwave` evolves them.
 """
 
-from functools import lru_cache
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import coeffs
-from .halfwave import evolve_S1
+from .halfwave import evolve_S1, kernel_table
 from .model import HEIGHT
 
 __all__ = [
@@ -55,22 +53,6 @@ def descent_step(d, grid, v):
     return np.concatenate(_descent_pair(d, grid.eta, *np.split(v, 2), grid.deriv_half))
 
 
-@lru_cache(maxsize=16)
-def _inverse_kernels(grid, d):
-    """The four kernels of the d -> d - 2 inverse (d > 3) on `grid`:
-    int_0^1 t^(d-3) w(t eta) g(t eta) dt for the weights t11, t12 (applied
-    to the first component) and t21, t22 (the second)."""
-    return grid.dilation_kernels(
-        (
-            lambda x: coeffs.t11_fn(d, x),
-            lambda x: coeffs.t12_fn(d, x),
-            coeffs.t21_fn,
-            coeffs.t22_fn,
-        ),
-        d - 3,
-    )
-
-
 def descent_step_inverse(d, grid, v):
     """Inverse of one descent step, by the integrated-by-parts kernel form:
     an even stacked state from an even one, or from an odd one for d = 3.
@@ -85,7 +67,7 @@ def descent_step_inverse(d, grid, v):
         # D_3 (F1, F2) = (eta F1, eta (F2 - F1))
         return np.concatenate([g1 / eta, (g1 + g2) / eta])
     h = HEIGHT.h(eta)
-    K11, K12, K21, K22 = _inverse_kernels(grid, d)
+    K11, K12, K21, K22 = kernel_table(grid, d)[d]
     J11, J12, J21, J22 = K11 @ g1, K12 @ g1, K21 @ g2, K22 @ g2
     S = np.sqrt(2.0 + eta * eta)
     local = (3.0 - 2.0 * S) / (S - 1.0) * g1
@@ -112,9 +94,9 @@ def descent_full_inverse(d, grid, v):
 def evolve_free_wave(d, grid, v, ds):
     """Free radial wave propagator e^{ds} D_d^{-1} S_1(ds) D_d on the even
     stacked state v."""
+    kernel_table(grid, d)  # the recomposition and every inverse in one pass
     up = descent_full_inverse(d, grid, evolve_S1(grid, descent_full(d, grid, v), ds))
-    up *= np.exp(float(ds))
-    return up
+    return up * np.exp(float(ds))
 
 
 FD_CFL = 0.4  # Courant number of the FD oracle's RK4 steps

@@ -72,7 +72,7 @@ class Grid:
     """Collocation data on [-R, R] with a parity-reduced view on [0, R].
 
     The full grid carries 2N nodes (no node at the origin); `eta` are the N
-    positive nodes ascending.  Immutable after construction.
+    positive nodes ascending.  Immutable but for the kernel table `kernels`.
     """
 
     def __init__(self, R: float, N: int):
@@ -99,6 +99,7 @@ class Grid:
         self._De = self._half_derivative(+1.0)
         self._Do = self._half_derivative(-1.0)
         self.w_half = 0.5 * (self.w[N:] + self.w[N - 1 :: -1])
+        self.kernels = {}
 
     def _half_derivative(self, sign):
         N = self.N
@@ -157,29 +158,33 @@ class Grid:
             out[r, c] = 1.0
         return out
 
-    def dilation_kernels(self, weights, power=0):
-        """N x N kernels K_k, one per callable `weights[k]`, with
+    def dilation_kernels(self, families):
+        """For each family (weights, power), one read-only N x N kernel K_k
+        per callable `weights[k]`, with
 
             (K_k g)_i = int_0^1 weights[k](t eta_i) t^power g(t eta_i) dt
 
         for the even interpolant g of half-grid values, on the Gauss-Legendre
         rule of order N + 16 on [0, 1]: the integrals of the descent inverses,
-        of the half-wave recomposition and of `integral_op_T`.  Each node
-        eta_i takes the barycentric rows onto its own N + 16 points t eta_i,
-        and each mirror column is added onto its partner, so the memory is
-        O(N^2): the N (N + 16) x 2N interpolation matrix onto all the points
-        is never built.  The kernels are read-only."""
+        of the half-wave recomposition and of `integral_op_T`.  One pass over
+        the nodes builds them all: eta_i takes the barycentric rows onto its
+        N + 16 points t eta_i once, each mirror column added onto its partner,
+        and multiplies each family's weight rows there in one product, so the
+        memory is O(N^2)."""
         N = self.N
         t, w = leggauss(N + 16)
         t = 0.5 * (t + 1.0)
         pts = np.outer(self.eta, t)
-        W = np.stack([weight(pts) for weight in weights]) * (0.5 * w * t**power)
-        K = np.empty((len(weights), N, N))
+        scales = [0.5 * w * t**power for _, power in families]
+        K = [np.empty((len(weights), N, N)) for weights, _ in families]
         for i in range(N):
             L = self.interp_matrix(pts[i])
-            K[:, i, :] = W[:, i, :] @ (L[:, N:] + L[:, N - 1 :: -1])
-        K.setflags(write=False)
-        return tuple(K)
+            L = L[:, N:] + L[:, N - 1 :: -1]
+            for (weights, _), scale, Kf in zip(families, scales, K):
+                Kf[:, i, :] = (np.stack([weight(pts[i]) for weight in weights]) * scale) @ L
+        for Kf in K:
+            Kf.setflags(write=False)
+        return [tuple(Kf) for Kf in K]
 
     def __repr__(self):
         return f"Grid(R={self.R}, N={self.N})"
@@ -299,5 +304,5 @@ def integral_op_T(grid: Grid, full_values, m, n):
     if n + 1 - m < 0:
         raise ValueError(f"need n + 1 - m >= 0, got m={m}, n={n}")
     half = grid.restrict(full_values, "even")
-    [K] = grid.dilation_kernels((np.ones_like,), n)
+    [[K]] = grid.dilation_kernels([((np.ones_like,), n)])
     return grid.extend(K @ half, "even") * grid.y ** (n + 1 - m)

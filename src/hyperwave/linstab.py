@@ -202,10 +202,9 @@ class SpectrumResult:
         return None if pair is None else float(-pair[0].real)
 
     def verdict(self):
-        """Two zeros in the window, both located, and the only one with
-        Re >= 0 within 1e-6 of 1."""
-        uns = self.unstable
-        return self.count == len(self.roots) == 2 and len(uns) == 1 and abs(uns[0] - 1.0) < 1e-6
+        """Two zeros in the window, both located, and exactly one with Re >= 0
+        (which `spectrum`'s unstable_root_offset check puts at 1)."""
+        return self.count == len(self.roots) == 2 and len(self.unstable) == 1
 
     def to_json_dict(self):
         pair = self._gap_pair()

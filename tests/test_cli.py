@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperwave import descent
+from hyperwave import descent, grids
 from hyperwave.cli import _COMMANDS, GATES, build_parser, main
 from hyperwave.output import write_json
 
@@ -278,11 +278,24 @@ class TestCommands:
         doc = json.loads(a.with_suffix(".json").read_text())
         assert doc["cross_check_error"] < 1e-4
         # this tree's values; bench/references.json holds them to its REF_TOL
-        assert doc["exponent_fit"] == pytest.approx(0.09034268766478842, rel=1e-8)
-        assert doc["cross_check_error"] == pytest.approx(1.0099119590795869e-07, rel=1e-6)
+        assert doc["exponent_fit"] == pytest.approx(0.09034268757701863, rel=1e-8)
+        assert doc["cross_check_error"] == pytest.approx(1.0099120107275222e-07, rel=1e-6)
         assert a.with_suffix(".csv").read_text().splitlines()[0] == "s,norm"
         for suffix in (".csv", ".json"):
             assert a.with_suffix(suffix).read_bytes() == b.with_suffix(suffix).read_bytes()
+
+    def test_freewave_builds_every_kernel_in_one_pass(self, tmp_path, monkeypatch):
+        # one pass over the 64 nodes builds the recomposition and the d = 5
+        # and d = 7 inverses on one quadrature rule; each of the 11 S_1
+        # steps then reads its characteristic feet once
+        points, rules = [], []
+        interp, leggauss = grids.Grid.interp_matrix, grids.leggauss
+        counted = lambda grid, pts: points.append(pts) or interp(grid, pts)
+        monkeypatch.setattr(grids.Grid, "interp_matrix", counted)
+        monkeypatch.setattr(grids, "leggauss", lambda n: rules.append(n) or leggauss(n))
+        argv = ["freewave", "--d", "7", "--N", "64", "--s-end", "5", "--out", str(tmp_path / "x")]
+        assert run(argv) == 0
+        assert (len(points), rules) == (64 + 11, [64 + 16])
 
     def test_freewave_marches_the_fd_oracle_twice(self, tmp_path, monkeypatch):
         # the cross-check's Richardson pair on m and 2m cells, and no other
@@ -599,7 +612,10 @@ GATE_RUNS = {
     ),
     **dict.fromkeys(("exponent_fit", "cross_check_error"), ["freewave", "--d", "3", "--N", "16"]),
     "exponent_fit_d1": ["freewave", "--d", "1", "--N", "16"],
-    **dict.fromkeys(("mode_stable", "idempotency_defect", "mode_angle"), ["spectrum", "--N", "48"]),
+    **dict.fromkeys(
+        ("mode_stable", "unstable_root_offset", "idempotency_defect", "mode_angle"),
+        ["spectrum", "--N", "48"],
+    ),
     **dict.fromkeys(("T_star_offset", "omega0_fit", "omega0_gap_offset"), ["blowup", "--N", "48"]),
     **dict.fromkeys(
         ("control_T_star", "control_floor_limited"), ["blowup", "--amp", "0", "--N", "48"]

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hyperwave.coeffs import t11_fn, t12_fn, t21_fn, t22_fn
-from hyperwave.descent import _inverse_kernels
 from hyperwave.grids import (
     hardy_check,
     integral_op_T,
@@ -11,7 +10,7 @@ from hyperwave.grids import (
     sobolev_norm_full,
     weighted_sobolev_norm,
 )
-from hyperwave.halfwave import _antiderivative_kernel
+from hyperwave.halfwave import kernel_table
 
 from oracles import dilated, dilation_integral, hpm_inner
 
@@ -59,11 +58,15 @@ class TestGridBasics:
         assert got == pytest.approx(np.sin(pts), abs=1e-13)
 
     def test_dilation_kernels_cached_read_only(self):
+        # one table per grid: the recomposition and the inverses for d = 5, 7;
+        # a smaller d reads it, and a larger one adds its own kernels
         grid = make_grid(2.0, 24)
-        kernels = _inverse_kernels(grid, 7)
-        assert _inverse_kernels(grid, 7) is kernels
-        assert _antiderivative_kernel(grid) is _antiderivative_kernel(grid)
-        for K in kernels + (_antiderivative_kernel(grid),):
+        table = kernel_table(grid, 7)
+        kernels = table[1] + table[5] + table[7]
+        assert kernel_table(grid) is table is grid.kernels and sorted(table) == [1, 5, 7]
+        assert sorted(kernel_table(grid, 9)) == [1, 5, 7, 9]
+        assert all(a is b for a, b in zip(table[1] + table[5] + table[7], kernels))
+        for K in kernels + table[9]:
             assert K.shape == (grid.N, grid.N)
             assert not K.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -76,7 +79,7 @@ class TestGridBasics:
         # descent-inverse kernels at d, against the rule on the 2N-column
         # interpolation matrix applied to g's even extension
         if d is None:
-            cases = [(_antiderivative_kernel(grid64), None, 0)]
+            cases = [(kernel_table(grid64)[1][0], None, 0)]
         else:
             weights = (
                 lambda x: t11_fn(d, x),
@@ -84,7 +87,7 @@ class TestGridBasics:
                 t21_fn,
                 t22_fn,
             )
-            cases = [(K, wk, d - 3) for K, wk in zip(_inverse_kernels(grid64, d), weights)]
+            cases = [(K, wk, d - 3) for K, wk in zip(kernel_table(grid64, d)[d], weights)]
         gv = dilated(grid64, g(grid64.y))
         for K, weight, power in cases:
             expected = dilation_integral(grid64, gv, weight, power)
@@ -94,7 +97,7 @@ class TestGridBasics:
     def test_antiderivative(self, grid64):
         # int_0^eta f = eta int_0^1 f(t eta) dt, on even half-grid data
         eta = grid64.eta
-        K = _antiderivative_kernel(grid64)
+        K = kernel_table(grid64)[1][0]
         assert np.max(np.abs(eta * (K @ np.cos(eta)) - np.sin(eta))) < 1e-13
         assert np.max(np.abs(eta * (K @ eta**6) - eta**7 / 7.0)) < 1e-12
 
