@@ -75,7 +75,8 @@ GATES = {
     "hardy": ("<=", 2.0),  # the Hardy inequality's lhs, scaled by its rhs
     "integral_op_T": ("<", 1e-10),
 }
-_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, "==": operator.eq}
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+            "==": operator.eq, "odd >=": lambda value, bound: value % 2 == 1 and value >= bound}
 
 
 def _check(name, value, scale=None):
@@ -132,21 +133,17 @@ def _check_out(prefix):
         raise ConfigError(f"output prefix {prefix!r}: {path} is not a writable directory")
 
 
-def _dims_list(args):
+def _dims_list(text):
     try:
-        dims = [int(x) for x in args.dims.split(",")]
+        return list(dict.fromkeys(int(x) for x in text.split(",")))
     except ValueError as exc:
-        raise ConfigError(f"--dims must be a comma list of integers: {args.dims!r}") from exc
-    for d in dims:
-        if d % 2 == 0 or d < 1:
-            raise ConfigError(f"dimensions must be odd and positive, got {d}")
-    return list(dict.fromkeys(dims))
+        raise ConfigError(f"--dims must be a comma list of integers: {text!r}") from exc
 
 
 # an overflowing R makes residuals NaN, which their checks name
 @np.errstate(all="ignore")
 def cmd_identities(args):
-    dims = _dims_list(args)
+    dims = _dims_list(args.dims)
     eta = np.linspace(0.02, args.R, 100)
     rows = []
     for d in dict.fromkeys([*dims, 1]):
@@ -183,11 +180,9 @@ def cmd_identities(args):
 
 def cmd_freewave(args):
     # the weighted norms resolve the order k = (d - 1) / 2 only from N >= 8k
-    n_min = max(8, 8 * ((args.d - 1) // 2))
+    n_min = 8 * ((args.d - 1) // 2)
     if args.N < n_min:
         raise ConfigError(f"freewave at d={args.d} needs N >= {n_min}, got N={args.N}")
-    if not args.s_end > 0.0:
-        raise ConfigError(f"s_end must be positive, got {args.s_end}")
     grid = make_grid(args.R, args.N)
     s_values = np.linspace(0.0, args.s_end, max(int(2 * args.s_end) + 1, 6))
     if args.d == 1:
@@ -267,10 +262,6 @@ def cmd_spectrum(args):
 
 
 def cmd_blowup(args):
-    if not args.eps > 0.0:
-        raise ConfigError(f"eps must be positive, got {args.eps}")
-    if not args.dt > 0.0:
-        raise ConfigError(f"dt must be positive, got {args.dt}")
     op, spec = _spectrum(args)
     if spec.gap is None:
         raise RunError(
@@ -312,13 +303,9 @@ def cmd_blowup(args):
 
 
 def cmd_norms(args):
-    if args.N < 8:
-        raise ConfigError(f"norms needs N >= 8, got N={args.N}")
-    dims = _dims_list(args)
+    dims = _dims_list(args.dims)
     if min(dims) < 3:
         raise ConfigError(f"norms needs dimensions >= 3, got {min(dims)}")
-    if args.seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     centers = rng.uniform(0.2, 0.8, size=3)
     widths = rng.uniform(0.5, 1.5, size=3)
@@ -340,19 +327,18 @@ def cmd_norms(args):
     # its closed-form first and second derivatives, for the norm oracle
     derivs = (bumps(lambda x, w: -2.0 * w * x), bumps(lambda x, w: 4.0 * w * w * x * x - 2.0 * w))
 
+    grid, fine = make_grid(args.R, args.N), make_grid(args.R, 2 * args.N)
     rows = []
     for d in dims:
         for k in (0, 1, 2):
             on = radial_sobolev_norm_oracle(fhat, k, d, args.R, derivs)
-            ratios = []
-            for N in (args.N, 2 * args.N):
-                grid = make_grid(args.R, N)
-                ratios.append(on / weighted_sobolev_norm(grid, fhat(grid.eta), k, d))
+            # a grid on which the test functions vanish gives no ratio
+            norms = [weighted_sobolev_norm(g, fhat(g.eta), k, d) for g in (grid, fine)]
+            ratios = [on / n if n > 0.0 else math.nan for n in norms]
             drift = abs(ratios[1] / ratios[0] - 1.0)
             rows.append((d, k, float(ratios[0]), float(ratios[1]), float(drift)))
     # np.max, unlike max, carries a NaN drift through
     checks = [_check("drift", np.max([row[4] for row in rows]))]
-    grid = make_grid(args.R, args.N)
     lhs, rhs = hardy_check(grid, grid.y**2, -1.0)
     checks.append(_check("hardy", lhs, rhs))
     rows.append((0, -1, float(lhs), float(rhs), float(lhs / rhs)))
@@ -365,20 +351,29 @@ def cmd_norms(args):
     return {}, checks
 
 
-# every option: key -> (type, default, help); the flag is the key with "-"
-# for "_"
+# every option: key -> (type, default, help, bound); the flag is the key with
+# "-" for "_".  `main` refuses a float that is not finite and a value that fails
+# a (comparison, bound) pair of its bound; dims' bound holds for each dimension
+_ODD = (("odd >=", 1),)
 _OPTIONS = {
-    "d": (int, 7, "odd space dimension"),
-    "dims": (str, "7", "comma list of odd dimensions (norms: d >= 3)"),
-    "R": (float, 2.0, "domain radius (>= 1/2)"),
-    "N": (int, 64, "radial node count"),
-    "s_end": (float, 5.0, "final hyperboloidal time"),
-    "eps": (float, 0.05, "perturbation support radius"),
-    "amp": (float, 1e-3, "perturbation amplitude"),
-    "dt": (float, DEFAULT_STEP, f"fixed integrating-factor RK4 step (default {DEFAULT_STEP})"),
-    "seed": (int, 0, "seed of the random test functions"),
-    "out": (str, None, "output path prefix (default: the command name)"),
+    "d": (int, 7, "space dimension", _ODD),
+    "dims": (str, "7", "comma list of space dimensions (norms: >= 3), each", _ODD),
+    "R": (float, 2.0, "domain radius", ((">=", 0.5),)),
+    "N": (int, 64, "radial node count", ((">=", 8),)),
+    "s_end": (float, 5.0, "final hyperboloidal time", ((">", 0),)),
+    "eps": (float, 0.05, "perturbation support radius", ((">", 0), ("<", 1))),
+    "amp": (float, 1e-3, "perturbation amplitude", ()),
+    "dt": (float, DEFAULT_STEP, f"integrating-factor RK4 step, default {DEFAULT_STEP}", ((">", 0),)),
+    "seed": (int, 0, "seed of the random test functions", ((">=", 0),)),
+    "out": (str, None, "output path prefix (default: the command name)", ()),
 }
+
+
+def _bound_text(key):
+    """The bound of option `key` as its --help and its refusal state it."""
+    kind, _, _, bound = _OPTIONS[key]
+    return ", ".join(["finite"] * (kind is float) + [f"{c} {b!r}" for c, b in bound])
+
 
 # every subcommand: name -> (function, the option keys it reads, epilog);
 # it accepts those flags and config keys and no others
@@ -404,7 +399,7 @@ _COMMANDS = {
     "blowup": (
         cmd_blowup,
         ("d", "R", "N", "eps", "amp", "dt", "out"),
-        "columns: s, norm_k, norm_km1, projection_coeff",
+        "columns: s, norm_k, norm_km1, projection_coeff; eps < 1: the profile blows up at t = 1",
     ),
     "norms": (
         cmd_norms,
@@ -432,7 +427,7 @@ def build_parser():
         "identical configuration and seed give byte-identical files at a fixed BLAS thread count; "
         "only blowup, and spectrum's collocation diagnostics from N = 108, depend on that count. "
         "Every JSON holds checks: [{name, value, gate, passed}]; exit 1 names each failed check "
-        "on stderr.",
+        "on stderr; each option's --help states its bound, and a value outside it exits 2.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -445,8 +440,10 @@ def build_parser():
         )
         p._negative_number_matcher = _NEGATIVE_NUMBER
         for key in keys:
-            kind, _, text = _OPTIONS[key]
-            p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, help=text)
+            kind, _, text, _ = _OPTIONS[key]
+            bound = _bound_text(key)
+            help_text = f"{text} ({bound})" if bound else text
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, help=help_text)
         p.add_argument("--config", type=str, default=None, help="flat JSON config file")
     return parser
 
@@ -458,22 +455,20 @@ def main(argv=None):
         args = _merge(args)
         func, keys, _ = _COMMANDS[args.command]
         for key in keys:
-            value = getattr(args, key)
-            if _OPTIONS[key][0] is float and not math.isfinite(value):
-                raise ConfigError(f"{key} must be finite, got {value}")
-        if "d" in keys and (args.d % 2 == 0 or args.d < 1):
-            raise ConfigError(f"dimension must be odd and positive, got {args.d}")
+            kind, _, _, bound = _OPTIONS[key]
+            for entry in _dims_list(args.dims) if key == "dims" else [getattr(args, key)]:
+                finite = kind is not float or math.isfinite(entry)
+                if not (finite and all(_COMPARE[c](entry, b) for c, b in bound)):
+                    raise ConfigError(f"{key} must be {_bound_text(key)}, got {entry}")
         if args.command in ("spectrum", "blowup") and args.d < 7:
             raise ConfigError(f"the blowup profile needs d >= 7, got {args.d}")
-        if not args.R >= 0.5:
-            raise ConfigError(f"R must be >= 1/2, got {args.R}")
         _check_out(args.out)
         summary, checks = func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        # a grid or time axis too large to allocate is a configuration error
+        # a grid, time axis or oracle rule too large to allocate is a configuration error
         print(f"configuration error: the run is too large to allocate: {exc}", file=sys.stderr)
         return 2
     except RunError as exc:

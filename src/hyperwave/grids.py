@@ -260,6 +260,8 @@ def radial_sobolev_norm_oracle(fhat, k, d, R, derivs):
     if k > 2:
         raise ValueError("oracle implemented for k <= 2")
     d1, d2 = derivs
+    if R / ORACLE_PANEL_WIDTH > np.iinfo(np.intp).max / (8 * ORACLE_PANEL_NODES):
+        raise MemoryError(f"norm oracle at R={R}: more nodes than an array of doubles holds")
     panels = math.ceil(R / ORACLE_PANEL_WIDTH)
     t, w = leggauss(ORACLE_PANEL_NODES)
     h = R / panels

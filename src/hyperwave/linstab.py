@@ -149,6 +149,7 @@ def generator_matrix(d, grid: Grid) -> np.ndarray:
     return np.vstack([np.hstack([Z, I]), row2])
 
 
+@np.errstate(all="ignore")  # an overflowing potential gives a NaN residual, which is refused
 def assemble_L(params: DimensionParams, grid: Grid) -> OperatorMatrix:
     """Linearized wave evolution L = L_d - 2 I + V on the grid, the potential
     V acting on the first component in the second row.
@@ -163,7 +164,7 @@ def assemble_L(params: DimensionParams, grid: Grid) -> OperatorMatrix:
     L[n + np.arange(n), np.arange(n)] += potential(params, grid.eta)
     mode = symmetry_mode(params, grid.eta).ravel()
     residual = float(np.max(np.abs(L @ mode - mode)) / np.max(np.abs(mode)))
-    if residual > 1e-4:
+    if not residual <= 1e-4:
         raise ValueError(
             f"symmetry-mode eigen-identity residual {residual:.2e} at N={grid.N}; "
             "resolution too low"

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from hyperwave import descent, grids
-from hyperwave.cli import _COMMANDS, GATES, build_parser, main
+from hyperwave.cli import _COMMANDS, _OPTIONS, GATES, _bound_text, build_parser, main
 from hyperwave.output import write_json
 
 from conftest import traced_peak
@@ -98,6 +98,12 @@ class TestConfigGates:
             name: keys for name, (_, keys, _) in _COMMANDS.items()
         }
 
+    def test_readme_lists_each_option_bound(self):
+        # | `key` | type | default | `bound` |
+        row = r"^\| `(\w+)` +\| \w+ +\| [^|]+\| `([^`]*)` +\|$"
+        rows = re.findall(row, README.read_text(), re.MULTILINE)
+        assert dict(rows) == {key: _bound_text(key) for key in _OPTIONS if _bound_text(key)}
+
     def test_bad_dims_exit_2(self, tmp_path):
         assert run(["identities", "--dims", "3,four", "--out", str(tmp_path / "x")]) == 2
 
@@ -149,18 +155,26 @@ class TestConfigGates:
             ["freewave", "--s-end", "inf"],
             ["blowup", "--eps", "inf"],
             ["blowup", "--dt", "inf"],
+            # the reference profile blows up at t = 1: no lattice marches to t = eps >= 1
+            ["blowup", "--eps", "1"],
+            ["blowup", "--eps", "1e300"],
             # `norms` checks the weighted norms from d = 3 on; a smaller
             # dimension is refused, not skipped with a passing exit
             ["norms", "--dims", "1"],
             ["norms", "--dims", "7,1"],
             # numpy's generators take no negative seed
             ["norms", "--seed", "-1"],
+            # the potential overflows: assemble_L refuses the NaN mode residual
+            ["spectrum", "--R", "1e20"],
+            # the norm oracle's rule has more nodes than an array holds
+            ["norms", "--R", "1e300"],
             # an output prefix under a regular file, refused before the run
             *([name, "--out", "FILE/x"] for name in _COMMANDS),
             ["blowup", "--out", "FILE/sub/x"],
             ["identities", "--out", "/dev/null/x"],
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_bad_value_exit_2(self, tmp_path, capsys, argv):
         blocker = tmp_path / "FILE"
         blocker.write_text("")
@@ -457,6 +471,40 @@ class TestCommands:
         error = json.loads(out.with_suffix(".json").read_text())["error"]
         assert error.startswith("Cauchy spline fit: GMRES residual")
 
+    @pytest.mark.filterwarnings("error")
+    def test_blowup_overflowing_amplitude_trips_the_cauchy_guard(self, tmp_path, capsys):
+        # the deviation overflows to NaN, which the guard refuses, and no
+        # numpy warning reaches stderr
+        out = tmp_path / "b"
+        assert run(["blowup", "--amp", "1e300", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("blowup: local existence window exceeded: deviation grew beyond ")
+        assert err.count("\n") == 1
+        assert json.loads(out.with_suffix(".json").read_text())["error"] == err[8:-1]
+
+    @pytest.mark.filterwarnings("error")
+    def test_norms_with_vanishing_test_functions_fails_drift(self, tmp_path, capsys):
+        # at R = 1e4 the seeded bumps vanish on every node: each ratio is NaN,
+        # the drift check fails by name and the CSV is still written
+        out = tmp_path / "n"
+        assert run(["norms", "--dims", "3", "--R", "1e4", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "norms: check drift failed: nan against < 0.1\n"
+        rows = [line.split(",") for line in out.with_suffix(".csv").read_text().splitlines()[1:4]]
+        assert [row[2:] for row in rows] == [["nan"] * 3] * 3
+        checks = json.loads(out.with_suffix(".json").read_text())["checks"]
+        assert [(c["name"], c["value"]) for c in checks if not c["passed"]] == [("drift", None)]
+
+    def test_norms_builds_two_grids(self, tmp_path, monkeypatch):
+        # one grid at N and one at 2N serve every (d, k) row and the Hardy
+        # and integral-operator rows
+        from hyperwave import cli
+
+        sizes = []
+        make_grid = cli.make_grid
+        monkeypatch.setattr(cli, "make_grid", lambda R, N: sizes.append(N) or make_grid(R, N))
+        assert run(["norms", "--dims", "3,5,7", "--out", str(tmp_path / "n")]) == 0
+        assert sizes == [64, 128]
+
     def test_norms_deterministic_with_seed(self, tmp_path):
         a = tmp_path / "na"
         b = tmp_path / "nb"
@@ -637,3 +685,39 @@ def test_each_gate_fails_its_check_alone(tmp_path, capsys, monkeypatch, name):
     assert len(err) == 1 and err[0].startswith(f"{argv[0]}: check {name} failed: ")
     checks = json.loads(out.with_suffix(".json").read_text())["checks"]
     assert [c["name"] for c in checks if not c["passed"]] == [name]
+
+
+# values outside each kind of (comparison, bound) pair
+OUTSIDE = {"<": lambda b: [b], ">": lambda b: [b], ">=": lambda b: [b - 1],
+           "odd >=": lambda b: [b + 1, b - 2]}
+BOUND_BREAKS = [
+    (command, key, value)
+    for command, (_, keys, _) in _COMMANDS.items()
+    for key in keys
+    for value in [
+        *(v for comparison, b in _OPTIONS[key][3] for v in OUTSIDE[comparison](b)),
+        *(["nan", "inf", "-inf"] if _OPTIONS[key][0] is float else []),
+    ]
+]
+
+
+@pytest.mark.parametrize("command, key, value", BOUND_BREAKS)
+def test_each_bound_refuses_a_value_outside_it(tmp_path, capsys, command, key, value):
+    # a dims list is refused for any one dimension outside the bound
+    flag = f"3,{value}" if key == "dims" else str(value)
+    out = tmp_path / "x"
+    assert run([command, "--" + key.replace("_", "-"), flag, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {key} must be {_bound_text(key)}, got ")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_each_flag_help_states_its_bound(capsys, command):
+    with pytest.raises(SystemExit):
+        run([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for key in _COMMANDS[command][1]:
+        if _bound_text(key):
+            assert f" ({_bound_text(key)})" in text

@@ -272,6 +272,8 @@ def test_readme_commands_but_blowup_write_the_same_bytes_at_one_and_two_blas_thr
         run = _python(["-c", code], out, threads)
         assert run.returncode == 0, run.stderr
         assert ast.literal_eval(run.stdout.strip().splitlines()[-1]) == [0] * len(argvs)
+        # a run that passes writes nothing to stderr
+        assert run.stderr == ""
         files[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
     # a CSV and a JSON per command, but spectrum's JSON alone
     assert len(files["1"]) == 9
