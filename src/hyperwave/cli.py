@@ -32,7 +32,7 @@ from .grids import (
     weighted_state_norm,
 )
 from .halfwave import evolve_S1
-from .linstab import assemble_L, mode_angle, riesz_projection, spectrum
+from .linstab import SSC_WINDOW, assemble_L, mode_angle, riesz_projection, spectrum
 from .model import make_params, symmetry_mode
 from .nonlinear import (
     DEFAULT_STEP,
@@ -62,7 +62,7 @@ GATES = {
     "exponent_fit": ("<=", 0.55),  # the norms' growth exponent, d > 1
     "exponent_fit_d1": ("<=", -0.45),
     "cross_check_error": ("<", 1e-4),  # against the FD oracle at s = 1
-    "mode_stable": ("==", True),  # linstab's count and location of the zeros in the window
+    "mode_stable": ("==", True),  # two zeros counted and located in the window, one with Re >= 0
     "unstable_root_offset": ("<", 1e-6),  # |z - 1| of the zero with Re z >= 0
     "idempotency_defect": ("<", 1e-8),
     "mode_angle": ("<", 1e-5),
@@ -94,7 +94,7 @@ def _load_config(path, command):
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an int of over 4300 digits
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a flat JSON object")
@@ -107,6 +107,10 @@ def _load_config(path, command):
         fits = isinstance(value, want) or (want is float and isinstance(value, int))
         if not fits or isinstance(value, bool):
             raise ConfigError(f"config key {key!r} must be {want.__name__}")
+        try:  # an int for a float key is stored as the float its flag gives
+            raw[key] = want(value)
+        except OverflowError as exc:
+            raise ConfigError(f"config key {key!r} must be {want.__name__}: {exc}") from exc
     return raw
 
 
@@ -184,6 +188,8 @@ def cmd_freewave(args):
     if args.N < n_min:
         raise ConfigError(f"freewave at d={args.d} needs N >= {n_min}, got N={args.N}")
     grid = make_grid(args.R, args.N)
+    if 2 * args.s_end + 1 > np.iinfo(np.intp).max / 8:
+        raise MemoryError(f"freewave at s_end={args.s_end}: more samples than an array holds")
     s_values = np.linspace(0.0, args.s_end, max(int(2 * args.s_end) + 1, 6))
     if args.d == 1:
         state = np.concatenate([grid.eta * smooth_bump(grid.eta / 0.5), np.zeros(grid.N)])
@@ -226,22 +232,46 @@ def cmd_freewave(args):
 
 
 def _spectrum(args):
-    """The linearized generator and its spectrum, for `spectrum` and `blowup`.
-    A grid too coarse for `assemble_L` (N below the spectral minimum, or an
-    under-resolved symmetry mode) is a configuration error."""
+    """(op, doc, checks) of `spectrum` and `blowup`: the linearized generator,
+    its spectrum document, whose gap is minus the real part of the rightmost
+    zero with Re < 0, and the two spectral checks.  A grid too coarse for
+    `assemble_L` (N below the spectral minimum, or an under-resolved symmetry
+    mode) is a configuration error."""
     try:
         op = assemble_L(make_params(args.d), make_grid(args.R, args.N))
     except ValueError as exc:
         raise ConfigError(f"{args.command}: {exc}") from exc
     try:
-        return op, spectrum(op)
+        count, roots, eigenvalues = spectrum(op)
     except ValueError as exc:
         raise RunError(f"similarity-coordinate scan failed: {exc}") from exc
+    unstable = [z for z in roots if z.real >= 0.0]
+    gap = next(((z, e) for z, e in zip(roots, eigenvalues) if z.real < 0.0), None)
+    doc = {
+        "d": op.params.d,
+        "R": op.grid.R,
+        "N": op.grid.N,
+        "eigenvalues": [
+            {"re": float(z.real), "im": float(z.imag), "stable": bool(z.real < 0.0)}
+            for z in eigenvalues
+        ],
+        "gap": None if gap is None else float(-gap[0].real),
+        "gap_collocation_error": None if gap is None else float(abs(gap[1] - gap[0])),
+        "window": SSC_WINDOW,
+        "ssc_count": count,
+        "ssc_roots": [{"re": float(z.real), "im": float(z.imag)} for z in roots],
+        # two zeros in the window, both located, and exactly one with Re >= 0
+        "mode_stable": count == len(roots) == 2 and len(unstable) == 1,
+    }
+    checks = [
+        _check("mode_stable", doc["mode_stable"]),
+        _check("unstable_root_offset", abs(unstable[0] - 1.0) if unstable else None),
+    ]
+    return op, doc, checks
 
 
 def cmd_spectrum(args):
-    op, spec = _spectrum(args)
-    doc = spec.to_json_dict()
+    op, doc, checks = _spectrum(args)
     P = riesz_projection(op)
     mode = symmetry_mode(op.params, op.grid.eta).ravel()
     doc["projection"] = {
@@ -249,23 +279,23 @@ def cmd_spectrum(args):
         "mode_fixed_defect": float(np.max(np.abs(P @ mode - mode)) / np.max(np.abs(mode))),
     }
     doc["mode_angle"] = mode_angle(op)
-    checks = [
-        _check("mode_stable", doc["mode_stable"]),
-        _check("unstable_root_offset", abs(spec.unstable[0] - 1.0) if spec.unstable else None),
+    checks += [
         _check("idempotency_defect", doc["projection"]["idempotency_defect"]),
         _check("mode_angle", doc["mode_angle"]),
     ]
-    unstable = [format_float(z.real) for z in spec.unstable]
-    gap = "none" if spec.gap is None else format_float(spec.gap)
+    unstable = [format_float(z["re"]) for z in doc["ssc_roots"] if z["re"] >= 0.0]
+    gap = "none" if doc["gap"] is None else format_float(doc["gap"])
     print(f"spectrum d={args.d}: unstable set {unstable}, gap {gap}")
     return doc, checks
 
 
 def cmd_blowup(args):
-    op, spec = _spectrum(args)
-    if spec.gap is None:
+    # the spectral checks come first: no rate is certified against an unchecked spectrum
+    op, spec, checks = _spectrum(args)
+    gap = spec["gap"]
+    if gap is None:
         raise RunError(
-            f"the connection function locates no eigenvalue besides 1 in its window "
+            f"the connection function locates no eigenvalue with Re < 0 in its window "
             f"at d={args.d}, N={args.N}; the gap is undefined"
         )
     pert = PerturbationSpec(args.amp, eps=args.eps)
@@ -280,25 +310,25 @@ def cmd_blowup(args):
         "omega0_fit": omega,
         "fit_residual": residual,
         "floor_limited": omega is None,
-        "gap": spec.gap,
+        "gap": gap,
         "parameters": {"d": args.d, "R": args.R, "N": args.N, "eps": args.eps,
                        "amplitude": args.amp, "k": NORM_ORDER},
     }
     if args.amp == 0.0:
-        checks = [_check("control_T_star", t_star), _check("control_floor_limited", omega is None)]
+        checks += [_check("control_T_star", t_star), _check("control_floor_limited", omega is None)]
         print(f"blowup control: T* = {t_star}, trajectory at floor")
     else:
-        offset = None if omega is None else abs(omega - spec.gap)
-        checks = [
+        offset = None if omega is None else abs(omega - gap)
+        checks += [
             _check("T_star_offset", abs(t_star - 1.0)),
             _check("omega0_fit", omega),
-            _check("omega0_gap_offset", offset, spec.gap),
+            _check("omega0_gap_offset", offset, gap),
         ]
         # no rate is fitted when the norms sink to the floor: a tiny amplitude,
         # or a perturbation whose light cone misses every hyperboloid node
         rate = "none (trajectory at floor)" if omega is None else format_float(omega)
         print(f"blowup d={args.d}: T* = {format_float(t_star)}, omega0 {rate}, "
-              f"gap {format_float(spec.gap)}")
+              f"gap {format_float(gap)}")
     return summary, checks
 
 
@@ -392,14 +422,15 @@ _COMMANDS = {
         cmd_spectrum,
         ("d", "R", "N", "out"),
         "JSON only: {d, R, N, ssc_count, ssc_roots: [{re, im}], eigenvalues: [{re, im, stable}], "
-        "gap, gap_collocation_error, ...}; the connection function's zeros in its window, "
-        "counted by the argument principle and located at its sign changes on the real axis, "
-        "and the collocation eigenvalue nearest each",
+        "gap, gap_collocation_error, ...}; the connection function's zeros in its window, counted "
+        "by the argument principle and located at its real sign changes, the nearest collocation "
+        "eigenvalue to each, and gap: minus the real part of the rightmost zero with Re < 0",
     ),
     "blowup": (
         cmd_blowup,
         ("d", "R", "N", "eps", "amp", "dt", "out"),
-        "columns: s, norm_k, norm_km1, projection_coeff; eps < 1: the profile blows up at t = 1",
+        "columns: s, norm_k, norm_km1, projection_coeff; eps < 1: the profile blows up at "
+        "t = 1; the JSON's checks start with spectrum's mode_stable and unstable_root_offset",
     ),
     "norms": (
         cmd_norms,

@@ -4,7 +4,8 @@ exponentials each, the rank-one spectral projection onto the unstable mode,
 and the spectrum in a window about 1: the zeros of the mode equation's
 connection function in standard similarity coordinates, counted by the
 argument principle, located from its sign changes on the real axis and
-paired with the nearest collocation eigenvalue.
+paired with the nearest collocation eigenvalue.  The stability verdict and
+the gap that `spectrum` and `blowup` certify are `cli`'s.
 
 Everything runs on numpy: the eigen-decompositions are `numpy.linalg`'s, and
 the matrix exponential that `blowup` needs is the degree-13 branch of
@@ -24,7 +25,6 @@ __all__ = [
     "OperatorMatrix",
     "generator_matrix",
     "assemble_L",
-    "SpectrumResult",
     "spectrum",
     "mode_angle",
     "riesz_projection",
@@ -172,75 +172,14 @@ def assemble_L(params: DimensionParams, grid: Grid) -> OperatorMatrix:
     return OperatorMatrix(L, grid, params, mode_residual=residual)
 
 
-@dataclass
-class SpectrumResult:
-    """The spectrum of the linearized evolution in SSC_WINDOW, with a
-    stability verdict: the count of the connection function's zeros there,
-    the zeros located (sorted by decreasing real part), and the collocation
-    eigenvalue nearest each zero."""
-
-    d: int
-    R: float
-    N: int
-    count: int
-    roots: list
-    eigenvalues: list
-
-    @property
-    def unstable(self):
-        return [z for z in self.roots if z.real >= 0.0]
-
-    def _gap_pair(self):
-        """(root, nearest collocation eigenvalue) of the rightmost located
-        root other than 1, or None when the scan locates no other."""
-        return next(((z, e) for z, e in zip(self.roots, self.eigenvalues) if abs(z - 1.0) > 1e-6), None)
-
-    @property
-    def gap(self):
-        """Minus the real part of the rightmost located root other than 1,
-        or None when there is none."""
-        pair = self._gap_pair()
-        return None if pair is None else float(-pair[0].real)
-
-    def verdict(self):
-        """Two zeros in the window, both located, and exactly one with Re >= 0
-        (which `spectrum`'s unstable_root_offset check puts at 1)."""
-        return self.count == len(self.roots) == 2 and len(self.unstable) == 1
-
-    def to_json_dict(self):
-        pair = self._gap_pair()
-        return {
-            "d": self.d,
-            "R": self.R,
-            "N": self.N,
-            "eigenvalues": [
-                {"re": float(z.real), "im": float(z.imag), "stable": bool(z.real < 0.0)}
-                for z in self.eigenvalues
-            ],
-            "gap": self.gap,
-            "gap_collocation_error": None if pair is None else float(abs(pair[1] - pair[0])),
-            "window": SSC_WINDOW,
-            "ssc_count": self.count,
-            "ssc_roots": [{"re": float(z.real), "im": float(z.imag)} for z in self.roots],
-            "mode_stable": bool(self.verdict()),
-        }
-
-
-def spectrum(op: OperatorMatrix) -> SpectrumResult:
-    """The spectrum of L in SSC_WINDOW: the zeros of the connection function,
-    counted and located by `ssc_scan_roots`, each paired with the
-    collocation eigenvalue nearest it.  A failed scan raises its ValueError.
-    """
+def spectrum(op: OperatorMatrix):
+    """(count, roots, eigenvalues): the spectrum of L in SSC_WINDOW as
+    `ssc_scan_roots` counts and locates the connection function's zeros,
+    with the collocation eigenvalue nearest each zero.  A failed scan raises
+    its ValueError."""
     values = op.eig()[0]
     count, roots = ssc_scan_roots(op.params)
-    return SpectrumResult(
-        d=op.params.d,
-        R=op.grid.R,
-        N=op.grid.N,
-        count=count,
-        roots=roots,
-        eigenvalues=[complex(values[np.argmin(np.abs(values - z))]) for z in roots],
-    )
+    return count, roots, [complex(values[np.argmin(np.abs(values - z))]) for z in roots]
 
 
 def _state_inner(grid: Grid, d, u, v):

@@ -1,8 +1,10 @@
+import argparse
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from hyperwave import cli
 from hyperwave.grids import make_grid
 from hyperwave.linstab import assemble_L, riesz_projection, spectrum, ssc_scan_roots
 from hyperwave.model import make_params
@@ -30,7 +32,21 @@ def op96(params7, grid96):
 
 @pytest.fixture(scope="session")
 def spec96(op96):
+    """(count, roots, eigenvalues) of the spectrum of op96."""
     return spectrum(op96)
+
+
+def spectrum_doc(N, d=7):
+    """(doc, checks): the spectrum document and the two spectral checks that
+    `cli` makes of the generator at d and N, R = 2."""
+    _, doc, checks = cli._spectrum(argparse.Namespace(command="spectrum", d=d, R=2.0, N=N))
+    return doc, checks
+
+
+@pytest.fixture(scope="session")
+def doc96():
+    """The spectrum document of the generator at d = 7, N = 96."""
+    return spectrum_doc(96)[0]
 
 
 @pytest.fixture(scope="session")

@@ -172,18 +172,24 @@ class TestConfigGates:
             *([name, "--out", "FILE/x"] for name in _COMMANDS),
             ["blowup", "--out", "FILE/sub/x"],
             ["identities", "--out", "/dev/null/x"],
+            # the time axis has more samples than an array holds
+            ["freewave", "--s-end", "1e300"],
+            # CONFIG gives R as an int of 401 digits, which no float holds
+            ["freewave", "--config", "CONFIG"],
         ],
     )
     @pytest.mark.filterwarnings("error")
     def test_bad_value_exit_2(self, tmp_path, capsys, argv):
         blocker = tmp_path / "FILE"
         blocker.write_text("")
+        config = tmp_path / "CONFIG"
+        config.write_text('{"R": 1' + "0" * 400 + "}")
         # a later --out in argv wins over this one
-        out = [a.replace("FILE", str(blocker)) for a in argv[1:]]
+        out = [a.replace("FILE", str(blocker)).replace("CONFIG", str(config)) for a in argv[1:]]
         assert run([argv[0], "--out", str(tmp_path / "x"), *out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1
-        assert list(tmp_path.iterdir()) == [blocker]
+        assert sorted(tmp_path.iterdir()) == [config, blocker]
         if "--out" in argv:
             parent = blocker if "FILE/" in argv[-1] else "/dev/null"
             assert f": {parent} is not a writable directory" in err
@@ -206,6 +212,23 @@ class TestConfigGates:
             assert run(["identities", "--dims", "3,5", "--R", R, "--out", str(tmp_path / R)]) == 0
         assert text == (tmp_path / "1.5.csv").read_text()
         assert text != (tmp_path / "2.0.csv").read_text()
+
+    @pytest.mark.parametrize(
+        "command, cfg, flags",
+        [
+            ("freewave", {"R": 2, "s_end": 5}, ["--R", "2", "--s-end", "5"]),
+            ("blowup", {"N": 48, "amp": 0}, ["--N", "48", "--amp", "0"]),
+        ],
+    )
+    def test_config_int_for_float_key_writes_the_flag_bytes(self, tmp_path, command, cfg, flags):
+        # an int for a float key is stored as the float that its flag gives
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run([command, "--config", str(path), "--out", str(tmp_path / "cfg")]) == 0
+        assert run([command, *flags, "--out", str(tmp_path / "flags")]) == 0
+        for suffix in (".csv", ".json"):
+            cfg_bytes = (tmp_path / f"cfg{suffix}").read_bytes()
+            assert cfg_bytes == (tmp_path / f"flags{suffix}").read_bytes()
 
     def test_config_supplies_d_N_R(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -618,12 +641,12 @@ class TestCommands:
         assert run([command, "--d", "7", "--N", "48", "--out", str(out)]) == 1
         captured = capsys.readouterr()
         message = (
-            "the connection function locates no eigenvalue besides 1 in its window "
+            "the connection function locates no eigenvalue with Re < 0 in its window "
             "at d=7, N=48; the gap is undefined"
         )
         doc = json.loads(out.with_suffix(".json").read_text())
         if command == "spectrum":
-            # a missing gap fails linstab's verdict, the mode_stable check
+            # a missing gap fails the mode_stable check
             assert captured.err == "spectrum: check mode_stable failed: False against == True\n"
             assert doc["gap"] is None and doc["mode_stable"] is False
             assert captured.out.endswith(", gap none\n")
@@ -631,6 +654,22 @@ class TestCommands:
             assert captured.err == f"{command}: {message}\n"
             assert doc["error"] == message
             assert captured.out == "" and not out.with_suffix(".csv").exists()
+
+    @pytest.mark.parametrize("command", ["spectrum", "blowup"])
+    def test_second_unstable_zero_fails_mode_stable(self, tmp_path, capsys, monkeypatch, command):
+        # a located zero at 0.3 besides 1: the gap stays the rightmost zero
+        # with Re < 0, and both commands name the failed verdict
+        from hyperwave import linstab
+
+        roots = [1.0, 0.3, -0.5889048238369838]
+        monkeypatch.setattr(linstab, "ssc_scan_roots", lambda params: (3, roots))
+        out = tmp_path / "x"
+        assert run([command, "--d", "7", "--N", "48", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"{command}: check mode_stable failed: False against == True"]
+        doc = json.loads(out.with_suffix(".json").read_text())
+        assert doc["gap"] == 0.5889048238369838
+        assert [c["name"] for c in doc["checks"][:2]] == ["mode_stable", "unstable_root_offset"]
 
     def test_one_gap_at_every_N_and_R_and_in_blowup(self, tmp_path):
         # the gap is the connection function's root, which no grid enters
@@ -653,22 +692,24 @@ class TestCommands:
         assert doc["gap"] > 0
 
 
-# the cheapest run that reaches each gate's check and passes every check
+# the cheapest runs that reach each gate's check and pass every check
+_SPECTRUM_RUN, _BLOWUP_RUN = ["spectrum", "--N", "48"], ["blowup", "--N", "48"]
 GATE_RUNS = {
     **dict.fromkeys(
-        ("identity", "contracted_christoffel", "parity_table"), ["identities", "--dims", "3"]
+        ("identity", "contracted_christoffel", "parity_table"), [["identities", "--dims", "3"]]
     ),
-    **dict.fromkeys(("exponent_fit", "cross_check_error"), ["freewave", "--d", "3", "--N", "16"]),
-    "exponent_fit_d1": ["freewave", "--d", "1", "--N", "16"],
     **dict.fromkeys(
-        ("mode_stable", "unstable_root_offset", "idempotency_defect", "mode_angle"),
-        ["spectrum", "--N", "48"],
+        ("exponent_fit", "cross_check_error"), [["freewave", "--d", "3", "--N", "16"]]
     ),
-    **dict.fromkeys(("T_star_offset", "omega0_fit", "omega0_gap_offset"), ["blowup", "--N", "48"]),
+    "exponent_fit_d1": [["freewave", "--d", "1", "--N", "16"]],
+    # blowup checks the spectrum ahead of its own gates
+    **dict.fromkeys(("mode_stable", "unstable_root_offset"), [_SPECTRUM_RUN, _BLOWUP_RUN]),
+    **dict.fromkeys(("idempotency_defect", "mode_angle"), [_SPECTRUM_RUN]),
+    **dict.fromkeys(("T_star_offset", "omega0_fit", "omega0_gap_offset"), [_BLOWUP_RUN]),
     **dict.fromkeys(
-        ("control_T_star", "control_floor_limited"), ["blowup", "--amp", "0", "--N", "48"]
+        ("control_T_star", "control_floor_limited"), [["blowup", "--amp", "0", "--N", "48"]]
     ),
-    **dict.fromkeys(("drift", "hardy", "integral_op_T"), ["norms", "--dims", "3", "--N", "24"]),
+    **dict.fromkeys(("drift", "hardy", "integral_op_T"), [["norms", "--dims", "3", "--N", "24"]]),
 }
 
 
@@ -679,12 +720,12 @@ def test_each_gate_fails_its_check_alone(tmp_path, capsys, monkeypatch, name):
     bound = {"<": -math.inf, "<=": -math.inf, ">": math.inf, "==": object()}[comparison]
     monkeypatch.setitem(GATES, name, (comparison, bound))
     out = tmp_path / "x"
-    argv = GATE_RUNS[name]
-    assert run([*argv, "--out", str(out)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"{argv[0]}: check {name} failed: ")
-    checks = json.loads(out.with_suffix(".json").read_text())["checks"]
-    assert [c["name"] for c in checks if not c["passed"]] == [name]
+    for argv in GATE_RUNS[name]:
+        assert run([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"{argv[0]}: check {name} failed: ")
+        checks = json.loads(out.with_suffix(".json").read_text())["checks"]
+        assert [c["name"] for c in checks if not c["passed"]] == [name]
 
 
 # values outside each kind of (comparison, bound) pair

@@ -11,7 +11,6 @@ from hyperwave.linstab import (
     SSC_SIDE_POINTS,
     SSC_WINDOW,
     OperatorMatrix,
-    SpectrumResult,
     _expm,
     assemble_L,
     generator_matrix,
@@ -23,7 +22,7 @@ from hyperwave.linstab import (
 )
 from hyperwave.model import HEIGHT, make_params, potential, symmetry_mode
 
-from conftest import even_state
+from conftest import even_state, spectrum_doc
 from oracles import evolve_linear, linear_decay_fit
 
 
@@ -91,60 +90,54 @@ class TestAssembly:
 
 
 class TestSpectrum:
-    def test_mode_stability_verdict(self, spec96):
-        assert spec96.verdict()
-        uns = spec96.unstable
+    def test_mode_stability_verdict(self, spec96, doc96):
+        assert doc96["mode_stable"] is True
+        uns = [z for z in spec96[1] if z.real >= 0.0]
         assert len(uns) == 1
         assert abs(uns[0] - 1.0) < 1e-6
 
-    def test_gap_reported(self, spec96):
-        assert 0.0 < spec96.gap < 1.5
+    def test_gap_reported(self, doc96):
+        assert 0.0 < doc96["gap"] < 1.5
 
     def test_r_independence(self, params7, spec96):
         op1 = assemble_L(params7, make_grid(1.0, 96))
-        spec1 = spectrum(op1)
-        for z1, z2 in zip(spec1.eigenvalues, spec96.eigenvalues):
+        for z1, z2 in zip(spectrum(op1)[2], spec96[2]):
             assert abs(z1 - z2) < 1e-4
 
     def test_reproducible_under_refinement(self, params7, spec96):
         op = assemble_L(params7, make_grid(2.0, 112))
-        spec_fine = spectrum(op)
-        for z1, z2 in zip(spec_fine.eigenvalues, spec96.eigenvalues):
+        for z1, z2 in zip(spectrum(op)[2], spec96[2]):
             assert abs(z1 - z2) < 1e-4
 
     def test_raw_list_retrievable(self, op96, spec96):
         # all collocation eigenvalues are the operator's cached decomposition
         raw = op96.eig()[0]
         assert raw.size == 2 * op96.grid.N
-        assert len(spec96.eigenvalues) < raw.size
+        assert len(spec96[2]) < raw.size
 
-    def test_gap_none_without_a_stable_eigenvalue(self):
+    def test_gap_none_without_a_stable_eigenvalue(self, monkeypatch):
         # the scan located only the eigenvalue 1: there is no gap to certify
-        spec = SpectrumResult(d=21, R=2.0, N=128, count=1, roots=[1.0], eigenvalues=[1.0])
-        assert spec.unstable == [1.0]
-        assert spec.gap is None
-        assert not spec.verdict()
-        doc = spec.to_json_dict()
+        monkeypatch.setattr(linstab, "ssc_scan_roots", lambda params: (1, [1.0]))
+        doc, checks = spectrum_doc(48)
+        assert [z["re"] for z in doc["ssc_roots"]] == [1.0]
         assert doc["gap"] is None and doc["gap_collocation_error"] is None
         assert doc["mode_stable"] is False
+        assert [c["passed"] for c in checks] == [False, True]
 
-    def test_json_document(self, spec96):
-        doc = spec96.to_json_dict()
-        assert doc["d"] == 7 and doc["N"] == 96 and doc["R"] == 2.0
-        assert doc["mode_stable"] is True
-        assert {"re", "im", "stable"} <= set(doc["eigenvalues"][0])
-        assert doc["ssc_count"] == len(doc["ssc_roots"]) == len(doc["eigenvalues"]) == 2
-        assert doc["gap"] == -doc["ssc_roots"][1]["re"]
+    def test_json_document(self, doc96):
+        assert doc96["d"] == 7 and doc96["N"] == 96 and doc96["R"] == 2.0
+        assert doc96["mode_stable"] is True
+        assert {"re", "im", "stable"} <= set(doc96["eigenvalues"][0])
+        assert doc96["ssc_count"] == len(doc96["ssc_roots"]) == len(doc96["eigenvalues"]) == 2
+        assert doc96["gap"] == -doc96["ssc_roots"][1]["re"]
         # the collocation gap agrees with the connection function's
-        assert 0.0 < doc["gap_collocation_error"] < 1e-8
+        assert 0.0 < doc96["gap_collocation_error"] < 1e-8
 
     def test_eigenvector_angle(self, op96):
         assert mode_angle(op96) < 1e-5
 
     def test_d9_also_mode_stable(self):
-        op = assemble_L(make_params(9), make_grid(2.0, 96))
-        spec = spectrum(op)
-        assert spec.verdict()
+        assert spectrum_doc(96, d=9)[0]["mode_stable"] is True
 
 
 class TestRieszProjection:
@@ -226,12 +219,12 @@ class TestLinearEvolution:
         exponent, _ = linear_decay_fit(op96, proj96 @ np.concatenate([bump, 0.3 * bump]))
         assert exponent == pytest.approx(1.0, abs=0.02)
 
-    def test_stable_complement_decays_at_gap(self, grid96, op96, proj96, spec96):
+    def test_stable_complement_decays_at_gap(self, grid96, op96, proj96, doc96):
         bump = np.exp(-4 * (grid96.eta - 0.8) ** 2)
         v = np.concatenate([bump, 0.3 * bump])
         exponent, _ = linear_decay_fit(op96, v - proj96 @ v, s_values=np.linspace(2.0, 8.0, 13))
         assert exponent < 0.0
-        assert abs(-exponent - spec96.gap) <= 0.2 * spec96.gap
+        assert abs(-exponent - doc96["gap"]) <= 0.2 * doc96["gap"]
 
 
 class TestPropagator:
@@ -330,14 +323,15 @@ class TestSSCScan:
         assert abs(roots[0] - 1.0) < 1e-12
         assert abs(roots[1] + 0.588904823837) < 1e-10
 
-    def test_no_roots_in_gap_strip(self, ssc7, spec96):
+    def test_no_roots_in_gap_strip(self, ssc7, doc96):
         # oracle for the spectral gap: nothing between -gap/2 and 0.  The
         # window holds that strip, and its two zeros are the eigenvalue 1
         # and one left of the strip
         (re0, re1), (im0, im1) = SSC_WINDOW
-        assert re0 < -spec96.gap / 2.0 and im0 < -1.0 and 1.0 < im1
+        gap = doc96["gap"]
+        assert re0 < -gap / 2.0 and im0 < -1.0 and 1.0 < im1
         count, roots = ssc7
-        assert count == 2 and abs(roots[0] - 1.0) < 1e-12 and roots[1].real < -spec96.gap / 2.0
+        assert count == 2 and abs(roots[0] - 1.0) < 1e-12 and roots[1].real < -gap / 2.0
 
     def test_resonant_lambda_raises(self, params7):
         for lam in (0.0, [0.5, 0.0, 1.5]):
@@ -384,7 +378,8 @@ class TestSSCScan:
         # both routes agree that the only unstable eigenvalue is 1, and on
         # the gap eigenvalue
         _, roots = ssc7
-        assert len(spec96.unstable) == 1
-        assert len(roots) == len(spec96.eigenvalues) == 2
-        for z, e in zip(roots, spec96.eigenvalues):
+        _, spec_roots, eigenvalues = spec96
+        assert len([z for z in spec_roots if z.real >= 0.0]) == 1
+        assert len(roots) == len(eigenvalues) == 2
+        for z, e in zip(roots, eigenvalues):
             assert abs(z - e) < 1e-6

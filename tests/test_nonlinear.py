@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hyperwave.grids import weighted_sobolev_norm
-from hyperwave.linstab import spectrum
 from hyperwave.model import HEIGHT, initial_time_s0, make_params, symmetry_mode
 from hyperwave.nonlinear import (
     CauchySolution,
@@ -19,7 +18,7 @@ from hyperwave.nonlinear import (
     smooth_bump,
 )
 
-from conftest import traced_peak
+from conftest import spectrum_doc, traced_peak
 from oracles import blowup_profile_hsc
 
 
@@ -470,7 +469,7 @@ class TestDecayFit:
 class TestBlowupAdjustment:
     def test_full_experiment(self, pert, op64):
         t_star, traj, omega, _ = adjust_blowup_time(op64, pert)
-        gap = spectrum(op64).gap
+        gap = spectrum_doc(64)[0]["gap"]
         assert abs(t_star - 1.0) <= 0.1
         assert omega is not None and omega > 0.0
         assert abs(omega - gap) <= 0.2 * gap
