@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from hyperwave import descent
 from hyperwave.coeffs import c1_fn
 from hyperwave.descent import (
     descent_full,
@@ -379,26 +382,60 @@ class TestFDOracle:
         got = np.concatenate([a1 * w1 + a2 * w2, dw[0::2], dw[1::2]])
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
-    def test_regression_pin(self):
-        # values of the stencil-by-stencil upwind solver this operator replaced
-        _, v, vs = _fd_run(5, lambda r: np.exp(-2 * r * r), lambda r: 0 * r, 1.0, 2.0, 200)
-        idx = [0, 1, 37, 100, 199]
-        assert v[idx] == pytest.approx(
-            [0.07410089909774671, 0.07402609232994271, 0.024621339800224476,
-             -0.17579014519837458, -0.3001638663943673], rel=1e-12)
-        assert vs[idx] == pytest.approx(
-            [-0.716189235911018, -0.7160713995601833, -0.6401242385222106,
-             -0.3869622825676523, -0.38546114240154483], rel=1e-12)
-        _, v1, vs1 = _fd_run(
-            7, lambda r: np.exp(-2 * r * r), lambda r: -0.3 * np.exp(-r * r), 1.0, 2.0, 100
-        )
-        idx = [0, 10, 50, 99]
-        assert v1[idx] == pytest.approx(
-            [-0.10727352967469479, -0.12031757968103643, -0.28921598820640526,
-             -0.2911023765629335], rel=1e-12)
-        assert vs1[idx] == pytest.approx(
-            [-0.6585034488615441, -0.6342439786722399, -0.3532701062661948,
-             -0.3439355526783216], rel=1e-12)
+    def test_regression_pin(self, monkeypatch):
+        # values of the stencil-by-stencil upwind solver this operator
+        # replaced, recorded at the Courant number 0.4; the default step
+        # moves them by at most 5.6e-12 relative (d = 7, m = 100)
+        f1 = lambda r: np.exp(-2 * r * r)
+        pins = [
+            (
+                (5, f1, lambda r: 0 * r, 1.0, 2.0, 200),
+                [0, 1, 37, 100, 199],
+                [0.07410089909774671, 0.07402609232994271, 0.024621339800224476,
+                 -0.17579014519837458, -0.3001638663943673],
+                [-0.716189235911018, -0.7160713995601833, -0.6401242385222106,
+                 -0.3869622825676523, -0.38546114240154483],
+            ),
+            (
+                (7, f1, lambda r: -0.3 * np.exp(-r * r), 1.0, 2.0, 100),
+                [0, 10, 50, 99],
+                [-0.10727352967469479, -0.12031757968103643, -0.28921598820640526,
+                 -0.2911023765629335],
+                [-0.6585034488615441, -0.6342439786722399, -0.3532701062661948,
+                 -0.3439355526783216],
+            ),
+        ]
+        for cfl, rel in ((0.4, 1e-12), (FD_CFL, 1e-11)):
+            monkeypatch.setattr(descent, "FD_CFL", cfl)
+            for case, idx, v_pin, vs_pin in pins:
+                _, v, vs = _fd_run(*case)
+                assert v[idx] == pytest.approx(v_pin, rel=rel)
+                assert vs[idx] == pytest.approx(vs_pin, rel=rel)
+
+    def test_step_within_rk4_stability_limit(self):
+        # RK4's amplification on the symbol of the upwind stencil (3, -4, 1)/2
+        # stays within the unit disc up to the Courant number 0.6963, found by
+        # bisection; the step keeps a tenth of that margin or more
+        R4 = lambda z: 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+        theta = np.linspace(0.0, np.pi, 2001)
+        symbol = -(3 - 4 * np.exp(-1j * theta) + np.exp(-2j * theta)) / 2
+        lo, hi = 0.5, 1.0
+        for _ in range(40):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if np.max(np.abs(R4(mid * symbol))) <= 1 + 1e-13 else (lo, mid)
+        assert lo == pytest.approx(0.6963, abs=1e-4)
+        assert FD_CFL <= 0.9 * lo
+        # and on the operator itself: the CFL step amplifies no eigenvector of
+        # w' = A_ww w (the largest |R4| is 0.99984), from about the smallest R
+        # the oracle takes to five times the default.  A_ww is an upwind
+        # transport with outflow, far from normal, so its eigenvalues pass
+        # up to a Courant number of 1.05, where the README freewave's
+        # cross-check has already grown from 1e-7 to 0.05 (at 1.0); the
+        # symbol's bound above is what refuses a step near 0.9
+        for d, R, m in itertools.product((3, 5, 7, 9), (0.55, 2.0, 10.0), (100, 200)):
+            _, (_, A_ww), speed = _fd_operator(d, R, m)
+            z = np.linalg.eigvals(band_dense(A_ww)) * FD_CFL * (R / m) / speed
+            assert np.max(np.abs(R4(z))) <= 1.0, (d, R, m)
 
     @pytest.mark.parametrize("nsteps", [2104, 2105])
     def test_one_block_product_per_two_steps(self, monkeypatch, nsteps):
