@@ -2,10 +2,11 @@
 pipelines and emits CSV/JSON artifacts.
 
 Subcommands: identities | freewave | spectrum | blowup | norms.  Each
-command returns its summary and its checks against GATES; `main` alone
-writes them to `<out>.json`, names each failed check on stderr and sets the
-exit code: 0 every check passed; 1 a failed check, or a run that cannot
-produce its numbers (RunError: `{error, parameters}`); 2 configuration error.
+command returns its table, its summary and its checks against GATES; `main`
+alone writes `<out>.csv` and `<out>.json`, which records the resolved options
+as `parameters`, names each failed check on stderr and sets the exit code:
+0 every check passed; 1 a failed check, or a run that cannot produce its
+numbers (RunError: `{error, parameters}`); 2 configuration error.
 """
 
 import argparse
@@ -176,10 +177,10 @@ def cmd_identities(args):
             parity_defects.append(float(np.max(np.abs(fn(-sample) - sign * fn(sample)))))
     parity = float(np.max(parity_defects))
     rows.append((0, "parity_table", parity))
-    write_csv(args.out + ".csv", ["d", "check", "max_residual"], rows)
     print(f"identities: {len(rows)} checks, worst identity residual {format_float(worst)}")
-    return {}, [_check("identity", worst), _check("contracted_christoffel", float(chris)),
-                _check("parity_table", parity)]
+    checks = [_check("identity", worst), _check("contracted_christoffel", float(chris)),
+              _check("parity_table", parity)]
+    return (["d", "check", "max_residual"], rows), {}, checks
 
 
 def cmd_freewave(args):
@@ -214,7 +215,6 @@ def cmd_freewave(args):
         evolve = partial(evolve_free_wave, args.d, grid)
     norms = [norm(state), *(norm(evolve(state, s)) for s in s_values[1:])]
     rows = [(float(s), float(nv)) for s, nv in zip(s_values, norms)]
-    write_csv(args.out + ".csv", ["s", "norm"], rows)
     if np.all(np.asarray(norms) > 0.0):
         slope = float(np.polyfit(s_values, np.log(norms), 1)[0])
     else:
@@ -224,11 +224,9 @@ def cmd_freewave(args):
     checks = [_check(fit, slope)]
     if cross_err is not None:
         checks.append(_check("cross_check_error", cross_err))
-    summary = {"d": args.d, "R": args.R, "N": args.N, "exponent_fit": slope,
-               "bound": GATES[fit][1], "cross_check_error": cross_err}
     print(f"freewave d={args.d}: fitted exponent {format_float(slope)}, cross-check "
           f"{'n/a' if cross_err is None else format_float(cross_err)}")
-    return summary, checks
+    return (["s", "norm"], rows), {"exponent_fit": slope, "cross_check_error": cross_err}, checks
 
 
 def _spectrum(args):
@@ -248,9 +246,6 @@ def _spectrum(args):
     unstable = [z for z in roots if z.real >= 0.0]
     gap = next(((z, e) for z, e in zip(roots, eigenvalues) if z.real < 0.0), None)
     doc = {
-        "d": op.params.d,
-        "R": op.grid.R,
-        "N": op.grid.N,
         "eigenvalues": [
             {"re": float(z.real), "im": float(z.imag), "stable": bool(z.real < 0.0)}
             for z in eigenvalues
@@ -286,7 +281,7 @@ def cmd_spectrum(args):
     unstable = [format_float(z["re"]) for z in doc["ssc_roots"] if z["re"] >= 0.0]
     gap = "none" if doc["gap"] is None else format_float(doc["gap"])
     print(f"spectrum d={args.d}: unstable set {unstable}, gap {gap}")
-    return doc, checks
+    return None, doc, checks
 
 
 def cmd_blowup(args):
@@ -304,16 +299,8 @@ def cmd_blowup(args):
     except RuntimeError as exc:
         raise RunError(str(exc)) from exc
     rows = np.column_stack([traj.s, traj.norm_k, traj.norm_km1, traj.projection_coeff]).tolist()
-    write_csv(args.out + ".csv", ["s", "norm_k", "norm_km1", "projection_coeff"], rows)
-    summary = {
-        "T_star": float(t_star),
-        "omega0_fit": omega,
-        "fit_residual": residual,
-        "floor_limited": omega is None,
-        "gap": gap,
-        "parameters": {"d": args.d, "R": args.R, "N": args.N, "eps": args.eps,
-                       "amplitude": args.amp, "k": NORM_ORDER},
-    }
+    summary = {"T_star": float(t_star), "omega0_fit": omega, "fit_residual": residual,
+               "floor_limited": omega is None, "gap": gap, "k": NORM_ORDER}
     if args.amp == 0.0:
         checks += [_check("control_T_star", t_star), _check("control_floor_limited", omega is None)]
         print(f"blowup control: T* = {t_star}, trajectory at floor")
@@ -329,7 +316,7 @@ def cmd_blowup(args):
         rate = "none (trajectory at floor)" if omega is None else format_float(omega)
         print(f"blowup d={args.d}: T* = {format_float(t_star)}, omega0 {rate}, "
               f"gap {format_float(gap)}")
-    return summary, checks
+    return (["s", "norm_k", "norm_km1", "projection_coeff"], rows), summary, checks
 
 
 def cmd_norms(args):
@@ -376,9 +363,8 @@ def cmd_norms(args):
     t_err = float(np.max(np.abs(Tf - grid.y / 4.0)))
     checks.append(_check("integral_op_T", t_err))
     rows.append((0, -2, t_err, 0.0, 0.0))
-    write_csv(args.out + ".csv", ["d", "k", "ratio_N", "ratio_2N", "drift"], rows)
     print(f"norms: {len(rows)} rows")
-    return {}, checks
+    return (["d", "k", "ratio_N", "ratio_2N", "drift"], rows), {}, checks
 
 
 # every option: key -> (type, default, help, bound); the flag is the key with
@@ -393,7 +379,11 @@ _OPTIONS = {
     "s_end": (float, 5.0, "final hyperboloidal time", ((">", 0),)),
     "eps": (float, 0.05, "perturbation support radius", ((">", 0), ("<", 1))),
     "amp": (float, 1e-3, "perturbation amplitude", ()),
-    "dt": (float, DEFAULT_STEP, f"integrating-factor RK4 step, default {DEFAULT_STEP}", ((">", 0),)),
+    # blowup takes 5 ceil(6/dt) + 32 ceil(0.25/dt) Lawson steps, about 34 us each at
+    # N = 64 on one BLAS thread: 1916 steps (0.6 s) at the default, 3.8e6 (about 130 s)
+    # at the floor, and a run that never ends at dt = 1e-300
+    "dt": (float, DEFAULT_STEP, f"integrating-factor RK4 step, default {DEFAULT_STEP}",
+           ((">=", 1e-5),)),
     "seed": (int, 0, "seed of the random test functions", ((">=", 0),)),
     "out": (str, None, "output path prefix (default: the command name)", ()),
 }
@@ -411,7 +401,7 @@ _COMMANDS = {
     "identities": (
         cmd_identities,
         ("dims", "R", "out"),
-        "columns: d, check, max_residual; the JSON holds only its checks",
+        "columns: d, check, max_residual; the JSON holds parameters and checks",
     ),
     "freewave": (
         cmd_freewave,
@@ -421,7 +411,7 @@ _COMMANDS = {
     "spectrum": (
         cmd_spectrum,
         ("d", "R", "N", "out"),
-        "JSON only: {d, R, N, ssc_count, ssc_roots: [{re, im}], eigenvalues: [{re, im, stable}], "
+        "JSON only: {parameters, ssc_count, ssc_roots: [{re, im}], eigenvalues: [{re, im, stable}], "
         "gap, gap_collocation_error, ...}; the connection function's zeros in its window, counted "
         "by the argument principle and located at its real sign changes, the nearest collocation "
         "eigenvalue to each, and gap: minus the real part of the rightmost zero with Re < 0",
@@ -436,7 +426,7 @@ _COMMANDS = {
         cmd_norms,
         ("dims", "R", "N", "seed", "out"),
         "columns: d, k, ratio_N, ratio_2N, drift (d=0 rows: Hardy / integral operator); "
-        "the JSON holds only its checks",
+        "the JSON holds parameters and checks",
     ),
 }
 
@@ -457,7 +447,8 @@ def build_parser():
         epilog="Floats print with 17 significant digits; outputs are written atomically; "
         "identical configuration and seed give byte-identical files at a fixed BLAS thread count; "
         "only blowup, and spectrum's collocation diagnostics from N = 108, depend on that count. "
-        "Every JSON holds checks: [{name, value, gate, passed}]; exit 1 names each failed check "
+        "Every JSON holds parameters, the resolved options but out, and checks: "
+        "[{name, value, gate, passed}]; exit 1 names each failed check "
         "on stderr; each option's --help states its bound, and a value outside it exits 2.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -491,10 +482,11 @@ def main(argv=None):
                 finite = kind is not float or math.isfinite(entry)
                 if not (finite and all(_COMPARE[c](entry, b) for c, b in bound)):
                     raise ConfigError(f"{key} must be {_bound_text(key)}, got {entry}")
+        parameters = {key: getattr(args, key) for key in keys if key != "out"}
         if args.command in ("spectrum", "blowup") and args.d < 7:
             raise ConfigError(f"the blowup profile needs d >= 7, got {args.d}")
         _check_out(args.out)
-        summary, checks = func(args)
+        table, summary, checks = func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -504,10 +496,11 @@ def main(argv=None):
         return 2
     except RunError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
-        parameters = {key: getattr(args, key) for key in keys if key != "out"}
         write_json(args.out + ".json", {"error": str(exc), "parameters": parameters})
         return 1
-    write_json(args.out + ".json", {**summary, "checks": checks})
+    if table is not None:
+        write_csv(args.out + ".csv", *table)
+    write_json(args.out + ".json", {"parameters": parameters, **summary, "checks": checks})
     failed = [c for c in checks if not c["passed"]]
     for c in failed:
         print(f"{args.command}: check {c['name']} failed: {c['value']!r} against {c['gate']}",

@@ -8,8 +8,8 @@ With S(eta) = sqrt(2 + eta^2) the building blocks collapse to
     h^2 - eta^2  = 6 - 4S,          eta - h h'   = 2 eta/S,
 
 which keeps every formula free of cancellation.  All functions are generic
-over the scalar type: numpy arrays give values, `Jet2` seeds give values
-together with first and second derivatives.
+over the scalar type: numpy arrays give values, and a second-order
+`jets.jet_seed`, a `Taylor` series, gives them with two derivatives.
 """
 
 import numpy as np

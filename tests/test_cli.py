@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,15 @@ class TestConfigGates:
         assert run(["blowup", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
         assert "amp must be finite" in capsys.readouterr().err
         assert not list(tmp_path.glob("x*"))
+
+    def test_tiny_step_exits_2_at_once(self, tmp_path, capsys):
+        # 5 ceil(6/dt) + 32 ceil(0.25/dt) Lawson steps never end at dt = 1e-300
+        start = time.perf_counter()
+        assert run(["blowup", "--dt", "1e-300", "--out", str(tmp_path / "x")]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err == "configuration error: dt must be finite, >= 1e-05, got 1e-300\n"
+        assert not list(tmp_path.iterdir())
 
     def test_blowup_needs_d7(self, tmp_path):
         assert run(["blowup", "--d", "5", "--out", str(tmp_path / "x")]) == 2
@@ -236,7 +246,7 @@ class TestConfigGates:
         out = tmp_path / "spec"
         assert run(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
         doc = json.loads(out.with_suffix(".json").read_text())
-        assert (doc["d"], doc["N"], doc["R"]) == (9, 56, 1.5)
+        assert doc["parameters"] == {"d": 9, "N": 56, "R": 1.5}
 
     def test_explicit_default_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -244,7 +254,7 @@ class TestConfigGates:
         out = tmp_path / "spec"
         assert run(["spectrum", "--config", str(cfg), "--N", "64", "--out", str(out)]) == 0
         doc = json.loads(out.with_suffix(".json").read_text())
-        assert (doc["d"], doc["N"], doc["R"]) == (7, 64, 2.0)
+        assert doc["parameters"] == {"d": 7, "N": 64, "R": 2.0}
 
     def test_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -420,8 +430,10 @@ class TestCommands:
         assert doc["gap"] == pytest.approx(0.588904823837, rel=1e-10)
         assert doc["floor_limited"] is False
         assert set(doc) == {
-            "T_star", "omega0_fit", "fit_residual", "floor_limited", "gap", "parameters", "checks"
+            "T_star", "omega0_fit", "fit_residual", "floor_limited", "gap", "k", "parameters",
+            "checks",
         }
+        assert doc["k"] == 2
         for suffix in (".csv", ".json"):
             assert a.with_suffix(suffix).read_bytes() == b.with_suffix(suffix).read_bytes()
 
@@ -763,3 +775,42 @@ def test_each_flag_help_states_its_bound(capsys, command):
     for key in _COMMANDS[command][1]:
         if _bound_text(key):
             assert f" ({_bound_text(key)})" in text
+
+
+# a cheap passing run of each command from a config that sets every option it
+# reads to a value other than its default, and the JSON's other top-level keys
+RECORD_RUNS = {
+    "identities": ({"dims": "3,5", "R": 3}, set()),
+    "freewave": ({"d": 5, "R": 1.5, "N": 16, "s_end": 2}, {"exponent_fit", "cross_check_error"}),
+    "spectrum": (
+        {"d": 9, "R": 3, "N": 48},
+        {"window", "ssc_count", "ssc_roots", "eigenvalues", "gap", "gap_collocation_error",
+         "mode_stable", "projection", "mode_angle"},
+    ),
+    "blowup": (
+        {"d": 9, "R": 1.5, "N": 48, "eps": 0.1, "amp": 0, "dt": 0.04},
+        {"T_star", "omega0_fit", "fit_residual", "floor_limited", "gap", "k"},
+    ),
+    "norms": ({"dims": "3", "R": 3, "N": 24, "seed": 7}, set()),
+}
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_each_json_records_its_resolved_options(tmp_path, command):
+    options, keys = RECORD_RUNS[command]
+    assert {*options, "out"} == set(_COMMANDS[command][1])
+    assert all(value != _OPTIONS[key][1] for key, value in options.items())
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**options, "out": str(tmp_path / "cfg")}))
+    assert run([command, "--config", str(path)]) == 0
+    flags = [a for key, value in options.items() for a in ("--" + key.replace("_", "-"), str(value))]
+    assert run([command, *flags, "--out", str(tmp_path / "flags")]) == 0
+    text = (tmp_path / "cfg.json").read_text()
+    # out is not recorded, so both prefixes write the same bytes
+    assert text == (tmp_path / "flags.json").read_text()
+    doc = json.loads(text)
+    assert set(doc) == {"parameters", "checks", *keys}
+    # an int for a float key is recorded as the float it is stored as
+    assert {key: (type(v), v) for key, v in doc["parameters"].items()} == {
+        key: (_OPTIONS[key][0], _OPTIONS[key][0](value)) for key, value in options.items()
+    }

@@ -233,6 +233,31 @@ def test_every_definition_reached_from_cli_main():
     assert _unreached() == []
 
 
+def test_main_alone_writes_the_artifacts():
+    # the commands return their table, summary and checks: none names a
+    # writer or reads the output prefix, and main builds one `parameters`
+    # dict that both of its JSON writes record
+    tree = ast.parse(Path(hyperwave.__file__).with_name("cli.py").read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    commands = [name for name in funcs if name.startswith("cmd_")] + ["_spectrum"]
+    assert len(commands) == 6
+    writers = {"write_csv", "write_json"}
+    for name in commands:
+        for n in ast.walk(funcs[name]):
+            assert not (isinstance(n, ast.Name) and n.id in writers), name
+            assert not (isinstance(n, ast.Attribute) and n.attr in {"out", *writers}), name
+    nodes = list(ast.walk(funcs["main"]))
+    stores = [n for n in nodes if isinstance(n, ast.Name) and n.id == "parameters"
+              and isinstance(n.ctx, ast.Store)]
+    assert len(stores) == 1
+    writes = [n for n in nodes if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "write_json"]
+    assert len(writes) == 2
+    for call in writes:
+        payload = call.args[1]
+        record = {k.value: v for k, v in zip(payload.keys, payload.values) if k is not None}
+        assert getattr(record["parameters"], "id", None) == "parameters"
+
+
 def _python(args, cwd, threads="1", preexec_fn=None):
     """A fresh interpreter run on args in cwd, with this package on its path
     and the given BLAS thread count."""
