@@ -406,7 +406,7 @@ _COMMANDS = {
     "freewave": (
         cmd_freewave,
         ("d", "R", "N", "s_end", "out"),
-        "columns: s, norm; the FD cross-check at s = 1 needs R > 1/2 (R >= 0.502 on 400 cells)",
+        "columns: s, norm; the FD cross-check at s = 1 needs R > 1/2 (R >= 0.50094 on 800 cells)",
     ),
     "spectrum": (
         cmd_spectrum,

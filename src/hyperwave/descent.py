@@ -99,10 +99,16 @@ def evolve_free_wave(d, grid, v, ds):
     return up * np.exp(float(ds))
 
 
-# Courant number of the FD oracle's RK4 steps.  RK4 on the second-order
-# upwind stencil (3, -4, 1)/(2 dr) is stable up to 0.6963 against the local
-# speed (von Neumann on the stencil's symbol), and 0.6 is 86% of it.
-FD_CFL = 0.6
+# Courant number of the FD oracle's RK4 steps.  RK4 on the third-order
+# upwind-biased stencil (2, 3, -6, 1)/(6 dr) is stable up to 1.7453 against
+# the local speed (von Neumann on the stencil's symbol), and 1.5 is 86% of it.
+FD_CFL = 1.5
+# Cells each side of W1's sonic point eta = 1/2 (where h_+ = 0 and its speed
+# changes sign) that keep the second-order stencil (3, -4, 1)/(2 dr).  With
+# the third-order stencil there too, the d = 9 operator has an eigenvalue of
+# Re 0.44 to 0.77 (R = 2, m = 100 to 800) that the free generator lacks;
+# with these cells every eigenvalue at d <= 9 has Re < 0.
+_FD_SONIC = 8
 _FD_BLOCK = 16  # even iterates of the FD march held at once, added to v's integral in one sum
 _FD_ROWS = 16  # rows of P^2 in one dense block of the FD march
 
@@ -170,15 +176,18 @@ def _fd_operator(d, R, m):
         W1' = (-h_+ dW1 + c (W1 - W2)) / h_+' - W1
         W2' = (-h_- dW2 + c (W1 - W2)) / h_-' - W2
 
-    where dW is the second-order upwind derivative along the speed
-    h_pm / h_pm', and c is the dimensional coupling.  Cells -1 and -2 below
-    the origin are mirror ghosts of the partner field's cells 0 and 1, next
-    to the diagonal in w.  Rightward speeds use backward stencils (the
-    outflow side at eta = R needs no closure).  W1's speed points leftward
-    below eta = 1/2, where the backward light cone of the tip meets the
-    slice; there its forward stencil reaches up to two cells outward, and a
-    stencil past the last cell, which would need an inflow value at eta = R,
-    raises ValueError.
+    where dW is the derivative along the speed h_pm / h_pm', and c is the
+    dimensional coupling.  With u the upwind direction (-1 for a rightward
+    speed), dW is the third-order upwind-biased (2, 3, -6, 1)/(6 dr) on cells
+    i - u, i, i + u, i + 2u: one downwind cell and two upwind ones.  The
+    second-order upwind (3, -4, 1)/(2 dr) on cells i, i + u, i + 2u stays on
+    the outflow cell, whose downwind cell would lie past eta = R, and on W1
+    within `_FD_SONIC` cells of its sonic point eta = 1/2.  Cells -1 and -2
+    below the origin are mirror ghosts of the partner field's cells 0 and 1,
+    next to the diagonal in w.  W1's speed points leftward below eta = 1/2,
+    where the backward light cone of the tip meets the slice; there its
+    stencil reaches up to two cells outward, and a stencil past the last
+    cell, which would need an inflow value at eta = R, raises ValueError.
     """
     if m < 4:
         raise ValueError(f"m must be at least 4 for a four-cell cubic, got m={m}")
@@ -194,22 +203,26 @@ def _fd_operator(d, R, m):
     rows = [W1, W1, W2, W2]
     cols = [W1, W2, W1, W2]
     vals = [couple / hpd - 1.0, -couple / hpd, couple / hmd, -couple / hmd - 1.0]
-    for coef, speed, own, ghost in (
-        (-hp / (hpd * 2 * dr), hp / hpd, 0, 1),
-        (-hm / (hmd * 2 * dr), hm / hmd, 1, 0),
+    for coef, speed, own, ghost, sonic in (
+        (-hp / (hpd * dr), hp / hpd, 0, 1, np.abs(r - 0.5) < _FD_SONIC * dr),
+        (-hm / (hmd * dr), hm / hmd, 1, 0, False),
     ):
-        step = np.where(speed >= 0.0, -1, 1)  # backward or forward stencil
-        for k, weight in ((0, 3.0), (1, -4.0), (2, 1.0)):
-            j = i + k * step
+        up = np.where(speed >= 0.0, -1, 1)  # the upwind direction
+        second = sonic | (i - up >= m)  # or a downwind cell past eta = R
+        # the weight of cell i + k up, times dr, in the third- and second-order stencils
+        for k, w3, w2 in ((-1, 1 / 3, 0.0), (0, 1 / 2, 3 / 2), (1, -1.0, -2.0), (2, 1 / 6, 1 / 2)):
+            weight = np.where(second, w2, w3)
+            used = weight != 0.0
+            j = (i + k * up)[used]
             if np.any(j >= m):
                 raise ValueError(
                     f"the FD stencil reaches past the last cell at R={R}: W1's speed "
                     f"points inward below eta = 1/2, and the last two of the {m} cells "
                     "must lie above it"
                 )
-            rows.append(2 * i + own)
+            rows.append(2 * i[used] + own)
             cols.append(np.where(j >= 0, 2 * j + own, 2 * (-1 - j) + ghost))
-            vals.append(-step * weight * coef)
+            vals.append((-up * weight * coef)[used])
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     A_ww = np.zeros((2 * m, 9))
     # coincident entries (stencil centre and diagonal, ghost and coupling) are summed
@@ -223,9 +236,9 @@ def _fd_start(d, f1, f2, span, R, m):
     its count per span (the CFL step `FD_CFL dr / speed`, shrunk to divide
     `span` into equal steps), and initial state: v0 and the interleaved w0
     of the half-wave fields W1, W2 built from (v, d_s v) with d_eta v by
-    4th-order FD.  The step sits at 86% of the RK4 limit 0.6963 of the
-    upwind stencil, so the step amplifies none of the stencil's Fourier
-    modes."""
+    4th-order FD.  The step sits at 86% of the RK4 limit 1.7453 of the
+    third-order upwind-biased stencil, so the step amplifies none of the
+    stencil's Fourier modes."""
     r, A, speed = _fd_operator(d, R, m)
     dr = R / m
     nsteps = int(np.ceil(span / (FD_CFL * dr / speed)))
@@ -320,14 +333,11 @@ def _at_nodes(r, fields, eta):
     return tuple(sum(w * F[:, j + k] for k, w in enumerate(weights)))
 
 
-def direct_fd_oracle(d, f1, f2, s_end, R, eta, m=400):
+def direct_fd_oracle(d, f1, f2, s_end, R, eta, m=800):
     """Upwinded method-of-lines reference for the radial wave evolution in
     similarity coordinates, from callable initial data (v, d_s v): v at time
-    s_end and the nodes eta, Richardson-extrapolated over the m and 2m cells
-    for the leading O(dr^2) error."""
-    coarse, _ = fd_oracle_series(d, f1, f2, s_end, R, eta, m)
-    fine, _ = fd_oracle_series(d, f1, f2, s_end, R, eta, 2 * m)
-    return (4 * fine - coarse) / 3.0
+    s_end and the nodes eta, from one third-order march on m cells."""
+    return fd_oracle_series(d, f1, f2, s_end, R, eta, m)[0]
 
 
 def fd_oracle_series(d, f1, f2, s_end, R, eta, m):

@@ -134,8 +134,10 @@ class TestConfigGates:
             ["--d", "7", "--N", "16"],
             ["--s-end", "-1"],
             ["--s-end", "0"],
-            # the FD oracle's stencils reach past eta = R = 1/2
+            # the FD oracle's stencils reach past eta = R: its last two of
+            # 800 cells must lie above 1/2, so R >= 0.5 m / (m - 1.5) = 0.50094
             ["--R", "0.5"],
+            ["--R", "0.5009"],
         ],
     )
     def test_freewave_bad_config_exit_2(self, tmp_path, capsys, flags):
@@ -143,6 +145,12 @@ class TestConfigGates:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
+
+    def test_freewave_runs_just_above_the_R_floor(self, tmp_path):
+        # 0.501 clears the floor 0.50094 of the FD oracle's 800 cells
+        out = tmp_path / "fw"
+        assert run(["freewave", "--R", "0.501", "--out", str(out)]) == 0
+        assert json.loads(out.with_suffix(".json").read_text())["cross_check_error"] < 1e-4
 
     @pytest.mark.parametrize(
         "argv",
@@ -326,8 +334,8 @@ class TestCommands:
         assert doc["cross_check_error"] < 1e-4
         # this tree's values; bench/references.json holds them to its REF_TOL
         assert doc["exponent_fit"] == pytest.approx(0.09034268757701863, rel=1e-8)
-        # the FD oracle's step moved it by -8.8e-15 when FD_CFL went from 0.4 to 0.6
-        assert doc["cross_check_error"] == pytest.approx(1.0099120107275222e-07, abs=1e-13)
+        # the FD oracle's one third-order march on 800 cells at FD_CFL = 1.5
+        assert doc["cross_check_error"] == pytest.approx(2.5276013414841415e-08, abs=1e-13)
         assert a.with_suffix(".csv").read_text().splitlines()[0] == "s,norm"
         for suffix in (".csv", ".json"):
             assert a.with_suffix(suffix).read_bytes() == b.with_suffix(suffix).read_bytes()
@@ -345,9 +353,8 @@ class TestCommands:
         assert run(argv) == 0
         assert (len(points), rules) == (64 + 11, [64 + 16])
 
-    def test_freewave_marches_the_fd_oracle_twice(self, tmp_path, monkeypatch):
-        # the cross-check's Richardson pair on m and 2m cells, and no other
-        # FD march
+    def test_freewave_marches_the_fd_oracle_once(self, tmp_path, monkeypatch):
+        # the cross-check's one march on 800 cells, and no other FD march
         cells = []
         fd_run = descent._fd_run
 
@@ -358,7 +365,7 @@ class TestCommands:
         monkeypatch.setattr(descent, "_fd_run", counting)
         argv = ["freewave", "--d", "7", "--N", "64", "--s-end", "5"]
         assert run([*argv, "--out", str(tmp_path / "fw")]) == 0
-        assert cells == [400, 800]
+        assert cells == [800]
 
     def test_freewave_refuses_R_before_the_norm_series(self, tmp_path, capsys, monkeypatch):
         # the FD oracle's stencil check runs first: no free evolution runs

@@ -18,6 +18,7 @@ from hyperwave.descent import (
     FD_CFL,
     _FD_BLOCK,
     _FD_ROWS,
+    _FD_SONIC,
     _fd_operator,
     _fd_run,
     _fd_start,
@@ -367,45 +368,55 @@ class TestFDOracle:
             # mirror ghosts below the origin, zero phantoms above eta = R
             return ghost[-1 - j] if j < 0 else (f[j] if j < m else 0.0)
 
-        def upwind(f, ghost, speed, i):
-            if speed >= 0.0:
-                return (3 * cell(f, ghost, i) - 4 * cell(f, ghost, i - 1) + cell(f, ghost, i - 2)) / (2 * dr)
-            return (-3 * cell(f, ghost, i) + 4 * cell(f, ghost, i + 1) - cell(f, ghost, i + 2)) / (2 * dr)
+        def upwind(f, ghost, speed, i, sonic):
+            # u is the upwind direction: third-order upwind-biased on cells
+            # i - u, ..., i + 2u, or second-order upwind on i, i + u, i + 2u at
+            # the outflow cell and near W1's sonic point
+            u = -1 if speed >= 0.0 else 1
+            c = lambda k: cell(f, ghost, i + k * u)
+            if sonic or i - u >= m:
+                return -u * (3 * c(0) - 4 * c(1) + c(2)) / (2 * dr)
+            return -u * (2 * c(-1) + 3 * c(0) - 6 * c(1) + c(2)) / (6 * dr)
 
+        # W1's sonic point eta = 1/2 is the face of cells 9 and 10; 16 cells
+        # keep the second-order stencil
+        sonic = np.abs(r - 0.5) < _FD_SONIC * dr
+        assert _FD_SONIC == 8 and np.count_nonzero(sonic) == 16
         want = np.empty(3 * m)
         for i in range(m):
             src = couple[i] * (w1[i] - w2[i])
             want[i] = -(h[i] * (w1[i] + w2[i]) + r[i] * (w1[i] - w2[i])) / 2.0
-            want[m + i] = (-hp[i] * upwind(w1, w2, hp[i] / hpd[i], i) + src) / hpd[i] - w1[i]
-            want[2 * m + i] = (-hm[i] * upwind(w2, w1, hm[i] / hmd[i], i) + src) / hmd[i] - w2[i]
+            want[m + i] = (-hp[i] * upwind(w1, w2, hp[i] / hpd[i], i, sonic[i]) + src) / hpd[i] - w1[i]
+            want[2 * m + i] = (-hm[i] * upwind(w2, w1, hm[i] / hmd[i], i, False) + src) / hmd[i] - w2[i]
         dw = _band_matvec(A_ww, np.stack([w1, w2], axis=1).ravel())
         got = np.concatenate([a1 * w1 + a2 * w2, dw[0::2], dw[1::2]])
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
     def test_regression_pin(self, monkeypatch):
-        # values of the stencil-by-stencil upwind solver this operator
-        # replaced, recorded at the Courant number 0.4; the default step
-        # moves them by at most 5.6e-12 relative (d = 7, m = 100)
+        # values of this operator's third-order scheme, recorded at the
+        # Courant number 1.49 (565 and 282 steps); the default step (561 and
+        # 280) moves them by at most 7.6e-12 relative (d = 7, m = 100).  At
+        # 1.0 RK4's time error would move them by 2.2e-10
         f1 = lambda r: np.exp(-2 * r * r)
         pins = [
             (
                 (5, f1, lambda r: 0 * r, 1.0, 2.0, 200),
                 [0, 1, 37, 100, 199],
-                [0.07410089909774671, 0.07402609232994271, 0.024621339800224476,
-                 -0.17579014519837458, -0.3001638663943673],
-                [-0.716189235911018, -0.7160713995601833, -0.6401242385222106,
-                 -0.3869622825676523, -0.38546114240154483],
+                [0.07412478454074412, 0.0740499577003979, 0.02463139003291126,
+                 -0.17580836493035976, -0.3000775175003725],
+                [-0.7162020357625698, -0.7160841739604089, -0.6401208053785157,
+                 -0.3869663900883261, -0.3853453312687164],
             ),
             (
                 (7, f1, lambda r: -0.3 * np.exp(-r * r), 1.0, 2.0, 100),
                 [0, 10, 50, 99],
-                [-0.10727352967469479, -0.12031757968103643, -0.28921598820640526,
-                 -0.2911023765629335],
-                [-0.6585034488615441, -0.6342439786722399, -0.3532701062661948,
-                 -0.3439355526783216],
+                [-0.10725078757237472, -0.12025347600032665, -0.28917119093300325,
+                 -0.2907393896466185],
+                [-0.6584991706035499, -0.6339800278988673, -0.3532636051409216,
+                 -0.3433153541828994],
             ),
         ]
-        for cfl, rel in ((0.4, 1e-12), (FD_CFL, 1e-11)):
+        for cfl, rel in ((1.49, 1e-12), (FD_CFL, 1e-11)):
             monkeypatch.setattr(descent, "FD_CFL", cfl)
             for case, idx, v_pin, vs_pin in pins:
                 _, v, vs = _fd_run(*case)
@@ -413,25 +424,26 @@ class TestFDOracle:
                 assert vs[idx] == pytest.approx(vs_pin, rel=rel)
 
     def test_step_within_rk4_stability_limit(self):
-        # RK4's amplification on the symbol of the upwind stencil (3, -4, 1)/2
-        # stays within the unit disc up to the Courant number 0.6963, found by
-        # bisection; the step keeps a tenth of that margin or more
+        # RK4's amplification on the symbol of the upwind-biased stencil
+        # (2, 3, -6, 1)/6 stays within the unit disc up to the Courant number
+        # 1.7453, found by bisection; the step keeps a tenth of that margin
+        # or more
         R4 = lambda z: 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
         theta = np.linspace(0.0, np.pi, 2001)
-        symbol = -(3 - 4 * np.exp(-1j * theta) + np.exp(-2j * theta)) / 2
-        lo, hi = 0.5, 1.0
+        symbol = -(2 * np.exp(1j * theta) + 3 - 6 * np.exp(-1j * theta) + np.exp(-2j * theta)) / 6
+        lo, hi = 1.0, 2.0
         for _ in range(40):
             mid = (lo + hi) / 2
             lo, hi = (mid, hi) if np.max(np.abs(R4(mid * symbol))) <= 1 + 1e-13 else (lo, mid)
-        assert lo == pytest.approx(0.6963, abs=1e-4)
+        assert lo == pytest.approx(1.7453, abs=1e-4)
         assert FD_CFL <= 0.9 * lo
         # and on the operator itself: the CFL step amplifies no eigenvector of
-        # w' = A_ww w (the largest |R4| is 0.99984), from about the smallest R
+        # w' = A_ww w (the largest |R4| is 0.99961), from about the smallest R
         # the oracle takes to five times the default.  A_ww is an upwind
         # transport with outflow, far from normal, so its eigenvalues pass
-        # up to a Courant number of 1.05, where the README freewave's
-        # cross-check has already grown from 1e-7 to 0.05 (at 1.0); the
-        # symbol's bound above is what refuses a step near 0.9
+        # up to a Courant number of 2.28, and the README freewave's
+        # cross-check still reads 2.5e-8 at 2.2; the symbol's bound above is
+        # what refuses a step past 1.57
         for d, R, m in itertools.product((3, 5, 7, 9), (0.55, 2.0, 10.0), (100, 200)):
             _, (_, A_ww), speed = _fd_operator(d, R, m)
             z = np.linalg.eigvals(band_dense(A_ww)) * FD_CFL * (R / m) / speed
@@ -558,20 +570,20 @@ class TestFDOracle:
         orders = np.log2(np.array(err[:-1]) / err[1:])
         assert np.all((3.8 < orders) & (orders < 4.2))
 
-    def test_direct_oracle_is_richardson_over_series(self, grid64):
+    def test_direct_oracle_is_one_series_march(self, grid64):
         f1, f2 = lambda r: np.exp(-2 * r * r), lambda r: -0.3 * np.exp(-r * r)
         case = (7, f1, f2, 1.0, 2.0, grid64.eta)
-        coarse, _ = fd_oracle_series(*case, 100)
-        fine, _ = fd_oracle_series(*case, 200)
-        got = direct_fd_oracle(7, f1, f2, 1.0, 2.0, grid64.eta, m=100)
-        assert np.array_equal(got, (4 * fine - coarse) / 3.0)
+        v, _ = fd_oracle_series(*case, 100)
+        assert np.array_equal(direct_fd_oracle(*case, m=100), v)
 
-    @pytest.mark.parametrize("d", [3, 5, 7])
+    @pytest.mark.parametrize("d", [3, 5, 7, 9, 11])
     @pytest.mark.parametrize("R", [0.75, 1.0, 2.0])
     def test_direct_oracle_matches_exact_radial_wave(self, d, R):
         # from s = 0 to s = 1 on an exact smooth solution; the weighted error
-        # is 2.7e-9 (d = 3, R = 1) to 9.6e-7 (d = 7, R = 2), and 1.4e-8 at
-        # d = 7, R = 0.75, where W1 moves inward on the cells below eta = 1/2
+        # is 1.5e-10 (d = 3, R = 0.75) to 1.4e-6 (d = 11, R = 2), and 3.6e-9 at
+        # d = 7, R = 0.75, where W1 moves inward on the cells below eta = 1/2.
+        # A second-order Richardson pair on 400 and 800 cells fails d = 9
+        # and 11 at R = 2 (2.6e-6 and 5.8e-6)
         g = make_grid(R, 64)
         f1 = lambda r: exact_radial_wave(d, r, 0.0, 1.0)[0]
         f2 = lambda r: exact_radial_wave(d, r, 0.0, 1.0)[1]
@@ -588,7 +600,7 @@ class TestFDOracle:
         e1 = np.max(np.abs(vals[100] - vals[200]))
         e2 = np.max(np.abs(vals[200] - vals[400]))
         order = np.log2(e1 / e2)
-        assert 1.6 < order < 2.6
+        assert 2.7 < order < 4.0
 
     @pytest.mark.parametrize("d", [5, 7])
     def test_cross_check_spectral(self, grid64, d):
